@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 
 from partic import VerifyConfig, run_verify
-from partic.affine import affine_relation_instances, find_relation_counterexample
+from partic.affine import affine_relation_instances, first_failing_instance
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,7 @@ def main() -> int:
 
     for n in plan.affine_ranks:
         instances = affine_relation_instances(n, plan.affine_m_max, plan.affine_k_max)
-        bad = None
-        for lhs, rhs in instances:
-            witness = find_relation_counterexample(lhs, rhs, plan.affine_particles)
-            if witness is not None:
-                bad = (lhs, rhs, witness)
-                break
+        bad = first_failing_instance(instances, plan.affine_particles)
         if bad is None:
             print(f"[PASS] N={n} affine-relations ({len(instances)} instances)")
         else:

@@ -15,6 +15,7 @@ from .affine import (
     affine_configurations,
     affine_relation_instances,
     find_relation_counterexample,
+    first_failing_instance,
     verify_relation_on_module,
 )
 from .center import (
@@ -23,6 +24,7 @@ from .center import (
     commutes_with_generators,
     expected_center_dimension,
     nullspace,
+    theorem_mismatch,
 )
 from .core import (
     AlgebraElement,
@@ -31,6 +33,7 @@ from .core import (
     NormalMonomial,
     Word,
     check_rank,
+    compositions,
     multidegree,
     multidegrees_up_to,
     nm_to_word,
@@ -59,7 +62,6 @@ from .particles import (
     faithfulness_check,
     io_label,
     label_mul,
-    label_mul_via_monomial,
     min_input,
     monomial_from_io,
     output_of,

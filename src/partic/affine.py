@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .core import check_rank
+from .core import check_rank, compositions
 from .particles import ANNIHILATED
 
 
@@ -64,45 +64,27 @@ class AffineConfiguration:
 
 def affine_act_gen(i: int, c: AffineConfiguration):
     """Move one particle i -> i+1 cyclically; a_0 moves N -> 1 and bumps t."""
-    if not 0 <= i <= c.n - 1:
-        raise ValueError(f"generator index {i} out of range 0..{c.n - 1}")
-    src = c.n - 1 if i == 0 else i - 1
-    dst = 0 if i == 0 else i
-    if c.occ[src] == 0:
-        return ANNIHILATED
-    occ = list(c.occ)
-    occ[src] -= 1
-    occ[dst] += 1
-    return AffineConfiguration(c.n, tuple(occ), c.t + (1 if i == 0 else 0))
+    return affine_act_word(AffineWord(c.n, (i,)), c)
 
 
 def affine_act_word(w: AffineWord, c: AffineConfiguration):
     """Apply a word, rightmost letter first; annihilation absorbs."""
     if w.n != c.n:
         raise ValueError("rank mismatch")
-    cur = c
+    occ = list(c.occ)
     for a in reversed(w.letters):
-        cur = affine_act_gen(a, cur)
-        if cur is ANNIHILATED:
+        # a_i takes from index i-1 and gives to index i; for a_0, index -1 is position N
+        if occ[a - 1] == 0:
             return ANNIHILATED
-    return cur
+        occ[a - 1] -= 1
+        occ[a] += 1
+    return AffineConfiguration(c.n, tuple(occ), c.t + w.letters.count(0))
 
 
 def affine_configurations(n: int, max_total: int) -> Iterator[AffineConfiguration]:
     """All t = 0 configurations with at most ``max_total`` particles, lexicographic."""
     check_rank(n)
-    occ = [0] * n
-
-    def rec(idx: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if idx == n:
-            yield tuple(occ)
-            return
-        for c in range(budget + 1):
-            occ[idx] = c
-            yield from rec(idx + 1, budget - c)
-        occ[idx] = 0
-
-    for body in rec(0, max_total):
+    for body in compositions(n, max_total):
         yield AffineConfiguration(n, body, 0)
 
 
@@ -180,3 +162,12 @@ def find_relation_counterexample(lhs: AffineWord, rhs: AffineWord, max_particles
 def verify_relation_on_module(lhs: AffineWord, rhs: AffineWord, max_particles: int) -> bool:
     """True iff both words act identically (including annihilation and t)."""
     return find_relation_counterexample(lhs, rhs, max_particles) is None
+
+
+def first_failing_instance(instances: list[tuple[AffineWord, AffineWord]], max_particles: int):
+    """First (lhs, rhs, witness) among the instances whose words act differently, or None."""
+    for lhs, rhs in instances:
+        witness = find_relation_counterexample(lhs, rhs, max_particles)
+        if witness is not None:
+            return lhs, rhs, witness
+    return None

@@ -107,3 +107,17 @@ def expected_center_dimension(delta: MultiDegree) -> int:
     """Graded center dimension: 1 at degrees r*(1, ..., 1), else 0."""
     c = delta.counts
     return 1 if all(x == c[0] for x in c) else 0
+
+
+def theorem_mismatch(delta: MultiDegree, basis: list[AlgebraElement]) -> str | None:
+    """How one degree's center basis departs from the theorem, or None if it agrees.
+
+    The theorem: dimension 1 at r*(1, ..., 1), spanned by the descending
+    cycle c_r, and dimension 0 everywhere else.
+    """
+    want = expected_center_dimension(delta)
+    if len(basis) != want:
+        return f"dimension {len(basis)}, expected {want}"
+    if want == 1 and basis[0] != AlgebraElement.from_monomial(central_candidate(delta.n, delta.counts[0])):
+        return "basis element differs from the candidate"
+    return None

@@ -10,10 +10,9 @@ import argparse
 import json
 import sys
 
-from .affine import affine_relation_instances, find_relation_counterexample
-from .center import center_basis_in_degree, central_candidate, expected_center_dimension
+from .affine import affine_relation_instances, first_failing_instance
+from .center import center_basis_in_degree, theorem_mismatch
 from .core import (
-    AlgebraElement,
     MultiDegree,
     NormalMonomial,
     Word,
@@ -124,12 +123,7 @@ def cmd_center(args) -> int:
     mismatch = None
     for delta in multidegrees_up_to(args.N, args.max_degree):
         basis = center_basis_in_degree(args.N, delta)
-        want = expected_center_dimension(delta)
-        ok = len(basis) == want
-        if ok and want == 1:
-            cand = AlgebraElement.from_monomial(central_candidate(args.N, delta.counts[0]))
-            ok = basis[0] == cand
-        if not ok and mismatch is None:
+        if mismatch is None and theorem_mismatch(delta, basis) is not None:
             mismatch = str(delta)
         entry = {
             "degree": list(delta.counts),
@@ -184,21 +178,21 @@ def cmd_verify(args) -> int:
 
 def cmd_affine_verify(args) -> int:
     instances = affine_relation_instances(args.N, args.m_max, args.k_max)
-    for lhs, rhs in instances:
-        witness = find_relation_counterexample(lhs, rhs, args.particles)
-        if witness is not None:
-            _emit(
-                args,
-                {
-                    "command": "affine-verify",
-                    "passed": False,
-                    "lhs": list(lhs.letters),
-                    "rhs": list(rhs.letters),
-                    "witness": list(witness.occ),
-                },
-                [f"FAIL: [{lhs}] vs [{rhs}] differ on configuration {witness}"],
-            )
-            return 1
+    failure = first_failing_instance(instances, args.particles)
+    if failure is not None:
+        lhs, rhs, witness = failure
+        _emit(
+            args,
+            {
+                "command": "affine-verify",
+                "passed": False,
+                "lhs": list(lhs.letters),
+                "rhs": list(rhs.letters),
+                "witness": list(witness.occ),
+            },
+            [f"FAIL: [{lhs}] vs [{rhs}] differ on configuration {witness}"],
+        )
+        return 1
     _emit(
         args,
         {"command": "affine-verify", "passed": True, "instances": len(instances)},

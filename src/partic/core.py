@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 MIN_RANK = 3
 
@@ -70,7 +69,11 @@ class Word:
 
     @staticmethod
     def from_json(obj: Mapping) -> Word:
-        return Word(int(obj["N"]), tuple(int(a) for a in obj["letters"]))
+        try:
+            n, letters = int(obj["N"]), tuple(int(a) for a in obj["letters"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed word JSON: {exc!r}") from None
+        return Word(n, letters)
 
     def __str__(self) -> str:
         return " ".join(str(a) for a in self.letters)
@@ -124,11 +127,27 @@ def multidegree(w: Word) -> MultiDegree:
     return MultiDegree(tuple(counts))
 
 
+def compositions(parts: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of ``parts`` nonnegative integers with sum <= budget, lexicographic."""
+    if budget < 0:
+        raise ValueError(f"bound must be nonnegative, got {budget}")
+    occ = [0] * parts
+
+    def rec(idx: int, left: int) -> Iterator[tuple[int, ...]]:
+        if idx == parts:
+            yield tuple(occ)
+            return
+        for c in range(left + 1):
+            occ[idx] = c
+            yield from rec(idx + 1, left - c)
+
+    return rec(0, budget)
+
+
 def multidegrees_up_to(n: int, max_total: int) -> list[MultiDegree]:
     """All multidegrees of rank n with total <= max_total, by total then lex."""
     check_rank(n)
-    combos = [c for c in product(range(max_total + 1), repeat=n - 1) if sum(c) <= max_total]
-    combos.sort(key=lambda c: (sum(c), c))
+    combos = sorted(compositions(n - 1, max_total), key=lambda c: (sum(c), c))
     return [MultiDegree(c) for c in combos]
 
 
@@ -207,11 +226,11 @@ class NormalMonomial:
 
     @staticmethod
     def from_json(obj: Mapping) -> NormalMonomial:
-        return NormalMonomial(
-            int(obj["N"]),
-            tuple(int(x) for x in obj["d"]),
-            tuple(int(x) for x in obj["k"]),
-        )
+        try:
+            n, d, k = int(obj["N"]), tuple(int(x) for x in obj["d"]), tuple(int(x) for x in obj["k"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed monomial JSON: {exc!r}") from None
+        return NormalMonomial(n, d, k)
 
     def __str__(self) -> str:
         factors = []

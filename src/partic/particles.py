@@ -24,11 +24,12 @@ from .core import (
     NormalMonomial,
     Word,
     check_rank,
+    compositions,
     multidegrees_up_to,
     nm_to_word,
     parse_ints,
 )
-from .normal_form import enumerate_basis, left_mul_gen, right_mul_gen
+from .normal_form import enumerate_basis
 
 
 class _AnnihilatedType:
@@ -108,33 +109,20 @@ class ModuleElement(LinearCombination):
 
 def act_gen(i: int, c: Configuration):
     """a_i applied to a configuration: move one particle i -> i+1, or annihilate."""
-    if not 1 <= i <= c.n - 1:
-        raise ValueError(f"generator index {i} out of range 1..{c.n - 1}")
-    if c.occ[i - 1] == 0:
-        return ANNIHILATED
-    occ = list(c.occ)
-    occ[i - 1] -= 1
-    occ[i] += 1  # the deposit sits right after position N-1, so the move is uniform
-    return Configuration(c.n, tuple(occ))
-
-
-def _act_letters(letters: tuple[int, ...], c: Configuration):
-    cur = c.occ
-    for a in reversed(letters):  # rightmost letter acts first
-        if cur[a - 1] == 0:
-            return ANNIHILATED
-        lst = list(cur)
-        lst[a - 1] -= 1
-        lst[a] += 1
-        cur = tuple(lst)
-    return Configuration(c.n, cur)
+    return act_word(Word(c.n, (i,)), c)
 
 
 def act_word(w: Word, c: Configuration):
     """Apply a word, rightmost letter first; annihilation absorbs."""
     if w.n != c.n:
         raise ValueError("rank mismatch")
-    return _act_letters(w.letters, c)
+    occ = list(c.occ)
+    for a in reversed(w.letters):
+        if occ[a - 1] == 0:
+            return ANNIHILATED
+        occ[a - 1] -= 1
+        occ[a] += 1  # the deposit sits right after position N-1, so the move is uniform
+    return Configuration(c.n, tuple(occ))
 
 
 def act_element(e: AlgebraElement, v: ModuleElement) -> ModuleElement:
@@ -143,12 +131,11 @@ def act_element(e: AlgebraElement, v: ModuleElement) -> ModuleElement:
         raise ValueError("rank mismatch")
     acc: dict[Configuration, Fraction] = {}
     for m, cm in e.terms.items():
-        letters = nm_to_word(m).letters
+        w = nm_to_word(m)
         for cfg, cv in v.terms.items():
-            out = _act_letters(letters, cfg)
-            if out is ANNIHILATED:
-                continue
-            acc[out] = acc.get(out, Fraction(0)) + cm * cv
+            out = act_word(w, cfg)
+            if out is not ANNIHILATED:
+                acc[out] = acc.get(out, Fraction(0)) + cm * cv
     return ModuleElement(v.n, acc)
 
 
@@ -252,13 +239,6 @@ def label_mul(label: IoLabel, i: int, side: str) -> IoLabel:
     raise ValueError("side must be 'left' or 'right'")
 
 
-def label_mul_via_monomial(label: IoLabel, i: int, side: str) -> IoLabel:
-    """Reference route for label_mul: unlabel, multiply, relabel."""
-    m = monomial_from_io(label)
-    m2 = left_mul_gen(i, m) if side == "left" else right_mul_gen(m, i)
-    return io_label(m2)
-
-
 def faithfulness_check(n: int, max_len: int) -> bool:
     """Labels are pairwise distinct over all basis monomials of length <= max_len."""
     check_rank(n)
@@ -280,18 +260,6 @@ def configurations(n: int, max_particles: int, max_deposit: int | None = None) -
     check_rank(n)
     if max_deposit is None:
         max_deposit = max_particles
-    positions = n - 1
-    occ = [0] * positions
-
-    def rec(idx: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if idx == positions:
-            yield tuple(occ)
-            return
-        for c in range(budget + 1):
-            occ[idx] = c
-            yield from rec(idx + 1, budget - c)
-        occ[idx] = 0
-
-    for body in rec(0, max_particles):
+    for body in compositions(n - 1, max_particles):
         for dep in range(max_deposit + 1):
             yield Configuration(n, body + (dep,))

@@ -122,23 +122,9 @@ def congruence_class(w: Word, rs: RelationSet) -> set[Word]:
 def words_equivalent(w1: Word, w2: Word, rs: RelationSet) -> bool:
     _check_ranks(w1, rs)
     _check_ranks(w2, rs)
-    if w1.letters == w2.letters:
-        return True
     if multidegree(w1) != multidegree(w2):
         return False
-    target = w2.letters
-    pairs = rs.oriented()
-    seen = {w1.letters}
-    queue = deque((w1.letters,))
-    while queue:
-        cur = queue.popleft()
-        for nxt in _steps(cur, pairs):
-            if nxt == target:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    return w2.letters in _closure(w1.letters, rs.oriented())
 
 
 def words_with_degree(delta: MultiDegree) -> Iterator[Letters]:

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterator
 
-from .center import center_basis_in_degree, central_candidate, expected_center_dimension
-from .core import AlgebraElement, Word, multidegree, multidegrees_up_to, nm_to_word
+from .center import center_basis_in_degree, theorem_mismatch
+from .core import Word, multidegree, multidegrees_up_to, nm_to_word
 from .normal_form import enumerate_basis, normalize, normalize_right_to_left
 from .particles import act_word, configurations, faithfulness_check
 from .rewriting import (
@@ -32,6 +32,12 @@ class VerifyConfig:
     include_center: bool = False
     max_degree: int = 6
     max_deposit: int = 1
+
+    def __post_init__(self) -> None:
+        # a negative bound would make a check pass having examined nothing
+        for name in ("max_len", "max_degree", "max_deposit"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass
@@ -124,41 +130,37 @@ def _check_faithfulness(cfg: VerifyConfig):
 
 def _check_center(cfg: VerifyConfig):
     for delta in multidegrees_up_to(cfg.n, cfg.max_degree):
-        basis = center_basis_in_degree(cfg.n, delta)
-        want = expected_center_dimension(delta)
-        if len(basis) != want:
-            return False, f"degree ({delta}): dimension {len(basis)}, expected {want}"
-        if want == 1:
-            cand = AlgebraElement.from_monomial(central_candidate(cfg.n, delta.counts[0]))
-            if basis[0] != cand:
-                return False, f"degree ({delta}): basis element differs from the candidate"
+        problem = theorem_mismatch(delta, center_basis_in_degree(cfg.n, delta))
+        if problem is not None:
+            return False, f"degree ({delta}): {problem}"
     return True, None
 
 
-def run_verify(cfg: VerifyConfig) -> VerifyReport:
-    checks: list[tuple[str, Callable]] = [
-        ("action-factoring", _check_action_factoring),
-        ("basis-count", _check_basis_count),
-        ("faithfulness", _check_faithfulness),
-        ("fold-agreement", _check_fold_agreement),
-        ("grading", _check_grading),
-        ("normal-form", _check_normal_form),
-    ]
-    if cfg.include_center:
-        checks.append(("center-dimensions", _check_center))
-    checks.sort(key=lambda item: item[0])
+CENTER = "center-dimensions"
 
-    params = {"N": cfg.n, "max_len": cfg.max_len, "relations": cfg.relations}
+# (name, check, the config fields it reports besides N, max_len and relations),
+# sorted by name; the center check runs only with include_center
+CHECKS: tuple[tuple[str, Callable, tuple[str, ...]], ...] = (
+    ("action-factoring", _check_action_factoring, ("max_deposit",)),
+    ("basis-count", _check_basis_count, ()),
+    (CENTER, _check_center, ("max_degree",)),
+    ("faithfulness", _check_faithfulness, ()),
+    ("fold-agreement", _check_fold_agreement, ()),
+    ("grading", _check_grading, ()),
+    ("normal-form", _check_normal_form, ()),
+)
+
+
+def run_verify(cfg: VerifyConfig) -> VerifyReport:
     report = VerifyReport()
-    for name, fn in checks:
-        p = dict(params)
-        if name == "center-dimensions":
-            p["max_degree"] = cfg.max_degree
-        if name == "action-factoring":
-            p["max_deposit"] = cfg.max_deposit
+    for name, fn, fields in CHECKS:
+        if name == CENTER and not cfg.include_center:
+            continue
+        params = {"N": cfg.n, "max_len": cfg.max_len, "relations": cfg.relations}
+        params.update((f, getattr(cfg, f)) for f in fields)
         t0 = time.perf_counter()
         passed, counterexample = fn(cfg)
         report.checks.append(
-            VerifyCheck(name, p, passed, counterexample, time.perf_counter() - t0)
+            VerifyCheck(name, params, passed, counterexample, time.perf_counter() - t0)
         )
     return report

@@ -29,12 +29,13 @@ from partic.particles import (
     configurations,
     io_label,
     label_mul,
-    label_mul_via_monomial,
     min_input,
     monomial_from_io,
     output_of,
 )
 from partic.rewriting import congruence_partition, count_classes, partic_rules, plactic_rules
+
+from label_reference import label_mul_via_monomial
 
 
 def _report(tag, detail):

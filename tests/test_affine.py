@@ -10,6 +10,7 @@ from partic.affine import (
     affine_configurations,
     affine_relation_instances,
     find_relation_counterexample,
+    first_failing_instance,
     verify_relation_on_module,
 )
 from partic.particles import ANNIHILATED
@@ -83,6 +84,13 @@ def test_exchange_rule_fails_on_three_cycle():
     # consequently no four-letter exchange instance is emitted at N=3
     insts = affine_relation_instances(3, 2, 1)
     assert ((0, 2, 1, 0), (1, 0, 2, 0)) not in {(l.letters, r.letters) for l, r in insts}
+
+
+def test_first_failing_instance_reports_the_first_witness():
+    good = affine_relation_instances(3, 1, 0)
+    assert first_failing_instance(good, 2) is None
+    bad = (AffineWord(3, (0, 2, 1, 0)), AffineWord(3, (1, 0, 2, 0)))
+    assert first_failing_instance(good + [bad, bad[::-1]], 2) == (*bad, acfg(3, (0, 0, 1)))
 
 
 def test_verify_relation_trivial_and_false():

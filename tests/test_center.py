@@ -8,6 +8,7 @@ from partic.center import (
     commutes_with_generators,
     expected_center_dimension,
     nullspace,
+    theorem_mismatch,
 )
 from partic.core import AlgebraElement, MultiDegree, NormalMonomial, Word, multidegrees_up_to, nm_to_word
 from partic.normal_form import gen_element, nm_product, normalize
@@ -112,3 +113,13 @@ def test_expected_center_dimension():
     assert expected_center_dimension(MultiDegree((0, 0, 0))) == 1
     assert expected_center_dimension(MultiDegree((2, 2, 2))) == 1
     assert expected_center_dimension(MultiDegree((2, 2, 1))) == 0
+
+
+def test_theorem_mismatch_names_the_departure():
+    d11, d10 = MultiDegree((1, 1)), MultiDegree((1, 0))
+    cycle = AlgebraElement.from_monomial(central_candidate(3, 1))
+    assert theorem_mismatch(d11, center_basis_in_degree(3, d11)) is None
+    assert theorem_mismatch(d10, []) is None
+    assert theorem_mismatch(d11, []) == "dimension 0, expected 1"
+    assert theorem_mismatch(d10, [cycle]) == "dimension 1, expected 0"
+    assert theorem_mismatch(d11, [2 * cycle]) == "basis element differs from the candidate"

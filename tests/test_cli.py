@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from partic.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -147,3 +149,86 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "d=[1,1,1], k=[1,1,0,0]" in proc.stdout
+
+
+# literal stdout, recorded before any refactoring; output must stay byte-identical
+
+GOLDEN_VERIFY_TEXT = """\
+[PASS] action-factoring (N=3, max_deposit=1, max_len=3, relations=partic)
+[PASS] basis-count (N=3, max_len=3, relations=partic)
+[PASS] faithfulness (N=3, max_len=3, relations=partic)
+[PASS] fold-agreement (N=3, max_len=3, relations=partic)
+[PASS] grading (N=3, max_len=3, relations=partic)
+[PASS] normal-form (N=3, max_len=3, relations=partic)
+all checks passed
+"""
+
+GOLDEN_VERIFY_JSON = (
+    '{"checks": ['
+    '{"counterexample": null, "name": "action-factoring", "params": '
+    '{"N": 3, "max_deposit": 1, "max_len": 3, "relations": "partic"}, "passed": true}, '
+    '{"counterexample": null, "name": "basis-count", "params": '
+    '{"N": 3, "max_len": 3, "relations": "partic"}, "passed": true}, '
+    '{"counterexample": null, "name": "faithfulness", "params": '
+    '{"N": 3, "max_len": 3, "relations": "partic"}, "passed": true}, '
+    '{"counterexample": null, "name": "fold-agreement", "params": '
+    '{"N": 3, "max_len": 3, "relations": "partic"}, "passed": true}, '
+    '{"counterexample": null, "name": "grading", "params": '
+    '{"N": 3, "max_len": 3, "relations": "partic"}, "passed": true}, '
+    '{"counterexample": null, "name": "normal-form", "params": '
+    '{"N": 3, "max_len": 3, "relations": "partic"}, "passed": true}'
+    '], "command": "verify", "passed": true, "schema": 1}\n'
+)
+
+GOLDEN_CENTER = """\
+degree (0,0): dimension 1  basis: 1
+degree (0,1): dimension 0
+degree (1,0): dimension 0
+degree (0,2): dimension 0
+degree (1,1): dimension 1  basis: a2 a1
+degree (2,0): dimension 0
+degree (0,3): dimension 0
+degree (1,2): dimension 0
+degree (2,1): dimension 0
+degree (3,0): dimension 0
+prediction check: ok
+"""
+
+GOLDEN_AFFINE = "all 13 relation instances verified on configurations with <= 2 particles\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("verify --N 3 --max-len 3", GOLDEN_VERIFY_TEXT),
+        ("verify --N 3 --max-len 3 --json", GOLDEN_VERIFY_JSON),
+        ("center --N 3 --max-degree 3 --expect-theorem", GOLDEN_CENTER),
+        ("affine-verify --N 3 --particles 2 --m-max 1 --k-max 0", GOLDEN_AFFINE),
+    ],
+)
+def test_golden_output(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # bounds that would certify nothing
+        ["verify", "--N", "3", "--max-len", "-1"],
+        ["verify", "--N", "3", "--max-len", "2", "--max-deposit", "-1"],
+        ["verify", "--N", "3", "--max-len", "2", "--center", "--max-degree", "-1"],
+        ["affine-verify", "--N", "3", "--particles", "-2"],
+        ["center", "--N", "3", "--max-degree", "-1"],
+        ["act", "--N", "3", "--dot", "--particles", "-1"],
+        # JSON monomials with a missing key or an ill-typed value
+        ["mul", "--N", "4", '{"N": 4}', "1"],
+        ["mul", "--N", "4", '{"N": 4, "d": 0, "k": [0, 0, 0]}', "1"],
+    ],
+)
+def test_malformed_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -8,6 +8,7 @@ from partic.core import (
     MultiDegree,
     NormalMonomial,
     Word,
+    compositions,
     multidegree,
     multidegrees_up_to,
     nm_to_word,
@@ -37,6 +38,22 @@ def test_word_parse_and_json_roundtrip():
     assert w.letters == (4, 3, 2, 1, 2)
     assert Word.parse(5, "") == Word(5, ())
     assert Word.from_json(w.to_json()) == w
+
+
+@pytest.mark.parametrize(
+    "cls, obj",
+    [
+        (Word, {"N": 5}),
+        (Word, {"N": 5, "letters": 3}),
+        (Word, {"N": None, "letters": []}),
+        (NormalMonomial, {"N": 4, "d": [0, 0]}),
+        (NormalMonomial, {"N": 4, "d": 0, "k": [0, 0, 0]}),
+        (NormalMonomial, {"N": 4, "d": [0, None], "k": [0, 0, 0]}),
+    ],
+)
+def test_from_json_rejects_malformed_objects(cls, obj):
+    with pytest.raises(ValueError):
+        cls.from_json(obj)
 
 
 def test_multidegree_examples():
@@ -130,6 +147,13 @@ def test_monomial_json_roundtrip():
     m = NormalMonomial(5, (1, 1, 1), (1, 1, 0, 0))
     assert NormalMonomial.from_json(m.to_json()) == m
     assert m.to_json() == {"N": 5, "d": [1, 1, 1], "k": [1, 1, 0, 0]}
+
+
+def test_compositions_lexicographic_and_bounded():
+    assert list(compositions(2, 2)) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert list(compositions(3, 0)) == [(0, 0, 0)]
+    with pytest.raises(ValueError):
+        compositions(2, -1)
 
 
 def test_multidegrees_up_to_ordering():

@@ -16,12 +16,13 @@ from partic.particles import (
     faithfulness_check,
     io_label,
     label_mul,
-    label_mul_via_monomial,
     min_input,
     monomial_from_io,
     output_of,
 )
 from partic.rewriting import partic_rules
+
+from label_reference import label_mul_via_monomial
 
 
 def nm(n, d, k):

@@ -21,12 +21,13 @@ from partic.particles import (
     act_word,
     io_label,
     label_mul,
-    label_mul_via_monomial,
     min_input,
     monomial_from_io,
     output_of,
 )
 from partic.rewriting import congruence_class, one_step_rewrites, partic_rules
+
+from label_reference import label_mul_via_monomial
 
 ranks = st.integers(3, 5)
 
