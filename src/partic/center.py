@@ -6,57 +6,61 @@ nothing else does.  All arithmetic is exact rational, no tolerances.
 """
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .core import AlgebraElement, MultiDegree, NormalMonomial, check_rank
+from .core import AlgebraElement, MultiDegree, NormalMonomial, Scalar, check_rank
 from .normal_form import element_product, enumerate_basis, gen_element, left_mul_gen, right_mul_gen
 
-Matrix = list[list[Fraction]]
+
+def _subtract(target: dict[int, Fraction], f: Fraction, source: dict[int, Fraction]) -> None:
+    """target -= f * source in place, storing no zero entries (f and source nonzero)."""
+    for c, x in source.items():
+        y = target.get(c, 0) - f * x
+        if y:
+            target[c] = y
+        else:
+            del target[c]
 
 
-def nullspace(mat: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
-    """Exact basis of the right kernel {x : mat x = 0}.
+def nullspace(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> list[list[Fraction]]:
+    """Exact basis of the right kernel {x : sum_c row[c] x_c = 0 for every row}.
 
-    Gauss-Jordan elimination with deterministic pivoting (first nonzero
-    column, smallest row index).  Basis vectors come one per free column,
-    in column order, each scaled so its first nonzero coordinate is 1.
+    Rows are sparse ``{column: coefficient}`` maps over columns 0..ncols-1.
+    Each row is reduced against the rows kept so far and, unless it vanishes,
+    kept with its smallest column as pivot; the kept rows stay in reduced row
+    echelon form.  That form is unique, so the basis is the one dense
+    Gauss-Jordan gives: one vector per free column, in column order, each
+    scaled so its first nonzero coordinate is 1.
     """
-    nrows = len(mat)
-    if ncols is None:
-        if nrows == 0:
-            raise ValueError("column count required for a matrix with no rows")
-        ncols = len(mat[0])
-    rows = [[Fraction(x) for x in row] for row in mat]
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("matrix rows must all have the same length")
-
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((k for k in range(r, nrows) if rows[k][c] != 0), None)
-        if pr is None:
+    reduced: dict[int, dict[int, Fraction]] = {}  # pivot column -> row, 1 at the pivot
+    for row in rows:
+        if any(not 0 <= c < ncols for c in row):
+            raise ValueError(f"row {dict(row)} has a column outside 0..{ncols - 1}")
+        r = {c: Fraction(x) for c, x in row.items() if x}
+        for p in [c for c in r if c in reduced]:
+            _subtract(r, r[p], reduced[p])
+        if not r:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for k in range(nrows):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
+        pivot = min(r)
+        lead = r[pivot]
+        r = {c: x / lead for c, x in r.items()}
+        for other in reduced.values():
+            if pivot in other:
+                _subtract(other, other[pivot], r)
+        reduced[pivot] = r
 
     basis: list[list[Fraction]] = []
     for free in range(ncols):
-        if free in pivot_cols:
+        if free in reduced:
             continue
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for ri, pc in enumerate(pivot_cols):
-            vec[pc] = -rows[ri][free]
-        lead = next(x for x in vec if x != 0)
+        for p, r in reduced.items():
+            if free in r:
+                vec[p] = -r[free]
+        lead = next(x for x in vec if x)
         basis.append([x / lead for x in vec])
     return basis
 
@@ -81,25 +85,23 @@ def commutes_with_generators(e: AlgebraElement) -> bool:
 def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     """Exact basis of the central elements homogeneous of one multidegree.
 
-    Columns index the basis monomials of the degree; for each generator the
-    rows index the basis monomials one degree up, and each column records
-    the (left minus right) multiplication, a difference of two monomials.
-    Central elements are the stacked kernel.
+    Columns index the basis monomials m of the degree.  For each generator
+    a_i there is one equation per product monomial p: the coefficient of p
+    in a_i x - x a_i vanishes, i.e. the sum of x_m over a_i m = p minus the
+    sum over m a_i = p is zero.  Central elements are the common kernel.
     """
     check_rank(n)
     if delta.n != n:
         raise ValueError("multidegree rank does not match")
     cols = enumerate_basis(delta)
-    stacked: Matrix = []
+    rows: list[Counter] = []
     for i in range(1, n):
-        row_basis = enumerate_basis(delta.bump(i))
-        index = {m: r for r, m in enumerate(row_basis)}
-        block = [[Fraction(0)] * len(cols) for _ in row_basis]
+        eqs: defaultdict[NormalMonomial, Counter] = defaultdict(Counter)
         for c, m in enumerate(cols):
-            block[index[left_mul_gen(i, m)]][c] += 1
-            block[index[right_mul_gen(m, i)]][c] -= 1
-        stacked.extend(block)
-    vectors = nullspace(stacked, ncols=len(cols))
+            eqs[left_mul_gen(i, m)][c] += 1
+            eqs[right_mul_gen(m, i)][c] -= 1
+        rows.extend(eqs.values())
+    vectors = nullspace(rows, len(cols))
     return [AlgebraElement(n, dict(zip(cols, vec))) for vec in vectors]
 
 

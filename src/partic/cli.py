@@ -16,11 +16,12 @@ from .core import (
     MultiDegree,
     NormalMonomial,
     Word,
+    compositions,
     multidegrees_up_to,
     parse_ints,
 )
 from .normal_form import enumerate_basis, nm_product, normalize
-from .particles import ANNIHILATED, Configuration, act_gen, act_word, configurations
+from .particles import ANNIHILATED, Configuration, act_gen, act_word
 from .rewriting import PARTIC, PLACTIC
 from .verify import VerifyConfig, run_verify
 
@@ -86,10 +87,11 @@ def cmd_basis(args) -> int:
 
 def _action_graph_dot(n: int, particles: int) -> list[str]:
     lines = ["digraph action {", "  rankdir=LR;"]
-    nodes = [c for c in configurations(n, particles) if c.total() == particles]
-    for c in sorted(nodes):
+    # exactly `particles` in all; compositions come in lexicographic order, so the nodes come sorted
+    nodes = [Configuration(n, body + (particles - sum(body),)) for body in compositions(n - 1, particles)]
+    for c in nodes:
         lines.append(f'  "{c}";')
-    for c in sorted(nodes):
+    for c in nodes:
         for i in range(1, n):
             out = act_gen(i, c)
             if out is not ANNIHILATED:

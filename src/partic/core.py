@@ -31,6 +31,19 @@ def parse_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse integer sequence from {text!r}") from None
 
 
+def _json_int(x) -> int:
+    """A JSON integer; bools, floats and strings raise TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _json_ints(xs) -> tuple[int, ...]:
+    if not isinstance(xs, list):
+        raise TypeError(f"expected a list of integers, got {xs!r}")
+    return tuple(_json_int(x) for x in xs)
+
+
 @dataclass(frozen=True, order=True)
 class Word:
     """A raw monomial in the free algebra: a finite sequence of generator indices.
@@ -70,10 +83,9 @@ class Word:
     @staticmethod
     def from_json(obj: Mapping) -> Word:
         try:
-            n, letters = int(obj["N"]), tuple(int(a) for a in obj["letters"])
+            return Word(_json_int(obj["N"]), _json_ints(obj["letters"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed word JSON: {exc!r}") from None
-        return Word(n, letters)
 
     def __str__(self) -> str:
         return " ".join(str(a) for a in self.letters)
@@ -227,10 +239,9 @@ class NormalMonomial:
     @staticmethod
     def from_json(obj: Mapping) -> NormalMonomial:
         try:
-            n, d, k = int(obj["N"]), tuple(int(x) for x in obj["d"]), tuple(int(x) for x in obj["k"])
+            return NormalMonomial(_json_int(obj["N"]), _json_ints(obj["d"]), _json_ints(obj["k"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed monomial JSON: {exc!r}") from None
-        return NormalMonomial(n, d, k)
 
     def __str__(self) -> str:
         factors = []

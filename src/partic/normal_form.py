@@ -7,7 +7,6 @@ and the ``verify`` CLI subcommand.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .core import AlgebraElement, MultiDegree, NormalMonomial, Word, nm_to_word
@@ -100,15 +99,8 @@ def element_product(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
     """Bilinear product; may vanish on nonzero inputs (zero divisors exist)."""
     if e1.n != e2.n:
         raise ValueError("rank mismatch")
-    acc: dict[NormalMonomial, Fraction] = {}
-    for m2, c2 in e2.terms.items():
-        letters = nm_to_word(m2).letters
-        for m1, c1 in e1.terms.items():
-            m = m1
-            for a in letters:
-                m = right_mul_gen(m, a)
-            acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-    return AlgebraElement(e1.n, acc)
+    terms = [(nm_product(m1, m2), c1 * c2) for m1, c1 in e1.terms.items() for m2, c2 in e2.terms.items()]
+    return AlgebraElement(e1.n, terms)
 
 
 def enumerate_basis(delta: MultiDegree) -> list[NormalMonomial]:

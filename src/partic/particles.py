@@ -201,42 +201,29 @@ def monomial_from_io(label: IoLabel) -> NormalMonomial:
     return NormalMonomial(n, tuple(d), k)
 
 
-def _pos_index(n: int, pos: int) -> int:
-    # positions are 1..N-1 and 0 (deposit, stored last)
-    return n - 1 if pos == 0 else pos - 1
-
-
-def _shift(c: Configuration, pos: int, delta: int) -> Configuration:
-    occ = list(c.occ)
-    occ[_pos_index(c.n, pos)] += delta
-    return Configuration(c.n, tuple(occ))
-
-
-def _occupied(c: Configuration, pos: int) -> bool:
-    return c.occ[_pos_index(c.n, pos)] > 0
-
-
 def label_mul(label: IoLabel, i: int, side: str) -> IoLabel:
     """Multiply the labelled monomial by a_i on the given side, on labels only.
 
-    Position arithmetic mirrors the particle moves: the spot after i is i+1,
-    and after N-1 comes the deposit.  Agrees with multiplying the underlying
-    monomial and relabelling.
+    Indices follow :func:`act_word`: index i-1 is position i and index i the
+    spot after it, which for i = N-1 is the deposit.  Agrees with multiplying
+    the underlying monomial and relabelling.
     """
     n = label.j_in.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-    nxt = 0 if i == n - 1 else i + 1
-    out, inp = label.i_out, label.j_in
-    if side == "left":
-        if _occupied(out, i):
-            return IoLabel(_shift(_shift(out, i, -1), nxt, +1), inp)
-        return IoLabel(_shift(out, nxt, +1), _shift(inp, i, +1))
-    if side == "right":
-        if nxt != 0 and _occupied(inp, nxt):
-            return IoLabel(out, _shift(_shift(inp, nxt, -1), i, +1))
-        return IoLabel(_shift(out, nxt, +1), _shift(inp, i, +1))
-    raise ValueError("side must be 'left' or 'right'")
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    out, inp = list(label.i_out.occ), list(label.j_in.occ)
+    if side == "left" and out[i - 1]:
+        out[i - 1] -= 1  # the output particle at i moves on
+        out[i] += 1
+    elif side == "right" and inp[i]:  # never the deposit: an input's deposit is empty
+        inp[i] -= 1  # the input particle after i now starts at i
+        inp[i - 1] += 1
+    else:
+        out[i] += 1  # a new particle runs from i to the spot after it
+        inp[i - 1] += 1
+    return IoLabel(Configuration(n, tuple(out)), Configuration(n, tuple(inp)))
 
 
 def faithfulness_check(n: int, max_len: int) -> bool:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,14 @@ from partic.core import AlgebraElement, MultiDegree, NormalMonomial, Word, multi
 from partic.normal_form import gen_element, nm_product, normalize
 from partic.particles import Configuration, act_word
 
+from nullspace_reference import nullspace_dense
+
 
 def test_nullspace_trivials():
-    identity = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert nullspace(identity) == []
-    zeros = [[0, 0, 0], [0, 0, 0]]
-    basis = nullspace(zeros)
+    identity = [{0: Fraction(1)}, {1: Fraction(1)}]
+    assert nullspace(identity, 2) == []
+    zeros = [{}, {0: 0, 2: 0}]
+    basis = nullspace(zeros, 3)
     assert basis == [
         [1, 0, 0],
         [0, 1, 0],
@@ -28,27 +31,44 @@ def test_nullspace_trivials():
 
 
 def test_nullspace_rank_one():
-    basis = nullspace([[1, 2], [2, 4]])
+    basis = nullspace([{0: 1, 1: 2}, {0: 2, 1: 4}], 2)
     assert basis == [[Fraction(1), Fraction(-1, 2)]]
 
 
 def test_nullspace_exactness():
-    mat = [
-        [Fraction(1, 3), Fraction(2), Fraction(-1)],
-        [Fraction(0), Fraction(5, 7), Fraction(1)],
+    rows = [
+        {0: Fraction(1, 3), 1: Fraction(2), 2: Fraction(-1)},
+        {1: Fraction(5, 7), 2: Fraction(1)},
     ]
-    for vec in nullspace(mat):
-        assert all(sum(row[j] * vec[j] for j in range(3)) == 0 for row in mat)
+    for vec in nullspace(rows, 3):
+        assert all(sum(c * vec[j] for j, c in row.items()) == 0 for row in rows)
         lead = next(x for x in vec if x != 0)
         assert lead == 1
 
 
 def test_nullspace_shape_errors():
     with pytest.raises(ValueError):
-        nullspace([])
+        nullspace([{0: 1, 2: 1}], 2)
     with pytest.raises(ValueError):
-        nullspace([[1, 2], [1]])
-    assert nullspace([], ncols=2) == [[1, 0], [0, 1]]
+        nullspace([{-1: 1}], 2)
+    assert nullspace([], 2) == [[1, 0], [0, 1]]
+
+
+def test_nullspace_matches_dense_reference():
+    rng = random.Random(20190103)
+    values = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 5), Fraction(7, 3)]
+    for _ in range(400):
+        nrows, ncols = rng.randint(0, 5), rng.randint(1, 6)
+        dense = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+        for row in dense:
+            if rng.random() < 0.2:
+                row[:] = [0] * ncols
+        if nrows and rng.random() < 0.3:
+            zero_col = rng.randrange(ncols)
+            for row in dense:
+                row[zero_col] = 0
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in dense]
+        assert nullspace(sparse, ncols) == nullspace_dense(dense, ncols), dense
 
 
 def test_central_candidate_examples():

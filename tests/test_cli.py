@@ -225,6 +225,13 @@ def test_golden_output(capsys, argv, expected):
         # JSON monomials with a missing key or an ill-typed value
         ["mul", "--N", "4", '{"N": 4}', "1"],
         ["mul", "--N", "4", '{"N": 4, "d": 0, "k": [0, 0, 0]}', "1"],
+        # JSON numbers that are not integers, and a string where a list belongs
+        ["mul", "--N", "4", '{"N": 4, "d": [1e400, 0], "k": [1, 0, 0]}', "1"],
+        ["mul", "--N", "4", '{"N": 4, "d": [Infinity, 0], "k": [1, 0, 0]}', "1"],
+        ["mul", "--N", "4", '{"N": 4, "d": [0.5, 0], "k": [1, 0, 0]}', "1"],
+        ["mul", "--N", "4", '{"N": 4.7, "d": [0, 0], "k": [1, 0, 0]}', "1"],
+        ["mul", "--N", "4", '{"N": 4, "d": "12", "k": [1, 0, 0]}', "1"],
+        ["mul", "--N", "4", '{"N": true, "d": [0, 0], "k": [1, 0, 0]}', "1"],
     ],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, argv):

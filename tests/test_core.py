@@ -49,6 +49,12 @@ def test_word_parse_and_json_roundtrip():
         (NormalMonomial, {"N": 4, "d": [0, 0]}),
         (NormalMonomial, {"N": 4, "d": 0, "k": [0, 0, 0]}),
         (NormalMonomial, {"N": 4, "d": [0, None], "k": [0, 0, 0]}),
+        (NormalMonomial, {"N": 4, "d": [0.5, 0], "k": [1, 0, 0]}),
+        (NormalMonomial, {"N": 4.0, "d": [0, 0], "k": [1, 0, 0]}),
+        (NormalMonomial, {"N": 4, "d": [False, 0], "k": [1, 0, 0]}),
+        (NormalMonomial, {"N": 4, "d": "12", "k": [1, 0, 0]}),
+        (Word, {"N": 5, "letters": ["1"]}),
+        (Word, {"N": True, "letters": []}),
     ],
 )
 def test_from_json_rejects_malformed_objects(cls, obj):
