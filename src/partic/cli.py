@@ -16,6 +16,7 @@ from .core import (
     MultiDegree,
     NormalMonomial,
     Word,
+    check_rank,
     compositions,
     multidegrees_up_to,
     parse_ints,
@@ -86,6 +87,7 @@ def cmd_basis(args) -> int:
 
 
 def _action_graph_dot(n: int, particles: int) -> list[str]:
+    check_rank(n)  # compositions cannot take a negative number of parts
     lines = ["digraph action {", "  rankdir=LR;"]
     # exactly `particles` in all; compositions come in lexicographic order, so the nodes come sorted
     nodes = [Configuration(n, body + (particles - sum(body),)) for body in compositions(n - 1, particles)]
@@ -250,11 +252,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run the certification suite")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--max-len", type=int, default=6, help="word-length bound (keep <= 6)")
+    p.add_argument(
+        "--max-len", type=int, default=6, help="word-length bound (at N=5: 6 takes about 1.5 s, 7 about 7 s)"
+    )
     p.add_argument("--relations", choices=[PLACTIC, PARTIC], default=PARTIC)
     p.add_argument("--center", action="store_true", help="also certify graded center dimensions")
     p.add_argument("--max-degree", type=int, default=None, help="degree bound for --center")
-    p.add_argument("--max-deposit", type=int, default=1)
+    p.add_argument(
+        "--max-deposit",
+        type=int,
+        default=1,
+        help="reported, but never changes a verdict: no move reads the deposit, "
+        "and action-factoring covers every deposit",
+    )
     p.add_argument("--timings", action="store_true", help="include wall times (non-reproducible)")
     p.set_defaults(func=cmd_verify)
 

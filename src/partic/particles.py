@@ -125,6 +125,37 @@ def act_word(w: Word, c: Configuration):
     return Configuration(c.n, tuple(occ))
 
 
+def _prepend_letter(out: list[int], inp: list[int], i: int) -> None:
+    """Turn the label (out, inp) of a word u into that of a_i u, in place.
+
+    Indices follow :func:`act_word`: index i-1 is position i and index i the
+    spot after it, which for i = N-1 is the deposit.
+    """
+    if out[i - 1]:
+        out[i - 1] -= 1  # the output particle at i moves on
+    else:
+        inp[i - 1] += 1  # a new particle starts at i
+    out[i] += 1
+
+
+def word_label(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(output, minimal input) counts of a word, deposit last, found in one pass.
+
+    Letters act rightmost first, as in :func:`act_word`; wherever a letter
+    finds its position empty, one particle is added to the input there.  The
+    word maps every configuration c >= input (componentwise) to
+    c - input + output and annihilates every other one, so two words act
+    alike on every configuration exactly when their labels are equal.  The
+    input's deposit is always 0 and the output's position 1 always empty:
+    ``IoLabel(Configuration(n, out), Configuration(n, inp))`` accepts it.
+    """
+    out = [0] * w.n
+    inp = [0] * w.n
+    for a in reversed(w.letters):
+        _prepend_letter(out, inp, a)
+    return tuple(out), tuple(inp)
+
+
 def act_element(e: AlgebraElement, v: ModuleElement) -> ModuleElement:
     """Bilinear extension of the word action; annihilated terms drop out."""
     if e.n != v.n:
@@ -214,10 +245,9 @@ def label_mul(label: IoLabel, i: int, side: str) -> IoLabel:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     out, inp = list(label.i_out.occ), list(label.j_in.occ)
-    if side == "left" and out[i - 1]:
-        out[i - 1] -= 1  # the output particle at i moves on
-        out[i] += 1
-    elif side == "right" and inp[i]:  # never the deposit: an input's deposit is empty
+    if side == "left":
+        _prepend_letter(out, inp, i)
+    elif inp[i]:  # never the deposit: an input's deposit is empty
         inp[i] -= 1  # the input particle after i now starts at i
         inp[i - 1] += 1
     else:

@@ -1,0 +1,17 @@
+"""Brute-force reference for the ``action-factoring`` check, kept with the tests that compare against it."""
+from partic.core import Word, nm_to_word
+from partic.normal_form import normalize
+from partic.particles import act_word, configurations
+from partic.verify import VerifyConfig, _all_words
+
+
+def action_factoring_bruteforce(cfg: VerifyConfig):
+    """Act each word and its normal form on every configuration within the bounds."""
+    configs = list(configurations(cfg.n, cfg.max_len, cfg.max_deposit))
+    for letters in _all_words(cfg.n, cfg.max_len):
+        w = Word(cfg.n, letters)
+        nf_word = nm_to_word(normalize(w))
+        for c in configs:
+            if act_word(w, c) != act_word(nf_word, c):
+                return False, f"word {letters} and its normal form act differently on {c}"
+    return True, None

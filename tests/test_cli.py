@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from partic.cli import main
 
@@ -222,6 +226,7 @@ def test_golden_output(capsys, argv, expected):
         ["affine-verify", "--N", "3", "--particles", "-2"],
         ["center", "--N", "3", "--max-degree", "-1"],
         ["act", "--N", "3", "--dot", "--particles", "-1"],
+        ["act", "--N", "0", "--dot", "--particles", "0"],
         # JSON monomials with a missing key or an ill-typed value
         ["mul", "--N", "4", '{"N": 4}', "1"],
         ["mul", "--N", "4", '{"N": 4, "d": 0, "k": [0, 0, 0]}', "1"],
@@ -239,3 +244,71 @@ def test_malformed_input_exits_2_with_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# argv fuzzing: every subcommand, N in -1..6, every integer bound in -2..3
+
+bounds = st.integers(-2, 3).map(str)
+numbers = st.lists(st.integers(-1, 6).map(str), max_size=4)
+
+
+def option(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def maybe(flag, values):
+    return st.one_of(st.just([]), option(flag, values))
+
+
+def switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+# integer bounds are always given: their defaults are sized for real runs, not for a fuzz loop
+SUBCOMMAND_PARTS = {
+    "normalize": [maybe("--word", numbers.map(" ".join))],
+    "mul": [numbers.map(lambda w: [" ".join(w)]), numbers.map(lambda w: [",".join(w)])],
+    "basis": [maybe("--degree", numbers.map(",".join))],
+    "act": [
+        maybe("--word", numbers.map(" ".join)),
+        maybe("--config", numbers.map(",".join)),
+        switch("--dot"),
+        option("--particles", bounds),
+    ],
+    "center": [option("--max-degree", bounds), switch("--expect-theorem")],
+    "verify": [
+        option("--max-len", bounds),
+        option("--max-degree", bounds),
+        option("--max-deposit", bounds),
+        switch("--center"),
+        maybe("--relations", st.sampled_from(["partic", "plactic"])),
+    ],
+    # m-max and k-max stop at 1: at N=6, m-max = k-max = 3 sweeps 38,968 relation instances
+    "affine-verify": [
+        option("--particles", bounds),
+        option("--m-max", st.integers(-2, 1).map(str)),
+        option("--k-max", st.integers(-2, 1).map(str)),
+    ],
+}
+
+
+@st.composite
+def argvs(draw):
+    sub = draw(st.sampled_from(sorted(SUBCOMMAND_PARTS)))
+    argv = [sub, "--N", str(draw(st.integers(-1, 6)))]
+    for part in SUBCOMMAND_PARTS[sub]:
+        argv += draw(part)
+    return argv + draw(switch("--json")) + draw(switch("--quiet"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(argvs())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

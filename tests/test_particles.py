@@ -19,6 +19,7 @@ from partic.particles import (
     min_input,
     monomial_from_io,
     output_of,
+    word_label,
 )
 from partic.rewriting import partic_rules
 
@@ -107,6 +108,43 @@ def test_minimality_criterion():
                     assert (res is not ANNIHILATED) == dominates
                     if res is not ANNIHILATED:
                         assert res.total() == c.total()
+
+
+@pytest.mark.parametrize("n, max_len", [(3, 5), (4, 5), (5, 4)])
+def test_word_label_predicts_the_action(n, max_len):
+    # every c >= input goes to c - input + output, every other c is annihilated
+    configs = list(configurations(n, max_len, max_deposit=2))
+    for length in range(max_len + 1):
+        for letters in product(range(1, n), repeat=length):
+            w = Word(n, letters)
+            out, inp = word_label(w)
+            IoLabel(Configuration(n, out), Configuration(n, inp))  # position 1 empty, deposit 0
+            for c in configs:
+                if all(a >= b for a, b in zip(c.occ, inp)):
+                    want = Configuration(n, tuple(a - b + o for a, b, o in zip(c.occ, inp, out)))
+                else:
+                    want = ANNIHILATED
+                assert act_word(w, c) == want, (letters, c)
+
+
+def test_word_label_examples():
+    # a1 a2 moves a particle 2 -> 3, then one 1 -> 2; a2 a1 runs one particle 1 -> 3
+    assert word_label(Word(3, (1, 2))) == ((0, 1, 1), (1, 1, 0))
+    assert word_label(Word(3, (2, 1))) == ((0, 0, 1), (1, 0, 0))
+    assert word_label(Word(4, ())) == ((0, 0, 0, 0), (0, 0, 0, 0))
+    assert word_label(nm_to_word(WORKED)) == (output_of(WORKED).occ, min_input(WORKED).occ)
+
+
+@pytest.mark.parametrize("n, max_len", [(3, 5), (4, 4), (5, 3)])
+def test_word_label_is_left_multiplication_from_the_unit(n, max_len):
+    # prepending the letters rightmost first, on labels, from the empty word's label
+    unit = io_label(NormalMonomial.unit(n))
+    for length in range(max_len + 1):
+        for letters in product(range(1, n), repeat=length):
+            lab = unit
+            for a in reversed(letters):
+                lab = label_mul(lab, a, "left")
+            assert word_label(Word(n, letters)) == (lab.i_out.occ, lab.j_in.occ), letters
 
 
 def test_io_label_roundtrip():
