@@ -17,7 +17,7 @@ from partic.affine import affine_relation_instances, first_failing_instance
 @dataclass(frozen=True)
 class CertificationPlan:
     classical_ranks: tuple[int, ...] = (3, 4, 5)
-    max_len: int = 6
+    max_len: int = 7
     center_max_degree: int = 9
     affine_ranks: tuple[int, ...] = (3, 4, 5)
     affine_particles: int = 6

@@ -11,7 +11,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .core import AlgebraElement, MultiDegree, NormalMonomial, Scalar, check_rank
-from .normal_form import element_product, enumerate_basis, gen_element, left_mul_gen, right_mul_gen
+from .normal_form import _left_mul, _right_mul, element_product, enumerate_basis, gen_element
 
 
 def _subtract(target: dict[int, Fraction], f: Fraction, source: dict[int, Fraction]) -> None:
@@ -89,6 +89,8 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     a_i there is one equation per product monomial p: the coefficient of p
     in a_i x - x a_i vanishes, i.e. the sum of x_m over a_i m = p minus the
     sum over m a_i = p is zero.  Central elements are the common kernel.
+    Rows are keyed by the raw (d, k) exponents of p, so no product monomial
+    is built or validated.
     """
     check_rank(n)
     if delta.n != n:
@@ -96,10 +98,12 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     cols = enumerate_basis(delta)
     rows: list[Counter] = []
     for i in range(1, n):
-        eqs: defaultdict[NormalMonomial, Counter] = defaultdict(Counter)
+        eqs: defaultdict[tuple[tuple[int, ...], tuple[int, ...]], Counter] = defaultdict(Counter)
         for c, m in enumerate(cols):
-            eqs[left_mul_gen(i, m)][c] += 1
-            eqs[right_mul_gen(m, i)][c] -= 1
+            for mul, sign in ((_left_mul, 1), (_right_mul, -1)):
+                d, k = list(m.d), list(m.k)
+                mul(d, k, i)
+                eqs[tuple(d), tuple(k)][c] += sign
         rows.extend(eqs.values())
     vectors = nullspace(rows, len(cols))
     return [AlgebraElement(n, dict(zip(cols, vec))) for vec in vectors]

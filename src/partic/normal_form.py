@@ -17,6 +17,24 @@ def _check_gen(i: int, n: int) -> None:
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
 
 
+def _left_mul(d: list[int], k: list[int], i: int) -> None:
+    """a_i * m on m's exponent lists, in place (the rule of :func:`left_mul_gen`)."""
+    if i == 1 or d[i - 2] == (d[i - 3] if i > 2 else 0) + k[i - 2]:
+        k[i - 1] += 1
+    else:
+        d[i - 2] += 1
+
+
+def _right_mul(d: list[int], k: list[int], i: int) -> None:
+    """m * a_i on m's exponent lists, in place (the rule of :func:`right_mul_gen`)."""
+    if i < len(k) and k[i] >= 1:
+        d[i - 1] += 1
+        k[i - 1] += 1
+        k[i] -= 1
+    else:
+        k[i - 1] += 1
+
+
 def left_mul_gen(i: int, m: NormalMonomial) -> NormalMonomial:
     """a_i * m, again in normal form.
 
@@ -26,12 +44,8 @@ def left_mul_gen(i: int, m: NormalMonomial) -> NormalMonomial:
     applies since there is no d_1 slot.
     """
     _check_gen(i, m.n)
-    d = list(m.d)
-    k = list(m.k)
-    if i == 1 or m.d_exp(i) == m.d_exp(i - 1) + m.k_exp(i - 1):
-        k[i - 1] += 1
-    else:
-        d[i - 2] += 1
+    d, k = list(m.d), list(m.k)
+    _left_mul(d, k, i)
     return NormalMonomial(m.n, tuple(d), tuple(k))
 
 
@@ -43,23 +57,21 @@ def right_mul_gen(m: NormalMonomial, i: int) -> NormalMonomial:
     factor (k_{i+1} = 0, or i = N-1) the letter simply lands on k_i.
     """
     _check_gen(i, m.n)
-    d = list(m.d)
-    k = list(m.k)
-    if i <= m.n - 2 and k[i] >= 1:
-        d[i - 1] += 1
-        k[i - 1] += 1
-        k[i] -= 1
-    else:
-        k[i - 1] += 1
+    d, k = list(m.d), list(m.k)
+    _right_mul(d, k, i)
     return NormalMonomial(m.n, tuple(d), tuple(k))
 
 
 def normalize(w: Word) -> NormalMonomial:
-    """Normal form of a word: fold right multiplications left to right."""
-    m = NormalMonomial.unit(w.n)
+    """Normal form of a word: fold right multiplications left to right.
+
+    The fold runs on exponent lists (a word's letters are already in range)
+    and validates one monomial at the end.
+    """
+    d, k = [0] * (w.n - 2), [0] * (w.n - 1)
     for a in w.letters:
-        m = right_mul_gen(m, a)
-    return m
+        _right_mul(d, k, a)
+    return NormalMonomial(w.n, tuple(d), tuple(k))
 
 
 def normalize_right_to_left(w: Word) -> NormalMonomial:
@@ -67,10 +79,10 @@ def normalize_right_to_left(w: Word) -> NormalMonomial:
 
     Must agree with :func:`normalize` on every word.
     """
-    m = NormalMonomial.unit(w.n)
+    d, k = [0] * (w.n - 2), [0] * (w.n - 1)
     for a in reversed(w.letters):
-        m = left_mul_gen(a, m)
-    return m
+        _left_mul(d, k, a)
+    return NormalMonomial(w.n, tuple(d), tuple(k))
 
 
 def gen_monomial(n: int, i: int) -> NormalMonomial:
@@ -89,10 +101,10 @@ def nm_product(m1: NormalMonomial, m2: NormalMonomial) -> NormalMonomial:
     """Product of two basis monomials (always again a basis monomial)."""
     if m1.n != m2.n:
         raise ValueError("rank mismatch")
-    out = m1
+    d, k = list(m1.d), list(m1.k)
     for a in nm_to_word(m2).letters:
-        out = right_mul_gen(out, a)
-    return out
+        _right_mul(d, k, a)
+    return NormalMonomial(m1.n, tuple(d), tuple(k))
 
 
 def element_product(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:

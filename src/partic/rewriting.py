@@ -10,7 +10,7 @@ This module is deliberately independent of the normal-form code in
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .core import MultiDegree, Word, check_rank, multidegree
@@ -19,6 +19,8 @@ PLACTIC = "plactic"
 PARTIC = "partic"
 
 Letters = tuple[int, ...]
+# (span, {lhs: right-hand sides}) per span, each rule entered in both directions
+RuleTable = tuple[tuple[int, dict[Letters, list[Letters]]], ...]
 
 
 @dataclass(frozen=True)
@@ -35,18 +37,24 @@ class RewriteRule:
 
 @dataclass(frozen=True)
 class RelationSet:
-    """Concrete rule instances for one rank (no patterns at rewrite time)."""
+    """Concrete rule instances for one rank (no patterns at rewrite time).
+
+    ``table`` indexes the rules, read in both directions, by left-hand side
+    and groups them by span, so a rewrite step slides one window per span
+    and looks each window up instead of comparing it with every rule.
+    """
 
     name: str
     n: int
     rules: tuple[RewriteRule, ...]
+    table: RuleTable = field(init=False, repr=False, compare=False)
 
-    def oriented(self) -> list[tuple[Letters, Letters]]:
-        pairs: list[tuple[Letters, Letters]] = []
+    def __post_init__(self) -> None:
+        by_span: dict[int, dict[Letters, list[Letters]]] = {}
         for r in self.rules:
-            pairs.append((r.lhs, r.rhs))
-            pairs.append((r.rhs, r.lhs))
-        return pairs
+            for lhs, rhs in ((r.lhs, r.rhs), (r.rhs, r.lhs)):
+                by_span.setdefault(len(lhs), {}).setdefault(lhs, []).append(rhs)
+        object.__setattr__(self, "table", tuple(sorted(by_span.items())))
 
 
 def plactic_rules(n: int) -> RelationSet:
@@ -82,20 +90,20 @@ def relation_set(name: str, n: int) -> RelationSet:
     raise ValueError(f"unknown relation set {name!r} (expected {PLACTIC!r} or {PARTIC!r})")
 
 
-def _steps(letters: Letters, pairs: list[tuple[Letters, Letters]]) -> Iterator[Letters]:
-    for lhs, rhs in pairs:
-        span = len(lhs)
+def _steps(letters: Letters, table: RuleTable) -> Iterator[Letters]:
+    """Every word one rule application away (tests/rewriting_reference.py scans rule by rule)."""
+    for span, rules in table:
         for p in range(len(letters) - span + 1):
-            if letters[p : p + span] == lhs:
+            for rhs in rules.get(letters[p : p + span], ()):
                 yield letters[:p] + rhs + letters[p + span :]
 
 
-def _closure(start: Letters, pairs: list[tuple[Letters, Letters]]) -> set[Letters]:
+def _closure(start: Letters, table: RuleTable) -> set[Letters]:
     seen = {start}
     queue = deque((start,))
     while queue:
         cur = queue.popleft()
-        for nxt in _steps(cur, pairs):
+        for nxt in _steps(cur, table):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -110,13 +118,13 @@ def _check_ranks(w: Word, rs: RelationSet) -> None:
 def one_step_rewrites(w: Word, rs: RelationSet) -> set[Word]:
     """All words reachable by one rule application, in either direction."""
     _check_ranks(w, rs)
-    return {Word(w.n, out) for out in _steps(w.letters, rs.oriented())}
+    return {Word(w.n, out) for out in _steps(w.letters, rs.table)}
 
 
 def congruence_class(w: Word, rs: RelationSet) -> set[Word]:
     """The full (finite) equivalence class of w under the given relations."""
     _check_ranks(w, rs)
-    return {Word(w.n, t) for t in _closure(w.letters, rs.oriented())}
+    return {Word(w.n, t) for t in _closure(w.letters, rs.table)}
 
 
 def words_equivalent(w1: Word, w2: Word, rs: RelationSet) -> bool:
@@ -124,7 +132,7 @@ def words_equivalent(w1: Word, w2: Word, rs: RelationSet) -> bool:
     _check_ranks(w2, rs)
     if multidegree(w1) != multidegree(w2):
         return False
-    return w2.letters in _closure(w1.letters, rs.oriented())
+    return w2.letters in _closure(w1.letters, rs.table)
 
 
 def words_with_degree(delta: MultiDegree) -> Iterator[Letters]:
@@ -156,13 +164,12 @@ def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letter
     """
     if delta.n != rs.n:
         raise ValueError("multidegree rank does not match relation set rank")
-    pairs = rs.oriented()
     seen: set[Letters] = set()
     classes: list[set[Letters]] = []
     for letters in words_with_degree(delta):
         if letters in seen:
             continue
-        cls = _closure(letters, pairs)
+        cls = _closure(letters, rs.table)
         seen |= cls
         classes.append(cls)
     return classes

@@ -74,6 +74,21 @@ def test_fold_directions_agree_exhaustive():
             assert normalize(w) == normalize_right_to_left(w)
 
 
+def test_list_folds_match_validated_folds():
+    # normalize and normalize_right_to_left fold on exponent lists and validate
+    # once; folding the public rules validates every intermediate monomial
+    for n in (3, 4, 5):
+        for letters in all_words(n, 6):
+            right = left = NormalMonomial.unit(n)
+            for a in letters:
+                right = right_mul_gen(right, a)
+            for a in reversed(letters):
+                left = left_mul_gen(a, left)
+            w = Word(n, letters)
+            assert normalize(w) == right, letters
+            assert normalize_right_to_left(w) == left, letters
+
+
 def test_grading_of_normalize_exhaustive():
     for n in (3, 4):
         for letters in all_words(n, 6):

@@ -7,6 +7,7 @@ from partic.core import MultiDegree, Word, multidegrees_up_to
 from partic.normal_form import enumerate_basis
 from partic.rewriting import (
     RewriteRule,
+    _steps,
     congruence_class,
     congruence_partition,
     count_classes,
@@ -17,6 +18,7 @@ from partic.rewriting import (
     words_equivalent,
     words_with_degree,
 )
+from rewriting_reference import oriented, partition_reference, steps_reference
 
 
 def letters_of(ws):
@@ -169,3 +171,24 @@ def test_count_matches_basis_up_to_six():
         rs = partic_rules(n)
         for delta in multidegrees_up_to(n, 6):
             assert count_classes(delta, rs) == len(enumerate_basis(delta))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_table_steps_match_rule_scan(n):
+    # the left-hand-side tables give the same neighbours as trying every rule at
+    # every position; the partic rules are the plactic ones plus the exchange rules
+    plactic, partic = plactic_rules(n), partic_rules(n)
+    base = oriented(plactic)
+    extra = [pair for pair in oriented(partic) if pair not in base]
+    for length in range(7):
+        for letters in product(range(1, n), repeat=length):
+            want = steps_reference(letters, base)
+            assert set(_steps(letters, plactic.table)) == want, letters
+            assert set(_steps(letters, partic.table)) == want | steps_reference(letters, extra), letters
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_partition_matches_rule_scan(n):
+    for rs in (plactic_rules(n), partic_rules(n)):
+        for delta in multidegrees_up_to(n, 6):
+            assert congruence_partition(delta, rs) == partition_reference(delta, rs), delta
