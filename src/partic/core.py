@@ -141,19 +141,30 @@ def multidegree(w: Word) -> MultiDegree:
 
 def compositions(parts: int, budget: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` nonnegative integers with sum <= budget, lexicographic."""
-    if budget < 0:
+    if budget < 0:  # raised here, not at the first next()
         raise ValueError(f"bound must be nonnegative, got {budget}")
+    return _odometer(parts, budget)
+
+
+def _odometer(parts: int, budget: int) -> Iterator[tuple[int, ...]]:
+    # iterative, so the number of parts is not bounded by the recursion limit
     occ = [0] * parts
-
-    def rec(idx: int, left: int) -> Iterator[tuple[int, ...]]:
-        if idx == parts:
-            yield tuple(occ)
+    left = budget
+    while True:
+        yield tuple(occ)
+        if left and parts:
+            occ[-1] += 1
+            left -= 1
+            continue
+        # the budget is spent: carry from the last nonzero part into the one before it
+        j = parts - 1
+        while j > 0 and not occ[j]:
+            j -= 1
+        if j <= 0:
             return
-        for c in range(left + 1):
-            occ[idx] = c
-            yield from rec(idx + 1, left - c)
-
-    return rec(0, budget)
+        left += occ[j] - 1
+        occ[j] = 0
+        occ[j - 1] += 1
 
 
 def multidegrees_up_to(n: int, max_total: int) -> list[MultiDegree]:

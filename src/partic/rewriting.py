@@ -160,7 +160,11 @@ def words_with_degree(delta: MultiDegree) -> Iterator[Letters]:
 def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letters]]:
     """Partition of all words of one multidegree into congruence classes.
 
-    Classes appear in order of their lexicographically smallest member.
+    Classes appear in order of their lexicographically smallest member.  Each
+    BFS terminates: ``RewriteRule`` refuses a rule that changes the letter
+    multiset, so a class never leaves the finitely many words of its
+    multidegree.  A class is a closure, so it holds every one-step rewrite of
+    its members; ``verify`` reads grading off that.
     """
     if delta.n != rs.n:
         raise ValueError("multidegree rank does not match relation set rank")

@@ -1,27 +1,22 @@
 """Umbrella certification suite behind the ``verify`` CLI subcommand.
 
-Each check is a pure function of its bounds; the report lists checks by
-name so output is reproducible independent of execution order.
+Checks share passes over words and over multidegrees, and each returns the
+problem it finds on one item, or None.  The report lists checks by name, so
+output is reproducible independent of execution order.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from itertools import product
+from math import factorial, prod
 from typing import Callable, Iterator
 
 from .center import center_basis_in_degree, theorem_mismatch
-from .core import Word, multidegree, multidegrees_up_to, nm_to_word
+from .core import MultiDegree, NormalMonomial, Word, multidegrees_up_to, nm_to_word
 from .normal_form import enumerate_basis, normalize, normalize_right_to_left
 from .particles import Configuration, act_word, faithfulness_check, word_label
-from .rewriting import (
-    PARTIC,
-    congruence_partition,
-    count_classes,
-    one_step_rewrites,
-    partic_rules,
-    relation_set,
-)
+from .rewriting import PARTIC, congruence_partition, relation_set
 
 
 @dataclass(frozen=True)
@@ -58,116 +53,121 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _all_words(n: int, max_len: int) -> Iterator[tuple[int, ...]]:
-    for length in range(max_len + 1):
-        yield from product(range(1, n), repeat=length)
+def _words(cfg: VerifyConfig) -> Iterator[tuple[Word, NormalMonomial]]:
+    for length in range(cfg.max_len + 1):
+        for letters in product(range(1, cfg.n), repeat=length):
+            w = Word(cfg.n, letters)
+            yield w, normalize(w)
 
 
-def _check_grading(cfg: VerifyConfig):
+def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[set], list[set]]]:
+    # one degree at a time: the classes of all degrees grow exponentially with max_len
     rs = relation_set(cfg.relations, cfg.n)
-    for letters in _all_words(cfg.n, cfg.max_len):
-        w = Word(cfg.n, letters)
-        md = multidegree(w)
-        for w2 in one_step_rewrites(w, rs):
-            if multidegree(w2) != md:
-                return False, f"{letters} -> {w2.letters} changes the multidegree"
-    return True, None
+    partic = rs if cfg.relations == PARTIC else relation_set(PARTIC, cfg.n)
+    for delta in multidegrees_up_to(cfg.n, cfg.max_len):
+        classes = congruence_partition(delta, rs)
+        yield delta, classes, classes if partic is rs else congruence_partition(delta, partic)
 
 
-def _check_basis_count(cfg: VerifyConfig):
+def _once(cfg: VerifyConfig) -> Iterator[tuple]:
+    yield ()
+
+
+def _grading(cfg: VerifyConfig, delta: MultiDegree, classes: list[set], _) -> str | None:
+    # a class is a BFS closure, so it holds every one-step rewrite of its members: the
+    # classes of delta hold exactly multinomial(delta) words iff no rewrite leaves delta
+    size = factorial(delta.total()) // prod(map(factorial, delta.counts))
+    if (held := sum(map(len, classes))) != size:
+        return f"degree ({delta}): its classes hold {held} words, not the {size} of that multidegree"
+
+
+def _basis_count(cfg: VerifyConfig, delta: MultiDegree, classes: list[set], _) -> str | None:
     # plactic refines the partic classes, so there only ">=" can be asserted
-    rs = relation_set(cfg.relations, cfg.n)
-    for delta in multidegrees_up_to(cfg.n, cfg.max_len):
-        nc = count_classes(delta, rs)
-        nb = len(enumerate_basis(delta))
-        ok = nc == nb if cfg.relations == PARTIC else nc >= nb
-        if not ok:
-            return False, f"degree ({delta}): {nc} classes vs {nb} basis monomials"
-    return True, None
+    nc, nb = len(classes), len(enumerate_basis(delta))
+    if not (nc == nb if cfg.relations == PARTIC else nc >= nb):
+        return f"degree ({delta}): {nc} classes vs {nb} basis monomials"
 
 
-def _check_normal_form(cfg: VerifyConfig):
-    rs = partic_rules(cfg.n)
-    for delta in multidegrees_up_to(cfg.n, cfg.max_len):
-        seen = {}
-        for cls in congruence_partition(delta, rs):
-            forms = {normalize(Word(cfg.n, letters)) for letters in cls}
-            if len(forms) != 1:
-                return False, f"class of {min(cls)} has {len(forms)} normal forms"
-            nf = forms.pop()
-            if nf in seen:
-                return False, f"classes of {min(cls)} and {seen[nf]} share a normal form"
-            seen[nf] = min(cls)
-            if nm_to_word(nf).letters not in cls:
-                return False, f"expansion of {nf} leaves the class of {min(cls)}"
-    return True, None
+def _normal_form(cfg: VerifyConfig, delta: MultiDegree, _, classes: list[set]) -> str | None:
+    seen = {}
+    for cls in classes:
+        forms = {normalize(Word(cfg.n, letters)) for letters in cls}
+        if len(forms) != 1:
+            return f"class of {min(cls)} has {len(forms)} normal forms"
+        nf = forms.pop()
+        if nf in seen:
+            return f"classes of {min(cls)} and {seen[nf]} share a normal form"
+        seen[nf] = min(cls)
+        if nm_to_word(nf).letters not in cls:
+            return f"expansion of {nf} leaves the class of {min(cls)}"
 
 
-def _check_fold_agreement(cfg: VerifyConfig):
-    for letters in _all_words(cfg.n, cfg.max_len):
-        w = Word(cfg.n, letters)
-        if normalize(w) != normalize_right_to_left(w):
-            return False, f"folds disagree on {letters}"
-    return True, None
+def _fold_agreement(cfg: VerifyConfig, w: Word, nf: NormalMonomial) -> str | None:
+    return None if nf == normalize_right_to_left(w) else f"folds disagree on {w.letters}"
 
 
-def _check_action_factoring(cfg: VerifyConfig):
-    # a word acts by its (output, minimal input) label on every configuration,
-    # whatever the deposit; tests/action_reference.py keeps the brute-force sweep
-    for letters in _all_words(cfg.n, cfg.max_len):
-        w = Word(cfg.n, letters)
-        nf_word = nm_to_word(normalize(w))
-        label, nf_label = word_label(w), word_label(nf_word)
-        if label != nf_label:
-            # equal inputs: both words act there, with different images; otherwise the word
-            # whose input does not dominate the other's annihilates the other's input
-            inp, nf_inp = label[1], nf_label[1]
-            c = Configuration(cfg.n, nf_inp if all(a >= b for a, b in zip(inp, nf_inp)) else inp)
-            if act_word(w, c) == act_word(nf_word, c):  # then word_label itself is wrong
-                return False, f"word {letters}: labels {label}, {nf_label} differ, yet act alike on {c}"
-            return False, f"word {letters} and its normal form act differently on {c}"
-    return True, None
+def _action_factoring(cfg: VerifyConfig, w: Word, nf: NormalMonomial) -> str | None:
+    # a word acts by its (output, minimal input) label; tests/action_reference.py sweeps configurations
+    nf_word = nm_to_word(nf)
+    label, nf_label = word_label(w), word_label(nf_word)
+    if label == nf_label:
+        return None
+    # equal inputs: both words act there, with different images; otherwise the word
+    # whose input does not dominate the other's annihilates the other's input
+    inp, nf_inp = label[1], nf_label[1]
+    c = Configuration(cfg.n, nf_inp if all(a >= b for a, b in zip(inp, nf_inp)) else inp)
+    if act_word(w, c) == act_word(nf_word, c):  # then word_label itself is wrong
+        return f"word {w.letters}: labels {label}, {nf_label} differ, yet act alike on {c}"
+    return f"word {w.letters} and its normal form act differently on {c}"
 
 
-def _check_faithfulness(cfg: VerifyConfig):
-    if faithfulness_check(cfg.n, cfg.max_len):
-        return True, None
-    return False, "two basis monomials share an (input, output) label"
+def _faithfulness(cfg: VerifyConfig) -> str | None:
+    if not faithfulness_check(cfg.n, cfg.max_len):
+        return "two basis monomials share an (input, output) label"
 
 
-def _check_center(cfg: VerifyConfig):
+def _center(cfg: VerifyConfig) -> str | None:
     for delta in multidegrees_up_to(cfg.n, cfg.max_degree):
         problem = theorem_mismatch(delta, center_basis_in_degree(cfg.n, delta))
         if problem is not None:
-            return False, f"degree ({delta}): {problem}"
-    return True, None
+            return f"degree ({delta}): {problem}"
 
 
 CENTER = "center-dimensions"
 
-# (name, check, the config fields it reports besides N, max_len and relations),
+# (name, pass, check, the config fields it reports besides N, max_len and relations),
 # sorted by name; the center check runs only with include_center
-CHECKS: tuple[tuple[str, Callable, tuple[str, ...]], ...] = (
-    ("action-factoring", _check_action_factoring, ("max_deposit",)),
-    ("basis-count", _check_basis_count, ()),
-    (CENTER, _check_center, ("max_degree",)),
-    ("faithfulness", _check_faithfulness, ()),
-    ("fold-agreement", _check_fold_agreement, ()),
-    ("grading", _check_grading, ()),
-    ("normal-form", _check_normal_form, ()),
+CHECKS: tuple[tuple[str, Callable, Callable, tuple[str, ...]], ...] = (
+    ("action-factoring", _words, _action_factoring, ("max_deposit",)),
+    ("basis-count", _degrees, _basis_count, ()),
+    (CENTER, _once, _center, ("max_degree",)),
+    ("faithfulness", _once, _faithfulness, ()),
+    ("fold-agreement", _words, _fold_agreement, ()),
+    ("grading", _degrees, _grading, ()),
+    ("normal-form", _degrees, _normal_form, ()),
 )
 
 
 def run_verify(cfg: VerifyConfig) -> VerifyReport:
-    report = VerifyReport()
-    for name, fn, fields in CHECKS:
-        if name == CENTER and not cfg.include_center:
-            continue
-        params = {"N": cfg.n, "max_len": cfg.max_len, "relations": cfg.relations}
-        params.update((f, getattr(cfg, f)) for f in fields)
-        t0 = time.perf_counter()
-        passed, counterexample = fn(cfg)
-        report.checks.append(
-            VerifyCheck(name, params, passed, counterexample, time.perf_counter() - t0)
-        )
-    return report
+    base = {"N": cfg.n, "max_len": cfg.max_len, "relations": cfg.relations}
+    rows = [(VerifyCheck(name, base | {f: getattr(cfg, f) for f in fields}, True, None, 0.0), walk, check)
+            for name, walk, check, fields in CHECKS if name != CENTER or cfg.include_center]
+    t0 = time.perf_counter()
+    for walk in dict.fromkeys(w for _, w, _ in rows):
+        on_pass = [(record, check) for record, w, check in rows if w is walk]
+        for item in walk(cfg):
+            for record, check in on_pass:
+                if record.passed:  # a check stops at its first problem
+                    t = time.perf_counter()
+                    record.counterexample = check(cfg, *item)
+                    record.seconds += time.perf_counter() - t
+                    record.passed = record.counterexample is None
+            if not any(record.passed for record, _ in on_pass):
+                break
+        # the pass's shared work (enumeration, normal forms, partitions) is split equally
+        t1 = time.perf_counter()
+        shared = (t1 - t0 - sum(record.seconds for record, _ in on_pass)) / len(on_pass)
+        for record, _ in on_pass:
+            record.seconds += shared
+        t0 = t1
+    return VerifyReport([record for record, _, _ in rows])

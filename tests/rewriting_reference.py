@@ -1,8 +1,9 @@
 """Rule-by-rule reference for the rewrite steps of ``partic.rewriting``, kept with the tests that compare against it."""
 from collections import deque
+from itertools import product
 
-from partic.core import MultiDegree
-from partic.rewriting import Letters, RelationSet, words_with_degree
+from partic.core import MultiDegree, Word, multidegree
+from partic.rewriting import Letters, RelationSet, one_step_rewrites, words_with_degree
 
 Pairs = list[tuple[Letters, Letters]]
 
@@ -45,3 +46,15 @@ def partition_reference(delta: MultiDegree, rs: RelationSet) -> list[set[Letters
             seen |= cls
             classes.append(cls)
     return classes
+
+
+def grading_sweep(rs: RelationSet, max_len: int):
+    """The rewrite sweep that ``verify`` grading replaced: every one-step rewrite of every word."""
+    for length in range(max_len + 1):
+        for letters in product(range(1, rs.n), repeat=length):
+            w = Word(rs.n, letters)
+            md = multidegree(w)
+            for w2 in one_step_rewrites(w, rs):
+                if multidegree(w2) != md:
+                    return False, f"{letters} -> {w2.letters} changes the multidegree"
+    return True, None

@@ -246,6 +246,21 @@ def test_malformed_input_exits_2_with_one_line(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # one configuration and one degree: the rank alone must not exhaust the recursion limit
+        "act --N 1500 --dot --particles 0",
+        "center --N 1500 --max-degree 0",
+    ],
+)
+def test_large_rank_with_one_case_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0
+    assert err == ""
+    assert out
+
+
 # argv fuzzing: every subcommand, N in -1..6, every integer bound in -2..3
 
 bounds = st.integers(-2, 3).map(str)

@@ -162,6 +162,15 @@ def test_compositions_lexicographic_and_bounded():
         compositions(2, -1)
 
 
+def test_compositions_match_brute_force_and_take_many_parts():
+    for parts in range(6):
+        for budget in range(6):
+            want = [t for t in product(range(budget + 1), repeat=parts) if sum(t) <= budget]
+            assert list(compositions(parts, budget)) == want, (parts, budget)
+    # no recursion per part, so more parts than the recursion limit allows frames
+    assert sum(1 for _ in compositions(5000, 1)) == 5001
+
+
 def test_multidegrees_up_to_ordering():
     ds = multidegrees_up_to(3, 2)
     totals = [d.total() for d in ds]
