@@ -19,10 +19,10 @@ class CertificationPlan:
     classical_ranks: tuple[int, ...] = (3, 4, 5)
     max_len: int = 7
     center_max_degree: int = 9
-    affine_ranks: tuple[int, ...] = (3, 4, 5)
+    affine_ranks: tuple[int, ...] = (3, 4, 5, 6, 7)
     affine_particles: int = 6
-    affine_m_max: int = 2
-    affine_k_max: int = 1
+    affine_m_max: int = 3
+    affine_k_max: int = 2
 
 
 def main() -> int:

@@ -4,9 +4,11 @@ Generators a_0, ..., a_{N-1} have indices read modulo N and act on particle
 configurations on a circle with N positions; a_0 moves a particle from
 position N back to position 1 and bumps a wraparound marker exponent t.
 
-Verification runs over start configurations with t = 0 only: the action
-commutes with shifting t (t never influences which moves are possible), so
-nothing is lost.
+A word with label (output I, minimal input J, wraparound count t0) maps
+every c >= J to c - J + I, with t + t0, and annihilates every other c.  So two
+words act differently on some configuration with at most P particles exactly
+when their labels differ and min(|J_lhs|, |J_rhs|) <= P.  Every instance of
+the relation families has equal labels, so each holds at every particle count.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from itertools import product
 from typing import Iterator
 
 from .core import check_rank, compositions
-from .particles import ANNIHILATED
+from .particles import ANNIHILATED, _prepend_letter
 
 
 @dataclass(frozen=True, order=True)
@@ -79,6 +81,18 @@ def affine_act_word(w: AffineWord, c: AffineConfiguration):
         occ[a - 1] -= 1
         occ[a] += 1
     return AffineConfiguration(c.n, tuple(occ), c.t + w.letters.count(0))
+
+
+def affine_word_label(w: AffineWord) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(output, minimal input, wraparound count t0) of an affine word, in one pass.
+
+    As :func:`partic.particles.word_label`; t0 is the number of a_0 letters.
+    """
+    out = [0] * w.n
+    inp = [0] * w.n
+    for a in reversed(w.letters):
+        _prepend_letter(out, inp, a)  # index -1 is position N, as in affine_act_word
+    return tuple(out), tuple(inp), w.letters.count(0)
 
 
 def affine_configurations(n: int, max_total: int) -> Iterator[AffineConfiguration]:
@@ -165,9 +179,22 @@ def verify_relation_on_module(lhs: AffineWord, rhs: AffineWord, max_particles: i
 
 
 def first_failing_instance(instances: list[tuple[AffineWord, AffineWord]], max_particles: int):
-    """First (lhs, rhs, witness) among the instances whose words act differently, or None."""
+    """First (lhs, rhs, witness) among the instances whose words act differently, or None.
+
+    Decided from labels; the witness, the lexicographically first, comes from
+    the sweep :func:`find_relation_counterexample`.
+    """
+    if max_particles < 0:
+        raise ValueError(f"bound must be nonnegative, got {max_particles}")
     for lhs, rhs in instances:
+        label, other = affine_word_label(lhs), affine_word_label(rhs)
+        if label == other or min(sum(label[1]), sum(other[1])) > max_particles:
+            continue
         witness = find_relation_counterexample(lhs, rhs, max_particles)
-        if witness is not None:
-            return lhs, rhs, witness
+        if witness is None:  # then affine_word_label itself is wrong
+            raise ValueError(
+                f"[{lhs}] vs [{rhs}]: labels {label}, {other} differ, yet act alike "
+                f"on every configuration with <= {max_particles} particles"
+            )
+        return lhs, rhs, witness
     return None

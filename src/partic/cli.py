@@ -270,7 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("affine-verify", parents=[common], help="check the cyclic relation families")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--particles", type=int, default=6)
+    p.add_argument(
+        "--particles",
+        type=int,
+        default=6,
+        help="configurations with at most this many particles, decided from word labels, "
+        "so the cost does not grow with it",
+    )
     p.add_argument("--m-max", type=int, default=2)
     p.add_argument("--k-max", type=int, default=1)
     p.set_defaults(func=cmd_affine_verify)

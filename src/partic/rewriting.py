@@ -137,24 +137,21 @@ def words_equivalent(w1: Word, w2: Word, rs: RelationSet) -> bool:
 
 def words_with_degree(delta: MultiDegree) -> Iterator[Letters]:
     """All words with the given multidegree, in lexicographic order."""
-    n = delta.n
-    total = delta.total()
-    counts = list(delta.counts)
-    word: list[int] = []
-
-    def rec() -> Iterator[Letters]:
-        if len(word) == total:
-            yield tuple(word)
+    # Narayana's next permutation in place: from the sorted word, each step gives
+    # the next distinct arrangement, so repeated letters are never permuted twice
+    word = [a for a, c in enumerate(delta.counts, 1) for _ in range(c)]
+    while True:
+        yield tuple(word)
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for a in range(1, n):
-            if counts[a - 1]:
-                counts[a - 1] -= 1
-                word.append(a)
-                yield from rec()
-                word.pop()
-                counts[a - 1] += 1
-
-    yield from rec()
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = word[:i:-1]
 
 
 def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letters]]:

@@ -1,7 +1,9 @@
+import random
 from collections import Counter
 
 import pytest
 
+from partic import affine
 from partic.affine import (
     AffineConfiguration,
     AffineWord,
@@ -9,10 +11,12 @@ from partic.affine import (
     affine_act_word,
     affine_configurations,
     affine_relation_instances,
+    affine_word_label,
     find_relation_counterexample,
     first_failing_instance,
     verify_relation_on_module,
 )
+from partic.cli import main
 from partic.particles import ANNIHILATED
 
 
@@ -121,3 +125,102 @@ def test_particle_count_preserved():
             if out is not ANNIHILATED:
                 assert out.total() == c.total()
                 assert out.t == c.t + (1 if i == 0 else 0)
+
+
+# a_0 a_2 a_1 carries one particle once around the 3-cycle, the doubled word twice:
+# equal (output, input), wraparound counts 1 and 2
+ONCE_AROUND = (AffineWord(3, (0, 2, 1)), AffineWord(3, (0, 2, 1, 0, 2, 1)))
+
+
+def random_pairs(seed, count):
+    """Seeded word pairs at N=3..5: a word against a shuffle of it or against another word."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        n = rng.randint(3, 5)
+        letters = [rng.randrange(n) for _ in range(rng.randint(0, 6))]
+        other = rng.sample(letters, len(letters)) if rng.random() < 0.7 else [
+            rng.randrange(n) for _ in range(rng.randint(0, 6))
+        ]
+        pairs.append((AffineWord(n, letters), AffineWord(n, other)))
+    return pairs
+
+
+def test_affine_word_label_examples():
+    assert affine_word_label(AffineWord(4, ())) == ((0, 0, 0, 0), (0, 0, 0, 0), 0)
+    # a_0 takes its particle from position N
+    assert affine_word_label(AffineWord(4, (0,))) == ((1, 0, 0, 0), (0, 0, 0, 1), 1)
+    assert affine_word_label(ONCE_AROUND[0]) == ((1, 0, 0), (1, 0, 0), 1)
+    assert affine_word_label(ONCE_AROUND[1]) == ((1, 0, 0), (1, 0, 0), 2)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_affine_word_label_predicts_the_action(n):
+    rng = random.Random(700 + n)
+    configs = list(affine_configurations(n, 4))
+    for _ in range(150):
+        w = AffineWord(n, [rng.randrange(n) for _ in range(rng.randint(0, 7))])
+        out, inp, t0 = affine_word_label(w)
+        for c in configs:
+            if all(a >= b for a, b in zip(c.occ, inp)):
+                expected = acfg(n, [a - b + o for a, b, o in zip(c.occ, inp, out)], t0)
+            else:
+                expected = ANNIHILATED
+            assert affine_act_word(w, c) == expected, (w.letters, c)
+
+
+def test_first_failing_instance_matches_the_sweep():
+    # the per-instance sweep acts both words on every configuration within the bound
+    cases = [inst for n in (3, 4, 5) for inst in affine_relation_instances(n, 2, 1)]
+    cases += random_pairs(71, 400) + [ONCE_AROUND]
+    failing = 0
+    for particles in range(5):
+        for lhs, rhs in cases:
+            witness = find_relation_counterexample(lhs, rhs, particles)
+            expected = None if witness is None else (lhs, rhs, witness)
+            assert first_failing_instance([(lhs, rhs)], particles) == expected, (lhs, rhs, particles)
+            failing += witness is not None
+    assert failing > 500  # the random pairs include failing ones at every bound
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        ONCE_AROUND,
+        # the exchange rule on a 3-cycle, which fails there on one particle
+        (AffineWord(3, (0, 2, 1, 0)), AffineWord(3, (1, 0, 2, 0))),
+        # minimal inputs of 1 and 3 particles: the smaller one decides
+        (AffineWord(4, (2,)), AffineWord(4, (3, 3, 3))),
+        (AffineWord(5, (1, 1, 1)), AffineWord(5, (2, 2, 2))),
+    ],
+)
+def test_first_failing_instance_at_the_particle_bound(pair):
+    smaller = min(sum(affine_word_label(w)[1]) for w in pair)
+    assert first_failing_instance([pair], smaller - 1) is None
+    assert find_relation_counterexample(*pair, smaller - 1) is None
+    lhs, rhs, witness = first_failing_instance([pair], smaller)
+    assert (lhs, rhs) == pair and witness.total() == smaller
+    assert affine_act_word(lhs, witness) != affine_act_word(rhs, witness)
+
+
+def test_every_instance_has_equal_labels():
+    # so each instance holds on configurations with any number of particles
+    for n in (3, 4, 5, 6):
+        for lhs, rhs in affine_relation_instances(n, 2, 2):
+            assert affine_word_label(lhs) == affine_word_label(rhs), (lhs.letters, rhs.letters)
+
+
+def test_first_failing_instance_refuses_a_negative_bound():
+    with pytest.raises(ValueError, match="bound must be nonnegative, got -1"):
+        first_failing_instance(affine_relation_instances(3, 1, 0), -1)
+
+
+def test_labels_that_the_sweep_does_not_confirm_fail(monkeypatch, capsys):
+    # a wrong label must fail the run, never pass it
+    monkeypatch.setattr(affine, "affine_word_label", lambda w: ((), (), w.letters))
+    commuting = (AffineWord(4, (0, 2)), AffineWord(4, (2, 0)))
+    with pytest.raises(ValueError, match=r"\[0 2\] vs \[2 0\]: labels .* differ, yet act alike"):
+        first_failing_instance([commuting], 2)
+    assert main(["affine-verify", "--N", "4", "--particles", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "labels" in err

@@ -298,12 +298,8 @@ SUBCOMMAND_PARTS = {
         switch("--center"),
         maybe("--relations", st.sampled_from(["partic", "plactic"])),
     ],
-    # m-max and k-max stop at 1: at N=6, m-max = k-max = 3 sweeps 38,968 relation instances
-    "affine-verify": [
-        option("--particles", bounds),
-        option("--m-max", st.integers(-2, 1).map(str)),
-        option("--k-max", st.integers(-2, 1).map(str)),
-    ],
+    # the largest case, N=6 with m-max = k-max = 3, is 38,968 relation instances: about 0.8 s
+    "affine-verify": [option("--particles", bounds), option("--m-max", bounds), option("--k-max", bounds)],
 }
 
 

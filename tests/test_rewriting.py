@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -127,6 +127,13 @@ def test_words_with_degree_lexicographic_and_complete():
     ws = list(words_with_degree(d))
     assert ws == sorted(ws)
     assert set(ws) == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_words_with_degree_matches_distinct_permutations(n):
+    for delta in multidegrees_up_to(n, 6):
+        letters = [a for a, c in enumerate(delta.counts, 1) for _ in range(c)]
+        assert list(words_with_degree(delta)) == sorted(set(permutations(letters))), delta
 
 
 def test_partition_covers_degree():
