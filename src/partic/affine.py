@@ -29,10 +29,11 @@ class AffineWord:
 
     def __post_init__(self) -> None:
         check_rank(self.n)
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for a in self.letters:
-            if not 0 <= a <= self.n - 1:
-                raise ValueError(f"letter {a} out of range 0..{self.n - 1}")
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
+        if letters and (min(letters) < 0 or max(letters) > self.n - 1):
+            a = next(a for a in letters if not 0 <= a <= self.n - 1)
+            raise ValueError(f"letter {a} out of range 0..{self.n - 1}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -143,22 +144,17 @@ def affine_relation_instances(n: int, m_max: int, k_max: int) -> list[tuple[Affi
     for i in range(n):
         im1 = (i - 1) % n
         middle_positions = [(i + s) % n for s in range(1, n - 1)]
+        mids = [
+            tuple(p for p, e in zip(middle_positions, ks) for _ in range(e))
+            for ks in product(range(k_max + 1), repeat=n - 2)
+        ]
         for m in range(m_max + 1):
+            head, tail = (i,) * m, (im1,) * m
             for mp in range(m_max + 1):
-                for ks in product(range(k_max + 1), repeat=n - 2):
-                    mid = tuple(p for p, e in zip(middle_positions, ks) for _ in range(e))
-                    head = (i,) * m
-                    tail = (im1,) * m
+                for mid in mids:
                     pairs.append(((im1,) * mp + head + mid + tail, head + (im1,) * mp + mid + tail))
                     pairs.append((head + mid + tail + (i,) * mp, head + mid + (i,) * mp + tail))
-    seen: set[tuple] = set()
-    out: list[tuple[AffineWord, AffineWord]] = []
-    for lhs, rhs in pairs:
-        if (lhs, rhs) in seen:
-            continue
-        seen.add((lhs, rhs))
-        out.append((AffineWord(n, lhs), AffineWord(n, rhs)))
-    return out
+    return [(AffineWord(n, lhs), AffineWord(n, rhs)) for lhs, rhs in dict.fromkeys(pairs)]
 
 
 def find_relation_counterexample(lhs: AffineWord, rhs: AffineWord, max_particles: int):

@@ -6,7 +6,6 @@ nothing else does.  All arithmetic is exact rational, no tolerances.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
@@ -24,20 +23,61 @@ def _subtract(target: dict[int, Fraction], f: Fraction, source: dict[int, Fracti
             del target[c]
 
 
+def _peel(rows: list[Mapping[int, Scalar]], ncols: int) -> list[int] | None:
+    """Columns left live by peeling, or None if the peel stalls.
+
+    A row with exactly one live nonzero column forces that unknown to 0, so
+    the column dies; repeat until no such row is left.  Rows are indexed by
+    column and queued when their live count drops to 1, so the peel is
+    linear in the nonzeros and does no arithmetic.  If every row then has
+    no live nonzero, the kernel is exactly the span of the unit vectors of
+    the live columns; otherwise the peel has stalled.
+    """
+    row_cols = [[c for c, x in row.items() if x] for row in rows]
+    live_count = [len(cs) for cs in row_cols]
+    rows_of: list[list[int]] = [[] for _ in range(ncols)]
+    for r, cs in enumerate(row_cols):
+        for c in cs:
+            rows_of[c].append(r)
+    live = [True] * ncols
+    queue = [r for r, k in enumerate(live_count) if k == 1]
+    while queue:
+        r = queue.pop()
+        if live_count[r] != 1:
+            continue
+        c = next(c for c in row_cols[r] if live[c])
+        live[c] = False
+        for s in rows_of[c]:
+            live_count[s] -= 1
+            if live_count[s] == 1:
+                queue.append(s)
+    if any(live_count):
+        return None
+    return [c for c in range(ncols) if live[c]]
+
+
 def nullspace(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> list[list[Fraction]]:
     """Exact basis of the right kernel {x : sum_c row[c] x_c = 0 for every row}.
 
     Rows are sparse ``{column: coefficient}`` maps over columns 0..ncols-1.
-    Each row is reduced against the rows kept so far and, unless it vanishes,
-    kept with its smallest column as pivot; the kept rows stay in reduced row
-    echelon form.  That form is unique, so the basis is the one dense
-    Gauss-Jordan gives: one vector per free column, in column order, each
-    scaled so its first nonzero coordinate is 1.
+    The basis is the one dense Gauss-Jordan gives: one vector per free
+    column, in column order, each scaled so its first nonzero coordinate is
+    1.  Peeling (``_peel``) comes first; when it solves the system the
+    kernel is spanned by unit vectors, which is that basis.  Otherwise each
+    original row is reduced against the rows kept so far and, unless it
+    vanishes, kept with its smallest column as pivot; the kept rows stay in
+    reduced row echelon form, which is unique.
     """
+    rows = list(rows)
+    for row in rows:
+        if row and (min(row) < 0 or max(row) >= ncols):
+            raise ValueError(f"row {dict(row)} has a column outside 0..{ncols - 1}")
+    live = _peel(rows, ncols)
+    if live is not None:
+        return [[Fraction(int(c == free)) for c in range(ncols)] for free in live]
+
     reduced: dict[int, dict[int, Fraction]] = {}  # pivot column -> row, 1 at the pivot
     for row in rows:
-        if any(not 0 <= c < ncols for c in row):
-            raise ValueError(f"row {dict(row)} has a column outside 0..{ncols - 1}")
         r = {c: Fraction(x) for c, x in row.items() if x}
         for p in [c for c in r if c in reduced]:
             _subtract(r, r[p], reduced[p])
@@ -96,14 +136,19 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     if delta.n != n:
         raise ValueError("multidegree rank does not match")
     cols = enumerate_basis(delta)
-    rows: list[Counter] = []
+    rows: list[dict[int, int]] = []
     for i in range(1, n):
-        eqs: defaultdict[tuple[tuple[int, ...], tuple[int, ...]], Counter] = defaultdict(Counter)
+        eqs: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
         for c, m in enumerate(cols):
             for mul, sign in ((_left_mul, 1), (_right_mul, -1)):
                 d, k = list(m.d), list(m.k)
                 mul(d, k, i)
-                eqs[tuple(d), tuple(k)][c] += sign
+                key = tuple(d), tuple(k)
+                row = eqs.get(key)
+                if row is None:
+                    eqs[key] = {c: sign}
+                else:
+                    row[c] = row.get(c, 0) + sign
         rows.extend(eqs.values())
     vectors = nullspace(rows, len(cols))
     return [AlgebraElement(n, dict(zip(cols, vec))) for vec in vectors]

@@ -42,6 +42,12 @@ def test_affine_word_validation():
     AffineWord(4, (0, 3, 1, 0))
     with pytest.raises(ValueError):
         AffineWord(4, (4,))
+    # the first offending letter is named, whichever bound it breaks
+    with pytest.raises(ValueError, match=r"^letter 5 out of range 0\.\.3$"):
+        AffineWord(4, (1, 5, -1))
+    with pytest.raises(ValueError, match=r"^letter -1 out of range 0\.\.3$"):
+        AffineWord(4, (2, -1, 7))
+    assert AffineWord(4, []).letters == ()
 
 
 def test_wraparound_marker_counts_a0():

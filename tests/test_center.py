@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from partic import center
 from partic.center import (
+    _peel,
     center_basis_in_degree,
     central_candidate,
     commutes_with_generators,
@@ -69,6 +71,62 @@ def test_nullspace_matches_dense_reference():
                 row[zero_col] = 0
         sparse = [{c: x for c, x in enumerate(row) if x} for row in dense]
         assert nullspace(sparse, ncols) == nullspace_dense(dense, ncols), dense
+
+
+def test_peel_examples():
+    # a chain: x0 = 0 forces x1 = 0 through the second row; x2 stays free
+    assert _peel([{0: 1}, {0: 2, 1: -3}], 3) == [2]
+    # explicit zeros are not live entries
+    assert _peel([{0: 0, 1: 1}, {2: 0}], 3) == [0, 2]
+    assert _peel([], 2) == [0, 1]
+    # no row has a single live column: the peel stalls
+    assert _peel([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) is None
+    assert nullspace([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) == []
+    # the lone column kills x1, but x0 + x2 = 0 still has two live columns
+    assert _peel([{1: 5}, {0: 1, 1: 1, 2: 1}], 3) is None
+    assert nullspace([{1: 5}, {0: 1, 1: 1, 2: 1}], 3) == [[1, 0, -1]]
+
+
+def test_nullspace_matches_dense_reference_on_sparse_systems():
+    rng = random.Random(80241)
+    values = [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]
+    peeled = stalled = 0
+    for _ in range(600):
+        nrows, ncols = rng.randint(0, 8), rng.randint(1, 8)
+        sparse = []
+        for _ in range(nrows):
+            width = rng.choice((1, 1, 2, 2, 3))
+            row = {c: rng.choice(values) for c in rng.sample(range(ncols), min(width, ncols))}
+            if rng.random() < 0.3:
+                row[rng.randrange(ncols)] = 0
+            sparse.append(row)
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in sparse]
+        if _peel(sparse, ncols) is None:
+            stalled += 1
+        else:
+            peeled += 1
+        assert nullspace(sparse, ncols) == nullspace_dense(dense, ncols), sparse
+    assert peeled > 100 and stalled > 100
+
+
+def test_peel_solves_every_center_system(monkeypatch):
+    real_peel = center._peel
+    stalled = []
+
+    def recording_peel(rows, ncols):
+        live = real_peel(rows, ncols)
+        if live is None:
+            stalled.append(ncols)
+        return live
+
+    monkeypatch.setattr(center, "_peel", recording_peel)
+    degrees = [delta for n in (3, 4, 5) for delta in multidegrees_up_to(n, 8)]
+    bases = [center_basis_in_degree(delta.n, delta) for delta in degrees]
+    assert stalled == []
+    # the same bases from the elimination alone
+    monkeypatch.setattr(center, "_peel", lambda rows, ncols: None)
+    for delta, basis in zip(degrees, bases):
+        assert center_basis_in_degree(delta.n, delta) == basis, f"degree {delta}"
 
 
 def test_central_candidate_examples():

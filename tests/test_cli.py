@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -214,6 +215,21 @@ def test_golden_output(capsys, argv, expected):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert out == expected
+
+
+# first 16 hex digits of the sha256 of stdout, recorded before the center peel
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("center --N 6 --max-degree 6 --expect-theorem", "54047e68b91d961e"),
+        ("center --N 5 --max-degree 10 --expect-theorem --json", "34c4891df995e1ab"),
+    ],
+)
+def test_golden_output_hash(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize(
