@@ -17,7 +17,7 @@ from partic.affine import affine_relation_instances, first_failing_instance
 @dataclass(frozen=True)
 class CertificationPlan:
     classical_ranks: tuple[int, ...] = (3, 4, 5)
-    max_len: int = 7
+    max_len: int = 8
     center_max_degree: int = 12
     affine_ranks: tuple[int, ...] = (3, 4, 5, 6, 7)
     affine_particles: int = 6

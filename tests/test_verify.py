@@ -129,7 +129,15 @@ def test_a_rule_that_changes_the_multidegree_fails_grading_on_both_routes(monkey
     assert not rewriting_reference.grading_sweep(_with_degree_change(relations, 3), 3)[0]
 
 
-@pytest.mark.parametrize("letters, image", [((1, 2), (2, 1)), ((2, 1, 2), (1,)), ((3, 2, 1, 2), (1,))])
+@pytest.mark.parametrize(
+    "letters, image",
+    [
+        ((1, 2), (2, 1)),
+        ((2, 1, 2), (1,)),
+        ((3, 2, 1, 2), (1,)),
+        ((1, 1, 1, 1), (1, 1, 1, 2)),  # in (4, 0, 0), the last multidegree the pass visits
+    ],
+)
 def test_broken_normalize_fails_the_word_checks_on_both_routes(monkeypatch, letters, image):
     broken = _normalize_mapping(letters, image)
     monkeypatch.setattr(verify, "normalize", broken)
@@ -137,6 +145,14 @@ def test_broken_normalize_fails_the_word_checks_on_both_routes(monkeypatch, lett
     cfg = VerifyConfig(4, max_len=4)
     new = assert_same_verdicts(cfg, rewriting.partic_rules(4), rewriting.partic_rules(4))
     assert not any(new[name][0] for name in ("action-factoring", "fold-agreement", "normal-form"))
+
+
+@pytest.mark.parametrize("relations", [PARTIC, PLACTIC])
+def test_each_word_is_normalized_once(monkeypatch, relations):
+    calls = []
+    monkeypatch.setattr(verify, "normalize", lambda w: calls.append(w.letters) or normal_form.normalize(w))
+    assert verify.run_verify(VerifyConfig(4, max_len=5, relations=relations)).passed
+    assert len(calls) == len(set(calls)) == sum(3**length for length in range(6)) == 364
 
 
 def test_a_pass_stops_once_all_its_checks_have_failed(monkeypatch):
