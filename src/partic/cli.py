@@ -50,7 +50,7 @@ def _parse_monomial_arg(n: int, text: str) -> NormalMonomial:
     if stripped.startswith("{"):
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses once per nesting level
             raise ValueError(f"bad JSON monomial: {exc}") from None
         m = NormalMonomial.from_json(obj)
         if m.n != n:

@@ -181,16 +181,14 @@ def normal_condition(d: Iterable[int], k: Iterable[int]) -> bool:
     """
     d = tuple(d)
     k = tuple(k)
-    if len(k) != len(d) + 1:
+    # k is never empty here; d_1 = 0 makes d_2 <= k_1 the first running comparison
+    if len(k) != len(d) + 1 or min(k) < 0 or (d and min(d) < 0):
         return False
-    if any(x < 0 for x in d) or any(x < 0 for x in k):
-        return False
-    if d and d[0] > k[0]:
-        return False
-    for j in range(1, len(d)):
-        # d_{j+2} <= d_{j+1} + k_{j+1}
-        if d[j] > d[j - 1] + k[j]:
+    prev = 0
+    for dj, kj in zip(d, k):
+        if dj > prev + kj:
             return False
+        prev = dj
     return True
 
 

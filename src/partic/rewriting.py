@@ -9,7 +9,7 @@ This module is deliberately independent of the normal-form code in
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -19,8 +19,6 @@ PLACTIC = "plactic"
 PARTIC = "partic"
 
 Letters = tuple[int, ...]
-# (span, {lhs: right-hand sides}) per span, each rule entered in both directions
-RuleTable = tuple[tuple[int, dict[Letters, list[Letters]]], ...]
 
 
 @dataclass(frozen=True)
@@ -35,29 +33,80 @@ class RewriteRule:
             raise ValueError("a rewrite rule must preserve the multidegree")
 
 
+class _Windows(dict):
+    """Window code -> code differences (rhs - lhs) of the rules whose left-hand side starts it.
+
+    A window is as wide as the longest left-hand side.  It is filled on first
+    sight from ``by_span`` ({span: {lhs code: [rhs code - lhs code]}}), so it
+    holds only the windows met, whatever the rank.
+    """
+
+    def __init__(self, by_span: dict[int, dict[int, list[int]]], bits: int) -> None:
+        super().__init__()
+        self.by_span, self.bits = by_span, bits
+
+    def __missing__(self, window: int) -> tuple[int, ...]:
+        diffs = tuple(
+            diff
+            for span, rules in sorted(self.by_span.items())
+            for diff in rules.get(window & ((1 << span * self.bits) - 1), ())
+        )
+        self[window] = diffs
+        return diffs
+
+    def reader(self, length: int) -> tuple[int, range]:
+        """The window mask, and the shift of each position where a rule can start in a word of this length."""
+        spans = self.by_span.keys() or (0,)
+        return (1 << max(spans) * self.bits) - 1, range(0, (length - min(spans) + 1) * self.bits, self.bits)
+
+
 @dataclass(frozen=True)
 class RelationSet:
     """Concrete rule instances for one rank (no patterns at rewrite time).
 
-    ``table`` indexes the rules, read in both directions, by left-hand side
-    and groups them by span, so a rewrite step slides one window per span
-    and looks each window up instead of comparing it with every rule.
+    The oracle works on words coded as integers, ``bits`` bits per letter with
+    the first letter lowest (``_encode``).  ``windows`` maps the window at a
+    position to the rules, read in both directions, whose left-hand side
+    starts there; each rewrite is then ``code + (diff << shift)``.  Letters
+    are nonzero, so a window running past the end of a word matches only the
+    rules that fit.
     """
 
     name: str
     n: int
     rules: tuple[RewriteRule, ...]
-    table: RuleTable = field(init=False, repr=False, compare=False)
+    bits: int = field(init=False, repr=False, compare=False)
+    windows: _Windows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_span: dict[int, dict[Letters, list[Letters]]] = {}
+        bits = self.n.bit_length()
+        by_span: dict[int, dict[int, list[int]]] = {}
         for r in self.rules:
-            for lhs, rhs in ((r.lhs, r.rhs), (r.rhs, r.lhs)):
-                by_span.setdefault(len(lhs), {}).setdefault(lhs, []).append(rhs)
-        object.__setattr__(self, "table", tuple(sorted(by_span.items())))
+            lhs, rhs = _encode(r.lhs, bits), _encode(r.rhs, bits)
+            rules = by_span.setdefault(len(r.lhs), {})
+            rules.setdefault(lhs, []).append(rhs - lhs)
+            rules.setdefault(rhs, []).append(lhs - rhs)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "windows", _Windows(by_span, bits))
 
 
-def plactic_rules(n: int) -> RelationSet:
+def _encode(letters: Letters, bits: int) -> int:
+    code = 0
+    for a in reversed(letters):
+        code = code << bits | a
+    return code
+
+
+def _decode(code: int, bits: int) -> Letters:
+    # every letter is nonzero, so the code ends with its last letter
+    mask, out = (1 << bits) - 1, []
+    while code:
+        out.append(code & mask)
+        code >>= bits
+    return tuple(out)
+
+
+def _plactic(n: int) -> tuple[RewriteRule, ...]:
     check_rank(n)
     rules = []
     # a_i a_{i-1} a_i = a_i a_i a_{i-1}
@@ -70,12 +119,16 @@ def plactic_rules(n: int) -> RelationSet:
     for i in range(1, n):
         for j in range(i + 2, n):
             rules.append(RewriteRule((i, j), (j, i)))
-    return RelationSet(PLACTIC, n, tuple(rules))
+    return tuple(rules)
+
+
+def plactic_rules(n: int) -> RelationSet:
+    return RelationSet(PLACTIC, n, _plactic(n))
 
 
 def partic_rules(n: int) -> RelationSet:
+    base = _plactic(n)
     # the extra exchange rule a_i a_{i-1} a_{i+1} a_i = a_{i+1} a_i a_{i-1} a_i
-    base = plactic_rules(n).rules
     extra = tuple(
         RewriteRule((i, i - 1, i + 1, i), (i + 1, i, i - 1, i)) for i in range(2, n - 1)
     )
@@ -90,23 +143,28 @@ def relation_set(name: str, n: int) -> RelationSet:
     raise ValueError(f"unknown relation set {name!r} (expected {PLACTIC!r} or {PARTIC!r})")
 
 
-def _steps(letters: Letters, table: RuleTable) -> Iterator[Letters]:
+def _steps(code: int, length: int, rs: RelationSet) -> Iterator[int]:
     """Every word one rule application away (tests/rewriting_reference.py scans rule by rule)."""
-    for span, rules in table:
-        for p in range(len(letters) - span + 1):
-            for rhs in rules.get(letters[p : p + span], ()):
-                yield letters[:p] + rhs + letters[p + span :]
+    windows = rs.windows
+    mask, shifts = windows.reader(length)
+    for shift in shifts:
+        for diff in windows[code >> shift & mask]:
+            yield code + (diff << shift)
 
 
-def _closure(start: Letters, table: RuleTable) -> set[Letters]:
+def _closure(start: int, length: int, rs: RelationSet) -> set[int]:
+    # _steps inlined, as this loop is the oracle's whole cost
+    windows = rs.windows
+    mask, shifts = windows.reader(length)
     seen = {start}
-    queue = deque((start,))
-    while queue:
-        cur = queue.popleft()
-        for nxt in _steps(cur, table):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    queue = [start]
+    for cur in queue:
+        for shift in shifts:
+            for diff in windows[cur >> shift & mask]:
+                nxt = cur + (diff << shift)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
     return seen
 
 
@@ -118,13 +176,15 @@ def _check_ranks(w: Word, rs: RelationSet) -> None:
 def one_step_rewrites(w: Word, rs: RelationSet) -> set[Word]:
     """All words reachable by one rule application, in either direction."""
     _check_ranks(w, rs)
-    return {Word(w.n, out) for out in _steps(w.letters, rs.table)}
+    code = _encode(w.letters, rs.bits)
+    return {Word(w.n, _decode(out, rs.bits)) for out in _steps(code, len(w), rs)}
 
 
 def congruence_class(w: Word, rs: RelationSet) -> set[Word]:
     """The full (finite) equivalence class of w under the given relations."""
     _check_ranks(w, rs)
-    return {Word(w.n, t) for t in _closure(w.letters, rs.table)}
+    cls = _closure(_encode(w.letters, rs.bits), len(w), rs)
+    return {Word(w.n, _decode(code, rs.bits)) for code in cls}
 
 
 def words_equivalent(w1: Word, w2: Word, rs: RelationSet) -> bool:
@@ -132,7 +192,7 @@ def words_equivalent(w1: Word, w2: Word, rs: RelationSet) -> bool:
     _check_ranks(w2, rs)
     if multidegree(w1) != multidegree(w2):
         return False
-    return w2.letters in _closure(w1.letters, rs.table)
+    return _encode(w2.letters, rs.bits) in _closure(_encode(w1.letters, rs.bits), len(w1), rs)
 
 
 def words_with_degree(delta: MultiDegree) -> Iterator[Letters]:
@@ -165,14 +225,17 @@ def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letter
     """
     if delta.n != rs.n:
         raise ValueError("multidegree rank does not match relation set rank")
-    seen: set[Letters] = set()
+    bits, length = rs.bits, delta.total()
+    words = {_encode(letters, bits): letters for letters in words_with_degree(delta)}
+    seen: set[int] = set()
     classes: list[set[Letters]] = []
-    for letters in words_with_degree(delta):
-        if letters in seen:
+    for code in words:
+        if code in seen:
             continue
-        cls = _closure(letters, rs.table)
+        cls = _closure(code, length, rs)
         seen |= cls
-        classes.append(cls)
+        # a code outside the degree comes only from a rule that changes the multidegree
+        classes.append({words[c] if c in words else _decode(c, bits) for c in cls})
     return classes
 
 

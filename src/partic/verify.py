@@ -12,7 +12,7 @@ from math import factorial, prod
 from typing import Callable, Iterator
 
 from .center import center_basis_in_degree, theorem_mismatch
-from .core import MultiDegree, NormalMonomial, Word, multidegrees_up_to, nm_to_word
+from .core import MultiDegree, Word, multidegrees_up_to, nm_to_word
 from .normal_form import enumerate_basis, normalize, normalize_right_to_left
 from .particles import Configuration, act_word, faithfulness_check, word_label
 from .rewriting import PARTIC, congruence_partition, relation_set
@@ -52,7 +52,7 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[set], list[dict]]]:
+def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[set], list[dict], dict]]:
     # one degree at a time, as all classes grow exponentially; by total, so a first failing word is shortest
     rs = relation_set(cfg.relations, cfg.n)
     partic = rs if cfg.relations == PARTIC else relation_set(PARTIC, cfg.n)
@@ -60,14 +60,16 @@ def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[set], list[d
         classes = congruence_partition(delta, rs)
         partic_classes = classes if partic is rs else congruence_partition(delta, partic)
         # each partic class as {word: normal form}: these hold every word of delta, also under plactic
-        yield delta, classes, [{w: normalize(w) for w in (Word(cfg.n, t) for t in cls)} for cls in partic_classes]
+        forms = [{w: normalize(w) for w in (Word(cfg.n, t) for t in cls)} for cls in partic_classes]
+        # and each distinct normal form expanded once
+        yield delta, classes, forms, {nf: nm_to_word(nf) for nf in {nf for cls in forms for nf in cls.values()}}
 
 
 def _once(cfg: VerifyConfig) -> Iterator[tuple]:
     yield ()
 
 
-def _grading(cfg: VerifyConfig, delta: MultiDegree, classes: list[set], _) -> str | None:
+def _grading(cfg: VerifyConfig, delta: MultiDegree, classes: list[set], *_) -> str | None:
     # a class is a BFS closure, so it holds every one-step rewrite of its members: the
     # classes of delta hold exactly multinomial(delta) words iff no rewrite leaves delta
     size = factorial(delta.total()) // prod(map(factorial, delta.counts))
@@ -75,14 +77,14 @@ def _grading(cfg: VerifyConfig, delta: MultiDegree, classes: list[set], _) -> st
         return f"degree ({delta}): its classes hold {held} words, not the {size} of that multidegree"
 
 
-def _basis_count(cfg: VerifyConfig, delta: MultiDegree, classes: list[set], _) -> str | None:
+def _basis_count(cfg: VerifyConfig, delta: MultiDegree, classes: list[set], *_) -> str | None:
     # plactic refines the partic classes, so there only ">=" can be asserted
     nc, nb = len(classes), len(enumerate_basis(delta))
     if not (nc == nb if cfg.relations == PARTIC else nc >= nb):
         return f"degree ({delta}): {nc} classes vs {nb} basis monomials"
 
 
-def _normal_form(cfg: VerifyConfig, delta: MultiDegree, _, classes: list[dict]) -> str | None:
+def _normal_form(cfg: VerifyConfig, delta: MultiDegree, _, classes: list[dict], expansions: dict) -> str | None:
     seen = {}
     for cls in classes:
         forms, least = set(cls.values()), min(w.letters for w in cls)
@@ -92,33 +94,33 @@ def _normal_form(cfg: VerifyConfig, delta: MultiDegree, _, classes: list[dict]) 
         if nf in seen:
             return f"classes of {least} and {seen[nf]} share a normal form"
         seen[nf] = least
-        if nm_to_word(nf) not in cls:
+        if expansions[nf] not in cls:
             return f"expansion of {nf} leaves the class of {least}"
 
 
-def _each_word(check: Callable) -> Callable:
-    """The degree-pass form of a check on one (word, normal form) pair: its first problem there."""
-    return lambda cfg, delta, _, forms: next(
-        filter(None, (check(cfg, w, nf) for cls in forms for w, nf in cls.items())), None)
+def _fold_agreement(cfg: VerifyConfig, delta: MultiDegree, _, forms: list[dict], _expansions) -> str | None:
+    for cls in forms:
+        for w, nf in cls.items():
+            if nf != normalize_right_to_left(w):
+                return f"folds disagree on {w.letters}"
 
 
-def _fold_agreement(cfg: VerifyConfig, w: Word, nf: NormalMonomial) -> str | None:
-    return None if nf == normalize_right_to_left(w) else f"folds disagree on {w.letters}"
-
-
-def _action_factoring(cfg: VerifyConfig, w: Word, nf: NormalMonomial) -> str | None:
-    # a word acts by its (output, minimal input) label; tests/action_reference.py sweeps configurations
-    nf_word = nm_to_word(nf)
-    label, nf_label = word_label(w), word_label(nf_word)
-    if label == nf_label:
-        return None
-    # equal inputs: both words act there, with different images; otherwise the word
-    # whose input does not dominate the other's annihilates the other's input
-    inp, nf_inp = label[1], nf_label[1]
-    c = Configuration(cfg.n, nf_inp if all(a >= b for a, b in zip(inp, nf_inp)) else inp)
-    if act_word(w, c) == act_word(nf_word, c):  # then word_label itself is wrong
-        return f"word {w.letters}: labels {label}, {nf_label} differ, yet act alike on {c}"
-    return f"word {w.letters} and its normal form act differently on {c}"
+def _action_factoring(cfg: VerifyConfig, delta: MultiDegree, _, forms: list[dict], expansions: dict) -> str | None:
+    # a word acts by its (output, minimal input) label; tests/action_reference.py sweeps configurations.
+    # Each word is compared with the label of its own normal form, labelled once per degree.
+    labels = {nf: word_label(nf_word) for nf, nf_word in expansions.items()}
+    for cls in forms:
+        for w, nf in cls.items():
+            label, nf_label = word_label(w), labels[nf]
+            if label == nf_label:
+                continue
+            # equal inputs: both words act there, with different images; otherwise the word
+            # whose input does not dominate the other's annihilates the other's input
+            inp, nf_inp = label[1], nf_label[1]
+            c = Configuration(cfg.n, nf_inp if all(a >= b for a, b in zip(inp, nf_inp)) else inp)
+            if act_word(w, c) == act_word(expansions[nf], c):  # then word_label itself is wrong
+                return f"word {w.letters}: labels {label}, {nf_label} differ, yet act alike on {c}"
+            return f"word {w.letters} and its normal form act differently on {c}"
 
 
 def _faithfulness(cfg: VerifyConfig) -> str | None:
@@ -138,11 +140,11 @@ CENTER = "center-dimensions"
 # (name, pass, check, the config fields it reports besides N, max_len and relations),
 # sorted by name; the center check runs only with include_center
 CHECKS: tuple[tuple[str, Callable, Callable, tuple[str, ...]], ...] = (
-    ("action-factoring", _degrees, _each_word(_action_factoring), ("max_deposit",)),
+    ("action-factoring", _degrees, _action_factoring, ("max_deposit",)),
     ("basis-count", _degrees, _basis_count, ()),
     (CENTER, _once, _center, ("max_degree",)),
     ("faithfulness", _once, _faithfulness, ()),
-    ("fold-agreement", _degrees, _each_word(_fold_agreement), ()),
+    ("fold-agreement", _degrees, _fold_agreement, ()),
     ("grading", _degrees, _grading, ()),
     ("normal-form", _degrees, _normal_form, ()),
 )

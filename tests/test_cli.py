@@ -11,7 +11,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from normal_condition_reference import normal_condition_scan
 from partic.cli import main
+from partic.core import Word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -253,6 +255,8 @@ def test_golden_output_hash(capsys, argv, digest):
         ["mul", "--N", "4", '{"N": 4.7, "d": [0, 0], "k": [1, 0, 0]}', "1"],
         ["mul", "--N", "4", '{"N": 4, "d": "12", "k": [1, 0, 0]}', "1"],
         ["mul", "--N", "4", '{"N": true, "d": [0, 0], "k": [1, 0, 0]}', "1"],
+        # nesting deep enough to exhaust the JSON decoder's recursion
+        ["mul", "--N", "4", '{"N": 4, "d": ' + "[" * 100_000 + "]" * 100_000 + "}", "1"],
     ],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
@@ -339,3 +343,42 @@ def test_fuzzed_argv_exits_cleanly(argv):
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+# JSON fuzzing: words and monomials with entries in -1..3 (letters in -1..N), each list of
+# the right length or one off either way; mul reads JSON monomials and rejects JSON words
+
+
+@st.composite
+def json_inputs(draw):
+    n = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        letters = draw(st.lists(st.integers(-1, n), max_size=4))
+        return {"N": n, "letters": letters}, all(1 <= a < n for a in letters)
+    d, k = (draw(st.lists(st.integers(-1, 3), min_size=size, max_size=size))
+            for size in (n - 2 + draw(st.integers(-1, 1)), n - 1 + draw(st.integers(-1, 1))))
+    return {"N": n, "d": d, "k": k}, len(d) == n - 2 and normal_condition_scan(d, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_inputs(), json_inputs(), st.integers(3, 5))
+def test_fuzzed_json_words_and_monomials_exit_cleanly(left, right, n):
+    (lhs, lhs_ok), (rhs, rhs_ok) = left, right
+    for obj, ok in (left, right):
+        if "letters" in obj:  # the JSON word parser accepts exactly the words in range
+            try:
+                Word.from_json(obj)
+            except ValueError:
+                assert not ok, obj
+            else:
+                assert ok, obj
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["mul", "--N", str(n), json.dumps(lhs), json.dumps(rhs)])
+    if lhs_ok and rhs_ok and "d" in lhs and "d" in rhs and lhs["N"] == rhs["N"] == n:
+        assert (code, err.getvalue()) == (0, ""), (lhs, rhs)
+        assert len(out.getvalue().splitlines()) == 1
+    else:
+        assert code == 2, (lhs, rhs)
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), err.getvalue()

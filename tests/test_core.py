@@ -15,6 +15,7 @@ from partic.core import (
     normal_condition,
 )
 from partic.normal_form import enumerate_basis
+from normal_condition_reference import normal_condition_scan
 
 
 def test_rank_validation():
@@ -110,6 +111,29 @@ def test_validity_matches_basis_enumeration():
         for delta in (MultiDegree(c) for c in product(range(4), repeat=n - 1)):
             via_degrees.update(enumerate_basis(delta))
         assert direct == via_degrees
+
+
+def test_normal_condition_matches_the_scan():
+    # every d, k with entries in -1..3, k of the right length or one off either way
+    for nd in range(4):
+        for d in product(range(-1, 4), repeat=nd):
+            for nk in (nd, nd + 1, nd + 2):
+                for k in product(range(-1, 4), repeat=nk):
+                    assert normal_condition(d, k) == normal_condition_scan(d, k), (d, k)
+
+
+@pytest.mark.parametrize(
+    "d, k, message",
+    [
+        ((0,), (0, 0, 0), "rank 3 needs 1 descending and 2 ascending exponents"),
+        ((-1,), (0, 0), r"violate the normal-form condition: d=\(-1,\) k=\(0, 0\)"),
+        ((0,), (0, -1), r"violate the normal-form condition: d=\(0,\) k=\(0, -1\)"),
+        ((1,), (0, 1), r"violate the normal-form condition: d=\(1,\) k=\(0, 1\)"),
+    ],
+)
+def test_normal_monomial_messages(d, k, message):
+    with pytest.raises(ValueError, match=message):
+        NormalMonomial(3, d, k)
 
 
 def test_monomial_degree_and_length():

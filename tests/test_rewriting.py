@@ -1,5 +1,7 @@
+import ast
 from collections import Counter
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,8 @@ from partic.core import MultiDegree, Word, multidegrees_up_to
 from partic.normal_form import enumerate_basis
 from partic.rewriting import (
     RewriteRule,
+    _decode,
+    _encode,
     _steps,
     congruence_class,
     congruence_partition,
@@ -18,7 +22,7 @@ from partic.rewriting import (
     words_equivalent,
     words_with_degree,
 )
-from rewriting_reference import oriented, partition_reference, steps_reference
+from rewriting_reference import closure_reference, oriented, partition_reference, steps_reference
 
 
 def letters_of(ws):
@@ -180,18 +184,48 @@ def test_count_matches_basis_up_to_six():
             assert count_classes(delta, rs) == len(enumerate_basis(delta))
 
 
+def coded_steps(letters, rs):
+    return {_decode(code, rs.bits) for code in _steps(_encode(letters, rs.bits), len(letters), rs)}
+
+
 @pytest.mark.parametrize("n", range(3, 7))
 def test_table_steps_match_rule_scan(n):
-    # the left-hand-side tables give the same neighbours as trying every rule at
-    # every position; the partic rules are the plactic ones plus the exchange rules
+    # one window lookup per position gives the same neighbours as trying every rule
+    # at every position; the partic rules are the plactic ones plus the exchange rules
     plactic, partic = plactic_rules(n), partic_rules(n)
     base = oriented(plactic)
     extra = [pair for pair in oriented(partic) if pair not in base]
     for length in range(7):
         for letters in product(range(1, n), repeat=length):
             want = steps_reference(letters, base)
-            assert set(_steps(letters, plactic.table)) == want, letters
-            assert set(_steps(letters, partic.table)) == want | steps_reference(letters, extra), letters
+            assert coded_steps(letters, plactic) == want, letters
+            assert coded_steps(letters, partic) == want | steps_reference(letters, extra), letters
+
+
+@pytest.mark.parametrize("n, max_len", [(9, 4), (17, 3)])
+def test_wide_letters_match_rule_scan(n, max_len):
+    # ranks whose letters take 4 and 5 bits of a code
+    rs = partic_rules(n)
+    assert rs.bits == n.bit_length()
+    pairs = oriented(rs)
+    classes = {}  # word -> its reference class, closed once per class
+    for length in range(max_len + 1):
+        for letters in product(range(1, n), repeat=length):
+            if letters not in classes:
+                cls = closure_reference(letters, pairs)
+                classes.update(dict.fromkeys(cls, cls))
+            w = Word(n, letters)
+            assert letters_of(one_step_rewrites(w, rs)) == steps_reference(letters, pairs), letters
+            assert letters_of(congruence_class(w, rs)) == classes[letters], letters
+
+
+def test_window_memo_holds_only_the_windows_met():
+    # filled lazily: a rank-40 word of length 4 meets at most one window per position
+    rs = partic_rules(40)
+    assert len(rs.windows) == 0
+    letters = (20, 19, 21, 20)
+    assert letters_of(one_step_rewrites(Word(40, letters), rs)) == steps_reference(letters, oriented(rs))
+    assert 0 < len(rs.windows) <= len(letters)
 
 
 @pytest.mark.parametrize("n", (4, 5))
@@ -199,3 +233,24 @@ def test_partition_matches_rule_scan(n):
     for rs in (plactic_rules(n), partic_rules(n)):
         for delta in multidegrees_up_to(n, 6):
             assert congruence_partition(delta, rs) == partition_reference(delta, rs), delta
+
+
+@pytest.mark.parametrize("rs", [plactic_rules(5), partic_rules(5)], ids=lambda rs: rs.name)
+def test_partition_matches_rule_scan_at_the_largest_total_eight_degree(rs):
+    delta = MultiDegree((2, 2, 2, 2))  # 2,520 words
+    classes = congruence_partition(delta, rs)
+    assert sum(map(len, classes)) == 2520
+    assert classes == partition_reference(delta, rs)
+
+
+def test_oracle_imports_only_core():
+    # the oracle certifies the normal form, so it must not reach any other partic module
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "partic" / "rewriting.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    partic = {m for m in imported if m.startswith(".") or m.split(".")[0] == "partic"}
+    assert partic == {".core"}, imported

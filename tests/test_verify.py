@@ -110,12 +110,12 @@ def test_shared_passes_agree_with_the_old_sweeps(n, relations):
 
 def _with_degree_change(name, n):
     # (1, 2) <-> (2, 2) keeps the length but not the multidegree; RewriteRule refuses it,
-    # so it goes straight into the rule table
+    # so it goes straight into the coded rules, and the window memo is cleared
     rs = rewriting.relation_set(name, n)
-    table = {span: {lhs: list(rhs) for lhs, rhs in rules.items()} for span, rules in rs.table}
     for lhs, rhs in (((1, 2), (2, 2)), ((2, 2), (1, 2))):
-        table.setdefault(2, {}).setdefault(lhs, []).append(rhs)
-    object.__setattr__(rs, "table", tuple(sorted(table.items())))
+        code = rewriting._encode(lhs, rs.bits)
+        rs.windows.by_span.setdefault(2, {}).setdefault(code, []).append(rewriting._encode(rhs, rs.bits) - code)
+    rs.windows.clear()
     return rs
 
 
@@ -153,6 +153,14 @@ def test_each_word_is_normalized_once(monkeypatch, relations):
     monkeypatch.setattr(verify, "normalize", lambda w: calls.append(w.letters) or normal_form.normalize(w))
     assert verify.run_verify(VerifyConfig(4, max_len=5, relations=relations)).passed
     assert len(calls) == len(set(calls)) == sum(3**length for length in range(6)) == 364
+
+
+def test_each_normal_form_is_expanded_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "nm_to_word", lambda nf: calls.append(nf) or nm_to_word(nf))
+    assert verify.run_verify(VerifyConfig(4, max_len=5)).passed
+    distinct = {normal_form.normalize(Word(4, t)) for length in range(6) for t in product(range(1, 4), repeat=length)}
+    assert len(calls) == len(set(calls)) == len(distinct)
 
 
 def test_a_pass_stops_once_all_its_checks_have_failed(monkeypatch):
