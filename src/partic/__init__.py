@@ -16,7 +16,6 @@ from .affine import (
     affine_relation_instances,
     find_relation_counterexample,
     first_failing_instance,
-    verify_relation_on_module,
 )
 from .center import (
     center_basis_in_degree,
@@ -73,7 +72,6 @@ from .rewriting import (
     RewriteRule,
     congruence_class,
     congruence_partition,
-    count_classes,
     one_step_rewrites,
     partic_rules,
     plactic_rules,

@@ -17,7 +17,7 @@ from itertools import product
 from typing import Iterator
 
 from .core import check_rank, compositions
-from .particles import ANNIHILATED, _prepend_letter
+from .particles import ANNIHILATED, _moved, word_label
 
 
 @dataclass(frozen=True, order=True)
@@ -74,26 +74,17 @@ def affine_act_word(w: AffineWord, c: AffineConfiguration):
     """Apply a word, rightmost letter first; annihilation absorbs."""
     if w.n != c.n:
         raise ValueError("rank mismatch")
-    occ = list(c.occ)
-    for a in reversed(w.letters):
-        # a_i takes from index i-1 and gives to index i; for a_0, index -1 is position N
-        if occ[a - 1] == 0:
-            return ANNIHILATED
-        occ[a - 1] -= 1
-        occ[a] += 1
-    return AffineConfiguration(c.n, tuple(occ), c.t + w.letters.count(0))
+    occ = _moved(c.occ, w.letters)  # index -1 is position N, so a_0 moves N -> 1
+    return ANNIHILATED if occ is None else AffineConfiguration(c.n, occ, c.t + w.letters.count(0))
 
 
 def affine_word_label(w: AffineWord) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(output, minimal input, wraparound count t0) of an affine word, in one pass.
+    """(output, minimal input, wraparound count t0) of an affine word.
 
-    As :func:`partic.particles.word_label`; t0 is the number of a_0 letters.
+    The line's :func:`partic.particles.word_label`, whose index -1 is position
+    N as in :func:`affine_act_word`; t0 is the number of a_0 letters.
     """
-    out = [0] * w.n
-    inp = [0] * w.n
-    for a in reversed(w.letters):
-        _prepend_letter(out, inp, a)  # index -1 is position N, as in affine_act_word
-    return tuple(out), tuple(inp), w.letters.count(0)
+    return (*word_label(w), w.letters.count(0))
 
 
 def affine_configurations(n: int, max_total: int) -> Iterator[AffineConfiguration]:
@@ -167,11 +158,6 @@ def find_relation_counterexample(lhs: AffineWord, rhs: AffineWord, max_particles
         if a != b:
             return c
     return None
-
-
-def verify_relation_on_module(lhs: AffineWord, rhs: AffineWord, max_particles: int) -> bool:
-    """True iff both words act identically (including annihilation and t)."""
-    return find_relation_counterexample(lhs, rhs, max_particles) is None
 
 
 def first_failing_instance(instances: list[tuple[AffineWord, AffineWord]], max_particles: int):

@@ -123,11 +123,6 @@ class MultiDegree:
         c[i - 1] += 1
         return MultiDegree(tuple(c))
 
-    @staticmethod
-    def zero(n: int) -> MultiDegree:
-        check_rank(n)
-        return MultiDegree((0,) * (n - 1))
-
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.counts)
 

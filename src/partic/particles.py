@@ -84,9 +84,6 @@ class Configuration:
     def parse(n: int, text: str) -> Configuration:
         return Configuration(n, parse_ints(text))
 
-    def to_json(self) -> dict:
-        return {"N": self.n, "config": list(self.occ)}
-
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.occ)
 
@@ -99,10 +96,6 @@ class ModuleElement(LinearCombination):
             raise ValueError(f"term keys must be Configuration of rank {self.n}")
 
     @staticmethod
-    def zero(n: int) -> ModuleElement:
-        return ModuleElement(n, {})
-
-    @staticmethod
     def from_configuration(c: Configuration, coeff=1) -> ModuleElement:
         return ModuleElement(c.n, {c: coeff})
 
@@ -112,30 +105,43 @@ def act_gen(i: int, c: Configuration):
     return act_word(Word(c.n, (i,)), c)
 
 
+def _moved(occ: tuple[int, ...], letters: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Counts after each letter moves one particle, rightmost first; None if one finds none.
+
+    Letter a takes from index a-1 and gives to index a.  On the line the
+    deposit sits right after position N-1; on the circle of
+    :mod:`partic.affine` index -1 is position N, so a_0 moves N -> 1.
+    """
+    occ = list(occ)
+    for a in reversed(letters):
+        if occ[a - 1] == 0:
+            return None
+        occ[a - 1] -= 1
+        occ[a] += 1
+    return tuple(occ)
+
+
 def act_word(w: Word, c: Configuration):
     """Apply a word, rightmost letter first; annihilation absorbs."""
     if w.n != c.n:
         raise ValueError("rank mismatch")
-    occ = list(c.occ)
-    for a in reversed(w.letters):
-        if occ[a - 1] == 0:
-            return ANNIHILATED
-        occ[a - 1] -= 1
-        occ[a] += 1  # the deposit sits right after position N-1, so the move is uniform
-    return Configuration(c.n, tuple(occ))
+    occ = _moved(c.occ, w.letters)
+    return ANNIHILATED if occ is None else Configuration(c.n, occ)
 
 
-def _prepend_letter(out: list[int], inp: list[int], i: int) -> None:
-    """Turn the label (out, inp) of a word u into that of a_i u, in place.
+def _prepend_letters(out: list[int], inp: list[int], letters: tuple[int, ...]) -> None:
+    """Turn the label (out, inp) of a word u into that of (letters) u, in place.
 
-    Indices follow :func:`act_word`: index i-1 is position i and index i the
-    spot after it, which for i = N-1 is the deposit.
+    Letters are prepended rightmost first.  Indices follow :func:`act_word`:
+    index i-1 is position i and index i the spot after it, which for
+    i = N-1 is the deposit.
     """
-    if out[i - 1]:
-        out[i - 1] -= 1  # the output particle at i moves on
-    else:
-        inp[i - 1] += 1  # a new particle starts at i
-    out[i] += 1
+    for i in reversed(letters):
+        if out[i - 1]:
+            out[i - 1] -= 1  # the output particle at i moves on
+        else:
+            inp[i - 1] += 1  # a new particle starts at i
+        out[i] += 1
 
 
 def word_label(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -151,8 +157,7 @@ def word_label(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     out = [0] * w.n
     inp = [0] * w.n
-    for a in reversed(w.letters):
-        _prepend_letter(out, inp, a)
+    _prepend_letters(out, inp, w.letters)
     return tuple(out), tuple(inp)
 
 
@@ -246,7 +251,7 @@ def label_mul(label: IoLabel, i: int, side: str) -> IoLabel:
         raise ValueError("side must be 'left' or 'right'")
     out, inp = list(label.i_out.occ), list(label.j_in.occ)
     if side == "left":
-        _prepend_letter(out, inp, i)
+        _prepend_letters(out, inp, (i,))
     elif inp[i]:  # never the deposit: an input's deposit is empty
         inp[i] -= 1  # the input particle after i now starts at i
         inp[i - 1] += 1

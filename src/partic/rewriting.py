@@ -9,7 +9,6 @@ This module is deliberately independent of the normal-form code in
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -29,7 +28,7 @@ class RewriteRule:
     rhs: Letters
 
     def __post_init__(self) -> None:
-        if Counter(self.lhs) != Counter(self.rhs):
+        if sorted(self.lhs) != sorted(self.rhs):
             raise ValueError("a rewrite rule must preserve the multidegree")
 
 
@@ -237,8 +236,3 @@ def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letter
         # a code outside the degree comes only from a rule that changes the multidegree
         classes.append({words[c] if c in words else _decode(c, bits) for c in cls})
     return classes
-
-
-def count_classes(delta: MultiDegree, rs: RelationSet) -> int:
-    """Number of congruence classes among all words of one multidegree."""
-    return len(congruence_partition(delta, rs))

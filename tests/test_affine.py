@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -14,10 +15,10 @@ from partic.affine import (
     affine_word_label,
     find_relation_counterexample,
     first_failing_instance,
-    verify_relation_on_module,
 )
 from partic.cli import main
-from partic.particles import ANNIHILATED
+from partic.core import Word, compositions
+from partic.particles import ANNIHILATED, Configuration, act_word, word_label
 
 
 def acfg(n, occ, t=0):
@@ -106,8 +107,8 @@ def test_first_failing_instance_reports_the_first_witness():
 def test_verify_relation_trivial_and_false():
     w1 = AffineWord(4, (1,))
     w2 = AffineWord(4, (2,))
-    assert verify_relation_on_module(w1, w1, 3)
-    assert not verify_relation_on_module(w1, w2, 2)
+    assert find_relation_counterexample(w1, w1, 3) is None
+    assert find_relation_counterexample(w1, w2, 2) is not None
     witness = find_relation_counterexample(w1, w2, 2)
     assert witness is not None and witness.t == 0
 
@@ -115,7 +116,7 @@ def test_verify_relation_trivial_and_false():
 def test_relation_soundness_small():
     for n in (3, 4):
         for lhs, rhs in affine_relation_instances(n, 2, 1):
-            assert verify_relation_on_module(lhs, rhs, 4), (lhs.letters, rhs.letters)
+            assert find_relation_counterexample(lhs, rhs, 4) is None, (lhs.letters, rhs.letters)
 
 
 def test_affine_configurations_bounds():
@@ -173,6 +174,20 @@ def test_affine_word_label_predicts_the_action(n):
             else:
                 expected = ANNIHILATED
             assert affine_act_word(w, c) == expected, (w.letters, c)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_the_line_is_the_circle_without_a_0(n):
+    # letters 1..N-1 never wrap, so the line's move and label are the circle's with t = 0
+    configs = [Configuration(n, occ) for occ in compositions(n, 3)]
+    for length in range(5):
+        for letters in product(range(1, n), repeat=length):
+            w, aw = Word(n, letters), AffineWord(n, letters)
+            assert word_label(w) == affine_word_label(aw)[:2], letters
+            for c in configs:
+                line, circle = act_word(w, c), affine_act_word(aw, acfg(n, c.occ))
+                expected = ANNIHILATED if line is ANNIHILATED else acfg(n, line.occ)
+                assert circle == expected, (letters, c)
 
 
 def test_first_failing_instance_matches_the_sweep():

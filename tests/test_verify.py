@@ -8,7 +8,7 @@ import action_reference
 import rewriting_reference
 from partic import normal_form, particles, rewriting, verify
 from partic.core import Word, multidegrees_up_to, nm_to_word
-from partic.rewriting import PARTIC, PLACTIC, congruence_partition, count_classes
+from partic.rewriting import PARTIC, PLACTIC, congruence_partition
 from partic.verify import VerifyConfig
 
 SWEPT = ("action-factoring", "basis-count", "fold-agreement", "grading", "normal-form")
@@ -80,7 +80,7 @@ def old_sweeps(cfg, rs, partic):
         return len(set(forms)) == len(forms) and expansions_inside
 
     def counts_match(delta):
-        nc, nb = count_classes(delta, rs), len(normal_form.enumerate_basis(delta))
+        nc, nb = len(congruence_partition(delta, rs)), len(normal_form.enumerate_basis(delta))
         return nc == nb if cfg.relations == PARTIC else nc >= nb
 
     return {
