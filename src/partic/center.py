@@ -10,7 +10,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .core import AlgebraElement, MultiDegree, NormalMonomial, Scalar, check_rank
-from .normal_form import _left_mul, _right_mul, element_product, enumerate_basis, gen_element
+from .normal_form import _basis_exponents, _left_mul, _right_mul, element_product, gen_element
 
 
 def _subtract(target: dict[int, Fraction], f: Fraction, source: dict[int, Fraction]) -> None:
@@ -129,19 +129,20 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     a_i there is one equation per product monomial p: the coefficient of p
     in a_i x - x a_i vanishes, i.e. the sum of x_m over a_i m = p minus the
     sum over m a_i = p is zero.  Central elements are the common kernel.
-    Rows are keyed by the raw (d, k) exponents of p, so no product monomial
-    is built or validated.
+    Columns and rows are held as raw (d, k) exponents, so no product
+    monomial is built or validated, and a column becomes a validated
+    monomial only where a kernel vector is nonzero.
     """
     check_rank(n)
     if delta.n != n:
         raise ValueError("multidegree rank does not match")
-    cols = enumerate_basis(delta)
+    cols = list(_basis_exponents(delta))
     rows: list[dict[int, int]] = []
     for i in range(1, n):
         eqs: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
-        for c, m in enumerate(cols):
+        for c, (d0, k0) in enumerate(cols):
             for mul, sign in ((_left_mul, 1), (_right_mul, -1)):
-                d, k = list(m.d), list(m.k)
+                d, k = list(d0), list(k0)
                 mul(d, k, i)
                 key = tuple(d), tuple(k)
                 row = eqs.get(key)
@@ -151,7 +152,7 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
                     row[c] = row.get(c, 0) + sign
         rows.extend(eqs.values())
     vectors = nullspace(rows, len(cols))
-    return [AlgebraElement(n, dict(zip(cols, vec))) for vec in vectors]
+    return [AlgebraElement(n, {NormalMonomial(n, *cols[c]): x for c, x in enumerate(vec) if x}) for vec in vectors]
 
 
 def expected_center_dimension(delta: MultiDegree) -> int:

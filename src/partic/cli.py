@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run the certification suite")
     p.add_argument("--N", type=int, required=True)
     p.add_argument(
-        "--max-len", type=int, default=6, help="word-length bound (at N=5: 6 takes about 0.2 s, 7 about 0.5 s, 8 about 1.9 s)"
+        "--max-len", type=int, default=6, help="word-length bound (at N=5: 6 takes about 0.25 s, 7 about 0.4 s, 8 about 1 s, 9 about 4 s)"
     )
     p.add_argument("--relations", choices=[PLACTIC, PARTIC], default=PARTIC)
     p.add_argument("--center", action="store_true", help="also certify graded center dimensions")

@@ -7,6 +7,7 @@ and the ``verify`` CLI subcommand.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import product
 
 from .core import AlgebraElement, MultiDegree, NormalMonomial, Word, nm_to_word
@@ -115,6 +116,15 @@ def element_product(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(e1.n, terms)
 
 
+def _basis_exponents(delta: MultiDegree) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (d, k) exponents of :func:`enumerate_basis`, in its order, built but not validated."""
+    n = delta.n
+    c = delta.counts
+    ranges = [range(min(c[i - 1], c[i - 2]) + 1) for i in range(2, n)]
+    for d in product(*ranges):
+        yield d, (c[0],) + tuple(c[i - 1] - d[i - 2] for i in range(2, n))
+
+
 def enumerate_basis(delta: MultiDegree) -> list[NormalMonomial]:
     """All basis monomials of one multidegree, ordered lexicographically by (d, k).
 
@@ -123,11 +133,4 @@ def enumerate_basis(delta: MultiDegree) -> list[NormalMonomial]:
     and d_i <= delta_i keeps k_i nonnegative, so the admissible d-tuples
     form a box and k is determined as delta - d.
     """
-    n = delta.n
-    c = delta.counts
-    ranges = [range(min(c[i - 1], c[i - 2]) + 1) for i in range(2, n)]
-    out = []
-    for d in product(*ranges):
-        k = (c[0],) + tuple(c[i - 1] - d[i - 2] for i in range(2, n))
-        out.append(NormalMonomial(n, d, k))
-    return out
+    return [NormalMonomial(delta.n, d, k) for d, k in _basis_exponents(delta)]

@@ -1,20 +1,23 @@
 """Umbrella certification suite behind the ``verify`` CLI subcommand.
 
-One pass over multidegrees runs the word and class checks and normalizes each
-word once.  Each check returns the problem it finds on one item, or None.  The
-report lists checks by name, so output is reproducible in any execution order.
+Three passes feed the checks.  One goes over multidegrees with their
+congruence classes and reaches each word's normal form from its prefix's; one
+goes over the basis monomials of each multidegree; one runs once.  Each check
+returns the problem it finds on one item, or None.  The report lists checks
+by name, so output is reproducible in any execution order.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import factorial, prod
 from typing import Callable, Iterator
 
 from .center import center_basis_in_degree, theorem_mismatch
-from .core import MultiDegree, Word, multidegrees_up_to, nm_to_word
-from .normal_form import enumerate_basis, normalize, normalize_right_to_left
-from .particles import Configuration, act_word, faithfulness_check, word_label
+from .core import MultiDegree, NormalMonomial, Word, multidegrees_up_to, nm_to_word
+from .normal_form import _left_mul, _right_mul, enumerate_basis, normalize, normalize_right_to_left
+from .particles import Configuration, _prepend_letters, act_word, io_label, word_label
 from .rewriting import PARTIC, congruence_partition, relation_set
 
 
@@ -52,17 +55,47 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[set], list[dict], dict]]:
-    # one degree at a time, as all classes grow exponentially; by total, so a first failing word is shortest
-    rs = relation_set(cfg.relations, cfg.n)
-    partic = rs if cfg.relations == PARTIC else relation_set(PARTIC, cfg.n)
-    for delta in multidegrees_up_to(cfg.n, cfg.max_len):
+def _step(rule: Callable, m: tuple[tuple[int, ...], tuple[int, ...]], i: int) -> tuple:
+    d, k = list(m[0]), list(m[1])
+    rule(d, k, i)
+    return tuple(d), tuple(k)
+
+
+def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[set], list[dict]]]:
+    # one degree at a time, as all classes grow exponentially; by total, so a first failing
+    # word is shortest and every word's prefix already has its normal form
+    n = cfg.n
+    rs = relation_set(cfg.relations, n)
+    partic = rs if cfg.relations == PARTIC else relation_set(PARTIC, n)
+    prefix_forms: dict[tuple[int, ...], NormalMonomial] = {}  # the words shorter than max_len
+    validated: dict[tuple, NormalMonomial] = {}  # each distinct (d, k), validated once
+    for delta in multidegrees_up_to(n, cfg.max_len):
         classes = congruence_partition(delta, rs)
         partic_classes = classes if partic is rs else congruence_partition(delta, partic)
         # each partic class as {word: normal form}: these hold every word of delta, also under plactic
-        forms = [{w: normalize(w) for w in (Word(cfg.n, t) for t in cls)} for cls in partic_classes]
-        # and each distinct normal form expanded once
-        yield delta, classes, forms, {nf: nm_to_word(nf) for nf in {nf for cls in forms for nf in cls.values()}}
+        forms, keep = [], delta.total() < cfg.max_len
+        for cls in partic_classes:
+            cls_forms = {}
+            for t in cls:
+                if t:  # normalize folds _right_mul over the letters: one more step on the prefix's form
+                    p = prefix_forms[t[:-1]]
+                    key = _step(_right_mul, (p.d, p.k), t[-1])
+                else:
+                    key = (0,) * (n - 2), (0,) * (n - 1)
+                nf = validated.get(key)
+                if nf is None:
+                    nf = validated[key] = NormalMonomial(n, *key)
+                cls_forms[t] = nf
+            if keep:
+                prefix_forms.update(cls_forms)
+            forms.append(cls_forms)
+        yield delta, classes, forms
+
+
+def _monomials(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[NormalMonomial]]]:
+    # by total, so a first failing case has a shortest witness word
+    for delta in multidegrees_up_to(cfg.n, cfg.max_len):
+        yield delta, enumerate_basis(delta)
 
 
 def _once(cfg: VerifyConfig) -> Iterator[tuple]:
@@ -84,48 +117,108 @@ def _basis_count(cfg: VerifyConfig, delta: MultiDegree, classes: list[set], *_) 
         return f"degree ({delta}): {nc} classes vs {nb} basis monomials"
 
 
-def _normal_form(cfg: VerifyConfig, delta: MultiDegree, _, classes: list[dict], expansions: dict) -> str | None:
+def _normal_form(cfg: VerifyConfig, delta: MultiDegree, _, classes: list[dict]) -> str | None:
     seen = {}
     for cls in classes:
-        forms, least = set(cls.values()), min(w.letters for w in cls)
+        forms, least = set(cls.values()), min(cls)
         if len(forms) != 1:
             return f"class of {least} has {len(forms)} normal forms"
         nf = forms.pop()
         if nf in seen:
             return f"classes of {least} and {seen[nf]} share a normal form"
         seen[nf] = least
-        if expansions[nf] not in cls:
+        if nm_to_word(nf).letters not in cls:
             return f"expansion of {nf} leaves the class of {least}"
 
 
-def _fold_agreement(cfg: VerifyConfig, delta: MultiDegree, _, forms: list[dict], _expansions) -> str | None:
-    for cls in forms:
-        for w, nf in cls.items():
-            if nf != normalize_right_to_left(w):
-                return f"folds disagree on {w.letters}"
+def _fold_agreement(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial]) -> str | None:
+    """``normalize == normalize_right_to_left`` on every word of length <= max_len, by induction.
+
+    The folds send a letter a to R_a(1) and L_a(1), and a word a u b, where
+    they agree on u at m, to R_b(L_a(m)) and L_a(R_b(m)) (R, L being
+    ``_right_mul``, ``_left_mul``).  So the check compares these for every
+    basis monomial m of length <= max_len - 2 and all a, b; m is a basis
+    monomial as the degree pass validates the right fold of every word.
+    The letters are compared at every bound, so no bound examines nothing.
+    """
+    n = cfg.n
+    if not delta.total():
+        unit = basis[0].d, basis[0].k
+        for a in range(1, n):
+            if _step(_right_mul, unit, a) != _step(_left_mul, unit, a):
+                return _fold_problem(basis[0], a, None)
+    if delta.total() > cfg.max_len - 2:
+        return None
+    for m in basis:
+        dk = m.d, m.k
+        right = [_step(_right_mul, dk, b) for b in range(1, n)]
+        for a in range(1, n):
+            left = _step(_left_mul, dk, a)
+            for b in range(1, n):
+                if _step(_left_mul, right[b - 1], a) != _step(_right_mul, left, b):
+                    return _fold_problem(m, a, b)
 
 
-def _action_factoring(cfg: VerifyConfig, delta: MultiDegree, _, forms: list[dict], expansions: dict) -> str | None:
-    # a word acts by its (output, minimal input) label; tests/action_reference.py sweeps configurations.
-    # Each word is compared with the label of its own normal form, labelled once per degree.
-    labels = {nf: word_label(nf_word) for nf, nf_word in expansions.items()}
-    for cls in forms:
-        for w, nf in cls.items():
-            label, nf_label = word_label(w), labels[nf]
-            if label == nf_label:
-                continue
-            # equal inputs: both words act there, with different images; otherwise the word
-            # whose input does not dominate the other's annihilates the other's input
-            inp, nf_inp = label[1], nf_label[1]
-            c = Configuration(cfg.n, nf_inp if all(a >= b for a, b in zip(inp, nf_inp)) else inp)
-            if act_word(w, c) == act_word(expansions[nf], c):  # then word_label itself is wrong
-                return f"word {w.letters}: labels {label}, {nf_label} differ, yet act alike on {c}"
-            return f"word {w.letters} and its normal form act differently on {c}"
+def _fold_problem(m: NormalMonomial, a: int, b: int | None) -> str:
+    # a local failure, reported on its word once the two folds confirm it
+    w = Word(m.n, (a, *nm_to_word(m).letters) + ((b,) if b else ()))
+    if normalize(w) != normalize_right_to_left(w):
+        return f"folds disagree on {w.letters}"
+    rules = f"L_{a} R_{b} and R_{b} L_{a} differ on {m}" if b else f"R_{a} and L_{a} differ on 1"
+    return f"{rules}, but the folds agree on {w.letters}"
 
 
-def _faithfulness(cfg: VerifyConfig) -> str | None:
-    if not faithfulness_check(cfg.n, cfg.max_len):
+def _action_factoring(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial]) -> str | None:
+    """Every word of length <= max_len acts like its normal form, by induction.
+
+    A word acts by its label (``word_label``), and prepending a letter a
+    changes the label by ``_prepend_letters((a,))``.  So if word(L_a(m)) has
+    the label of word(m) with a prepended, for every basis monomial m of
+    length <= max_len - 1 and every a, each word w has the label of the
+    expansion of its left fold, ``normalize_right_to_left(w)``.  The check is
+    about the left fold: it speaks for ``normalize`` together with
+    fold-agreement.  At max_len 0 the words of length 1 are still checked.
+    It never calls ``io_label``; tests/action_reference.py sweeps configurations.
+    """
+    if delta.total() >= max(cfg.max_len, 1):
+        return None
+    n = cfg.n
+    for m in basis:
+        out, inp = word_label(nm_to_word(m))
+        for a in range(1, n):
+            d, k = _step(_left_mul, (m.d, m.k), a)
+            o, i = list(out), list(inp)
+            _prepend_letters(o, i, (a,))
+            if word_label(nm_to_word(NormalMonomial(n, d, k))) != (tuple(o), tuple(i)):
+                return _action_problem(m, a)
+
+
+def _action_problem(m: NormalMonomial, a: int) -> str:
+    # a local failure, reported on its word once act_word confirms it
+    w = Word(m.n, (a, *nm_to_word(m).letters))
+    nf_word = nm_to_word(normalize_right_to_left(w))
+    label, nf_label = word_label(w), word_label(nf_word)
+    if label == nf_label:
+        return f"the label of L_{a}({m}) is not that of a{a} {m}, but {w.letters} has the label of its normal form"
+    # equal inputs: both words act there, with different images; otherwise the word
+    # whose input does not dominate the other's annihilates the other's input
+    inp, nf_inp = label[1], nf_label[1]
+    c = Configuration(m.n, nf_inp if all(x >= y for x, y in zip(inp, nf_inp)) else inp)
+    if act_word(w, c) == act_word(nf_word, c):  # then word_label itself is wrong
+        return f"word {w.letters}: labels {label}, {nf_label} differ, yet act alike on {c}"
+    return f"word {w.letters} and its normal form act differently on {c}"
+
+
+def _faithfulness(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial]) -> str | None:
+    labels = [io_label(m) for m in basis]
+    if len(set(labels)) < len(labels):
         return "two basis monomials share an (input, output) label"
+    # labels of two degrees differ too: a_i moves a particle from i to i+1, so the
+    # count of a_i is the net number of particles leaving positions 1..i
+    for m, lab in zip(basis, labels):
+        flow = tuple(accumulate(x - y for x, y in zip(lab.j_in.occ[:-1], lab.i_out.occ[:-1])))
+        if flow != delta.counts:
+            return f"the label of {m} gives the multidegree {flow}"
 
 
 def _center(cfg: VerifyConfig) -> str | None:
@@ -140,11 +233,11 @@ CENTER = "center-dimensions"
 # (name, pass, check, the config fields it reports besides N, max_len and relations),
 # sorted by name; the center check runs only with include_center
 CHECKS: tuple[tuple[str, Callable, Callable, tuple[str, ...]], ...] = (
-    ("action-factoring", _degrees, _action_factoring, ("max_deposit",)),
+    ("action-factoring", _monomials, _action_factoring, ("max_deposit",)),
     ("basis-count", _degrees, _basis_count, ()),
     (CENTER, _once, _center, ("max_degree",)),
-    ("faithfulness", _once, _faithfulness, ()),
-    ("fold-agreement", _degrees, _fold_agreement, ()),
+    ("faithfulness", _monomials, _faithfulness, ()),
+    ("fold-agreement", _monomials, _fold_agreement, ()),
     ("grading", _degrees, _grading, ()),
     ("normal-form", _degrees, _normal_form, ()),
 )
@@ -166,7 +259,7 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
                     record.passed = record.counterexample is None
             if not any(record.passed for record, _ in on_pass):
                 break
-        # the pass's shared work (partitions, words, normal forms) is split equally
+        # the pass's shared work (partitions, normal forms, basis monomials) is split equally
         t1 = time.perf_counter()
         shared = (t1 - t0 - sum(record.seconds for record, _ in on_pass)) / len(on_pass)
         for record, _ in on_pass:

@@ -1,9 +1,10 @@
 """Brute-force reference for the ``action-factoring`` check, kept with the tests that compare against it."""
 from itertools import product
 
+from partic import normal_form
 from partic.core import Word, nm_to_word
 from partic.normal_form import normalize
-from partic.particles import act_word, configurations
+from partic.particles import act_word, configurations, word_label
 from partic.verify import VerifyConfig
 
 
@@ -22,4 +23,18 @@ def action_factoring_bruteforce(cfg: VerifyConfig):
         for c in configs:
             if act_word(w, c) != act_word(nf_word, c):
                 return False, f"word {letters} and its normal form act differently on {c}"
+    return True, None
+
+
+def action_factoring_label_sweep(n: int, max_len: int, fold=None):
+    """(passed, first word whose label differs from that of its normal form's expansion).
+
+    Shortest words first, then lexicographic.  ``fold`` gives the normal form;
+    by default ``normal_form.normalize``, looked up at call time.
+    """
+    fold = fold or normal_form.normalize
+    for letters in _words(n, max_len):
+        w = Word(n, letters)
+        if word_label(w) != word_label(nm_to_word(fold(w))):
+            return False, letters
     return True, None

@@ -1,13 +1,15 @@
 """The ``verify`` checks against their brute-force references and the sweeps they replaced."""
+import re
 import time
 from itertools import product
 
 import pytest
 
 import action_reference
+import fold_reference
 import rewriting_reference
 from partic import normal_form, particles, rewriting, verify
-from partic.core import Word, multidegrees_up_to, nm_to_word
+from partic.core import NormalMonomial, Word, multidegrees_up_to, nm_to_word
 from partic.rewriting import PARTIC, PLACTIC, congruence_partition
 from partic.verify import VerifyConfig
 
@@ -35,6 +37,54 @@ def _normalize_mapping(letters, image):
     return broken
 
 
+REAL_RIGHT, REAL_LEFT = normal_form._right_mul, normal_form._left_mul
+
+
+def _absorbs_from_2(d, k, i):
+    # _right_mul that absorbs only when k_{i+1} >= 2
+    if i < len(k) and k[i] >= 2:
+        d[i - 1] += 1
+        k[i - 1] += 1
+        k[i] -= 1
+    else:
+        k[i - 1] += 1
+
+
+def _never_absorbs_at_n_minus_2(d, k, i):
+    # _right_mul that never absorbs at i = N-2
+    if i != len(k) - 1:
+        REAL_RIGHT(d, k, i)
+    else:
+        k[i - 1] += 1
+
+
+def _passes_through_at_n_minus_1(d, k, i):
+    # _left_mul that never lets a_{N-1} stay on the descending side
+    if i != len(k):
+        REAL_LEFT(d, k, i)
+    else:
+        k[i - 1] += 1
+
+
+def _rule_mapping(rule, i, before, after):
+    """The rule, except that a_i takes the monomial ``before`` to ``after``."""
+
+    def broken(d, k, j):
+        if j == i and (tuple(d), tuple(k)) == (before.d, before.k):
+            d[:], k[:] = after.d, after.k
+        else:
+            rule(d, k, j)
+
+    return broken
+
+
+def _patch_rules(monkeypatch, right=REAL_RIGHT, left=REAL_LEFT):
+    # the folds of normal_form and the checks of verify read the rules at call time
+    for module in (normal_form, verify):
+        monkeypatch.setattr(module, "_right_mul", right)
+        monkeypatch.setattr(module, "_left_mul", left)
+
+
 @pytest.mark.parametrize(
     "letters, image",
     [
@@ -43,9 +93,10 @@ def _normalize_mapping(letters, image):
     ],
 )
 def test_broken_normalize_fails_both_routes_on_the_same_word(monkeypatch, letters, image):
-    broken = _normalize_mapping(letters, image)
-    monkeypatch.setattr(verify, "normalize", broken)
-    monkeypatch.setattr(action_reference, "normalize", broken)
+    # action-factoring certifies the left fold, so there the left rule takes letters to image
+    monkeypatch.setattr(action_reference, "normalize", _normalize_mapping(letters, image))
+    before = normal_form.normalize_right_to_left(Word(3, letters[1:]))
+    _patch_rules(monkeypatch, left=_rule_mapping(REAL_LEFT, letters[0], before, normal_form.normalize(Word(3, image))))
     cfg = VerifyConfig(3, max_len=3)
     prefix = f"word {letters} and its normal form act differently on "
     reference = action_reference.action_factoring_bruteforce(cfg)
@@ -55,9 +106,17 @@ def test_broken_normalize_fails_both_routes_on_the_same_word(monkeypatch, letter
 
 
 def test_labels_that_tell_apart_words_acting_alike_fail_the_check(monkeypatch):
-    # a wrong labelling must fail the check, not pass it
-    real = particles.word_label
-    monkeypatch.setattr(verify, "word_label", lambda w: (w.letters, real(w)[1]))
+    # a wrong labelling must fail the check, not pass it: this label step also
+    # writes the letters into position 1's output, which a true label leaves empty
+    real = particles._prepend_letters
+
+    def step(out, inp, letters):
+        for i in reversed(letters):
+            real(out, inp, (i,))
+            out[0] = 4 * out[0] + i
+
+    monkeypatch.setattr(particles, "_prepend_letters", step)
+    monkeypatch.setattr(verify, "_prepend_letters", step)
     passed, counterexample = verdicts(VerifyConfig(3, max_len=3))["action-factoring"]
     assert not passed
     assert "differ, yet act alike" in counterexample
@@ -66,8 +125,6 @@ def test_labels_that_tell_apart_words_acting_alike_fail_the_check(monkeypatch):
 def old_sweeps(cfg, rs, partic):
     """The verdict of each check as it was decided before the shared passes: one sweep per check."""
     normalize = normal_form.normalize  # looked up at call time, so a monkeypatched one is used
-    letters = (t for length in range(cfg.max_len + 1) for t in product(range(1, cfg.n), repeat=length))
-    words = [Word(cfg.n, t) for t in letters]
     degrees = multidegrees_up_to(cfg.n, cfg.max_len)
 
     def normal_forms_biject(delta):
@@ -84,11 +141,9 @@ def old_sweeps(cfg, rs, partic):
         return nc == nb if cfg.relations == PARTIC else nc >= nb
 
     return {
-        "action-factoring": all(
-            particles.word_label(w) == particles.word_label(nm_to_word(normalize(w))) for w in words
-        ),
+        "action-factoring": action_reference.action_factoring_label_sweep(cfg.n, cfg.max_len)[0],
         "basis-count": all(map(counts_match, degrees)),
-        "fold-agreement": all(normalize(w) == normal_form.normalize_right_to_left(w) for w in words),
+        "fold-agreement": fold_reference.fold_agreement_sweep(cfg.n, cfg.max_len)[0],
         "grading": rewriting_reference.grading_sweep(rs, cfg.max_len)[0],
         "normal-form": all(map(normal_forms_biject, degrees)),
     }
@@ -139,28 +194,100 @@ def test_a_rule_that_changes_the_multidegree_fails_grading_on_both_routes(monkey
     ],
 )
 def test_broken_normalize_fails_the_word_checks_on_both_routes(monkeypatch, letters, image):
-    broken = _normalize_mapping(letters, image)
-    monkeypatch.setattr(verify, "normalize", broken)
-    monkeypatch.setattr(normal_form, "normalize", broken)
     cfg = VerifyConfig(4, max_len=4)
-    new = assert_same_verdicts(cfg, rewriting.partic_rules(4), rewriting.partic_rules(4))
+    monkeypatch.setattr(normal_form, "normalize", _normalize_mapping(letters, image))
+    reference = old_sweeps(cfg, rewriting.partic_rules(4), rewriting.partic_rules(4))
+    monkeypatch.undo()
+    # the program normalizes by the right rule, which here takes letters to image; action-factoring
+    # certifies the left fold, so the left rule is broken as well
+    before = normal_form.normalize(Word(4, letters[:-1]))
+    right = _rule_mapping(REAL_RIGHT, letters[-1], before, normal_form.normalize(Word(4, image)))
+    _patch_rules(monkeypatch, right=right, left=_passes_through_at_n_minus_1)
+    new = verdicts(cfg)
+    assert {name: new[name][0] for name in SWEPT} == reference
     assert not any(new[name][0] for name in ("action-factoring", "fold-agreement", "normal-form"))
 
 
 @pytest.mark.parametrize("relations", [PARTIC, PLACTIC])
-def test_each_word_is_normalized_once(monkeypatch, relations):
-    calls = []
-    monkeypatch.setattr(verify, "normalize", lambda w: calls.append(w.letters) or normal_form.normalize(w))
+def test_each_form_is_validated_once_and_each_word_costs_one_step(monkeypatch, relations):
+    validated, steps = [], []
+    monkeypatch.setattr(verify, "NormalMonomial", lambda n, d, k: validated.append((d, k)) or NormalMonomial(n, d, k))
+    monkeypatch.setattr(verify, "_right_mul", lambda d, k, i: steps.append(i) or REAL_RIGHT(d, k, i))
+    monkeypatch.setattr(verify, "CHECKS", tuple(c for c in verify.CHECKS if c[1] is verify._degrees))
     assert verify.run_verify(VerifyConfig(4, max_len=5, relations=relations)).passed
-    assert len(calls) == len(set(calls)) == sum(3**length for length in range(6)) == 364
+    distinct = {normal_form.normalize(Word(4, t)) for length in range(6) for t in product(range(1, 4), repeat=length)}
+    assert len(validated) == len(set(validated)) == len(distinct)
+    assert len(steps) == sum(3**length for length in range(1, 6)) == 363
 
 
 def test_each_normal_form_is_expanded_once(monkeypatch):
+    # by normal-form; action-factoring expands basis monomials in its own pass
     calls = []
     monkeypatch.setattr(verify, "nm_to_word", lambda nf: calls.append(nf) or nm_to_word(nf))
+    monkeypatch.setattr(verify, "CHECKS", tuple(c for c in verify.CHECKS if c[1] is verify._degrees))
     assert verify.run_verify(VerifyConfig(4, max_len=5)).passed
     distinct = {normal_form.normalize(Word(4, t)) for length in range(6) for t in product(range(1, 4), repeat=length)}
     assert len(calls) == len(set(calls)) == len(distinct)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_memoized_forms_are_the_normal_forms(n):
+    seen = 0
+    for _, _, forms in verify._degrees(VerifyConfig(n, max_len=7)):
+        for cls in forms:
+            for letters, nf in cls.items():
+                assert nf == normal_form.normalize(Word(n, letters))
+                seen += 1
+    assert seen == sum((n - 1) ** length for length in range(8))
+
+
+RULES = {
+    "real": {},
+    "absorbs from 2": {"right": _absorbs_from_2},
+    "never absorbs at N-2": {"right": _never_absorbs_at_n_minus_2},
+    "passes through at N-1": {"left": _passes_through_at_n_minus_1},
+}
+LOCAL = ("action-factoring", "faithfulness", "fold-agreement")
+
+
+def _first_word(counterexample):
+    return tuple(int(x) for x in re.search(r"\(([\d, ]*)\)", counterexample).group(1).replace(",", " ").split())
+
+
+@pytest.mark.parametrize("rules", RULES)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_local_checks_agree_with_the_word_sweeps(monkeypatch, n, rules):
+    _patch_rules(monkeypatch, **RULES[rules])
+    monkeypatch.setattr(verify, "CHECKS", tuple(c for c in verify.CHECKS if c[0] in LOCAL))
+    for max_len in range(7):
+        local = verdicts(VerifyConfig(n, max_len=max_len))
+        fold = fold_reference.fold_agreement_sweep(n, max_len)
+        left = action_reference.action_factoring_label_sweep(n, max_len, normal_form.normalize_right_to_left)
+        right = action_reference.action_factoring_label_sweep(n, max_len)
+        assert local["fold-agreement"][0] == fold[0]
+        # action-factoring is about the left fold, and speaks for normalize with fold-agreement
+        assert local["action-factoring"][0] == left[0]
+        assert (local["fold-agreement"][0] and local["action-factoring"][0]) == (fold[0] and right[0])
+        assert local["faithfulness"] == (True, None)
+        # the first local failure is confirmed on a shortest failing word
+        for name, sweep in (("fold-agreement", fold), ("action-factoring", left)):
+            if not sweep[0]:
+                assert len(_first_word(local[name][1])) == len(sweep[1])
+        # every mutant breaks a word of length 2, and no shorter one
+        assert all(passed for passed, _ in local.values()) == (rules == "real" or max_len < 2)
+
+
+@pytest.mark.parametrize("max_len", [0, 1, 2])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_local_checks_examine_cases_at_small_bounds(monkeypatch, n, max_len):
+    calls = []
+    checks = verify.CHECKS
+    monkeypatch.setattr(verify, "_left_mul", lambda d, k, i: calls.append(i) or REAL_LEFT(d, k, i))
+    for name in ("action-factoring", "fold-agreement"):
+        calls.clear()
+        monkeypatch.setattr(verify, "CHECKS", tuple(c for c in checks if c[0] == name))
+        assert verdicts(VerifyConfig(n, max_len=max_len))[name] == (True, None)
+        assert calls  # each case applies the left rule at least once
 
 
 def test_a_pass_stops_once_all_its_checks_have_failed(monkeypatch):
@@ -197,3 +324,14 @@ def test_check_seconds_add_up_to_the_wall_time():
     total = sum(c.seconds for c in report.checks)
     assert 0.95 * wall <= total <= wall
     assert all(c.seconds > 0 for c in report.checks)
+
+
+def test_a_local_failure_no_word_confirms_still_fails(monkeypatch):
+    # the checks read a broken left rule, the folds that confirm a witness the real one
+    monkeypatch.setattr(verify, "_left_mul", _passes_through_at_n_minus_1)
+    local = verdicts(VerifyConfig(3, max_len=2))
+    assert local["fold-agreement"] == (False, "L_2 R_1 and R_1 L_2 differ on 1, but the folds agree on (2, 1)")
+    assert local["action-factoring"] == (
+        False,
+        "the label of L_2(a1) is not that of a2 a1, but (2, 1) has the label of its normal form",
+    )
