@@ -59,6 +59,7 @@ from .particles import (
     act_word,
     configurations,
     faithfulness_check,
+    faithfulness_problem,
     io_label,
     label_mul,
     min_input,

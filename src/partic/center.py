@@ -10,7 +10,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .core import AlgebraElement, MultiDegree, NormalMonomial, Scalar, check_rank
-from .normal_form import _basis_exponents, _left_mul, _right_mul, element_product, gen_element
+from .normal_form import _basis_exponents, _left_mul, _right_mul, _step, element_product, gen_element
 
 
 def _subtract(target: dict[int, Fraction], f: Fraction, source: dict[int, Fraction]) -> None:
@@ -140,11 +140,9 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     rows: list[dict[int, int]] = []
     for i in range(1, n):
         eqs: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
-        for c, (d0, k0) in enumerate(cols):
+        for c, col in enumerate(cols):
             for mul, sign in ((_left_mul, 1), (_right_mul, -1)):
-                d, k = list(d0), list(k0)
-                mul(d, k, i)
-                key = tuple(d), tuple(k)
+                key = _step(mul, col, i)
                 row = eqs.get(key)
                 if row is None:
                     eqs[key] = {c: sign}

@@ -7,7 +7,7 @@ and the ``verify`` CLI subcommand.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import product
 
 from .core import AlgebraElement, MultiDegree, NormalMonomial, Word, nm_to_word
@@ -36,6 +36,16 @@ def _right_mul(d: list[int], k: list[int], i: int) -> None:
         k[i - 1] += 1
 
 
+Exponents = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _step(rule: Callable[[list[int], list[int], int], None], m: Exponents, i: int) -> Exponents:
+    """One rule (:func:`_left_mul` or :func:`_right_mul`) on the exponents (d, k), copied."""
+    d, k = list(m[0]), list(m[1])
+    rule(d, k, i)
+    return tuple(d), tuple(k)
+
+
 def left_mul_gen(i: int, m: NormalMonomial) -> NormalMonomial:
     """a_i * m, again in normal form.
 
@@ -45,9 +55,7 @@ def left_mul_gen(i: int, m: NormalMonomial) -> NormalMonomial:
     applies since there is no d_1 slot.
     """
     _check_gen(i, m.n)
-    d, k = list(m.d), list(m.k)
-    _left_mul(d, k, i)
-    return NormalMonomial(m.n, tuple(d), tuple(k))
+    return NormalMonomial(m.n, *_step(_left_mul, (m.d, m.k), i))
 
 
 def right_mul_gen(m: NormalMonomial, i: int) -> NormalMonomial:
@@ -58,9 +66,7 @@ def right_mul_gen(m: NormalMonomial, i: int) -> NormalMonomial:
     factor (k_{i+1} = 0, or i = N-1) the letter simply lands on k_i.
     """
     _check_gen(i, m.n)
-    d, k = list(m.d), list(m.k)
-    _right_mul(d, k, i)
-    return NormalMonomial(m.n, tuple(d), tuple(k))
+    return NormalMonomial(m.n, *_step(_right_mul, (m.d, m.k), i))
 
 
 def normalize(w: Word) -> NormalMonomial:
@@ -116,7 +122,7 @@ def element_product(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(e1.n, terms)
 
 
-def _basis_exponents(delta: MultiDegree) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _basis_exponents(delta: MultiDegree) -> Iterator[Exponents]:
     """The (d, k) exponents of :func:`enumerate_basis`, in its order, built but not validated."""
     n = delta.n
     c = delta.counts

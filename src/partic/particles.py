@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator
 
 from .core import (
     AlgebraElement,
     LinearCombination,
+    MultiDegree,
     NormalMonomial,
     Word,
     check_rank,
@@ -261,16 +263,28 @@ def label_mul(label: IoLabel, i: int, side: str) -> IoLabel:
     return IoLabel(Configuration(n, tuple(out)), Configuration(n, tuple(inp)))
 
 
+def faithfulness_problem(delta: MultiDegree, basis: list[NormalMonomial]) -> str | None:
+    """Why the labels of one degree's basis monomials fail faithfulness, or None.
+
+    They must be pairwise distinct and each give back ``delta``: a_i moves a
+    particle from i to i+1, so the count of a_i is the net number of
+    particles leaving positions 1..i.  Labels of two degrees then differ too,
+    so faithfulness is decided one degree at a time.
+    """
+    labels = [io_label(m) for m in basis]
+    if len(set(labels)) < len(labels):
+        return "two basis monomials share an (input, output) label"
+    for m, lab in zip(basis, labels):
+        flow = tuple(accumulate(x - y for x, y in zip(lab.j_in.occ[:-1], lab.i_out.occ[:-1])))
+        if flow != delta.counts:
+            return f"the label of {m} gives the multidegree {flow}"
+    return None
+
+
 def faithfulness_check(n: int, max_len: int) -> bool:
     """Labels are pairwise distinct over all basis monomials of length <= max_len."""
     check_rank(n)
-    seen: dict[IoLabel, NormalMonomial] = {}
-    for delta in multidegrees_up_to(n, max_len):
-        for m in enumerate_basis(delta):
-            lab = io_label(m)
-            if seen.setdefault(lab, m) != m:
-                return False
-    return True
+    return all(faithfulness_problem(delta, enumerate_basis(delta)) is None for delta in multidegrees_up_to(n, max_len))
 
 
 def configurations(n: int, max_particles: int, max_deposit: int | None = None) -> Iterator[Configuration]:

@@ -10,6 +10,7 @@ import fold_reference
 import rewriting_reference
 from partic import normal_form, particles, rewriting, verify
 from partic.core import NormalMonomial, Word, multidegrees_up_to, nm_to_word
+from partic.normal_form import gen_monomial
 from partic.rewriting import PARTIC, PLACTIC, congruence_partition
 from partic.verify import VerifyConfig
 
@@ -199,13 +200,15 @@ def test_broken_normalize_fails_the_word_checks_on_both_routes(monkeypatch, lett
     reference = old_sweeps(cfg, rewriting.partic_rules(4), rewriting.partic_rules(4))
     monkeypatch.undo()
     # the program normalizes by the right rule, which here takes letters to image; action-factoring
-    # certifies the left fold, so the left rule is broken as well
+    # certifies the left fold, which that fault leaves intact, so only there the verdicts part
     before = normal_form.normalize(Word(4, letters[:-1]))
     right = _rule_mapping(REAL_RIGHT, letters[-1], before, normal_form.normalize(Word(4, image)))
-    _patch_rules(monkeypatch, right=right, left=_passes_through_at_n_minus_1)
+    _patch_rules(monkeypatch, right=right)
     new = verdicts(cfg)
-    assert {name: new[name][0] for name in SWEPT} == reference
-    assert not any(new[name][0] for name in ("action-factoring", "fold-agreement", "normal-form"))
+    assert {name: new[name][0] for name in SWEPT} == reference | {"action-factoring": True}
+    assert not reference["action-factoring"]
+    assert not any(new[name][0] for name in ("fold-agreement", "normal-form"))
+    assert new["action-factoring"] == (True, None)
 
 
 @pytest.mark.parametrize("relations", [PARTIC, PLACTIC])
@@ -239,6 +242,35 @@ def test_memoized_forms_are_the_normal_forms(n):
                 assert nf == normal_form.normalize(Word(n, letters))
                 seen += 1
     assert seen == sum((n - 1) ** length for length in range(8))
+
+
+def pairwise_distinct_labels(n, max_len):
+    """The faithfulness sweep before the per-degree check: labels distinct over all degrees at once."""
+    seen = {}
+    for delta in multidegrees_up_to(n, max_len):
+        for m in normal_form.enumerate_basis(delta):
+            if seen.setdefault(particles.io_label(m), m) != m:
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "target, source, problem",
+    [
+        # two basis monomials of degree (1, 1) get one label
+        (NormalMonomial(3, (1,), (1, 0)), NormalMonomial(3, (0,), (1, 1)), "two basis monomials share"),
+        # a1 gets the label of a2, which gives the multidegree of a2
+        (gen_monomial(3, 1), gen_monomial(3, 2), "the label of a1 gives the multidegree (0, 1)"),
+    ],
+)
+def test_labels_that_merge_or_change_degree_fail_faithfulness(monkeypatch, target, source, problem):
+    real = particles.io_label
+    monkeypatch.setattr(particles, "io_label", lambda m: real(source if m == target else m))
+    for max_len in range(1, 4):
+        reference = pairwise_distinct_labels(3, max_len)
+        passed, counterexample = verdicts(VerifyConfig(3, max_len=max_len))["faithfulness"]
+        assert passed == reference == particles.faithfulness_check(3, max_len) == (target.degree().total() > max_len)
+        assert passed or counterexample.startswith(problem)
 
 
 RULES = {
