@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the full desk-scale certification: every check of ``partic verify``
-(oracle vs normal form, action factoring, faithfulness, graded center) and
-the affine relation families of ``partic affine-verify``.
+(oracle vs normal form, action factoring, faithfulness, graded center), the
+center theorem at rank 6 with ``partic center``, and the affine relation
+families of ``partic affine-verify``.
 
 Each entry of RUNS is one ``partic`` command line, run in process; what it
 prints is the CLI's own output.  Exits 1 if any run exits nonzero.
@@ -14,7 +15,9 @@ import sys
 from partic.cli import main as run
 
 RUNS: tuple[tuple[str, ...], ...] = (
-    *(("verify", "--N", str(n), "--max-len", "8", "--max-degree", "12", "--timings") for n in (3, 4, 5)),
+    *(("verify", "--N", str(n), "--max-len", "8", "--max-degree", str(d), "--timings")
+      for n, d in ((3, 12), (4, 12), (5, 14))),
+    ("center", "--N", "6", "--max-degree", "10", "--expect-theorem"),
     *(("affine-verify", "--N", str(n), "--particles", "6", "--m-max", "3", "--k-max", "2") for n in range(3, 8)),
 )
 

@@ -20,7 +20,6 @@ from .affine import (
 from .center import (
     center_basis_in_degree,
     central_candidate,
-    commutes_with_generators,
     expected_center_dimension,
     nullspace,
     theorem_mismatch,

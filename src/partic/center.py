@@ -10,7 +10,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .core import AlgebraElement, MultiDegree, NormalMonomial, Scalar, check_rank
-from .normal_form import _basis_exponents, _left_mul, _right_mul, _step, element_product, gen_element
+from .normal_form import _basis_exponents, _left_mul, _right_mul, _step
 
 
 def _subtract(target: dict[int, Fraction], f: Fraction, source: dict[int, Fraction]) -> None:
@@ -23,37 +23,67 @@ def _subtract(target: dict[int, Fraction], f: Fraction, source: dict[int, Fracti
             del target[c]
 
 
-def _peel(rows: list[Mapping[int, Scalar]], ncols: int) -> list[int] | None:
-    """Columns left live by peeling, or None if the peel stalls.
+class _Peel:
+    """The peel of a growing list of rows over columns 0..ncols-1.
 
     A row with exactly one live nonzero column forces that unknown to 0, so
-    the column dies; repeat until no such row is left.  Rows are indexed by
-    column and queued when their live count drops to 1, so the peel is
-    linear in the nonzeros and does no arithmetic.  If every row then has
-    no live nonzero, the kernel is exactly the span of the unit vectors of
-    the live columns; otherwise the peel has stalled.
+    the column dies; ``add`` repeats this until no such row is left.  Rows
+    are indexed by column and queued when their live count drops to 1, so
+    the peel is linear in the nonzeros and does no arithmetic.  Peeling is
+    confluent (a column that dies stays dead when rows are added), so
+    adding the rows in batches leaves the live columns that adding them at
+    once does.
     """
-    row_cols = [[c for c, x in row.items() if x] for row in rows]
-    live_count = [len(cs) for cs in row_cols]
-    rows_of: list[list[int]] = [[] for _ in range(ncols)]
-    for r, cs in enumerate(row_cols):
-        for c in cs:
-            rows_of[c].append(r)
-    live = [True] * ncols
-    queue = [r for r, k in enumerate(live_count) if k == 1]
-    while queue:
-        r = queue.pop()
-        if live_count[r] != 1:
-            continue
-        c = next(c for c in row_cols[r] if live[c])
-        live[c] = False
-        for s in rows_of[c]:
-            live_count[s] -= 1
-            if live_count[s] == 1:
-                queue.append(s)
-    if any(live_count):
-        return None
-    return [c for c in range(ncols) if live[c]]
+
+    def __init__(self, ncols: int) -> None:
+        self.live = [True] * ncols
+        self.nlive = ncols
+        self._row_cols: list[list[int]] = []  # the live nonzero columns of each row when added
+        self._live_count: list[int] = []
+        self._rows_of: list[list[int]] = [[] for _ in range(ncols)]
+
+    def add(self, rows: Iterable[Mapping[int, Scalar]]) -> int:
+        """Peel with the rows added; return the number of live columns left."""
+        live, live_count, rows_of = self.live, self._live_count, self._rows_of
+        queue = []
+        for row in rows:
+            r = len(live_count)
+            cs = [c for c, x in row.items() if x and live[c]]
+            self._row_cols.append(cs)
+            live_count.append(len(cs))
+            for c in cs:
+                rows_of[c].append(r)
+            if len(cs) == 1:
+                queue.append(r)
+        while queue:
+            r = queue.pop()
+            if live_count[r] != 1:
+                continue
+            c = next(c for c in self._row_cols[r] if live[c])
+            live[c] = False
+            self.nlive -= 1
+            for s in rows_of[c]:
+                live_count[s] -= 1
+                if live_count[s] == 1:
+                    queue.append(s)
+        return self.nlive
+
+    def kernel(self) -> list[int] | None:
+        """The live columns, or None if the peel has stalled.
+
+        If every row has no live nonzero, the kernel is exactly the span of
+        the unit vectors of the live columns; otherwise the peel has stalled.
+        """
+        if any(self._live_count):
+            return None
+        return [c for c, x in enumerate(self.live) if x]
+
+
+def _peel(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> list[int] | None:
+    """Columns left live by peeling all the rows at once, or None if the peel stalls."""
+    peel = _Peel(ncols)
+    peel.add(rows)
+    return peel.kernel()
 
 
 def nullspace(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> list[list[Fraction]]:
@@ -63,10 +93,12 @@ def nullspace(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> list[list[Fra
     The basis is the one dense Gauss-Jordan gives: one vector per free
     column, in column order, each scaled so its first nonzero coordinate is
     1.  Peeling (``_peel``) comes first; when it solves the system the
-    kernel is spanned by unit vectors, which is that basis.  Otherwise each
-    original row is reduced against the rows kept so far and, unless it
-    vanishes, kept with its smallest column as pivot; the kept rows stay in
-    reduced row echelon form, which is unique.
+    kernel is spanned by unit vectors, which is that basis.  It runs the
+    same ``_Peel`` that :func:`center_basis_in_degree` feeds one generator's
+    rows at a time.  Otherwise each original row is reduced against the
+    rows kept so far and, unless it vanishes, kept with its smallest column
+    as pivot; the kept rows stay in reduced row echelon form, which is
+    unique.
     """
     rows = list(rows)
     for row in rows:
@@ -113,15 +145,6 @@ def central_candidate(n: int, r: int) -> NormalMonomial:
     return NormalMonomial(n, (r,) * (n - 2), (r,) + (0,) * (n - 2))
 
 
-def commutes_with_generators(e: AlgebraElement) -> bool:
-    """Exact test a_i e = e a_i for every generator (hence centrality)."""
-    for i in range(1, e.n):
-        g = gen_element(e.n, i)
-        if element_product(g, e) != element_product(e, g):
-            return False
-    return True
-
-
 def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     """Exact basis of the central elements homogeneous of one multidegree.
 
@@ -132,11 +155,18 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     Columns and rows are held as raw (d, k) exponents, so no product
     monomial is built or validated, and a column becomes a validated
     monomial only where a kernel vector is nonzero.
+
+    The rows come one generator at a time, a_1 first, and each batch is fed
+    to one peel.  Once no column is live, the rows so far force every
+    x_m = 0, and further rows can only shrink the kernel, so the degree's
+    center is 0 and no more rows are built.  A degree whose columns survive
+    every generator goes to :func:`nullspace` with all the rows.
     """
     check_rank(n)
     if delta.n != n:
         raise ValueError("multidegree rank does not match")
     cols = list(_basis_exponents(delta))
+    peel = _Peel(len(cols))
     rows: list[dict[int, int]] = []
     for i in range(1, n):
         eqs: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
@@ -149,6 +179,8 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
                 else:
                     row[c] = row.get(c, 0) + sign
         rows.extend(eqs.values())
+        if not peel.add(eqs.values()):
+            return []
     vectors = nullspace(rows, len(cols))
     return [AlgebraElement(n, {NormalMonomial(n, *cols[c]): x for c, x in enumerate(vec) if x}) for vec in vectors]
 

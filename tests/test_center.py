@@ -1,14 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from partic import center
 from partic.center import (
+    _Peel,
     _peel,
     center_basis_in_degree,
     central_candidate,
-    commutes_with_generators,
     expected_center_dimension,
     nullspace,
     theorem_mismatch,
@@ -17,6 +18,7 @@ from partic.core import AlgebraElement, MultiDegree, NormalMonomial, Word, multi
 from partic.normal_form import gen_element, nm_product, normalize
 from partic.particles import Configuration, act_word
 
+from center_reference import commutes_with_generators
 from nullspace_reference import nullspace_dense
 
 
@@ -90,7 +92,7 @@ def test_peel_examples():
 def test_nullspace_matches_dense_reference_on_sparse_systems():
     rng = random.Random(80241)
     values = [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]
-    peeled = stalled = 0
+    peeled = stalled = settled_early = 0
     for _ in range(600):
         nrows, ncols = rng.randint(0, 8), rng.randint(1, 8)
         sparse = []
@@ -101,32 +103,99 @@ def test_nullspace_matches_dense_reference_on_sparse_systems():
                 row[rng.randrange(ncols)] = 0
             sparse.append(row)
         dense = [[row.get(c, 0) for c in range(ncols)] for row in sparse]
+        kernel = nullspace_dense(dense, ncols)
+        once = _Peel(ncols)
+        once.add(sparse)
         if _peel(sparse, ncols) is None:
             stalled += 1
         else:
             peeled += 1
-        assert nullspace(sparse, ncols) == nullspace_dense(dense, ncols), sparse
-    assert peeled > 100 and stalled > 100
+        assert nullspace(sparse, ncols) == kernel, sparse
+
+        # the same rows fed to one peel in random batches
+        cuts = sorted(rng.sample(range(nrows + 1), rng.randint(0, nrows + 1)))
+        batched = _Peel(ncols)
+        for start, stop in zip([0, *cuts], [*cuts, nrows]):
+            if not batched.add(sparse[start:stop]):
+                # no live column after a batch: all the rows have a zero kernel
+                assert kernel == [], sparse
+                settled_early += stop < nrows
+        assert batched.live == once.live, sparse
+        assert batched.kernel() == _peel(sparse, ncols), sparse
+    assert peeled > 100 and stalled > 100 and settled_early > 20
+
+
+class StalledPeel:
+    """A peel that kills no column: neither the early exit nor nullspace's peel settles a degree."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+
+    def add(self, rows):
+        return self.ncols
+
+    def kernel(self):
+        return None
 
 
 def test_peel_solves_every_center_system(monkeypatch):
-    real_peel = center._peel
+    real_peel = center._Peel
     stalled = []
 
-    def recording_peel(rows, ncols):
-        live = real_peel(rows, ncols)
-        if live is None:
-            stalled.append(ncols)
-        return live
+    class RecordingPeel(real_peel):
+        def kernel(self):
+            live = super().kernel()
+            if live is None:
+                stalled.append(len(self.live))
+            return live
 
-    monkeypatch.setattr(center, "_peel", recording_peel)
+    monkeypatch.setattr(center, "_Peel", RecordingPeel)
     degrees = [delta for n in (3, 4, 5) for delta in multidegrees_up_to(n, 8)]
     bases = [center_basis_in_degree(delta.n, delta) for delta in degrees]
     assert stalled == []
-    # the same bases from the elimination alone
-    monkeypatch.setattr(center, "_peel", lambda rows, ncols: None)
+    # the same bases from the full rows and the elimination alone
+    real_nullspace = center.nullspace
+    eliminated = []
+
+    def recording_nullspace(rows, ncols):
+        eliminated.append(ncols)
+        return real_nullspace(rows, ncols)
+
+    monkeypatch.setattr(center, "_Peel", StalledPeel)
+    monkeypatch.setattr(center, "nullspace", recording_nullspace)
     for delta, basis in zip(degrees, bases):
         assert center_basis_in_degree(delta.n, delta) == basis, f"degree {delta}"
+    assert len(eliminated) == len(degrees)
+
+
+def test_zero_centers_settle_before_the_last_generator(monkeypatch):
+    # after how many generators' rows the early exit settles each degree of N=5, D <= 10
+    settled = Counter()
+
+    class CountingPeel(center._Peel):
+        batches = 0
+
+        def add(self, rows):
+            self.batches += 1
+            left = super().add(rows)
+            if not left:
+                settled[self.batches] += 1
+            return left
+
+    real_nullspace = center.nullspace
+    eliminated = []
+    delta = None
+
+    def recording_nullspace(rows, ncols):
+        eliminated.append(delta.counts)
+        return real_nullspace(rows, ncols)
+
+    monkeypatch.setattr(center, "_Peel", CountingPeel)
+    monkeypatch.setattr(center, "nullspace", recording_nullspace)
+    for delta in multidegrees_up_to(5, 10):
+        center_basis_in_degree(5, delta)
+    assert settled == {1: 420, 2: 514, 3: 59, 4: 5}
+    assert eliminated == [(0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2)]
 
 
 def test_central_candidate_examples():
