@@ -106,7 +106,8 @@ def test_nullspace_matches_dense_reference_on_sparse_systems():
         kernel = nullspace_dense(dense, ncols)
         once = _Peel(ncols)
         once.add(sparse)
-        if _peel(sparse, ncols) is None:
+        one_shot = _peel(sparse, ncols)
+        if one_shot is None:
             stalled += 1
         else:
             peeled += 1
@@ -121,8 +122,8 @@ def test_nullspace_matches_dense_reference_on_sparse_systems():
                 assert kernel == [], sparse
                 settled_early += stop < nrows
         assert batched.live == once.live, sparse
-        assert batched.kernel() == _peel(sparse, ncols), sparse
-    assert peeled > 100 and stalled > 100 and settled_early > 20
+        assert batched.kernel() == one_shot, sparse
+    assert peeled > 100 and stalled > 100 and settled_early > 100
 
 
 class StalledPeel:
