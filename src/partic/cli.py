@@ -288,8 +288,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # raised without a message, e.g. by [0] * n for a huge rank
+        print("error: out of memory: the rank or a bound is too large", file=sys.stderr)
         return 2
 
 

@@ -8,6 +8,7 @@ and the ``verify`` CLI subcommand.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from functools import lru_cache
 from itertools import product
 
 from .core import AlgebraElement, MultiDegree, NormalMonomial, Word, nm_to_word
@@ -39,6 +40,20 @@ def _right_mul(d: list[int], k: list[int], i: int) -> None:
 Exponents = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+@lru_cache(maxsize=1 << 12)
+def _monomial(n: int, d: tuple[int, ...], k: tuple[int, ...]) -> NormalMonomial:
+    """``NormalMonomial(n, d, k)``, validated once per distinct (n, d, k) while it stays in the table.
+
+    Every kernel constructor below goes through this table, so a run that
+    meets a few distinct forms many times (the normal forms of all words of
+    a degree) validates each once.  The table is bounded, so a long run
+    evicts old forms and revalidates them if they come back.  A key that
+    fails validation raises and is not stored, and the value depends on the
+    key alone: a faulty rule yields a different key, never a stale monomial.
+    """
+    return NormalMonomial(n, d, k)
+
+
 def _step(rule: Callable[[list[int], list[int], int], None], m: Exponents, i: int) -> Exponents:
     """One rule (:func:`_left_mul` or :func:`_right_mul`) on the exponents (d, k), copied."""
     d, k = list(m[0]), list(m[1])
@@ -55,7 +70,7 @@ def left_mul_gen(i: int, m: NormalMonomial) -> NormalMonomial:
     applies since there is no d_1 slot.
     """
     _check_gen(i, m.n)
-    return NormalMonomial(m.n, *_step(_left_mul, (m.d, m.k), i))
+    return _monomial(m.n, *_step(_left_mul, (m.d, m.k), i))
 
 
 def right_mul_gen(m: NormalMonomial, i: int) -> NormalMonomial:
@@ -66,19 +81,19 @@ def right_mul_gen(m: NormalMonomial, i: int) -> NormalMonomial:
     factor (k_{i+1} = 0, or i = N-1) the letter simply lands on k_i.
     """
     _check_gen(i, m.n)
-    return NormalMonomial(m.n, *_step(_right_mul, (m.d, m.k), i))
+    return _monomial(m.n, *_step(_right_mul, (m.d, m.k), i))
 
 
 def normalize(w: Word) -> NormalMonomial:
     """Normal form of a word: fold right multiplications left to right.
 
     The fold runs on exponent lists (a word's letters are already in range)
-    and validates one monomial at the end.
+    and takes one monomial from the table of :func:`_monomial` at the end.
     """
     d, k = [0] * (w.n - 2), [0] * (w.n - 1)
     for a in w.letters:
         _right_mul(d, k, a)
-    return NormalMonomial(w.n, tuple(d), tuple(k))
+    return _monomial(w.n, tuple(d), tuple(k))
 
 
 def normalize_right_to_left(w: Word) -> NormalMonomial:
@@ -89,7 +104,7 @@ def normalize_right_to_left(w: Word) -> NormalMonomial:
     d, k = [0] * (w.n - 2), [0] * (w.n - 1)
     for a in reversed(w.letters):
         _left_mul(d, k, a)
-    return NormalMonomial(w.n, tuple(d), tuple(k))
+    return _monomial(w.n, tuple(d), tuple(k))
 
 
 def gen_monomial(n: int, i: int) -> NormalMonomial:
@@ -97,7 +112,7 @@ def gen_monomial(n: int, i: int) -> NormalMonomial:
     _check_gen(i, n)
     k = [0] * (n - 1)
     k[i - 1] = 1
-    return NormalMonomial(n, (0,) * (n - 2), tuple(k))
+    return _monomial(n, (0,) * (n - 2), tuple(k))
 
 
 def gen_element(n: int, i: int) -> AlgebraElement:
@@ -111,7 +126,7 @@ def nm_product(m1: NormalMonomial, m2: NormalMonomial) -> NormalMonomial:
     d, k = list(m1.d), list(m1.k)
     for a in nm_to_word(m2).letters:
         _right_mul(d, k, a)
-    return NormalMonomial(m1.n, tuple(d), tuple(k))
+    return _monomial(m1.n, tuple(d), tuple(k))
 
 
 def element_product(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
@@ -139,4 +154,4 @@ def enumerate_basis(delta: MultiDegree) -> list[NormalMonomial]:
     and d_i <= delta_i keeps k_i nonnegative, so the admissible d-tuples
     form a box and k is determined as delta - d.
     """
-    return [NormalMonomial(delta.n, d, k) for d, k in _basis_exponents(delta)]
+    return [_monomial(delta.n, d, k) for d, k in _basis_exponents(delta)]

@@ -18,6 +18,7 @@ from .core import MultiDegree, NormalMonomial, Word, multidegrees_up_to, nm_to_w
 from .normal_form import (
     _basis_exponents,
     _left_mul,
+    _monomial,
     _right_mul,
     _step,
     enumerate_basis,
@@ -69,7 +70,6 @@ def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[set], list[d
     rs = relation_set(cfg.relations, n)
     partic = rs if cfg.relations == PARTIC else relation_set(PARTIC, n)
     prefix_forms: dict[tuple[int, ...], NormalMonomial] = {}  # the words shorter than max_len
-    validated: dict[tuple, NormalMonomial] = {}  # each distinct (d, k), validated once
     for delta in multidegrees_up_to(n, cfg.max_len):
         classes = congruence_partition(delta, rs)
         partic_classes = classes if partic is rs else congruence_partition(delta, partic)
@@ -83,10 +83,7 @@ def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[set], list[d
                     key = _step(_right_mul, (p.d, p.k), t[-1])
                 else:
                     key = (0,) * (n - 2), (0,) * (n - 1)
-                nf = validated.get(key)
-                if nf is None:
-                    nf = validated[key] = NormalMonomial(n, *key)
-                cls_forms[t] = nf
+                cls_forms[t] = _monomial(n, *key)  # each distinct form validated once
             if keep:
                 prefix_forms.update(cls_forms)
             forms.append(cls_forms)
@@ -193,7 +190,7 @@ def _action_factoring(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalM
             d, k = _step(_left_mul, (m.d, m.k), a)
             o, i = list(out), list(inp)
             _prepend_letters(o, i, (a,))
-            if word_label(nm_to_word(NormalMonomial(n, d, k))) != (tuple(o), tuple(i)):
+            if word_label(nm_to_word(_monomial(n, d, k))) != (tuple(o), tuple(i)):
                 return _action_problem(m, a)
 
 

@@ -257,6 +257,17 @@ def test_golden_output_hash(capsys, argv, digest):
         ["mul", "--N", "4", '{"N": true, "d": [0, 0], "k": [1, 0, 0]}', "1"],
         # nesting deep enough to exhaust the JSON decoder's recursion
         ["mul", "--N", "4", '{"N": 4, "d": ' + "[" * 100_000 + "]" * 100_000 + "}", "1"],
+        # ranks that fail Python's size checks before anything is allocated: 2**62 is
+        # too many list items (MemoryError), 10**19 is no index at all (OverflowError)
+        *(
+            [cmd, "--N", n, *rest]
+            for n in ("4611686018427387904", "10000000000000000000")
+            for cmd, *rest in (
+                ["normalize", "--word", "1"],
+                ["verify", "--max-len", "0"],
+                ["center", "--max-degree", "0"],
+            )
+        ),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(capsys, argv):

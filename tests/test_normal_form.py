@@ -11,7 +11,10 @@ from partic.core import (
     multidegrees_up_to,
     nm_to_word,
 )
+from partic import normal_form
 from partic.normal_form import (
+    _monomial,
+    _right_mul,
     element_product,
     enumerate_basis,
     gen_element,
@@ -117,6 +120,61 @@ def test_completeness_against_oracle():
                 assert nf not in seen
                 seen[nf] = cls
                 assert nm_to_word(nf).letters in cls
+
+
+def fresh_normalize(n, letters):
+    # the right fold on exponent lists, with a monomial built and validated anew
+    d, k = [0] * (n - 2), [0] * (n - 1)
+    for a in letters:
+        _right_mul(d, k, a)
+    return NormalMonomial(n, tuple(d), tuple(k))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_interned_monomials_equal_fresh_ones(n):
+    _monomial.cache_clear()
+    for letters in all_words(n, 6):
+        w, m = Word(n, letters), fresh_normalize(n, letters)
+        assert normalize(w) == normalize_right_to_left(w) == m
+        for cut in range(len(letters) + 1):
+            u, v = letters[:cut], letters[cut:]
+            assert nm_product(fresh_normalize(n, u), fresh_normalize(n, v)) == m
+        if len(letters) < 6:
+            for a in range(1, n):
+                assert left_mul_gen(a, m) == fresh_normalize(n, (a,) + letters)
+                assert right_mul_gen(m, a) == fresh_normalize(n, letters + (a,))
+    for delta in multidegrees_up_to(n, 6):
+        words = congruence_partition(delta, partic_rules(n))
+        fresh = {fresh_normalize(n, letters) for cls in words for letters in cls}
+        assert enumerate_basis(delta) == sorted(fresh)
+
+
+def test_a_rule_that_breaks_the_condition_raises_on_every_call(monkeypatch):
+    def broken(d, k, i):  # a_i always lands on d_i, so d_2 <= k_1 fails on the word a_2
+        if i >= 2:
+            d[i - 2] += 1
+        else:
+            k[0] += 1
+
+    _monomial.cache_clear()
+    monkeypatch.setattr(normal_form, "_right_mul", broken)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="normal-form condition"):
+            normalize(Word(4, (2,)))
+        with pytest.raises(ValueError, match="normal-form condition"):
+            right_mul_gen(NormalMonomial.unit(4), 2)
+        with pytest.raises(ValueError, match="normal-form condition"):
+            nm_product(NormalMonomial.unit(4), nm(4, (0, 0), (0, 1, 0)))
+    assert _monomial.cache_info().currsize == 0
+
+
+def test_the_table_stays_bounded():
+    _monomial.cache_clear()
+    maxsize = _monomial.cache_info().maxsize
+    basis = enumerate_basis(MultiDegree((16, 16, 16, 16)))
+    assert len(basis) == 17**3 > maxsize
+    assert _monomial.cache_info().currsize <= maxsize
+    assert all(m == NormalMonomial(5, m.d, m.k) for m in basis)
 
 
 def test_nm_product_unit_laws():

@@ -211,16 +211,32 @@ def test_broken_normalize_fails_the_word_checks_on_both_routes(monkeypatch, lett
     assert new["action-factoring"] == (True, None)
 
 
+def count_validations(monkeypatch) -> list:
+    """Clear the table of normal_form._monomial and record each NormalMonomial validated from then on."""
+    validated, real = [], NormalMonomial.__post_init__
+    normal_form._monomial.cache_clear()
+    monkeypatch.setattr(NormalMonomial, "__post_init__", lambda m: validated.append((m.d, m.k)) or real(m))
+    return validated
+
+
+DISTINCT_4_5 = {normal_form.normalize(Word(4, t)) for length in range(6) for t in product(range(1, 4), repeat=length)}
+
+
 @pytest.mark.parametrize("relations", [PARTIC, PLACTIC])
 def test_each_form_is_validated_once_and_each_word_costs_one_step(monkeypatch, relations):
-    validated, steps = [], []
-    monkeypatch.setattr(verify, "NormalMonomial", lambda n, d, k: validated.append((d, k)) or NormalMonomial(n, d, k))
+    steps = []
     monkeypatch.setattr(verify, "_right_mul", lambda d, k, i: steps.append(i) or REAL_RIGHT(d, k, i))
     monkeypatch.setattr(verify, "CHECKS", tuple(c for c in verify.CHECKS if c[1] is verify._degrees))
+    validated = count_validations(monkeypatch)
     assert verify.run_verify(VerifyConfig(4, max_len=5, relations=relations)).passed
-    distinct = {normal_form.normalize(Word(4, t)) for length in range(6) for t in product(range(1, 4), repeat=length)}
-    assert len(validated) == len(set(validated)) == len(distinct)
+    assert len(validated) == len(set(validated)) == len(DISTINCT_4_5)
     assert len(steps) == sum(3**length for length in range(1, 6)) == 363
+
+
+def test_both_passes_validate_each_form_once(monkeypatch):
+    validated = count_validations(monkeypatch)
+    assert verify.run_verify(VerifyConfig(4, max_len=5)).passed
+    assert len(validated) == len(set(validated)) == len(DISTINCT_4_5)
 
 
 def test_each_normal_form_is_expanded_once(monkeypatch):
