@@ -10,7 +10,6 @@ from __future__ import annotations
 from .affine import (
     AffineConfiguration,
     AffineWord,
-    affine_act_gen,
     affine_act_word,
     affine_configurations,
     affine_relation_instances,
@@ -57,7 +56,6 @@ from .particles import (
     act_gen,
     act_word,
     configurations,
-    faithfulness_check,
     faithfulness_problem,
     io_label,
     label_mul,
@@ -75,7 +73,6 @@ from .rewriting import (
     one_step_rewrites,
     partic_rules,
     plactic_rules,
-    relation_set,
     words_equivalent,
     words_with_degree,
 )

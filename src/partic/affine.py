@@ -65,11 +65,6 @@ class AffineConfiguration:
         return ",".join(str(c) for c in self.occ) + f" t={self.t}"
 
 
-def affine_act_gen(i: int, c: AffineConfiguration):
-    """Move one particle i -> i+1 cyclically; a_0 moves N -> 1 and bumps t."""
-    return affine_act_word(AffineWord(c.n, (i,)), c)
-
-
 def affine_act_word(w: AffineWord, c: AffineConfiguration):
     """Apply a word, rightmost letter first; annihilation absorbs."""
     if w.n != c.n:

@@ -79,34 +79,22 @@ class _Peel:
         return [c for c, x in enumerate(self.live) if x]
 
 
-def _peel(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> list[int] | None:
-    """Columns left live by peeling all the rows at once, or None if the peel stalls."""
-    peel = _Peel(ncols)
-    peel.add(rows)
-    return peel.kernel()
-
-
 def nullspace(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> list[list[Fraction]]:
     """Exact basis of the right kernel {x : sum_c row[c] x_c = 0 for every row}.
 
     Rows are sparse ``{column: coefficient}`` maps over columns 0..ncols-1.
     The basis is the one dense Gauss-Jordan gives: one vector per free
     column, in column order, each scaled so its first nonzero coordinate is
-    1.  Peeling (``_peel``) comes first; when it solves the system the
-    kernel is spanned by unit vectors, which is that basis.  It runs the
-    same ``_Peel`` that :func:`center_basis_in_degree` feeds one generator's
-    rows at a time.  Otherwise each original row is reduced against the
-    rows kept so far and, unless it vanishes, kept with its smallest column
-    as pivot; the kept rows stay in reduced row echelon form, which is
-    unique.
+    1.  Each row is reduced against the rows kept so far and, unless it
+    vanishes, kept with its smallest column as pivot; the kept rows stay in
+    reduced row echelon form, which is unique.  No peel runs here:
+    :func:`center_basis_in_degree` peels first and calls this only when
+    its peel stalls.
     """
     rows = list(rows)
     for row in rows:
         if row and (min(row) < 0 or max(row) >= ncols):
             raise ValueError(f"row {dict(row)} has a column outside 0..{ncols - 1}")
-    live = _peel(rows, ncols)
-    if live is not None:
-        return [[Fraction(int(c == free)) for c in range(ncols)] for free in live]
 
     reduced: dict[int, dict[int, Fraction]] = {}  # pivot column -> row, 1 at the pivot
     for row in rows:
@@ -160,7 +148,9 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     to one peel.  Once no column is live, the rows so far force every
     x_m = 0, and further rows can only shrink the kernel, so the degree's
     center is 0 and no more rows are built.  A degree whose columns survive
-    every generator goes to :func:`nullspace` with all the rows.
+    every generator has the unit vectors of its live columns as kernel when
+    the peel settles every row, and goes to :func:`nullspace` with all the
+    rows only when the peel stalls.
     """
     check_rank(n)
     if delta.n != n:
@@ -181,6 +171,9 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
         rows.extend(eqs.values())
         if not peel.add(eqs.values()):
             return []
+    live = peel.kernel()
+    if live is not None:
+        return [AlgebraElement.from_monomial(NormalMonomial(n, *cols[c])) for c in live]
     vectors = nullspace(rows, len(cols))
     return [AlgebraElement(n, {NormalMonomial(n, *cols[c]): x for c, x in enumerate(vec) if x}) for vec in vectors]
 

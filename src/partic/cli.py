@@ -23,7 +23,6 @@ from .core import (
 )
 from .normal_form import enumerate_basis, nm_product, normalize
 from .particles import ANNIHILATED, Configuration, act_gen, act_word
-from .rewriting import PARTIC, PLACTIC
 from .verify import VerifyConfig, run_verify
 
 SCHEMA = 1
@@ -146,14 +145,7 @@ def cmd_center(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = VerifyConfig(
-        n=args.N,
-        max_len=args.max_len,
-        relations=args.relations,
-        include_center=args.center or args.max_degree is not None,
-        max_degree=args.max_degree if args.max_degree is not None else 6,
-        max_deposit=args.max_deposit,
-    )
+    cfg = VerifyConfig(args.N, args.max_len, max_degree=args.max_degree, max_deposit=args.max_deposit)
     report = run_verify(cfg)
     lines = []
     payload_checks = []
@@ -255,9 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-len", type=int, default=6, help="word-length bound (at N=5: 6 takes about 0.25 s, 7 about 0.4 s, 8 about 1 s, 9 about 4 s)"
     )
-    p.add_argument("--relations", choices=[PLACTIC, PARTIC], default=PARTIC)
-    p.add_argument("--center", action="store_true", help="also certify graded center dimensions")
-    p.add_argument("--max-degree", type=int, default=None, help="degree bound for --center")
+    p.add_argument("--max-degree", type=int, help="also certify graded center dimensions to this degree")
     p.add_argument(
         "--max-deposit",
         type=int,

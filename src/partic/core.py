@@ -216,9 +216,6 @@ class NormalMonomial:
         check_rank(n)
         return NormalMonomial(n, (0,) * (n - 2), (0,) * (n - 1))
 
-    def is_unit(self) -> bool:
-        return not any(self.d) and not any(self.k)
-
     def d_exp(self, i: int) -> int:
         """Descending exponent of a_i, with d_1 = 0 by convention."""
         if i == 1:

@@ -27,11 +27,9 @@ from .core import (
     Word,
     check_rank,
     compositions,
-    multidegrees_up_to,
     nm_to_word,
     parse_ints,
 )
-from .normal_form import enumerate_basis
 
 
 class _AnnihilatedType:
@@ -279,12 +277,6 @@ def faithfulness_problem(delta: MultiDegree, basis: list[NormalMonomial]) -> str
         if flow != delta.counts:
             return f"the label of {m} gives the multidegree {flow}"
     return None
-
-
-def faithfulness_check(n: int, max_len: int) -> bool:
-    """Labels are pairwise distinct over all basis monomials of length <= max_len."""
-    check_rank(n)
-    return all(faithfulness_problem(delta, enumerate_basis(delta)) is None for delta in multidegrees_up_to(n, max_len))
 
 
 def configurations(n: int, max_particles: int, max_deposit: int | None = None) -> Iterator[Configuration]:

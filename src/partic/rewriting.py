@@ -134,14 +134,6 @@ def partic_rules(n: int) -> RelationSet:
     return RelationSet(PARTIC, n, base + extra)
 
 
-def relation_set(name: str, n: int) -> RelationSet:
-    if name == PLACTIC:
-        return plactic_rules(n)
-    if name == PARTIC:
-        return partic_rules(n)
-    raise ValueError(f"unknown relation set {name!r} (expected {PLACTIC!r} or {PARTIC!r})")
-
-
 def _steps(code: int, length: int, rs: RelationSet) -> Iterator[int]:
     """Every word one rule application away (tests/rewriting_reference.py scans rule by rule)."""
     windows = rs.windows

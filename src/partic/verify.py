@@ -26,22 +26,20 @@ from .normal_form import (
     normalize_right_to_left,
 )
 from .particles import Configuration, _prepend_letters, act_word, faithfulness_problem, word_label
-from .rewriting import PARTIC, congruence_partition, relation_set
+from .rewriting import PARTIC, congruence_partition, partic_rules
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
     n: int
     max_len: int = 6
-    relations: str = PARTIC
-    include_center: bool = False
-    max_degree: int = 6
+    max_degree: int | None = None  # set, it turns the center check on
     max_deposit: int = 1
 
     def __post_init__(self) -> None:
         # a negative bound would make a check pass having examined nothing
         for name in ("max_len", "max_degree", "max_deposit"):
-            if getattr(self, name) < 0:
+            if (getattr(self, name) or 0) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
@@ -63,19 +61,17 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[set], list[dict]]]:
+def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[dict]]]:
     # one degree at a time, as all classes grow exponentially; by total, so a first failing
-    # word is shortest and every word's prefix already has its normal form
+    # word is shortest and every word's prefix already has its normal form.  Only the partic
+    # rules: the plactic ones are a subset, so their classes refine these and certify no more
     n = cfg.n
-    rs = relation_set(cfg.relations, n)
-    partic = rs if cfg.relations == PARTIC else relation_set(PARTIC, n)
+    rs = partic_rules(n)
     prefix_forms: dict[tuple[int, ...], NormalMonomial] = {}  # the words shorter than max_len
     for delta in multidegrees_up_to(n, cfg.max_len):
-        classes = congruence_partition(delta, rs)
-        partic_classes = classes if partic is rs else congruence_partition(delta, partic)
-        # each partic class as {word: normal form}: these hold every word of delta, also under plactic
+        # each class as {word: normal form}
         forms, keep = [], delta.total() < cfg.max_len
-        for cls in partic_classes:
+        for cls in congruence_partition(delta, rs):
             cls_forms = {}
             for t in cls:
                 if t:  # normalize folds _right_mul over the letters: one more step on the prefix's form
@@ -87,7 +83,7 @@ def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[set], list[d
             if keep:
                 prefix_forms.update(cls_forms)
             forms.append(cls_forms)
-        yield delta, classes, forms
+        yield delta, forms
 
 
 def _monomials(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[NormalMonomial]]]:
@@ -102,7 +98,7 @@ def _once(cfg: VerifyConfig) -> Iterator[tuple]:
     yield ()
 
 
-def _grading(cfg: VerifyConfig, delta: MultiDegree, classes: list[set], *_) -> str | None:
+def _grading(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict]) -> str | None:
     # a class is a BFS closure, so it holds every one-step rewrite of its members: the
     # classes of delta hold exactly multinomial(delta) words iff no rewrite leaves delta
     size = factorial(delta.total()) // prod(map(factorial, delta.counts))
@@ -110,15 +106,14 @@ def _grading(cfg: VerifyConfig, delta: MultiDegree, classes: list[set], *_) -> s
         return f"degree ({delta}): its classes hold {held} words, not the {size} of that multidegree"
 
 
-def _basis_count(cfg: VerifyConfig, delta: MultiDegree, classes: list[set], *_) -> str | None:
-    # plactic refines the partic classes, so there only ">=" can be asserted; the basis is
-    # counted unvalidated, as the monomial pass validates each basis monomial
+def _basis_count(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict]) -> str | None:
+    # the basis is counted unvalidated, as the monomial pass validates each basis monomial
     nc, nb = len(classes), sum(1 for _ in _basis_exponents(delta))
-    if not (nc == nb if cfg.relations == PARTIC else nc >= nb):
+    if nc != nb:
         return f"degree ({delta}): {nc} classes vs {nb} basis monomials"
 
 
-def _normal_form(cfg: VerifyConfig, delta: MultiDegree, _, classes: list[dict]) -> str | None:
+def _normal_form(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict]) -> str | None:
     seen = {}
     for cls in classes:
         forms, least = set(cls.values()), min(cls)
@@ -224,7 +219,7 @@ def _center(cfg: VerifyConfig) -> str | None:
 CENTER = "center-dimensions"
 
 # (name, pass, check, the config fields it reports besides N, max_len and relations),
-# sorted by name; the center check runs only with include_center
+# sorted by name; the center check runs only with a max_degree
 CHECKS: tuple[tuple[str, Callable, Callable, tuple[str, ...]], ...] = (
     ("action-factoring", _monomials, _action_factoring, ("max_deposit",)),
     ("basis-count", _degrees, _basis_count, ()),
@@ -237,9 +232,9 @@ CHECKS: tuple[tuple[str, Callable, Callable, tuple[str, ...]], ...] = (
 
 
 def run_verify(cfg: VerifyConfig) -> VerifyReport:
-    base = {"N": cfg.n, "max_len": cfg.max_len, "relations": cfg.relations}
+    base = {"N": cfg.n, "max_len": cfg.max_len, "relations": PARTIC}
     rows = [(VerifyCheck(name, base | {f: getattr(cfg, f) for f in fields}, True, None, 0.0), walk, check)
-            for name, walk, check, fields in CHECKS if name != CENTER or cfg.include_center]
+            for name, walk, check, fields in CHECKS if name != CENTER or cfg.max_degree is not None]
     t0 = time.perf_counter()
     for walk in dict.fromkeys(w for _, w, _ in rows):
         on_pass = [(record, check) for record, w, check in rows if w is walk]

@@ -8,7 +8,6 @@ from partic import affine
 from partic.affine import (
     AffineConfiguration,
     AffineWord,
-    affine_act_gen,
     affine_act_word,
     affine_configurations,
     affine_relation_instances,
@@ -25,7 +24,12 @@ def acfg(n, occ, t=0):
     return AffineConfiguration(n, tuple(occ), t)
 
 
+def affine_act_gen(i, c):
+    return affine_act_word(AffineWord(c.n, (i,)), c)
+
+
 def test_affine_act_gen_examples():
+    # a_0 moves a particle N -> 1 and bumps t
     assert affine_act_gen(0, acfg(4, (0, 0, 0, 1))) == acfg(4, (1, 0, 0, 0), t=1)
     assert affine_act_gen(0, acfg(4, (1, 0, 0, 0))) is ANNIHILATED
     assert affine_act_gen(2, acfg(4, (0, 2, 0, 0))) == acfg(4, (0, 1, 1, 0))

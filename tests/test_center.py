@@ -7,7 +7,6 @@ import pytest
 from partic import center
 from partic.center import (
     _Peel,
-    _peel,
     center_basis_in_degree,
     central_candidate,
     expected_center_dimension,
@@ -75,17 +74,23 @@ def test_nullspace_matches_dense_reference():
         assert nullspace(sparse, ncols) == nullspace_dense(dense, ncols), dense
 
 
+def peel_kernel(rows, ncols):
+    peel = _Peel(ncols)
+    peel.add(rows)
+    return peel.kernel()
+
+
 def test_peel_examples():
     # a chain: x0 = 0 forces x1 = 0 through the second row; x2 stays free
-    assert _peel([{0: 1}, {0: 2, 1: -3}], 3) == [2]
+    assert peel_kernel([{0: 1}, {0: 2, 1: -3}], 3) == [2]
     # explicit zeros are not live entries
-    assert _peel([{0: 0, 1: 1}, {2: 0}], 3) == [0, 2]
-    assert _peel([], 2) == [0, 1]
+    assert peel_kernel([{0: 0, 1: 1}, {2: 0}], 3) == [0, 2]
+    assert peel_kernel([], 2) == [0, 1]
     # no row has a single live column: the peel stalls
-    assert _peel([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) is None
+    assert peel_kernel([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) is None
     assert nullspace([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) == []
     # the lone column kills x1, but x0 + x2 = 0 still has two live columns
-    assert _peel([{1: 5}, {0: 1, 1: 1, 2: 1}], 3) is None
+    assert peel_kernel([{1: 5}, {0: 1, 1: 1, 2: 1}], 3) is None
     assert nullspace([{1: 5}, {0: 1, 1: 1, 2: 1}], 3) == [[1, 0, -1]]
 
 
@@ -106,11 +111,13 @@ def test_nullspace_matches_dense_reference_on_sparse_systems():
         kernel = nullspace_dense(dense, ncols)
         once = _Peel(ncols)
         once.add(sparse)
-        one_shot = _peel(sparse, ncols)
+        one_shot = once.kernel()
         if one_shot is None:
             stalled += 1
         else:
+            # a settled peel's live columns span the kernel with unit vectors, its Gauss-Jordan basis
             peeled += 1
+            assert [[int(c == free) for c in range(ncols)] for free in one_shot] == kernel, sparse
         assert nullspace(sparse, ncols) == kernel, sparse
 
         # the same rows fed to one peel in random batches
@@ -127,7 +134,7 @@ def test_nullspace_matches_dense_reference_on_sparse_systems():
 
 
 class StalledPeel:
-    """A peel that kills no column: neither the early exit nor nullspace's peel settles a degree."""
+    """A peel that kills no column and always stalls: every degree goes to the elimination."""
 
     def __init__(self, ncols):
         self.ncols = ncols
@@ -196,7 +203,9 @@ def test_zero_centers_settle_before_the_last_generator(monkeypatch):
     for delta in multidegrees_up_to(5, 10):
         center_basis_in_degree(5, delta)
     assert settled == {1: 420, 2: 514, 3: 59, 4: 5}
-    assert eliminated == [(0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2)]
+    # the degrees whose columns survive, (0,0,0,0), (1,1,1,1) and (2,2,2,2), are settled
+    # by the same peel, so none reaches the exact elimination
+    assert eliminated == []
 
 
 def test_central_candidate_examples():

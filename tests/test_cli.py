@@ -113,7 +113,7 @@ def test_verify_small_pass(capsys):
 
 
 def test_verify_with_center_and_determinism(capsys):
-    args = ["verify", "--N", "3", "--max-len", "3", "--center", "--max-degree", "4", "--json"]
+    args = ["verify", "--N", "3", "--max-len", "3", "--max-degree", "4", "--json"]
     code, out1, _ = run(capsys, *args)
     assert code == 0
     code, out2, _ = run(capsys, *args)
@@ -126,9 +126,13 @@ def test_verify_with_center_and_determinism(capsys):
     assert all("seconds" not in c for c in payload["checks"])
 
 
-def test_verify_plactic_relaxes_count(capsys):
-    code, out, _ = run(capsys, "verify", "--N", "3", "--max-len", "3", "--relations", "plactic")
-    assert code == 0
+@pytest.mark.parametrize("flag", [["--relations", "plactic"], ["--center"]])
+def test_verify_has_no_relations_or_center_option(capsys, flag):
+    # verify partitions under the partic rules only, and --max-degree alone turns the center check on
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--N", "3", "--max-len", "2", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_affine_verify_small(capsys):
@@ -240,7 +244,7 @@ def test_golden_output_hash(capsys, argv, digest):
         # bounds that would certify nothing
         ["verify", "--N", "3", "--max-len", "-1"],
         ["verify", "--N", "3", "--max-len", "2", "--max-deposit", "-1"],
-        ["verify", "--N", "3", "--max-len", "2", "--center", "--max-degree", "-1"],
+        ["verify", "--N", "3", "--max-len", "2", "--max-degree", "-1"],
         ["affine-verify", "--N", "3", "--particles", "-2"],
         ["center", "--N", "3", "--max-degree", "-1"],
         ["act", "--N", "3", "--dot", "--particles", "-1"],
@@ -326,8 +330,6 @@ SUBCOMMAND_PARTS = {
         option("--max-len", bounds),
         option("--max-degree", bounds),
         option("--max-deposit", bounds),
-        switch("--center"),
-        maybe("--relations", st.sampled_from(["partic", "plactic"])),
     ],
     # the largest case, N=6 with m-max = k-max = 3, is 38,968 relation instances: about 0.8 s
     "affine-verify": [option("--particles", bounds), option("--m-max", bounds), option("--k-max", bounds)],

@@ -13,7 +13,7 @@ from partic.particles import (
     act_gen,
     act_word,
     configurations,
-    faithfulness_check,
+    faithfulness_problem,
     io_label,
     label_mul,
     min_input,
@@ -276,9 +276,9 @@ def test_relations_act_identically():
 
 
 def test_faithfulness_check_examples():
-    assert faithfulness_check(4, 5)
-    assert faithfulness_check(3, 6)
-    assert faithfulness_check(4, 0)
+    for n, max_len in ((4, 5), (3, 6), (4, 0)):
+        for delta in multidegrees_up_to(n, max_len):
+            assert faithfulness_problem(delta, enumerate_basis(delta)) is None
 
 
 def test_configuration_parse_and_str():

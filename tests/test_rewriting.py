@@ -17,7 +17,6 @@ from partic.rewriting import (
     one_step_rewrites,
     partic_rules,
     plactic_rules,
-    relation_set,
     words_equivalent,
     words_with_degree,
 )
@@ -38,8 +37,6 @@ def test_relation_set_contents():
             assert set(pl.rules) < set(pa.rules)
         for r in pa.rules:
             assert sorted(r.lhs) == sorted(r.rhs)
-    with pytest.raises(ValueError):
-        relation_set("other", 4)
 
 
 def test_one_step_examples():

@@ -11,7 +11,7 @@ import rewriting_reference
 from partic import normal_form, particles, rewriting, verify
 from partic.core import NormalMonomial, Word, multidegrees_up_to, nm_to_word
 from partic.normal_form import gen_monomial
-from partic.rewriting import PARTIC, PLACTIC, congruence_partition
+from partic.rewriting import PARTIC, congruence_partition
 from partic.verify import VerifyConfig
 
 SWEPT = ("action-factoring", "basis-count", "fold-agreement", "grading", "normal-form")
@@ -123,13 +123,13 @@ def test_labels_that_tell_apart_words_acting_alike_fail_the_check(monkeypatch):
     assert "differ, yet act alike" in counterexample
 
 
-def old_sweeps(cfg, rs, partic):
+def old_sweeps(cfg, rs):
     """The verdict of each check as it was decided before the shared passes: one sweep per check."""
     normalize = normal_form.normalize  # looked up at call time, so a monkeypatched one is used
     degrees = multidegrees_up_to(cfg.n, cfg.max_len)
 
     def normal_forms_biject(delta):
-        classes = congruence_partition(delta, partic)
+        classes = congruence_partition(delta, rs)
         forms = [{normalize(Word(cfg.n, t)) for t in cls} for cls in classes]
         if any(len(f) != 1 for f in forms):
             return False
@@ -138,8 +138,7 @@ def old_sweeps(cfg, rs, partic):
         return len(set(forms)) == len(forms) and expansions_inside
 
     def counts_match(delta):
-        nc, nb = len(congruence_partition(delta, rs)), len(normal_form.enumerate_basis(delta))
-        return nc == nb if cfg.relations == PARTIC else nc >= nb
+        return len(congruence_partition(delta, rs)) == len(normal_form.enumerate_basis(delta))
 
     return {
         "action-factoring": action_reference.action_factoring_label_sweep(cfg.n, cfg.max_len)[0],
@@ -150,24 +149,30 @@ def old_sweeps(cfg, rs, partic):
     }
 
 
-def assert_same_verdicts(cfg, rs, partic):
+def assert_same_verdicts(cfg, rs):
     new = verdicts(cfg)
-    assert {name: new[name][0] for name in SWEPT} == old_sweeps(cfg, rs, partic)
+    assert {name: new[name][0] for name in SWEPT} == old_sweeps(cfg, rs)
     return new
 
 
-@pytest.mark.parametrize("relations", [PARTIC, PLACTIC])
+# verify partitions under the partic rules only; the plactic classes refine them strictly
+# (test_rewriting.py::test_plactic_refines_partic_with_strict_witness)
+RELATIONS = [PARTIC]
+
+
+@pytest.mark.parametrize("relations", RELATIONS)
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_shared_passes_agree_with_the_old_sweeps(n, relations):
-    cfg = VerifyConfig(n, max_len=5, relations=relations)
-    new = assert_same_verdicts(cfg, rewriting.relation_set(relations, n), rewriting.partic_rules(n))
+    cfg = VerifyConfig(n, max_len=5)
+    new = assert_same_verdicts(cfg, rewriting.partic_rules(n))
     assert all(passed for passed, _ in new.values())
+    assert {c.params["relations"] for c in verify.run_verify(cfg).checks} == {relations}
 
 
-def _with_degree_change(name, n):
+def _with_degree_change(n):
     # (1, 2) <-> (2, 2) keeps the length but not the multidegree; RewriteRule refuses it,
     # so it goes straight into the coded rules, and the window memo is cleared
-    rs = rewriting.relation_set(name, n)
+    rs = rewriting.partic_rules(n)
     for lhs, rhs in (((1, 2), (2, 2)), ((2, 2), (1, 2))):
         code = rewriting._encode(lhs, rs.bits)
         rs.windows.by_span.setdefault(2, {}).setdefault(code, []).append(rewriting._encode(rhs, rs.bits) - code)
@@ -175,14 +180,14 @@ def _with_degree_change(name, n):
     return rs
 
 
-@pytest.mark.parametrize("relations", [PARTIC, PLACTIC])
+@pytest.mark.parametrize("relations", RELATIONS)
 def test_a_rule_that_changes_the_multidegree_fails_grading_on_both_routes(monkeypatch, relations):
-    monkeypatch.setattr(verify, "relation_set", _with_degree_change)
-    cfg = VerifyConfig(3, max_len=3, relations=relations)
-    new = assert_same_verdicts(cfg, _with_degree_change(relations, 3), _with_degree_change(PARTIC, 3))
+    monkeypatch.setattr(verify, "partic_rules", _with_degree_change)
+    cfg = VerifyConfig(3, max_len=3)
+    new = assert_same_verdicts(cfg, _with_degree_change(3))
     assert not new["grading"][0]
     assert "not the" in new["grading"][1]
-    assert not rewriting_reference.grading_sweep(_with_degree_change(relations, 3), 3)[0]
+    assert not rewriting_reference.grading_sweep(_with_degree_change(3), 3)[0]
 
 
 @pytest.mark.parametrize(
@@ -197,7 +202,7 @@ def test_a_rule_that_changes_the_multidegree_fails_grading_on_both_routes(monkey
 def test_broken_normalize_fails_the_word_checks_on_both_routes(monkeypatch, letters, image):
     cfg = VerifyConfig(4, max_len=4)
     monkeypatch.setattr(normal_form, "normalize", _normalize_mapping(letters, image))
-    reference = old_sweeps(cfg, rewriting.partic_rules(4), rewriting.partic_rules(4))
+    reference = old_sweeps(cfg, rewriting.partic_rules(4))
     monkeypatch.undo()
     # the program normalizes by the right rule, which here takes letters to image; action-factoring
     # certifies the left fold, which that fault leaves intact, so only there the verdicts part
@@ -222,13 +227,13 @@ def count_validations(monkeypatch) -> list:
 DISTINCT_4_5 = {normal_form.normalize(Word(4, t)) for length in range(6) for t in product(range(1, 4), repeat=length)}
 
 
-@pytest.mark.parametrize("relations", [PARTIC, PLACTIC])
+@pytest.mark.parametrize("relations", RELATIONS)
 def test_each_form_is_validated_once_and_each_word_costs_one_step(monkeypatch, relations):
     steps = []
     monkeypatch.setattr(verify, "_right_mul", lambda d, k, i: steps.append(i) or REAL_RIGHT(d, k, i))
     monkeypatch.setattr(verify, "CHECKS", tuple(c for c in verify.CHECKS if c[1] is verify._degrees))
     validated = count_validations(monkeypatch)
-    assert verify.run_verify(VerifyConfig(4, max_len=5, relations=relations)).passed
+    assert verify.run_verify(VerifyConfig(4, max_len=5)).passed
     assert len(validated) == len(set(validated)) == len(DISTINCT_4_5)
     assert len(steps) == sum(3**length for length in range(1, 6)) == 363
 
@@ -252,7 +257,7 @@ def test_each_normal_form_is_expanded_once(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_memoized_forms_are_the_normal_forms(n):
     seen = 0
-    for _, _, forms in verify._degrees(VerifyConfig(n, max_len=7)):
+    for _, forms in verify._degrees(VerifyConfig(n, max_len=7)):
         for cls in forms:
             for letters, nf in cls.items():
                 assert nf == normal_form.normalize(Word(n, letters))
@@ -285,7 +290,7 @@ def test_labels_that_merge_or_change_degree_fail_faithfulness(monkeypatch, targe
     for max_len in range(1, 4):
         reference = pairwise_distinct_labels(3, max_len)
         passed, counterexample = verdicts(VerifyConfig(3, max_len=max_len))["faithfulness"]
-        assert passed == reference == particles.faithfulness_check(3, max_len) == (target.degree().total() > max_len)
+        assert passed == reference == (target.degree().total() > max_len)
         assert passed or counterexample.startswith(problem)
 
 
@@ -365,13 +370,22 @@ def test_a_pass_stops_once_all_its_checks_have_failed(monkeypatch):
 
 def test_check_seconds_add_up_to_the_wall_time():
     # each pass's shared work (words, normal forms, partitions) is charged to its checks
-    cfg = VerifyConfig(5, max_len=5, include_center=True, max_degree=4)
+    cfg = VerifyConfig(5, max_len=5, max_degree=4)
     t0 = time.perf_counter()
     report = verify.run_verify(cfg)
     wall = time.perf_counter() - t0
     total = sum(c.seconds for c in report.checks)
     assert 0.95 * wall <= total <= wall
     assert all(c.seconds > 0 for c in report.checks)
+
+
+def test_max_degree_alone_turns_the_center_check_on():
+    assert verify.CENTER not in verdicts(VerifyConfig(3, max_len=2))
+    checks = {c.name: c for c in verify.run_verify(VerifyConfig(3, max_len=2, max_degree=0)).checks}
+    assert checks[verify.CENTER].passed
+    assert checks[verify.CENTER].params == {"N": 3, "max_len": 2, "relations": PARTIC, "max_degree": 0}
+    with pytest.raises(ValueError):
+        VerifyConfig(3, max_degree=-1)
 
 
 def test_a_local_failure_no_word_confirms_still_fails(monkeypatch):
