@@ -10,6 +10,7 @@ This module is deliberately independent of the normal-form code in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 from .core import MultiDegree, Word, check_rank, multidegree
@@ -32,31 +33,42 @@ class RewriteRule:
             raise ValueError("a rewrite rule must preserve the multidegree")
 
 
-class _Windows(dict):
-    """Window code -> code differences (rhs - lhs) of the rules whose left-hand side starts it.
+# rule starts read by one window lookup: a word of length 8 needs 3 lookups, not 7
+_STARTS = 3
 
-    A window is as wide as the longest left-hand side.  It is filled on first
-    sight from ``by_span`` ({span: {lhs code: [rhs code - lhs code]}}), so it
-    holds only the windows met, whatever the rank.
+
+class _Windows(dict):
+    """Window code -> pre-shifted code differences (rhs - lhs) of the rules starting in its first ``_STARTS`` letters.
+
+    A window is ``_STARTS - 1`` letters wider than the longest left-hand
+    side, so every rule starting at one of its first ``_STARTS`` positions
+    lies inside it.  It is filled on first sight from ``by_span`` ({span:
+    {lhs code: [rhs code - lhs code]}}), so it holds only the windows met,
+    whatever the rank.  The difference tuples are interned, as many windows
+    share one.
     """
 
     def __init__(self, by_span: dict[int, dict[int, list[int]]], bits: int) -> None:
         super().__init__()
         self.by_span, self.bits = by_span, bits
+        self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def __missing__(self, window: int) -> tuple[int, ...]:
+        bits, spans = self.bits, sorted(self.by_span.items())
         diffs = tuple(
-            diff
-            for span, rules in sorted(self.by_span.items())
-            for diff in rules.get(window & ((1 << span * self.bits) - 1), ())
+            diff << start * bits
+            for start in range(_STARTS)
+            for span, rules in spans
+            for diff in rules.get(window >> start * bits & ((1 << span * bits) - 1), ())
         )
-        self[window] = diffs
+        diffs = self[window] = self.interned.setdefault(diffs, diffs)
         return diffs
 
     def reader(self, length: int) -> tuple[int, range]:
-        """The window mask, and the shift of each position where a rule can start in a word of this length."""
+        """The window mask, and the shift of every ``_STARTS``-th position where a rule can start in a word of this length."""
         spans = self.by_span.keys() or (0,)
-        return (1 << max(spans) * self.bits) - 1, range(0, (length - min(spans) + 1) * self.bits, self.bits)
+        bits = self.bits
+        return (1 << (max(spans) + _STARTS - 1) * bits) - 1, range(0, (length - min(spans) + 1) * bits, _STARTS * bits)
 
 
 @dataclass(frozen=True)
@@ -121,10 +133,14 @@ def _plactic(n: int) -> tuple[RewriteRule, ...]:
     return tuple(rules)
 
 
+# one RelationSet per rank (the 16 latest), so every caller reads the same filled window
+# memo; a caller that changes a rule set builds a RelationSet of its own
+@lru_cache(maxsize=16, typed=True)
 def plactic_rules(n: int) -> RelationSet:
     return RelationSet(PLACTIC, n, _plactic(n))
 
 
+@lru_cache(maxsize=16, typed=True)
 def partic_rules(n: int) -> RelationSet:
     base = _plactic(n)
     # the extra exchange rule a_i a_{i-1} a_{i+1} a_i = a_{i+1} a_i a_{i-1} a_i

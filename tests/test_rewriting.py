@@ -8,6 +8,8 @@ import pytest
 from partic.core import MultiDegree, Word, multidegrees_up_to
 from partic.normal_form import enumerate_basis
 from partic.rewriting import (
+    PARTIC,
+    RelationSet,
     RewriteRule,
     _decode,
     _encode,
@@ -186,12 +188,14 @@ def coded_steps(letters, rs):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_table_steps_match_rule_scan(n):
-    # one window lookup per position gives the same neighbours as trying every rule
-    # at every position; the partic rules are the plactic ones plus the exchange rules
+    # one window lookup per three rule starts gives the same neighbours as trying every
+    # rule at every position; the partic rules are the plactic ones plus the exchange
+    # rules.  Length 8 spans two full window groups and part of a third (N = 3..5 only,
+    # as the N = 6 scan would take 5^8 words)
     plactic, partic = plactic_rules(n), partic_rules(n)
     base = oriented(plactic)
     extra = [pair for pair in oriented(partic) if pair not in base]
-    for length in range(7):
+    for length in range(9 if n <= 5 else 7):
         for letters in product(range(1, n), repeat=length):
             want = steps_reference(letters, base)
             assert coded_steps(letters, plactic) == want, letters
@@ -216,12 +220,24 @@ def test_wide_letters_match_rule_scan(n, max_len):
 
 
 def test_window_memo_holds_only_the_windows_met():
-    # filled lazily: a rank-40 word of length 4 meets at most one window per position
-    rs = partic_rules(40)
+    # filled lazily: the rules of a rank-40 word of length 4 start at its first three
+    # letters, so one window covers them all.  A set of its own, as partic_rules(40) is shared
+    rs = RelationSet(PARTIC, 40, partic_rules(40).rules)
     assert len(rs.windows) == 0
     letters = (20, 19, 21, 20)
     assert letters_of(one_step_rewrites(Word(40, letters), rs)) == steps_reference(letters, oriented(rs))
-    assert 0 < len(rs.windows) <= len(letters)
+    assert len(rs.windows) == 1
+
+
+@pytest.mark.parametrize("factory", [plactic_rules, partic_rules])
+def test_each_rank_has_one_relation_set(factory):
+    # verify and every other caller read one window table per rank, filled as it goes
+    rs = factory(5)
+    assert factory(5) is rs and factory(4) is not rs
+    delta = MultiDegree((2, 1, 2, 1))
+    assert congruence_partition(delta, rs) == partition_reference(delta, rs)
+    assert len(rs.windows) > 0
+    assert congruence_partition(delta, factory(5)) == partition_reference(delta, rs)
 
 
 @pytest.mark.parametrize("n", (4, 5))
