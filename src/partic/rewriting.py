@@ -10,7 +10,6 @@ This module is deliberately independent of the normal-form code in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator
 
 from .core import MultiDegree, Word, check_rank, multidegree
@@ -37,38 +36,66 @@ class RewriteRule:
 _STARTS = 3
 
 
+class _Starts(dict):
+    """Window code -> code differences (rhs - lhs) of the rules whose left-hand side starts it, shifted left by ``shift`` bits.
+
+    A window is as wide as the longest left-hand side.  It is filled on first
+    sight from ``by_span`` ({span: {lhs code: [rhs code - lhs code]}}), so it
+    holds only the windows met, whatever the rank.
+    """
+
+    def __init__(self, by_span: dict[int, dict[int, list[int]]], bits: int, shift: int) -> None:
+        super().__init__()
+        self.by_span, self.bits, self.shift = by_span, bits, shift
+
+    def __missing__(self, window: int) -> tuple[int, ...]:
+        bits, shift = self.bits, self.shift
+        diffs = self[window] = tuple(
+            diff << shift
+            for span, rules in sorted(self.by_span.items())
+            for diff in rules.get(window & ((1 << span * bits) - 1), ())
+        )
+        return diffs
+
+
 class _Windows(dict):
-    """Window code -> pre-shifted code differences (rhs - lhs) of the rules starting in its first ``_STARTS`` letters.
+    """Window code -> code differences of the rules starting in its first ``_STARTS`` letters, each shifted to its start.
 
     A window is ``_STARTS - 1`` letters wider than the longest left-hand
     side, so every rule starting at one of its first ``_STARTS`` positions
-    lies inside it.  It is filled on first sight from ``by_span`` ({span:
-    {lhs code: [rhs code - lhs code]}}), so it holds only the windows met,
-    whatever the rank.  The difference tuples are interned, as many windows
-    share one.
+    lies inside it.  It is filled on first sight by joining the entries of
+    ``starts[k]``, the rules starting at letter ``k``, so it holds only the
+    windows met, whatever the rank.  The joined tuples are interned, as many
+    windows share one.
     """
 
     def __init__(self, by_span: dict[int, dict[int, list[int]]], bits: int) -> None:
         super().__init__()
         self.by_span, self.bits = by_span, bits
+        self.starts = [_Starts(by_span, bits, start * bits) for start in range(_STARTS)]
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def __missing__(self, window: int) -> tuple[int, ...]:
-        bits, spans = self.bits, sorted(self.by_span.items())
-        diffs = tuple(
-            diff << start * bits
-            for start in range(_STARTS)
-            for span, rules in spans
-            for diff in rules.get(window >> start * bits & ((1 << span * bits) - 1), ())
-        )
+        bits = self.bits
+        mask = (1 << max(self.by_span, default=0) * bits) - 1
+        diffs: tuple[int, ...] = ()
+        for start, rules in enumerate(self.starts):
+            diffs += rules[window >> start * bits & mask]
         diffs = self[window] = self.interned.setdefault(diffs, diffs)
         return diffs
 
-    def reader(self, length: int) -> tuple[int, range]:
-        """The window mask, and the shift of every ``_STARTS``-th position where a rule can start in a word of this length."""
+    def reader(self, length: int) -> tuple[dict[int, tuple[int, ...]], int, range]:
+        """The table to read, its window mask, and the shifts of the rule starts it reads in a word of this length.
+
+        A word that fits in one window would meet a new window with nearly
+        every word, so it reads ``starts[0]`` at every position instead.
+        """
         spans = self.by_span.keys() or (0,)
-        bits = self.bits
-        return (1 << (max(spans) + _STARTS - 1) * bits) - 1, range(0, (length - min(spans) + 1) * bits, _STARTS * bits)
+        bits, span = self.bits, max(spans)
+        end = (length - min(spans) + 1) * bits
+        if length < span + _STARTS:
+            return self.starts[0], (1 << span * bits) - 1, range(0, end, bits)
+        return self, (1 << (span + _STARTS - 1) * bits) - 1, range(0, end, _STARTS * bits)
 
 
 @dataclass(frozen=True)
@@ -76,11 +103,12 @@ class RelationSet:
     """Concrete rule instances for one rank (no patterns at rewrite time).
 
     The oracle works on words coded as integers, ``bits`` bits per letter with
-    the first letter lowest (``_encode``).  ``windows`` maps the window at a
-    position to the rules, read in both directions, whose left-hand side
-    starts there; each rewrite is then ``code + (diff << shift)``.  Letters
-    are nonzero, so a window running past the end of a word matches only the
-    rules that fit.
+    the first letter lowest (``_encode``).  ``windows`` maps the window at
+    every third position to the rules, read in both directions, whose
+    left-hand side starts in its first three letters (``windows.starts[0]``
+    those starting at one position, for short words); each rewrite is then
+    ``code + (diff << shift)``.  Letters are nonzero, so a window running
+    past the end of a word matches only the rules that fit.
     """
 
     name: str
@@ -133,14 +161,10 @@ def _plactic(n: int) -> tuple[RewriteRule, ...]:
     return tuple(rules)
 
 
-# one RelationSet per rank (the 16 latest), so every caller reads the same filled window
-# memo; a caller that changes a rule set builds a RelationSet of its own
-@lru_cache(maxsize=16, typed=True)
 def plactic_rules(n: int) -> RelationSet:
     return RelationSet(PLACTIC, n, _plactic(n))
 
 
-@lru_cache(maxsize=16, typed=True)
 def partic_rules(n: int) -> RelationSet:
     base = _plactic(n)
     # the extra exchange rule a_i a_{i-1} a_{i+1} a_i = a_{i+1} a_i a_{i-1} a_i
@@ -152,8 +176,7 @@ def partic_rules(n: int) -> RelationSet:
 
 def _steps(code: int, length: int, rs: RelationSet) -> Iterator[int]:
     """Every word one rule application away (tests/rewriting_reference.py scans rule by rule)."""
-    windows = rs.windows
-    mask, shifts = windows.reader(length)
+    windows, mask, shifts = rs.windows.reader(length)
     for shift in shifts:
         for diff in windows[code >> shift & mask]:
             yield code + (diff << shift)
@@ -161,8 +184,7 @@ def _steps(code: int, length: int, rs: RelationSet) -> Iterator[int]:
 
 def _closure(start: int, length: int, rs: RelationSet) -> set[int]:
     # _steps inlined, as this loop is the oracle's whole cost
-    windows = rs.windows
-    mask, shifts = windows.reader(length)
+    windows, mask, shifts = rs.windows.reader(length)
     seen = {start}
     queue = [start]
     for cur in queue:

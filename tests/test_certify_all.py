@@ -28,9 +28,8 @@ def test_runs_cover_the_certification_bounds(certify_all):
     verify = [(a.N, a.max_len, a.max_degree) for a in runs if a.subcommand == "verify"]
     center = [(a.N, a.max_degree, a.expect_theorem) for a in runs if a.subcommand == "center"]
     affine = [(a.N, a.particles, a.m_max, a.k_max) for a in runs if a.subcommand == "affine-verify"]
-    # every check at N=3, 4 with words to length 8 and at N=5 to length 9, the center to
-    # degree 12 at N=3, 4 and 14 at N=5
-    assert verify == [(3, 8, 12), (4, 8, 12), (5, 9, 14)]
+    # every check at N=3..5 with words to length 8, the center to degree 12 at N=3, 4 and 14 at N=5
+    assert verify == [(3, 8, 12), (4, 8, 12), (5, 8, 14)]
     # the center theorem at N=6 to degree 10
     assert center == [(6, 10, True)]
     assert affine == [(n, 6, 3, 2) for n in range(3, 8)]

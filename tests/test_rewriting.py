@@ -1,4 +1,5 @@
 import ast
+import random
 from collections import Counter
 from itertools import permutations, product
 from pathlib import Path
@@ -8,8 +9,6 @@ import pytest
 from partic.core import MultiDegree, Word, multidegrees_up_to
 from partic.normal_form import enumerate_basis
 from partic.rewriting import (
-    PARTIC,
-    RelationSet,
     RewriteRule,
     _decode,
     _encode,
@@ -217,27 +216,27 @@ def test_wide_letters_match_rule_scan(n, max_len):
             w = Word(n, letters)
             assert letters_of(one_step_rewrites(w, rs)) == steps_reference(letters, pairs), letters
             assert letters_of(congruence_class(w, rs)) == classes[letters], letters
+    # words long enough to read the wide windows, over the top four letters so that many
+    # rules apply and the highest bits are set
+    rng = random.Random(n)
+    for _ in range(400):
+        letters = tuple(rng.randrange(n - 4, n) for _ in range(rng.randrange(7, 10)))
+        assert letters_of(one_step_rewrites(Word(n, letters), rs)) == steps_reference(letters, pairs), letters
 
 
 def test_window_memo_holds_only_the_windows_met():
-    # filled lazily: the rules of a rank-40 word of length 4 start at its first three
-    # letters, so one window covers them all.  A set of its own, as partic_rules(40) is shared
-    rs = RelationSet(PARTIC, 40, partic_rules(40).rules)
-    assert len(rs.windows) == 0
-    letters = (20, 19, 21, 20)
-    assert letters_of(one_step_rewrites(Word(40, letters), rs)) == steps_reference(letters, oriented(rs))
-    assert len(rs.windows) == 1
-
-
-@pytest.mark.parametrize("factory", [plactic_rules, partic_rules])
-def test_each_rank_has_one_relation_set(factory):
-    # verify and every other caller read one window table per rank, filled as it goes
-    rs = factory(5)
-    assert factory(5) is rs and factory(4) is not rs
-    delta = MultiDegree((2, 1, 2, 1))
-    assert congruence_partition(delta, rs) == partition_reference(delta, rs)
-    assert len(rs.windows) > 0
-    assert congruence_partition(delta, factory(5)) == partition_reference(delta, rs)
+    # filled lazily: a rank-40 word of length 4 fits in one wide window, so it reads the
+    # narrow memo at each of its 3 rule starts; a word of length 8 reads one wide window
+    # per three starts, joined from the narrow memos of those starts
+    rs = partic_rules(40)
+    windows = rs.windows
+    assert len(windows) == 0 and not any(windows.starts)
+    short = (20, 19, 21, 20)
+    assert letters_of(one_step_rewrites(Word(40, short), rs)) == steps_reference(short, oriented(rs))
+    assert len(windows) == 0 and 0 < len(windows.starts[0]) <= 3
+    long = short + (5, 4, 6, 5)
+    assert letters_of(one_step_rewrites(Word(40, long), rs)) == steps_reference(long, oriented(rs))
+    assert len(windows) == 3 and sum(map(len, windows.starts)) <= 3 + 3 * 3
 
 
 @pytest.mark.parametrize("n", (4, 5))

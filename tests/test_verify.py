@@ -171,12 +171,12 @@ def test_shared_passes_agree_with_the_old_sweeps(n, relations):
 
 def _with_degree_change(n):
     # (1, 2) <-> (2, 2) keeps the length but not the multidegree; RewriteRule refuses it,
-    # so it goes straight into the coded rules of a relation set of its own, as
-    # partic_rules(n) is shared by every caller
-    rs = rewriting.RelationSet(PARTIC, n, rewriting.partic_rules(n).rules)
+    # so it goes straight into the coded rules, and the window memo is cleared
+    rs = rewriting.partic_rules(n)
     for lhs, rhs in (((1, 2), (2, 2)), ((2, 2), (1, 2))):
         code = rewriting._encode(lhs, rs.bits)
         rs.windows.by_span.setdefault(2, {}).setdefault(code, []).append(rewriting._encode(rhs, rs.bits) - code)
+    rs.windows.clear()
     return rs
 
 
