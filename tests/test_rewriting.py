@@ -187,10 +187,11 @@ def coded_steps(letters, rs):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_table_steps_match_rule_scan(n):
-    # one window lookup per three rule starts gives the same neighbours as trying every
-    # rule at every position; the partic rules are the plactic ones plus the exchange
-    # rules.  Length 8 spans two full window groups and part of a third (N = 3..5 only,
-    # as the N = 6 scan would take 5^8 words)
+    # one narrow window per position (words that fit in one wide window) and one wide
+    # window per three rule starts (longer words) give the same neighbours as trying
+    # every rule at every position; the partic rules are the plactic ones plus the
+    # exchange rules.  Length 8 spans two full wide windows and part of a third (N = 3..5
+    # only, as the N = 6 scan would take 5^8 words)
     plactic, partic = plactic_rules(n), partic_rules(n)
     base = oriented(plactic)
     extra = [pair for pair in oriented(partic) if pair not in base]
