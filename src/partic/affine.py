@@ -20,7 +20,7 @@ from .core import check_rank, compositions
 from .particles import ANNIHILATED, _moved, word_label
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class AffineWord:
     """Word in the cyclic generators, letters in 0..N-1."""
 
@@ -42,7 +42,7 @@ class AffineWord:
         return " ".join(str(a) for a in self.letters)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class AffineConfiguration:
     """Counts (k_1, ..., k_N) on the circle plus the wraparound exponent t."""
 

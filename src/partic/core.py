@@ -44,7 +44,7 @@ def _json_ints(xs) -> tuple[int, ...]:
     return tuple(_json_int(x) for x in xs)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Word:
     """A raw monomial in the free algebra: a finite sequence of generator indices.
 
@@ -56,11 +56,14 @@ class Word:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        check_rank(self.n)
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for a in self.letters:
-            if not 1 <= a <= self.n - 1:
-                raise ValueError(f"letter {a} out of range 1..{self.n - 1}")
+        top = check_rank(self.n) - 1
+        letters = self.letters
+        if type(letters) is not tuple:
+            letters = tuple(letters)
+            object.__setattr__(self, "letters", letters)
+        for a in letters:
+            if not 1 <= a <= top:
+                raise ValueError(f"letter {a} out of range 1..{top}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -91,7 +94,7 @@ class Word:
         return " ".join(str(a) for a in self.letters)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class MultiDegree:
     """Occurrence counts of each generator: counts[i-1] counts a_i.
 
@@ -187,7 +190,7 @@ def normal_condition(d: Iterable[int], k: Iterable[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class NormalMonomial:
     """Basis monomial a_{N-1}^{d_{N-1}} .. a_2^{d_2} a_1^{k_1} a_2^{k_2} .. a_{N-1}^{k_{N-1}}.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import product
+from operator import sub
 
 from .core import AlgebraElement, MultiDegree, NormalMonomial, Word, nm_to_word
 
@@ -19,22 +20,25 @@ def _check_gen(i: int, n: int) -> None:
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
 
 
-def _left_mul(d: list[int], k: list[int], i: int) -> None:
-    """a_i * m on m's exponent lists, in place (the rule of :func:`left_mul_gen`)."""
-    if i == 1 or d[i - 2] == (d[i - 3] if i > 2 else 0) + k[i - 2]:
-        k[i - 1] += 1
-    else:
-        d[i - 2] += 1
+def _left_mul(d: list[int], k: list[int], letters: tuple[int, ...]) -> None:
+    """(letters) * m on m's exponent lists, in place, rightmost letter first (the rule of :func:`left_mul_gen`)."""
+    for i in reversed(letters):
+        if i == 1 or d[i - 2] == (d[i - 3] if i > 2 else 0) + k[i - 2]:
+            k[i - 1] += 1
+        else:
+            d[i - 2] += 1
 
 
-def _right_mul(d: list[int], k: list[int], i: int) -> None:
-    """m * a_i on m's exponent lists, in place (the rule of :func:`right_mul_gen`)."""
-    if i < len(k) and k[i] >= 1:
-        d[i - 1] += 1
-        k[i - 1] += 1
-        k[i] -= 1
-    else:
-        k[i - 1] += 1
+def _right_mul(d: list[int], k: list[int], letters: tuple[int, ...]) -> None:
+    """m * (letters) on m's exponent lists, in place, leftmost letter first (the rule of :func:`right_mul_gen`)."""
+    top = len(k)
+    for i in letters:
+        if i < top and k[i] >= 1:
+            d[i - 1] += 1
+            k[i - 1] += 1
+            k[i] -= 1
+        else:
+            k[i - 1] += 1
 
 
 Exponents = tuple[tuple[int, ...], tuple[int, ...]]
@@ -54,10 +58,10 @@ def _monomial(n: int, d: tuple[int, ...], k: tuple[int, ...]) -> NormalMonomial:
     return NormalMonomial(n, d, k)
 
 
-def _step(rule: Callable[[list[int], list[int], int], None], m: Exponents, i: int) -> Exponents:
-    """One rule (:func:`_left_mul` or :func:`_right_mul`) on the exponents (d, k), copied."""
+def _step(rule: Callable[[list[int], list[int], tuple[int, ...]], None], m: Exponents, i: int) -> Exponents:
+    """One rule (:func:`_left_mul` or :func:`_right_mul`) with the one letter a_i on the exponents (d, k), copied."""
     d, k = list(m[0]), list(m[1])
-    rule(d, k, i)
+    rule(d, k, (i,))
     return tuple(d), tuple(k)
 
 
@@ -91,8 +95,7 @@ def normalize(w: Word) -> NormalMonomial:
     and takes one monomial from the table of :func:`_monomial` at the end.
     """
     d, k = [0] * (w.n - 2), [0] * (w.n - 1)
-    for a in w.letters:
-        _right_mul(d, k, a)
+    _right_mul(d, k, w.letters)
     return _monomial(w.n, tuple(d), tuple(k))
 
 
@@ -102,8 +105,7 @@ def normalize_right_to_left(w: Word) -> NormalMonomial:
     Must agree with :func:`normalize` on every word.
     """
     d, k = [0] * (w.n - 2), [0] * (w.n - 1)
-    for a in reversed(w.letters):
-        _left_mul(d, k, a)
+    _left_mul(d, k, w.letters)
     return _monomial(w.n, tuple(d), tuple(k))
 
 
@@ -124,8 +126,7 @@ def nm_product(m1: NormalMonomial, m2: NormalMonomial) -> NormalMonomial:
     if m1.n != m2.n:
         raise ValueError("rank mismatch")
     d, k = list(m1.d), list(m1.k)
-    for a in nm_to_word(m2).letters:
-        _right_mul(d, k, a)
+    _right_mul(d, k, nm_to_word(m2).letters)
     return _monomial(m1.n, tuple(d), tuple(k))
 
 
@@ -143,7 +144,7 @@ def _basis_exponents(delta: MultiDegree) -> Iterator[Exponents]:
     c = delta.counts
     ranges = [range(min(c[i - 1], c[i - 2]) + 1) for i in range(2, n)]
     for d in product(*ranges):
-        yield d, (c[0],) + tuple(c[i - 1] - d[i - 2] for i in range(2, n))
+        yield d, c[:1] + tuple(map(sub, c[1:], d))
 
 
 def enumerate_basis(delta: MultiDegree) -> list[NormalMonomial]:

@@ -48,7 +48,7 @@ class _AnnihilatedType:
 ANNIHILATED = _AnnihilatedType()
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Configuration:
     """Particle counts (k_1, ..., k_{N-1}, k_0), deposit last."""
 
@@ -198,7 +198,7 @@ def output_of(m: NormalMonomial) -> Configuration:
     return Configuration(n, tuple(occ))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class IoLabel:
     """(output, minimal input) configuration pair; labels a basis monomial uniquely."""
 

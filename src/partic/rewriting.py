@@ -36,25 +36,40 @@ class RewriteRule:
 _STARTS = 3
 
 
-class _Starts(dict):
-    """Window code -> code differences (rhs - lhs) of the rules whose left-hand side starts it, shifted left by ``shift`` bits.
+class _Narrow(dict):
+    """Window code -> code differences (rhs - lhs) of the rules whose left-hand side starts it.
 
     A window is as wide as the longest left-hand side.  It is filled on first
     sight from ``by_span`` ({span: {lhs code: [rhs code - lhs code]}}), so it
     holds only the windows met, whatever the rank.
     """
 
-    def __init__(self, by_span: dict[int, dict[int, list[int]]], bits: int, shift: int) -> None:
+    def __init__(self, by_span: dict[int, dict[int, list[int]]], bits: int, interned: dict) -> None:
         super().__init__()
-        self.by_span, self.bits, self.shift = by_span, bits, shift
+        self.by_span, self.bits, self.interned = by_span, bits, interned
 
     def __missing__(self, window: int) -> tuple[int, ...]:
-        bits, shift = self.bits, self.shift
-        diffs = self[window] = tuple(
-            diff << shift
+        bits = self.bits
+        diffs = tuple(
+            diff
             for span, rules in sorted(self.by_span.items())
             for diff in rules.get(window & ((1 << span * bits) - 1), ())
         )
+        diffs = self[window] = self.interned.setdefault(diffs, diffs)
+        return diffs
+
+
+class _Shifted(dict):
+    """Window code -> the differences ``base`` holds for it, shifted left by ``shift`` bits."""
+
+    def __init__(self, base: dict[int, tuple[int, ...]], shift: int, interned: dict) -> None:
+        super().__init__()
+        self.base, self.shift, self.interned = base, shift, interned
+
+    def __missing__(self, window: int) -> tuple[int, ...]:
+        shift = self.shift
+        diffs = tuple(diff << shift for diff in self.base[window])
+        diffs = self[window] = self.interned.setdefault(diffs, diffs)
         return diffs
 
 
@@ -64,16 +79,21 @@ class _Windows(dict):
     A window is ``_STARTS - 1`` letters wider than the longest left-hand
     side, so every rule starting at one of its first ``_STARTS`` positions
     lies inside it.  It is filled on first sight by joining the entries of
-    ``starts[k]``, the rules starting at letter ``k``, so it holds only the
-    windows met, whatever the rank.  The joined tuples are interned, as many
-    windows share one.
+    ``starts[k]``, the narrow memo shifted by ``k`` letters (the rules
+    starting at letter ``k``), so it holds only the windows met, whatever the
+    rank.  The tuples are interned, as many windows share one.  ``reader``
+    hands out these memos shifted again to where a word reads them;
+    ``clear`` empties every one of them.
     """
 
     def __init__(self, by_span: dict[int, dict[int, list[int]]], bits: int) -> None:
         super().__init__()
         self.by_span, self.bits = by_span, bits
-        self.starts = [_Starts(by_span, bits, start * bits) for start in range(_STARTS)]
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.narrow = _Narrow(by_span, bits, self.interned)
+        self.shifted: dict[tuple[bool, int], _Shifted] = {}
+        self.readers: dict[int, tuple[int, list[tuple[dict[int, tuple[int, ...]], int]]]] = {}
+        self.starts = [self._table(False, start * bits) for start in range(_STARTS)]
 
     def __missing__(self, window: int) -> tuple[int, ...]:
         bits = self.bits
@@ -84,18 +104,43 @@ class _Windows(dict):
         diffs = self[window] = self.interned.setdefault(diffs, diffs)
         return diffs
 
-    def reader(self, length: int) -> tuple[dict[int, tuple[int, ...]], int, range]:
-        """The table to read, its window mask, and the shifts of the rule starts it reads in a word of this length.
+    def _table(self, wide: bool, shift: int) -> dict[int, tuple[int, ...]]:
+        # the wide memo or the narrow one, its differences shifted by ``shift`` bits
+        base = self if wide else self.narrow
+        if not shift:
+            return base
+        table = self.shifted.get((wide, shift))
+        if table is None:
+            table = self.shifted[wide, shift] = _Shifted(base, shift, self.interned)
+        return table
 
-        A word that fits in one window would meet a new window with nearly
-        every word, so it reads ``starts[0]`` at every position instead.
+    def reader(self, length: int) -> tuple[int, list[tuple[dict[int, tuple[int, ...]], int]]]:
+        """The window mask, and a (table, shift) pair for each window a word of this length reads.
+
+        ``table[(code >> shift) & mask]`` holds the code differences of the
+        rules starting there, already shifted by ``shift``.  A word that fits
+        in one wide window would meet a new one with nearly every word, so it
+        reads the narrow memo, shifted to each position, instead.
         """
-        spans = self.by_span.keys() or (0,)
-        bits, span = self.bits, max(spans)
-        end = (length - min(spans) + 1) * bits
-        if length < span + _STARTS:
-            return self.starts[0], (1 << span * bits) - 1, range(0, end, bits)
-        return self, (1 << (span + _STARTS - 1) * bits) - 1, range(0, end, _STARTS * bits)
+        reader = self.readers.get(length)
+        if reader is None:
+            spans = self.by_span.keys() or (0,)
+            bits, span = self.bits, max(spans)
+            end = (length - min(spans) + 1) * bits
+            wide = length >= span + _STARTS
+            width, step = (span + _STARTS - 1, _STARTS * bits) if wide else (span, bits)
+            tables = [(self._table(wide, shift), shift) for shift in range(0, end, step)]
+            reader = self.readers[length] = (1 << width * bits) - 1, tables
+        return reader
+
+    def clear(self) -> None:
+        """Empty this memo and every table built from ``by_span``, as after an edit of it."""
+        super().clear()
+        self.narrow.clear()
+        for table in self.shifted.values():
+            table.clear()
+        self.interned.clear()
+        self.readers.clear()
 
 
 @dataclass(frozen=True)
@@ -105,10 +150,11 @@ class RelationSet:
     The oracle works on words coded as integers, ``bits`` bits per letter with
     the first letter lowest (``_encode``).  ``windows`` maps the window at
     every third position to the rules, read in both directions, whose
-    left-hand side starts in its first three letters (``windows.starts[0]``
-    those starting at one position, for short words); each rewrite is then
-    ``code + (diff << shift)``.  Letters are nonzero, so a window running
-    past the end of a word matches only the rules that fit.
+    left-hand side starts in its first three letters (``windows.narrow``
+    those starting at one position, for short words); ``windows.reader``
+    gives their differences shifted to each read position, so each rewrite
+    is ``code + diff``.  Letters are nonzero, so a window running past the
+    end of a word matches only the rules that fit.
     """
 
     name: str
@@ -176,21 +222,21 @@ def partic_rules(n: int) -> RelationSet:
 
 def _steps(code: int, length: int, rs: RelationSet) -> Iterator[int]:
     """Every word one rule application away (tests/rewriting_reference.py scans rule by rule)."""
-    windows, mask, shifts = rs.windows.reader(length)
-    for shift in shifts:
-        for diff in windows[code >> shift & mask]:
-            yield code + (diff << shift)
+    mask, tables = rs.windows.reader(length)
+    for table, shift in tables:
+        for diff in table[code >> shift & mask]:
+            yield code + diff
 
 
 def _closure(start: int, length: int, rs: RelationSet) -> set[int]:
     # _steps inlined, as this loop is the oracle's whole cost
-    windows, mask, shifts = rs.windows.reader(length)
+    mask, tables = rs.windows.reader(length)
     seen = {start}
     queue = [start]
     for cur in queue:
-        for shift in shifts:
-            for diff in windows[cur >> shift & mask]:
-                nxt = cur + (diff << shift)
+        for table, shift in tables:
+            for diff in table[cur >> shift & mask]:
+                nxt = cur + diff
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)

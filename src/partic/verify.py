@@ -74,7 +74,7 @@ def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[dict]]]:
         for cls in congruence_partition(delta, rs):
             cls_forms = {}
             for t in cls:
-                if t:  # normalize folds _right_mul over the letters: one more step on the prefix's form
+                if t:  # normalize applies _right_mul to the letters in turn: one more step on the prefix's form
                     p = prefix_forms[t[:-1]]
                     key = _step(_right_mul, (p.d, p.k), t[-1])
                 else:

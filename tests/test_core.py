@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -14,7 +15,9 @@ from partic.core import (
     nm_to_word,
     normal_condition,
 )
+from partic.affine import AffineConfiguration, AffineWord
 from partic.normal_form import enumerate_basis
+from partic.particles import Configuration, IoLabel
 from normal_condition_reference import normal_condition_scan
 
 
@@ -31,6 +34,46 @@ def test_word_letter_range():
         Word(3, (3,))
     with pytest.raises(ValueError):
         Word(3, (0,))
+    # the first bad letter is named, wherever it stands
+    for letters, bad in (((5, 1, 2), 5), ((1, 0, 2), 0), ((1, 2, -1), -1), ((1, 7, 0), 7)):
+        with pytest.raises(ValueError, match=rf"^letter {bad} out of range 1\.\.4$"):
+            Word(5, letters)
+        with pytest.raises(ValueError, match=rf"^letter {bad} out of range 1\.\.4$"):
+            Word(5, list(letters))
+
+
+def _io_label(n, out, inp):
+    return IoLabel(Configuration(n, out), Configuration(n, inp))
+
+
+# two instances of each value type, built from their fields, each sequence field given as a list
+VALUE_TYPES = [
+    (Word, (5, [4, 3, 2, 1, 2]), (5, [4, 3, 3])),
+    (MultiDegree, ([1, 2, 0],), ([1, 0, 5],)),
+    (NormalMonomial, (4, [1, 0], [1, 0, 2]), (4, [0, 0], [0, 3, 1])),
+    (Configuration, (4, [1, 0, 2, 1]), (4, [1, 0, 2, 0])),
+    (IoLabel, (Configuration(3, (0, 1, 1)), Configuration(3, (2, 0, 0))), (Configuration(3, (0, 0, 2)), Configuration(3, (1, 1, 0)))),
+    (AffineWord, (4, [0, 3, 1]), (4, [0, 2])),
+    (AffineConfiguration, (4, [1, 0, 2, 1], 3), (4, [1, 0, 2, 1])),
+]
+
+
+@pytest.mark.parametrize("cls, args, other", VALUE_TYPES, ids=[t[0].__name__ for t in VALUE_TYPES])
+def test_value_types_compare_as_their_field_tuples(cls, args, other):
+    def fields(x):
+        return tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+
+    a, b = cls(*args), cls(*other)
+    # a list field becomes a tuple
+    want = tuple(tuple(v) if isinstance(v, list) else v for v in args)
+    assert fields(a) == want and all(type(v) is not list for v in fields(a))
+    assert cls(*want) == a and hash(cls(*want)) == hash(a) == hash(want)
+    fa, fb = fields(a), fields(b)
+    assert (a == b, a != b, a < b, a <= b, a > b, a >= b) == (fa == fb, fa != fb, fa < fb, fa <= fb, fa > fb, fa >= fb)
+    assert sorted([b, a]) == sorted([a, b]) == ([a, b] if fa < fb else [b, a])
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(a, dataclasses.fields(a)[0].name, fb[0])
 
 
 def test_word_parse_and_json_roundtrip():

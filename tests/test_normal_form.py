@@ -123,10 +123,10 @@ def test_completeness_against_oracle():
 
 
 def fresh_normalize(n, letters):
-    # the right fold on exponent lists, with a monomial built and validated anew
+    # the right rule one letter at a time, with a monomial built and validated anew
     d, k = [0] * (n - 2), [0] * (n - 1)
     for a in letters:
-        _right_mul(d, k, a)
+        _right_mul(d, k, (a,))
     return NormalMonomial(n, tuple(d), tuple(k))
 
 
@@ -150,11 +150,12 @@ def test_interned_monomials_equal_fresh_ones(n):
 
 
 def test_a_rule_that_breaks_the_condition_raises_on_every_call(monkeypatch):
-    def broken(d, k, i):  # a_i always lands on d_i, so d_2 <= k_1 fails on the word a_2
-        if i >= 2:
-            d[i - 2] += 1
-        else:
-            k[0] += 1
+    def broken(d, k, letters):  # a_i always lands on d_i, so d_2 <= k_1 fails on the word a_2
+        for i in letters:
+            if i >= 2:
+                d[i - 2] += 1
+            else:
+                k[0] += 1
 
     _monomial.cache_clear()
     monkeypatch.setattr(normal_form, "_right_mul", broken)

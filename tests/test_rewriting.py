@@ -227,17 +227,52 @@ def test_wide_letters_match_rule_scan(n, max_len):
 
 def test_window_memo_holds_only_the_windows_met():
     # filled lazily: a rank-40 word of length 4 fits in one wide window, so it reads the
-    # narrow memo at each of its 3 rule starts; a word of length 8 reads one wide window
-    # per three starts, joined from the narrow memos of those starts
+    # narrow memo at each of its 3 rule starts, shifted there (starts[1] and starts[2] are
+    # its views shifted by one and two letters); a word of length 8 reads one wide window
+    # per three starts, joined from starts[0..2], and the wide memo shifted to positions 3
+    # and 6.  Of the 9 narrow windows the joins read, only (20, 19, 21, 20) was met before
     rs = partic_rules(40)
     windows = rs.windows
-    assert len(windows) == 0 and not any(windows.starts)
+    assert len(windows) == 0 and not windows.narrow and not any(windows.shifted.values())
     short = (20, 19, 21, 20)
     assert letters_of(one_step_rewrites(Word(40, short), rs)) == steps_reference(short, oriented(rs))
-    assert len(windows) == 0 and 0 < len(windows.starts[0]) <= 3
+    assert len(windows) == 0 and len(windows.narrow) == 3
+    assert {key: len(table) for key, table in windows.shifted.items()} == {(False, 6): 1, (False, 12): 1}
     long = short + (5, 4, 6, 5)
     assert letters_of(one_step_rewrites(Word(40, long), rs)) == steps_reference(long, oriented(rs))
-    assert len(windows) == 3 and sum(map(len, windows.starts)) <= 3 + 3 * 3
+    assert len(windows) == 3 and len(windows.narrow) == 3 + 8
+    assert {key: len(table) for key, table in windows.shifted.items()} == {
+        (False, 6): 4,
+        (False, 12): 4,
+        (True, 18): 1,
+        (True, 36): 1,
+    }
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_clear_leaves_no_stale_table(n):
+    # every memo, shifted table and reader is filled at lengths 0..9, both paths; then a
+    # rule (1, 2) <-> (2, 2) goes straight into by_span, as RewriteRule refuses it, and at
+    # N = 3, whose rules all have span 3, it also moves the last position a rule starts at
+    rs = partic_rules(n)
+    rng = random.Random(n)
+    words = [
+        list(product(range(1, n), repeat=length))
+        if (n - 1) ** length <= 512
+        else [tuple(rng.randrange(1, n) for _ in range(length)) for _ in range(512)]
+        for length in range(10)
+    ]
+    for batch in words:
+        for letters in batch:
+            assert coded_steps(letters, rs) == steps_reference(letters, oriented(rs)), letters
+    added = [((1, 2), (2, 2)), ((2, 2), (1, 2))]
+    for lhs, rhs in added:
+        code = _encode(lhs, rs.bits)
+        rs.windows.by_span.setdefault(2, {}).setdefault(code, []).append(_encode(rhs, rs.bits) - code)
+    rs.windows.clear()
+    for batch in words:
+        for letters in batch:
+            assert coded_steps(letters, rs) == steps_reference(letters, oriented(rs) + added), letters
 
 
 @pytest.mark.parametrize("n", (4, 5))

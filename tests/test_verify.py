@@ -41,40 +41,45 @@ def _normalize_mapping(letters, image):
 REAL_RIGHT, REAL_LEFT = normal_form._right_mul, normal_form._left_mul
 
 
-def _absorbs_from_2(d, k, i):
+def _absorbs_from_2(d, k, letters):
     # _right_mul that absorbs only when k_{i+1} >= 2
-    if i < len(k) and k[i] >= 2:
-        d[i - 1] += 1
-        k[i - 1] += 1
-        k[i] -= 1
-    else:
-        k[i - 1] += 1
+    for i in letters:
+        if i < len(k) and k[i] >= 2:
+            d[i - 1] += 1
+            k[i - 1] += 1
+            k[i] -= 1
+        else:
+            k[i - 1] += 1
 
 
-def _never_absorbs_at_n_minus_2(d, k, i):
+def _never_absorbs_at_n_minus_2(d, k, letters):
     # _right_mul that never absorbs at i = N-2
-    if i != len(k) - 1:
-        REAL_RIGHT(d, k, i)
-    else:
-        k[i - 1] += 1
+    for i in letters:
+        if i != len(k) - 1:
+            REAL_RIGHT(d, k, (i,))
+        else:
+            k[i - 1] += 1
 
 
-def _passes_through_at_n_minus_1(d, k, i):
-    # _left_mul that never lets a_{N-1} stay on the descending side
-    if i != len(k):
-        REAL_LEFT(d, k, i)
-    else:
-        k[i - 1] += 1
+def _passes_through_at_n_minus_1(d, k, letters):
+    # _left_mul that never lets a_{N-1} stay on the descending side; it prepends rightmost first
+    for i in reversed(letters):
+        if i != len(k):
+            REAL_LEFT(d, k, (i,))
+        else:
+            k[i - 1] += 1
 
 
 def _rule_mapping(rule, i, before, after):
     """The rule, except that a_i takes the monomial ``before`` to ``after``."""
 
-    def broken(d, k, j):
-        if j == i and (tuple(d), tuple(k)) == (before.d, before.k):
-            d[:], k[:] = after.d, after.k
-        else:
-            rule(d, k, j)
+    def broken(d, k, letters):
+        # letter by letter, in the order the rule takes them: the left rule prepends rightmost first
+        for j in reversed(letters) if rule is REAL_LEFT else letters:
+            if j == i and (tuple(d), tuple(k)) == (before.d, before.k):
+                d[:], k[:] = after.d, after.k
+            else:
+                rule(d, k, (j,))
 
     return broken
 
@@ -230,7 +235,7 @@ DISTINCT_4_5 = {normal_form.normalize(Word(4, t)) for length in range(6) for t i
 @pytest.mark.parametrize("relations", RELATIONS)
 def test_each_form_is_validated_once_and_each_word_costs_one_step(monkeypatch, relations):
     steps = []
-    monkeypatch.setattr(verify, "_right_mul", lambda d, k, i: steps.append(i) or REAL_RIGHT(d, k, i))
+    monkeypatch.setattr(verify, "_right_mul", lambda d, k, letters: steps.extend(letters) or REAL_RIGHT(d, k, letters))
     monkeypatch.setattr(verify, "CHECKS", tuple(c for c in verify.CHECKS if c[1] is verify._degrees))
     validated = count_validations(monkeypatch)
     assert verify.run_verify(VerifyConfig(4, max_len=5)).passed
@@ -335,7 +340,7 @@ def test_local_checks_agree_with_the_word_sweeps(monkeypatch, n, rules):
 def test_local_checks_examine_cases_at_small_bounds(monkeypatch, n, max_len):
     calls = []
     checks = verify.CHECKS
-    monkeypatch.setattr(verify, "_left_mul", lambda d, k, i: calls.append(i) or REAL_LEFT(d, k, i))
+    monkeypatch.setattr(verify, "_left_mul", lambda d, k, letters: calls.extend(letters) or REAL_LEFT(d, k, letters))
     for name in ("action-factoring", "fold-agreement"):
         calls.clear()
         monkeypatch.setattr(verify, "CHECKS", tuple(c for c in checks if c[0] == name))
