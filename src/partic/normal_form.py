@@ -21,8 +21,12 @@ def _check_gen(i: int, n: int) -> None:
 
 
 def _left_mul(d: list[int], k: list[int], letters: tuple[int, ...]) -> None:
-    """(letters) * m on m's exponent lists, in place, rightmost letter first (the rule of :func:`left_mul_gen`)."""
-    for i in reversed(letters):
+    """a_i * m for each letter i in turn, on m's exponent lists, in place (the rule of :func:`left_mul_gen`).
+
+    The letters are multiplied in the order given, each on the left: (a, b)
+    gives a_b a_a m.
+    """
+    for i in letters:
         if i == 1 or d[i - 2] == (d[i - 3] if i > 2 else 0) + k[i - 2]:
             k[i - 1] += 1
         else:
@@ -30,7 +34,11 @@ def _left_mul(d: list[int], k: list[int], letters: tuple[int, ...]) -> None:
 
 
 def _right_mul(d: list[int], k: list[int], letters: tuple[int, ...]) -> None:
-    """m * (letters) on m's exponent lists, in place, leftmost letter first (the rule of :func:`right_mul_gen`)."""
+    """m * a_i for each letter i in turn, on m's exponent lists, in place (the rule of :func:`right_mul_gen`).
+
+    The letters are multiplied in the order given, each on the right: (a, b)
+    gives m a_a a_b.
+    """
     top = len(k)
     for i in letters:
         if i < top and k[i] >= 1:
@@ -105,7 +113,7 @@ def normalize_right_to_left(w: Word) -> NormalMonomial:
     Must agree with :func:`normalize` on every word.
     """
     d, k = [0] * (w.n - 2), [0] * (w.n - 1)
-    _left_mul(d, k, w.letters)
+    _left_mul(d, k, w.letters[::-1])
     return _monomial(w.n, tuple(d), tuple(k))
 
 

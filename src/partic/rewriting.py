@@ -35,6 +35,9 @@ class RewriteRule:
 # rule starts read by one window lookup: a word of length 8 needs 3 lookups, not 7
 _STARTS = 3
 
+# window code -> code differences of the rules read there
+_Table = dict[int, tuple[int, ...]]
+
 
 class _Narrow(dict):
     """Window code -> code differences (rhs - lhs) of the rules whose left-hand side starts it.
@@ -62,7 +65,7 @@ class _Narrow(dict):
 class _Shifted(dict):
     """Window code -> the differences ``base`` holds for it, shifted left by ``shift`` bits."""
 
-    def __init__(self, base: dict[int, tuple[int, ...]], shift: int, interned: dict) -> None:
+    def __init__(self, base: _Table, shift: int, interned: dict) -> None:
         super().__init__()
         self.base, self.shift, self.interned = base, shift, interned
 
@@ -92,7 +95,7 @@ class _Windows(dict):
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.narrow = _Narrow(by_span, bits, self.interned)
         self.shifted: dict[tuple[bool, int], _Shifted] = {}
-        self.readers: dict[int, tuple[int, list[tuple[dict[int, tuple[int, ...]], int]]]] = {}
+        self.readers: dict[int, tuple[int, list[tuple[_Table, int]]]] = {}
         self.starts = [self._table(False, start * bits) for start in range(_STARTS)]
 
     def __missing__(self, window: int) -> tuple[int, ...]:
@@ -104,7 +107,7 @@ class _Windows(dict):
         diffs = self[window] = self.interned.setdefault(diffs, diffs)
         return diffs
 
-    def _table(self, wide: bool, shift: int) -> dict[int, tuple[int, ...]]:
+    def _table(self, wide: bool, shift: int) -> _Table:
         # the wide memo or the narrow one, its differences shifted by ``shift`` bits
         base = self if wide else self.narrow
         if not shift:
@@ -114,7 +117,7 @@ class _Windows(dict):
             table = self.shifted[wide, shift] = _Shifted(base, shift, self.interned)
         return table
 
-    def reader(self, length: int) -> tuple[int, list[tuple[dict[int, tuple[int, ...]], int]]]:
+    def reader(self, length: int) -> tuple[int, list[tuple[_Table, int]]]:
         """The window mask, and a (table, shift) pair for each window a word of this length reads.
 
         ``table[(code >> shift) & mask]`` holds the code differences of the

@@ -62,8 +62,8 @@ def _never_absorbs_at_n_minus_2(d, k, letters):
 
 
 def _passes_through_at_n_minus_1(d, k, letters):
-    # _left_mul that never lets a_{N-1} stay on the descending side; it prepends rightmost first
-    for i in reversed(letters):
+    # _left_mul that never lets a_{N-1} stay on the descending side
+    for i in letters:
         if i != len(k):
             REAL_LEFT(d, k, (i,))
         else:
@@ -74,8 +74,7 @@ def _rule_mapping(rule, i, before, after):
     """The rule, except that a_i takes the monomial ``before`` to ``after``."""
 
     def broken(d, k, letters):
-        # letter by letter, in the order the rule takes them: the left rule prepends rightmost first
-        for j in reversed(letters) if rule is REAL_LEFT else letters:
+        for j in letters:
             if j == i and (tuple(d), tuple(k)) == (before.d, before.k):
                 d[:], k[:] = after.d, after.k
             else:
