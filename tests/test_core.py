@@ -42,17 +42,17 @@ def test_word_letter_range():
             Word(5, list(letters))
 
 
-def _io_label(n, out, inp):
-    return IoLabel(Configuration(n, out), Configuration(n, inp))
-
-
 # two instances of each value type, built from their fields, each sequence field given as a list
 VALUE_TYPES = [
     (Word, (5, [4, 3, 2, 1, 2]), (5, [4, 3, 3])),
     (MultiDegree, ([1, 2, 0],), ([1, 0, 5],)),
     (NormalMonomial, (4, [1, 0], [1, 0, 2]), (4, [0, 0], [0, 3, 1])),
     (Configuration, (4, [1, 0, 2, 1]), (4, [1, 0, 2, 0])),
-    (IoLabel, (Configuration(3, (0, 1, 1)), Configuration(3, (2, 0, 0))), (Configuration(3, (0, 0, 2)), Configuration(3, (1, 1, 0)))),
+    (
+        IoLabel,
+        (Configuration(3, (0, 1, 1)), Configuration(3, (2, 0, 0))),
+        (Configuration(3, (0, 0, 2)), Configuration(3, (1, 1, 0))),
+    ),
     (AffineWord, (4, [0, 3, 1]), (4, [0, 2])),
     (AffineConfiguration, (4, [1, 0, 2, 1], 3), (4, [1, 0, 2, 1])),
 ]
