@@ -35,86 +35,62 @@ class RewriteRule:
 # rule starts read by one window lookup: a word of length 8 needs 3 lookups, not 7
 _STARTS = 3
 
-# window code -> code differences of the rules read there
-_Table = dict[int, tuple[int, ...]]
 
+class _Table(dict):
+    """Window code -> code differences (rhs - lhs) of the rules starting in its first ``starts`` letters.
 
-class _Narrow(dict):
-    """Window code -> code differences (rhs - lhs) of the rules whose left-hand side starts it.
-
-    A window is as wide as the longest left-hand side.  It is filled on first
-    sight from ``by_span`` ({span: {lhs code: [rhs code - lhs code]}}), so it
-    holds only the windows met, whatever the rank.
+    Each difference is shifted to the letter where its rule starts, then left
+    by ``shift`` bits more.  A window is ``starts - 1`` letters wider than the
+    longest left-hand side, so every rule starting at one of its first
+    ``starts`` letters lies inside it.  A missing window is built from the
+    next simpler table: a shifted table shifts the unshifted one, a wide one
+    joins the one-start tables shifted to each start, and the one-start table
+    reads ``by_span``.  So every table holds only the windows met, whatever
+    the rank, and its tuples are interned, as many windows share one.
     """
 
-    def __init__(self, by_span: dict[int, dict[int, list[int]]], bits: int, interned: dict) -> None:
+    def __init__(self, windows: _Windows, starts: int, shift: int) -> None:
         super().__init__()
-        self.by_span, self.bits, self.interned = by_span, bits, interned
+        self.windows, self.starts, self.shift = windows, starts, shift
 
     def __missing__(self, window: int) -> tuple[int, ...]:
-        bits = self.bits
-        diffs = tuple(
-            diff
-            for span, rules in sorted(self.by_span.items())
-            for diff in rules.get(window & ((1 << span * bits) - 1), ())
-        )
-        diffs = self[window] = self.interned.setdefault(diffs, diffs)
+        windows, starts, shift = self.windows, self.starts, self.shift
+        by_span, bits = windows.by_span, windows.bits
+        if shift:
+            diffs = tuple(diff << shift for diff in windows.table(starts, 0)[window])
+        elif starts > 1:
+            mask = (1 << max(by_span, default=0) * bits) - 1
+            diffs = ()
+            for start in range(starts):
+                diffs += windows.table(1, start * bits)[window >> start * bits & mask]
+        else:
+            diffs = tuple(
+                diff
+                for span, rules in sorted(by_span.items())
+                for diff in rules.get(window & ((1 << span * bits) - 1), ())
+            )
+        diffs = self[window] = windows.interned.setdefault(diffs, diffs)
         return diffs
 
 
-class _Shifted(dict):
-    """Window code -> the differences ``base`` holds for it, shifted left by ``shift`` bits."""
+class _Windows:
+    """The window tables of one relation set, built from ``by_span`` ({span: {lhs code: [rhs code - lhs code]}}).
 
-    def __init__(self, base: _Table, shift: int, interned: dict) -> None:
-        super().__init__()
-        self.base, self.shift, self.interned = base, shift, interned
-
-    def __missing__(self, window: int) -> tuple[int, ...]:
-        shift = self.shift
-        diffs = tuple(diff << shift for diff in self.base[window])
-        diffs = self[window] = self.interned.setdefault(diffs, diffs)
-        return diffs
-
-
-class _Windows(dict):
-    """Window code -> code differences of the rules starting in its first ``_STARTS`` letters, each shifted to its start.
-
-    A window is ``_STARTS - 1`` letters wider than the longest left-hand
-    side, so every rule starting at one of its first ``_STARTS`` positions
-    lies inside it.  It is filled on first sight by joining the entries of
-    ``starts[k]``, the narrow memo shifted by ``k`` letters (the rules
-    starting at letter ``k``), so it holds only the windows met, whatever the
-    rank.  The tuples are interned, as many windows share one.  ``reader``
-    hands out these memos shifted again to where a word reads them;
-    ``clear`` empties every one of them.
+    ``tables`` holds one ``_Table`` per ``(starts, shift)`` met, ``interned``
+    the tuples they share and ``readers`` the read plan of each word length;
+    ``clear`` empties all three, as after an edit of ``by_span``.
     """
 
     def __init__(self, by_span: dict[int, dict[int, list[int]]], bits: int) -> None:
-        super().__init__()
         self.by_span, self.bits = by_span, bits
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.narrow = _Narrow(by_span, bits, self.interned)
-        self.shifted: dict[tuple[bool, int], _Shifted] = {}
+        self.tables: dict[tuple[int, int], _Table] = {}
         self.readers: dict[int, tuple[int, list[tuple[_Table, int]]]] = {}
-        self.starts = [self._table(False, start * bits) for start in range(_STARTS)]
 
-    def __missing__(self, window: int) -> tuple[int, ...]:
-        bits = self.bits
-        mask = (1 << max(self.by_span, default=0) * bits) - 1
-        diffs: tuple[int, ...] = ()
-        for start, rules in enumerate(self.starts):
-            diffs += rules[window >> start * bits & mask]
-        diffs = self[window] = self.interned.setdefault(diffs, diffs)
-        return diffs
-
-    def _table(self, wide: bool, shift: int) -> _Table:
-        # the wide memo or the narrow one, its differences shifted by ``shift`` bits
-        base = self if wide else self.narrow
-        if not shift:
-            return base
-        table = self.shifted.get((wide, shift))
+    def table(self, starts: int, shift: int) -> _Table:
+        table = self.tables.get((starts, shift))
         if table is None:
-            table = self.shifted[wide, shift] = _Shifted(base, shift, self.interned)
+            table = self.tables[starts, shift] = _Table(self, starts, shift)
         return table
 
     def reader(self, length: int) -> tuple[int, list[tuple[_Table, int]]]:
@@ -123,25 +99,21 @@ class _Windows(dict):
         ``table[(code >> shift) & mask]`` holds the code differences of the
         rules starting there, already shifted by ``shift``.  A word that fits
         in one wide window would meet a new one with nearly every word, so it
-        reads the narrow memo, shifted to each position, instead.
+        reads the one-start table, shifted to each position, instead.
         """
         reader = self.readers.get(length)
         if reader is None:
             spans = self.by_span.keys() or (0,)
             bits, span = self.bits, max(spans)
             end = (length - min(spans) + 1) * bits
-            wide = length >= span + _STARTS
-            width, step = (span + _STARTS - 1, _STARTS * bits) if wide else (span, bits)
-            tables = [(self._table(wide, shift), shift) for shift in range(0, end, step)]
-            reader = self.readers[length] = (1 << width * bits) - 1, tables
+            starts = _STARTS if length >= span + _STARTS else 1
+            tables = [(self.table(starts, shift), shift) for shift in range(0, end, starts * bits)]
+            reader = self.readers[length] = (1 << (span + starts - 1) * bits) - 1, tables
         return reader
 
     def clear(self) -> None:
-        """Empty this memo and every table built from ``by_span``, as after an edit of it."""
-        super().clear()
-        self.narrow.clear()
-        for table in self.shifted.values():
-            table.clear()
+        """Drop every table and reader built from ``by_span``, as after an edit of it."""
+        self.tables.clear()
         self.interned.clear()
         self.readers.clear()
 
@@ -151,13 +123,13 @@ class RelationSet:
     """Concrete rule instances for one rank (no patterns at rewrite time).
 
     The oracle works on words coded as integers, ``bits`` bits per letter with
-    the first letter lowest (``_encode``).  ``windows`` maps the window at
-    every third position to the rules, read in both directions, whose
-    left-hand side starts in its first three letters (``windows.narrow``
-    those starting at one position, for short words); ``windows.reader``
-    gives their differences shifted to each read position, so each rewrite
-    is ``code + diff``.  Letters are nonzero, so a window running past the
-    end of a word matches only the rules that fit.
+    the first letter lowest (``_encode``).  ``windows.reader`` gives, per
+    word length, the tables that map the window at every third position to
+    the rules, read in both directions, whose left-hand side starts in its
+    first three letters (for short words, at every position to those
+    starting there), their differences shifted to that position, so each
+    rewrite is ``code + diff``.  Letters are nonzero, so a window running
+    past the end of a word matches only the rules that fit.
     """
 
     name: str

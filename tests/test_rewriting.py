@@ -9,6 +9,7 @@ import pytest
 from partic.core import MultiDegree, Word, multidegrees_up_to
 from partic.normal_form import enumerate_basis
 from partic.rewriting import (
+    RelationSet,
     RewriteRule,
     _decode,
     _encode,
@@ -187,11 +188,11 @@ def coded_steps(letters, rs):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_table_steps_match_rule_scan(n):
-    # one narrow window per position (words that fit in one wide window) and one wide
-    # window per three rule starts (longer words) give the same neighbours as trying
-    # every rule at every position; the partic rules are the plactic ones plus the
-    # exchange rules.  Length 8 spans two full wide windows and part of a third (N = 3..5
-    # only, as the N = 6 scan would take 5^8 words)
+    # one one-start window per position (words that fit in one wide window) and one wide
+    # window per three rule starts (longer words), each from its own table, give the same
+    # neighbours as trying every rule at every position; the partic rules are the
+    # plactic ones plus the exchange rules.  Length 8 spans two full wide windows and part
+    # of a third (N = 3..5 only, as the N = 6 scan would take 5^8 words)
     plactic, partic = plactic_rules(n), partic_rules(n)
     base = oriented(plactic)
     extra = [pair for pair in oriented(partic) if pair not in base]
@@ -226,34 +227,41 @@ def test_wide_letters_match_rule_scan(n, max_len):
 
 
 def test_window_memo_holds_only_the_windows_met():
-    # filled lazily: a rank-40 word of length 4 fits in one wide window, so it reads the
-    # narrow memo at each of its 3 rule starts, shifted there (starts[1] and starts[2] are
-    # its views shifted by one and two letters); a word of length 8 reads one wide window
-    # per three starts, joined from starts[0..2], and the wide memo shifted to positions 3
-    # and 6.  Of the 9 narrow windows the joins read, only (20, 19, 21, 20) was met before
+    # filled lazily, one table per (rule starts per window, shift): a rank-40 word of
+    # length 4 fits in one wide window, so it reads the one-start table at each of its 3
+    # rule starts, shifted there ((1, 6) and (1, 12) are filled from (1, 0)); a word of
+    # length 8 reads one wide window per three starts, (3, 0) joined from (1, 0), (1, 6)
+    # and (1, 12), and (3, 0) shifted to positions 3 and 6.  Of the 9 one-start windows
+    # the joins read, only (20, 19, 21, 20) was met before.  A word of length 9 reads the
+    # same positions, through the very same tables
     rs = partic_rules(40)
     windows = rs.windows
-    assert len(windows) == 0 and not windows.narrow and not any(windows.shifted.values())
+
+    def sizes():
+        return {key: len(table) for key, table in windows.tables.items()}
+
+    assert sizes() == {}
     short = (20, 19, 21, 20)
     assert letters_of(one_step_rewrites(Word(40, short), rs)) == steps_reference(short, oriented(rs))
-    assert len(windows) == 0 and len(windows.narrow) == 3
-    assert {key: len(table) for key, table in windows.shifted.items()} == {(False, 6): 1, (False, 12): 1}
+    assert sizes() == {(1, 0): 3, (1, 6): 1, (1, 12): 1}
     long = short + (5, 4, 6, 5)
     assert letters_of(one_step_rewrites(Word(40, long), rs)) == steps_reference(long, oriented(rs))
-    assert len(windows) == 3 and len(windows.narrow) == 3 + 8
-    assert {key: len(table) for key, table in windows.shifted.items()} == {
-        (False, 6): 4,
-        (False, 12): 4,
-        (True, 18): 1,
-        (True, 36): 1,
-    }
+    assert sizes() == {(1, 0): 11, (1, 6): 4, (1, 12): 4, (3, 0): 3, (3, 18): 1, (3, 36): 1}
+    longer = long + (5,)
+    assert letters_of(one_step_rewrites(Word(40, longer), rs)) == steps_reference(longer, oriented(rs))
+    assert sizes() == {(1, 0): 14, (1, 6): 5, (1, 12): 6, (3, 0): 5, (3, 18): 2, (3, 36): 2}
+    (mask8, tables8), (mask9, tables9) = windows.reader(8), windows.reader(9)
+    assert mask8 == mask9 and [shift for _, shift in tables9] == [0, 18, 36]
+    for (table8, _), (table9, _), key in zip(tables8, tables9, [(3, 0), (3, 18), (3, 36)]):
+        assert table8 is table9 is windows.tables[key]
 
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_clear_leaves_no_stale_table(n):
-    # every memo, shifted table and reader is filled at lengths 0..9, both paths; then a
-    # rule (1, 2) <-> (2, 2) goes straight into by_span, as RewriteRule refuses it, and at
-    # N = 3, whose rules all have span 3, it also moves the last position a rule starts at
+    # every table in windows.tables, one-start and wide at each shift, and every cached
+    # reader is filled at lengths 0..9; then a rule (1, 2) <-> (2, 2) goes straight into
+    # by_span, as RewriteRule refuses it, and at N = 3, whose rules all have span 3, it
+    # also moves the last position a rule starts at
     rs = partic_rules(n)
     rng = random.Random(n)
     words = [
@@ -273,6 +281,22 @@ def test_clear_leaves_no_stale_table(n):
     for batch in words:
         for letters in batch:
             assert coded_steps(letters, rs) == steps_reference(letters, oriented(rs) + added), letters
+
+
+@pytest.mark.parametrize("span", [None, 2, 3, 4], ids=["none", "span-2", "span-3", "span-4"])
+def test_table_steps_match_rule_scan_for_partial_rule_sets(span):
+    # no rules at all, or the partic rules of one span only (the commutations, the plactic
+    # rules, the exchange rules), so that the shortest and longest rule differ from the
+    # full sets' or there is none
+    rules = tuple(r for r in partic_rules(4).rules if len(r.lhs) == span)
+    assert bool(rules) == (span is not None)
+    rs = RelationSet(f"span-{span}", 4, rules)
+    pairs = oriented(rs)
+    for length in range(9):
+        for letters in product(range(1, 4), repeat=length):
+            assert coded_steps(letters, rs) == steps_reference(letters, pairs), letters
+    if span is None:
+        assert congruence_partition(MultiDegree((1, 1, 1)), rs) == [{p} for p in permutations((1, 2, 3))]
 
 
 @pytest.mark.parametrize("n", (4, 5))
