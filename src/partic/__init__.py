@@ -25,13 +25,11 @@ from .center import (
 )
 from .core import (
     AlgebraElement,
-    LinearCombination,
     MultiDegree,
     NormalMonomial,
     Word,
     check_rank,
     compositions,
-    multidegree,
     multidegrees_up_to,
     nm_to_word,
     normal_condition,
@@ -51,8 +49,6 @@ from .particles import (
     ANNIHILATED,
     Configuration,
     IoLabel,
-    ModuleElement,
-    act_element,
     act_gen,
     act_word,
     configurations,
@@ -68,12 +64,9 @@ from .rewriting import (
     PLACTIC,
     RelationSet,
     RewriteRule,
-    congruence_class,
     congruence_partition,
-    one_step_rewrites,
     partic_rules,
     plactic_rules,
-    words_equivalent,
     words_with_degree,
 )
 from .verify import VerifyCheck, VerifyConfig, VerifyReport, run_verify

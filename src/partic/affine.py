@@ -35,9 +35,6 @@ class AffineWord:
             a = next(a for a in letters if not 0 <= a <= self.n - 1)
             raise ValueError(f"letter {a} out of range 0..{self.n - 1}")
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def __str__(self) -> str:
         return " ".join(str(a) for a in self.letters)
 
@@ -57,9 +54,6 @@ class AffineConfiguration:
             raise ValueError(f"rank {self.n} needs {self.n} counts")
         if any(c < 0 for c in self.occ) or self.t < 0:
             raise ValueError("counts and the wraparound exponent must be nonnegative")
-
-    def total(self) -> int:
-        return sum(self.occ)
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.occ) + f" t={self.t}"

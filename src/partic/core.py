@@ -65,30 +65,9 @@ class Word:
             if not 1 <= a <= top:
                 raise ValueError(f"letter {a} out of range 1..{top}")
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def concat(self, other: Word) -> Word:
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        return Word(self.n, self.letters + other.letters)
-
     @staticmethod
     def parse(n: int, text: str) -> Word:
         return Word(n, parse_ints(text))
-
-    def to_json(self) -> dict:
-        return {"N": self.n, "letters": list(self.letters)}
-
-    @staticmethod
-    def from_json(obj: Mapping) -> Word:
-        try:
-            return Word(_json_int(obj["N"]), _json_ints(obj["letters"]))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed word JSON: {exc!r}") from None
 
     def __str__(self) -> str:
         return " ".join(str(a) for a in self.letters)
@@ -128,13 +107,6 @@ class MultiDegree:
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.counts)
-
-
-def multidegree(w: Word) -> MultiDegree:
-    counts = [0] * (w.n - 1)
-    for a in w.letters:
-        counts[a - 1] += 1
-    return MultiDegree(tuple(counts))
 
 
 def compositions(parts: int, budget: int) -> Iterator[tuple[int, ...]]:
@@ -219,24 +191,6 @@ class NormalMonomial:
         check_rank(n)
         return NormalMonomial(n, (0,) * (n - 2), (0,) * (n - 1))
 
-    def d_exp(self, i: int) -> int:
-        """Descending exponent of a_i, with d_1 = 0 by convention."""
-        if i == 1:
-            return 0
-        return self.d[i - 2]
-
-    def k_exp(self, i: int) -> int:
-        return self.k[i - 1]
-
-    def length(self) -> int:
-        return sum(self.d) + sum(self.k)
-
-    def degree(self) -> MultiDegree:
-        counts = list(self.k)
-        for i in range(2, self.n):
-            counts[i - 1] += self.d[i - 2]
-        return MultiDegree(tuple(counts))
-
     def to_json(self) -> dict:
         return {"N": self.n, "d": list(self.d), "k": list(self.k)}
 
@@ -270,11 +224,20 @@ def nm_to_word(m: NormalMonomial) -> Word:
     return Word(m.n, tuple(letters))
 
 
-class LinearCombination:
-    """Finite formal sum with exact rational coefficients.
+def _exact(c) -> Fraction:
+    """A coefficient as a Fraction; a float, or any type but int and Fraction, raises TypeError."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, got {c!r}")
+    return Fraction(c)
+
+
+class AlgebraElement:
+    """Linear combination of normal monomials of one rank, with exact rational coefficients.
 
     Zero coefficients are never stored, so equality is term-set equality and
-    is independent of insertion order.  Subclasses fix the key type.
+    is independent of insertion order.  A coefficient is an ``int`` or a
+    ``Fraction``: a float would be stored as its binary expansion, so it
+    raises TypeError, in the constructor and in :meth:`scaled` alike.
     """
 
     __slots__ = ("n", "terms")
@@ -283,103 +246,64 @@ class LinearCombination:
         check_rank(n)
         self.n = n
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict = {}
-        for key, coeff in items:
-            self._check_key(key)
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
-        self.terms = {key: c for key, c in acc.items() if c != 0}
-
-    def _check_key(self, key) -> None:
-        raise NotImplementedError
-
-    def _make(self, terms) -> LinearCombination:
-        return type(self)(self.n, terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple]:
-        return sorted(self.terms.items(), key=lambda item: item[0])
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and other.n == self.n
-            and other.terms == self.terms
-        )
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if type(other) is not type(self) or other.n != self.n:
-            raise ValueError("can only add elements of the same kind and rank")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return self._make(out)
-
-    def __neg__(self):
-        return self._make({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c: Scalar):
-        c = Fraction(c)
-        if not c:
-            return self._make({})
-        return self._make({key: c * v for key, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scaled(c)
-        return NotImplemented
-
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, coeff in self.sorted_terms():
-            if coeff == 1:
-                parts.append(str(key))
-            elif coeff == -1:
-                parts.append(f"-{key}")
-            else:
-                parts.append(f"{coeff}*{key}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={self.n}, {self.pretty()})"
-
-
-class AlgebraElement(LinearCombination):
-    """Linear combination of normal monomials of one rank."""
-
-    def _check_key(self, key) -> None:
-        if not isinstance(key, NormalMonomial) or key.n != self.n:
-            raise ValueError(f"term keys must be NormalMonomial of rank {self.n}")
-
-    @staticmethod
-    def zero(n: int) -> AlgebraElement:
-        return AlgebraElement(n, {})
-
-    @staticmethod
-    def one(n: int) -> AlgebraElement:
-        return AlgebraElement(n, {NormalMonomial.unit(n): 1})
+        acc: dict[NormalMonomial, Fraction] = {}
+        for m, coeff in items:
+            if not isinstance(m, NormalMonomial) or m.n != n:
+                raise ValueError(f"term keys must be NormalMonomial of rank {n}")
+            acc[m] = acc.get(m, 0) + _exact(coeff)
+        self.terms = {m: c for m, c in acc.items() if c}
 
     @staticmethod
     def from_monomial(m: NormalMonomial, coeff: Scalar = 1) -> AlgebraElement:
         return AlgebraElement(m.n, {m: coeff})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def sorted_terms(self) -> list[tuple[NormalMonomial, Fraction]]:
+        return sorted(self.terms.items(), key=lambda item: item[0])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AlgebraElement) and other.n == self.n and other.terms == self.terms
+
+    __hash__ = None
+
+    def __add__(self, other: AlgebraElement) -> AlgebraElement:
+        if not isinstance(other, AlgebraElement) or other.n != self.n:
+            raise ValueError("can only add elements of the same rank")
+        return AlgebraElement(self.n, [*self.terms.items(), *other.terms.items()])
+
+    def __neg__(self) -> AlgebraElement:
+        return self.scaled(-1)
+
+    def __sub__(self, other: AlgebraElement) -> AlgebraElement:
+        return self + (-other)
+
+    def scaled(self, c: Scalar) -> AlgebraElement:
+        c = _exact(c)
+        return AlgebraElement(self.n, {m: c * v for m, v in self.terms.items()})
+
+    __rmul__ = scaled
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             from .normal_form import element_product
 
             return element_product(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
+        return self.scaled(other)
+
+    def pretty(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for m, coeff in self.sorted_terms():
+            if coeff == 1:
+                parts.append(str(m))
+            elif coeff == -1:
+                parts.append(f"-{m}")
+            else:
+                parts.append(f"{coeff}*{m}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+    def __repr__(self) -> str:
+        return f"AlgebraElement(n={self.n}, {self.pretty()})"

@@ -15,28 +15,17 @@ the tests, so it is pinned there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator
 
-from .core import (
-    AlgebraElement,
-    LinearCombination,
-    MultiDegree,
-    NormalMonomial,
-    Word,
-    check_rank,
-    compositions,
-    nm_to_word,
-    parse_ints,
-)
+from .core import MultiDegree, NormalMonomial, Word, check_rank, compositions, parse_ints
 
 
 class _AnnihilatedType:
     """Marker for a generator move with no particle to move.
 
-    Distinct from the zero module element: single-configuration operations
-    stay total, and the lift to linear combinations maps it to zero.
+    Distinct from every configuration, so single-configuration operations
+    stay total; a linear extension maps it to zero.
     """
 
     __slots__ = ()
@@ -63,19 +52,6 @@ class Configuration:
         if any(c < 0 for c in self.occ):
             raise ValueError("particle counts must be nonnegative")
 
-    @staticmethod
-    def zero(n: int) -> Configuration:
-        return Configuration(n, (0,) * n)
-
-    def total(self) -> int:
-        return sum(self.occ)
-
-    def at(self, i: int) -> int:
-        """Count at line position i (1 <= i <= N-1)."""
-        if not 1 <= i <= self.n - 1:
-            raise ValueError(f"position {i} out of range 1..{self.n - 1}")
-        return self.occ[i - 1]
-
     @property
     def deposit(self) -> int:
         return self.occ[-1]
@@ -86,18 +62,6 @@ class Configuration:
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.occ)
-
-
-class ModuleElement(LinearCombination):
-    """Linear combination of particle configurations of one rank."""
-
-    def _check_key(self, key) -> None:
-        if not isinstance(key, Configuration) or key.n != self.n:
-            raise ValueError(f"term keys must be Configuration of rank {self.n}")
-
-    @staticmethod
-    def from_configuration(c: Configuration, coeff=1) -> ModuleElement:
-        return ModuleElement(c.n, {c: coeff})
 
 
 def act_gen(i: int, c: Configuration):
@@ -161,20 +125,6 @@ def word_label(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(out), tuple(inp)
 
 
-def act_element(e: AlgebraElement, v: ModuleElement) -> ModuleElement:
-    """Bilinear extension of the word action; annihilated terms drop out."""
-    if e.n != v.n:
-        raise ValueError("rank mismatch")
-    acc: dict[Configuration, Fraction] = {}
-    for m, cm in e.terms.items():
-        w = nm_to_word(m)
-        for cfg, cv in v.terms.items():
-            out = act_word(w, cfg)
-            if out is not ANNIHILATED:
-                acc[out] = acc.get(out, Fraction(0)) + cm * cv
-    return ModuleElement(v.n, acc)
-
-
 def min_input(m: NormalMonomial) -> Configuration:
     """Smallest configuration the monomial does not annihilate: (k_1, ..., k_{N-1}, 0).
 
@@ -190,12 +140,9 @@ def output_of(m: NormalMonomial) -> Configuration:
     Position 1 empties, position i receives k_{i-1} + d_{i-1} - d_i, and the
     deposit receives k_{N-1} + d_{N-1}.
     """
-    n = m.n
-    occ = [0] * n
-    for i in range(2, n):
-        occ[i - 1] = m.k_exp(i - 1) + m.d_exp(i - 1) - m.d_exp(i)
-    occ[n - 1] = m.k_exp(n - 1) + m.d_exp(n - 1)
-    return Configuration(n, tuple(occ))
+    d = (0,) + m.d  # d[i - 1] is d_i, with d_1 = 0
+    line = [k + up - down for k, up, down in zip(m.k, d, d[1:])]  # positions 2..N-1
+    return Configuration(m.n, (0, *line, m.k[-1] + d[-1]))
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -210,9 +157,9 @@ class IoLabel:
             raise ValueError("label configurations must share the rank")
         if self.j_in.deposit != 0:
             raise ValueError("unrealizable label: input configuration has deposit particles")
-        if self.i_out.at(1) != 0:
+        if self.i_out.occ[0] != 0:
             raise ValueError("unrealizable label: output configuration occupies position 1")
-        if self.i_out.total() != self.j_in.total():
+        if sum(self.i_out.occ) != sum(self.j_in.occ):
             raise ValueError("unrealizable label: particle counts differ")
 
 
@@ -283,11 +230,14 @@ def configurations(n: int, max_particles: int, max_deposit: int | None = None) -
     """All configurations with at most ``max_particles`` on positions 1..N-1.
 
     The deposit ranges over 0..max_deposit (default: max_particles).
-    Deterministic lexicographic order.
+    Deterministic lexicographic order.  A negative bound raises ValueError,
+    as a sweep over no configuration would pass having examined nothing.
     """
     check_rank(n)
     if max_deposit is None:
         max_deposit = max_particles
+    if max_deposit < 0:
+        raise ValueError(f"bound must be nonnegative, got {max_deposit}")
     for body in compositions(n - 1, max_particles):
         for dep in range(max_deposit + 1):
             yield Configuration(n, body + (dep,))

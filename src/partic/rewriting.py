@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import MultiDegree, Word, check_rank, multidegree
+from .core import MultiDegree, check_rank
 
 PLACTIC = "plactic"
 PARTIC = "partic"
@@ -216,33 +216,6 @@ def _closure(start: int, length: int, rs: RelationSet) -> set[int]:
                     seen.add(nxt)
                     queue.append(nxt)
     return seen
-
-
-def _check_ranks(w: Word, rs: RelationSet) -> None:
-    if w.n != rs.n:
-        raise ValueError(f"word rank {w.n} does not match relation set rank {rs.n}")
-
-
-def one_step_rewrites(w: Word, rs: RelationSet) -> set[Word]:
-    """All words reachable by one rule application, in either direction."""
-    _check_ranks(w, rs)
-    code = _encode(w.letters, rs.bits)
-    return {Word(w.n, _decode(out, rs.bits)) for out in _steps(code, len(w), rs)}
-
-
-def congruence_class(w: Word, rs: RelationSet) -> set[Word]:
-    """The full (finite) equivalence class of w under the given relations."""
-    _check_ranks(w, rs)
-    cls = _closure(_encode(w.letters, rs.bits), len(w), rs)
-    return {Word(w.n, _decode(code, rs.bits)) for code in cls}
-
-
-def words_equivalent(w1: Word, w2: Word, rs: RelationSet) -> bool:
-    _check_ranks(w1, rs)
-    _check_ranks(w2, rs)
-    if multidegree(w1) != multidegree(w2):
-        return False
-    return _encode(w2.letters, rs.bits) in _closure(_encode(w1.letters, rs.bits), len(w1), rs)
 
 
 def words_with_degree(delta: MultiDegree) -> Iterator[Letters]:

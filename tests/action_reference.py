@@ -1,10 +1,10 @@
-"""Brute-force reference for the ``action-factoring`` check, kept with the tests that compare against it."""
+"""Brute-force references for the particle action: the ``action-factoring`` check, and the action of algebra elements."""
 from itertools import product
 
 from partic import normal_form
-from partic.core import Word, nm_to_word
+from partic.core import AlgebraElement, Word, nm_to_word
 from partic.normal_form import normalize
-from partic.particles import act_word, configurations, word_label
+from partic.particles import ANNIHILATED, act_word, configurations, word_label
 from partic.verify import VerifyConfig
 
 
@@ -38,3 +38,18 @@ def action_factoring_label_sweep(n: int, max_len: int, fold=None):
         if word_label(w) != word_label(nm_to_word(fold(w))):
             return False, letters
     return True, None
+
+
+def act(e: AlgebraElement, v: dict) -> dict:
+    """Bilinear extension of the word action to a ``{Configuration: coefficient}`` sum.
+
+    Annihilated terms drop out, and so do coefficients that sum to zero.
+    """
+    out = {}
+    for m, cm in e.terms.items():
+        w = nm_to_word(m)
+        for c, cv in v.items():
+            image = act_word(w, c)
+            if image is not ANNIHILATED:
+                out[image] = out.get(image, 0) + cm * cv
+    return {c: x for c, x in out.items() if x}

@@ -223,7 +223,7 @@ def test_central_candidate_examples():
 def test_commutes_with_generators_examples():
     assert commutes_with_generators(AlgebraElement.from_monomial(central_candidate(4, 2)))
     assert not commutes_with_generators(gen_element(3, 1))
-    assert commutes_with_generators(AlgebraElement.zero(3))
+    assert commutes_with_generators(AlgebraElement(3))
 
 
 def test_candidates_commute_all_small():

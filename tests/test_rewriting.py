@@ -11,22 +11,24 @@ from partic.normal_form import enumerate_basis
 from partic.rewriting import (
     RelationSet,
     RewriteRule,
-    _decode,
     _encode,
-    _steps,
-    congruence_class,
     congruence_partition,
-    one_step_rewrites,
     partic_rules,
     plactic_rules,
-    words_equivalent,
     words_with_degree,
 )
-from rewriting_reference import closure_reference, oriented, partition_reference, steps_reference
+from rewriting_reference import (
+    class_of,
+    closure_reference,
+    coded_steps,
+    oriented,
+    partition_reference,
+    steps_reference,
+)
 
 
-def letters_of(ws):
-    return {w.letters for w in ws}
+def equivalent(w1, w2, rs):
+    return w2.letters in class_of(w1, rs)
 
 
 def test_relation_set_contents():
@@ -42,17 +44,17 @@ def test_relation_set_contents():
 
 
 def test_one_step_examples():
-    assert letters_of(one_step_rewrites(Word(4, (1, 3)), partic_rules(4))) == {(3, 1)}
-    assert letters_of(one_step_rewrites(Word(3, (2, 1, 2)), partic_rules(3))) == {(2, 2, 1)}
-    assert one_step_rewrites(Word(3, (1,)), partic_rules(3)) == set()
+    assert coded_steps((1, 3), partic_rules(4)) == {(3, 1)}
+    assert coded_steps((2, 1, 2), partic_rules(3)) == {(2, 2, 1)}
+    assert coded_steps((1,), partic_rules(3)) == set()
 
 
 def test_congruence_class_hand_enumerated():
     # the classes of 2132 were worked out by hand: plactic only commutes the
     # distant pair, the extra exchange rule opens up three more words
     w = Word(4, (2, 1, 3, 2))
-    assert letters_of(congruence_class(w, plactic_rules(4))) == {(2, 1, 3, 2), (2, 3, 1, 2)}
-    assert letters_of(congruence_class(w, partic_rules(4))) == {
+    assert class_of(w, plactic_rules(4)) == {(2, 1, 3, 2), (2, 3, 1, 2)}
+    assert class_of(w, partic_rules(4)) == {
         (2, 1, 3, 2),
         (2, 3, 1, 2),
         (3, 2, 1, 2),
@@ -62,22 +64,22 @@ def test_congruence_class_hand_enumerated():
 
 
 def test_congruence_class_trivial():
-    assert letters_of(congruence_class(Word(3, (1,)), partic_rules(3))) == {(1,)}
+    assert class_of(Word(3, (1,)), partic_rules(3)) == {(1,)}
 
 
 def test_congruence_class_idempotent():
     w = Word(4, (2, 1, 3, 2))
-    cls = congruence_class(w, partic_rules(4))
+    cls = class_of(w, partic_rules(4))
     for member in cls:
-        assert congruence_class(member, partic_rules(4)) == cls
+        assert class_of(Word(4, member), partic_rules(4)) == cls
 
 
 def test_words_equivalent_examples():
     rs3 = plactic_rules(3)
-    assert words_equivalent(Word(3, (2, 2, 1, 1)), Word(3, (2, 1, 2, 1)), rs3)
-    assert words_equivalent(Word(3, (2, 1, 2, 1)), Word(3, (2, 2, 1, 1)), rs3)
-    # different multidegrees short-circuit
-    assert not words_equivalent(Word(4, (3, 2, 1)), Word(4, (2, 3, 2, 1)), partic_rules(4))
+    assert equivalent(Word(3, (2, 2, 1, 1)), Word(3, (2, 1, 2, 1)), rs3)
+    assert equivalent(Word(3, (2, 1, 2, 1)), Word(3, (2, 2, 1, 1)), rs3)
+    # a class holds words of one multidegree only
+    assert not equivalent(Word(4, (3, 2, 1)), Word(4, (2, 3, 2, 1)), partic_rules(4))
 
 
 def test_power_identity_fixture():
@@ -88,9 +90,9 @@ def test_power_identity_fixture():
             for m in range(4):
                 lhs = Word(n, (i,) * m + (i - 1,) * m)
                 rhs = Word(n, (i, i - 1) * m)
-                assert words_equivalent(lhs, rhs, rs)
+                assert equivalent(lhs, rhs, rs)
                 block = lhs.letters
-                assert words_equivalent(Word(n, (i,) + block), Word(n, block + (i,)), rs)
+                assert equivalent(Word(n, (i,) + block), Word(n, block + (i,)), rs)
 
 
 def test_descending_run_commutation_fixture():
@@ -101,7 +103,7 @@ def test_descending_run_commutation_fixture():
             for j in range(1, i + 1):
                 run = tuple(range(i, j - 1, -1))
                 for k in range(j, i + 1):
-                    assert words_equivalent(Word(n, run + (k,)), Word(n, (k,) + run), rs)
+                    assert equivalent(Word(n, run + (k,)), Word(n, (k,) + run), rs)
 
 
 def test_count_classes_examples():
@@ -120,8 +122,8 @@ def test_plactic_refines_partic_with_strict_witness():
     # the two plactic preimages of a4 a3 a2 a1 a2
     w1 = Word(5, (2, 4, 3, 2, 1))
     w2 = Word(5, (2, 1, 4, 3, 2))
-    assert words_equivalent(w1, w2, partic_rules(5))
-    assert not words_equivalent(w1, w2, plactic_rules(5))
+    assert equivalent(w1, w2, partic_rules(5))
+    assert not equivalent(w1, w2, plactic_rules(5))
 
 
 def test_words_with_degree_lexicographic_and_complete():
@@ -169,10 +171,10 @@ def test_normal_form_expansion_in_class():
 
     for n in (3, 4):
         rs = partic_rules(n)
-        for length in range(7):
-            for letters in product(range(1, n), repeat=length):
-                w = Word(n, letters)
-                assert nm_to_word(normalize(w)) in congruence_class(w, rs)
+        for delta in multidegrees_up_to(n, 6):
+            for cls in congruence_partition(delta, rs):
+                for letters in cls:
+                    assert nm_to_word(normalize(Word(n, letters))).letters in cls
 
 
 def test_count_matches_basis_up_to_six():
@@ -180,10 +182,6 @@ def test_count_matches_basis_up_to_six():
         rs = partic_rules(n)
         for delta in multidegrees_up_to(n, 6):
             assert len(congruence_partition(delta, rs)) == len(enumerate_basis(delta))
-
-
-def coded_steps(letters, rs):
-    return {_decode(code, rs.bits) for code in _steps(_encode(letters, rs.bits), len(letters), rs)}
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -215,15 +213,14 @@ def test_wide_letters_match_rule_scan(n, max_len):
             if letters not in classes:
                 cls = closure_reference(letters, pairs)
                 classes.update(dict.fromkeys(cls, cls))
-            w = Word(n, letters)
-            assert letters_of(one_step_rewrites(w, rs)) == steps_reference(letters, pairs), letters
-            assert letters_of(congruence_class(w, rs)) == classes[letters], letters
+            assert coded_steps(letters, rs) == steps_reference(letters, pairs), letters
+            assert class_of(Word(n, letters), rs) == classes[letters], letters
     # words long enough to read the wide windows, over the top four letters so that many
     # rules apply and the highest bits are set
     rng = random.Random(n)
     for _ in range(400):
         letters = tuple(rng.randrange(n - 4, n) for _ in range(rng.randrange(7, 10)))
-        assert letters_of(one_step_rewrites(Word(n, letters), rs)) == steps_reference(letters, pairs), letters
+        assert coded_steps(letters, rs) == steps_reference(letters, pairs), letters
 
 
 def test_window_memo_holds_only_the_windows_met():
@@ -242,13 +239,13 @@ def test_window_memo_holds_only_the_windows_met():
 
     assert sizes() == {}
     short = (20, 19, 21, 20)
-    assert letters_of(one_step_rewrites(Word(40, short), rs)) == steps_reference(short, oriented(rs))
+    assert coded_steps(short, rs) == steps_reference(short, oriented(rs))
     assert sizes() == {(1, 0): 3, (1, 6): 1, (1, 12): 1}
     long = short + (5, 4, 6, 5)
-    assert letters_of(one_step_rewrites(Word(40, long), rs)) == steps_reference(long, oriented(rs))
+    assert coded_steps(long, rs) == steps_reference(long, oriented(rs))
     assert sizes() == {(1, 0): 11, (1, 6): 4, (1, 12): 4, (3, 0): 3, (3, 18): 1, (3, 36): 1}
     longer = long + (5,)
-    assert letters_of(one_step_rewrites(Word(40, longer), rs)) == steps_reference(longer, oriented(rs))
+    assert coded_steps(longer, rs) == steps_reference(longer, oriented(rs))
     assert sizes() == {(1, 0): 14, (1, 6): 5, (1, 12): 6, (3, 0): 5, (3, 18): 2, (3, 36): 2}
     (mask8, tables8), (mask9, tables9) = windows.reader(8), windows.reader(9)
     assert mask8 == mask9 and [shift for _, shift in tables9] == [0, 18, 36]
