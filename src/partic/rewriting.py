@@ -18,6 +18,7 @@ PLACTIC = "plactic"
 PARTIC = "partic"
 
 Letters = tuple[int, ...]
+Table = dict[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -36,70 +37,43 @@ class RewriteRule:
 _STARTS = 3
 
 
-class _Table(dict):
-    """Window code -> code differences (rhs - lhs) of the rules starting in its first ``starts`` letters.
-
-    Each difference is shifted to the letter where its rule starts, then left
-    by ``shift`` bits more.  A window is ``starts - 1`` letters wider than the
-    longest left-hand side, so every rule starting at one of its first
-    ``starts`` letters lies inside it.  A missing window is built from the
-    next simpler table: a shifted table shifts the unshifted one, a wide one
-    joins the one-start tables shifted to each start, and the one-start table
-    reads ``by_span``.  So every table holds only the windows met, whatever
-    the rank, and its tuples are interned, as many windows share one.
-    """
-
-    def __init__(self, windows: _Windows, starts: int, shift: int) -> None:
-        super().__init__()
-        self.windows, self.starts, self.shift = windows, starts, shift
-
-    def __missing__(self, window: int) -> tuple[int, ...]:
-        windows, starts, shift = self.windows, self.starts, self.shift
-        by_span, bits = windows.by_span, windows.bits
-        if shift:
-            diffs = tuple(diff << shift for diff in windows.table(starts, 0)[window])
-        elif starts > 1:
-            mask = (1 << max(by_span, default=0) * bits) - 1
-            diffs = ()
-            for start in range(starts):
-                diffs += windows.table(1, start * bits)[window >> start * bits & mask]
-        else:
-            diffs = tuple(
-                diff
-                for span, rules in sorted(by_span.items())
-                for diff in rules.get(window & ((1 << span * bits) - 1), ())
-            )
-        diffs = self[window] = windows.interned.setdefault(diffs, diffs)
-        return diffs
-
-
 class _Windows:
     """The window tables of one relation set, built from ``by_span`` ({span: {lhs code: [rhs code - lhs code]}}).
 
-    ``tables`` holds one ``_Table`` per ``(starts, shift)`` met, ``interned``
-    the tuples they share and ``readers`` the read plan of each word length;
-    ``clear`` empties all three, as after an edit of ``by_span``.
+    ``tables`` holds one plain dict per ``(starts, shift)`` met, mapping a
+    window code to the differences (rhs - lhs) of the rules starting in its
+    first ``starts`` letters, each shifted to its rule's start and then left
+    by ``shift`` bits more.  ``fill`` computes a missing window from
+    ``by_span``, so a table holds only the windows met, whatever the rank.
+    ``interned`` keeps one copy of each tuple, as many windows share one, and
+    ``readers`` the read plan of each word length; ``clear`` empties all three.
     """
 
     def __init__(self, by_span: dict[int, dict[int, list[int]]], bits: int) -> None:
         self.by_span, self.bits = by_span, bits
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.tables: dict[tuple[int, int], _Table] = {}
-        self.readers: dict[int, tuple[int, list[tuple[_Table, int]]]] = {}
+        self.tables: dict[tuple[int, int], Table] = {}
+        self.readers: dict[int, tuple[int, int, list[tuple[Table, int]]]] = {}
 
-    def table(self, starts: int, shift: int) -> _Table:
-        table = self.tables.get((starts, shift))
-        if table is None:
-            table = self.tables[starts, shift] = _Table(self, starts, shift)
-        return table
+    def fill(self, table: Table, starts: int, shift: int, window: int) -> tuple[int, ...]:
+        """Store in ``table``, the ``(starts, shift)`` table, the differences of ``window``; return them."""
+        bits = self.bits
+        diffs = tuple(
+            diff << start * bits + shift
+            for start in range(starts)
+            for span, rules in self.by_span.items()
+            for diff in rules.get(window >> start * bits & (1 << span * bits) - 1, ())
+        )
+        diffs = table[window] = self.interned.setdefault(diffs, diffs)
+        return diffs
 
-    def reader(self, length: int) -> tuple[int, list[tuple[_Table, int]]]:
-        """The window mask, and a (table, shift) pair for each window a word of this length reads.
+    def reader(self, length: int) -> tuple[int, int, list[tuple[Table, int]]]:
+        """The window mask, the rule starts per window and a (table, shift) pair per window read.
 
-        ``table[(code >> shift) & mask]`` holds the code differences of the
-        rules starting there, already shifted by ``shift``.  A word that fits
-        in one wide window would meet a new one with nearly every word, so it
-        reads the one-start table, shifted to each position, instead.
+        A window is ``starts - 1`` letters wider than the longest rule, so it
+        holds every rule starting in its first ``starts`` letters.  A word
+        that fits in one wide window would meet a new one with nearly every
+        word, so it reads one-start tables at each position instead.
         """
         reader = self.readers.get(length)
         if reader is None:
@@ -107,8 +81,8 @@ class _Windows:
             bits, span = self.bits, max(spans)
             end = (length - min(spans) + 1) * bits
             starts = _STARTS if length >= span + _STARTS else 1
-            tables = [(self.table(starts, shift), shift) for shift in range(0, end, starts * bits)]
-            reader = self.readers[length] = (1 << (span + starts - 1) * bits) - 1, tables
+            tables = [(self.tables.setdefault((starts, s), {}), s) for s in range(0, end, starts * bits)]
+            reader = self.readers[length] = (1 << (span + starts - 1) * bits) - 1, starts, tables
         return reader
 
     def clear(self) -> None:
@@ -124,12 +98,14 @@ class RelationSet:
 
     The oracle works on words coded as integers, ``bits`` bits per letter with
     the first letter lowest (``_encode``).  ``windows.reader`` gives, per
-    word length, the tables that map the window at every third position to
-    the rules, read in both directions, whose left-hand side starts in its
-    first three letters (for short words, at every position to those
-    starting there), their differences shifted to that position, so each
-    rewrite is ``code + diff``.  Letters are nonzero, so a window running
-    past the end of a word matches only the rules that fit.
+    word length, the plain-dict tables that map the window at every third
+    position to the rules, read in both directions, whose left-hand side
+    starts in its first three letters (for short words, at every position to
+    those starting there), their differences shifted to that position, so
+    each rewrite is ``code + diff``; ``windows.fill`` computes a window not
+    yet met from ``by_span``.  Rule letters must lie in 1..n-1: letters are
+    then nonzero, so a window running past the end of a word matches only
+    the rules that fit, and each fits in its ``bits`` bits.
     """
 
     name: str
@@ -142,6 +118,10 @@ class RelationSet:
         bits = self.n.bit_length()
         by_span: dict[int, dict[int, list[int]]] = {}
         for r in self.rules:
+            # a letter 0 would read as the end of a word, one of 2**bits or more spills over
+            bad = [a for a in r.lhs if not 0 < a < self.n]
+            if bad:
+                raise ValueError(f"rule letter {bad[0]} is outside 1..{self.n - 1}")
             lhs, rhs = _encode(r.lhs, bits), _encode(r.rhs, bits)
             rules = by_span.setdefault(len(r.lhs), {})
             rules.setdefault(lhs, []).append(rhs - lhs)
@@ -197,20 +177,29 @@ def partic_rules(n: int) -> RelationSet:
 
 def _steps(code: int, length: int, rs: RelationSet) -> Iterator[int]:
     """Every word one rule application away (tests/rewriting_reference.py scans rule by rule)."""
-    mask, tables = rs.windows.reader(length)
+    windows = rs.windows
+    mask, starts, tables = windows.reader(length)
     for table, shift in tables:
-        for diff in table[code >> shift & mask]:
+        window = code >> shift & mask
+        for diff in table[window] if window in table else windows.fill(table, starts, shift, window):
             yield code + diff
 
 
 def _closure(start: int, length: int, rs: RelationSet) -> set[int]:
-    # _steps inlined, as this loop is the oracle's whole cost
-    mask, tables = rs.windows.reader(length)
+    # _steps inlined, as this loop is the oracle's whole cost; a hit on a plain dict is
+    # CPython's fastest lookup, and a window met for the first time raises KeyError
+    windows = rs.windows
+    mask, starts, tables = windows.reader(length)
     seen = {start}
     queue = [start]
     for cur in queue:
         for table, shift in tables:
-            for diff in table[cur >> shift & mask]:
+            window = cur >> shift & mask
+            try:
+                diffs = table[window]
+            except KeyError:
+                diffs = windows.fill(table, starts, shift, window)
+            for diff in diffs:
                 nxt = cur + diff
                 if nxt not in seen:
                     seen.add(nxt)

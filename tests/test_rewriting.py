@@ -164,6 +164,17 @@ def test_rewrite_rule_rejects_degree_change():
         RewriteRule((1, 2, 1), (1, 2))
 
 
+@pytest.mark.parametrize("bad", [0, 4], ids=["zero", "rank"])
+def test_relation_set_rejects_rule_letters_outside_the_rank(bad):
+    # the coded oracle cannot hold a letter outside 1..N-1: a 0 reads as the end of a
+    # word and one of 2**bits or more spills into the next letter, so a BFS over such a
+    # set need not end; only construction is tried.  The message names the first bad
+    # letter, in rule order, not the later 5
+    rules = (RewriteRule((1, 3), (3, 1)), RewriteRule((2, bad), (bad, 2)), RewriteRule((5, 1), (1, 5)))
+    with pytest.raises(ValueError, match=rf"^rule letter {bad} is outside 1\.\.3$"):
+        RelationSet("bad", 4, rules)
+
+
 def test_normal_form_expansion_in_class():
     # desk-scale soundness of the normal form against the oracle
     from partic.core import nm_to_word
@@ -224,13 +235,12 @@ def test_wide_letters_match_rule_scan(n, max_len):
 
 
 def test_window_memo_holds_only_the_windows_met():
-    # filled lazily, one table per (rule starts per window, shift): a rank-40 word of
-    # length 4 fits in one wide window, so it reads the one-start table at each of its 3
-    # rule starts, shifted there ((1, 6) and (1, 12) are filled from (1, 0)); a word of
-    # length 8 reads one wide window per three starts, (3, 0) joined from (1, 0), (1, 6)
-    # and (1, 12), and (3, 0) shifted to positions 3 and 6.  Of the 9 one-start windows
-    # the joins read, only (20, 19, 21, 20) was met before.  A word of length 9 reads the
-    # same positions, through the very same tables
+    # filled lazily from by_span, one plain dict per (rule starts per window, shift), and
+    # no table reads another: a rank-40 word of length 4 fits in one wide window, so it
+    # reads the one-start table at each of its 3 rule starts, shifted there; a word of
+    # length 8 reads one wide window per three starts, at shifts 0, 18 and 36.  A word of
+    # length 9 reads the same positions, through the very same tables, and meets a new
+    # window at shifts 18 and 36 only
     rs = partic_rules(40)
     windows = rs.windows
 
@@ -240,15 +250,19 @@ def test_window_memo_holds_only_the_windows_met():
     assert sizes() == {}
     short = (20, 19, 21, 20)
     assert coded_steps(short, rs) == steps_reference(short, oriented(rs))
-    assert sizes() == {(1, 0): 3, (1, 6): 1, (1, 12): 1}
+    assert sizes() == {(1, 0): 1, (1, 6): 1, (1, 12): 1}
     long = short + (5, 4, 6, 5)
     assert coded_steps(long, rs) == steps_reference(long, oriented(rs))
-    assert sizes() == {(1, 0): 11, (1, 6): 4, (1, 12): 4, (3, 0): 3, (3, 18): 1, (3, 36): 1}
+    assert sizes() == {(1, 0): 1, (1, 6): 1, (1, 12): 1, (3, 0): 1, (3, 18): 1, (3, 36): 1}
     longer = long + (5,)
     assert coded_steps(longer, rs) == steps_reference(longer, oriented(rs))
-    assert sizes() == {(1, 0): 14, (1, 6): 5, (1, 12): 6, (3, 0): 5, (3, 18): 2, (3, 36): 2}
-    (mask8, tables8), (mask9, tables9) = windows.reader(8), windows.reader(9)
-    assert mask8 == mask9 and [shift for _, shift in tables9] == [0, 18, 36]
+    assert sizes() == {(1, 0): 1, (1, 6): 1, (1, 12): 1, (3, 0): 1, (3, 18): 2, (3, 36): 2}
+    for table in windows.tables.values():
+        assert type(table) is dict
+        for diffs in table.values():
+            assert windows.interned[diffs] is diffs
+    (mask8, starts8, tables8), (mask9, starts9, tables9) = windows.reader(8), windows.reader(9)
+    assert mask8 == mask9 and starts8 == starts9 == 3 and [shift for _, shift in tables9] == [0, 18, 36]
     for (table8, _), (table9, _), key in zip(tables8, tables9, [(3, 0), (3, 18), (3, 36)]):
         assert table8 is table9 is windows.tables[key]
 
