@@ -11,6 +11,7 @@ from partic.normal_form import enumerate_basis
 from partic.rewriting import (
     RelationSet,
     RewriteRule,
+    _coded_words,
     _encode,
     congruence_partition,
     partic_rules,
@@ -138,6 +139,46 @@ def test_words_with_degree_matches_distinct_permutations(n):
     for delta in multidegrees_up_to(n, 6):
         letters = [a for a, c in enumerate(delta.counts, 1) for _ in range(c)]
         assert list(words_with_degree(delta)) == sorted(set(permutations(letters))), delta
+
+
+def direct_coded_words(delta, bits):
+    return [(_encode(w, bits), w) for w in words_with_degree(delta)]
+
+
+@pytest.mark.parametrize("n, max_total", [(3, 9), (4, 9), (5, 8), (6, 7)])
+def test_coded_words_match_the_direct_walk(n, max_total):
+    # words of 8 letters or more are joined from half-words, shorter ones walked
+    # directly; both must list every word, with its code, in lexicographic order
+    bits = n.bit_length()
+    for delta in multidegrees_up_to(n, max_total):
+        assert list(_coded_words(delta, bits).items()) == direct_coded_words(delta, bits), delta
+
+
+def spread(n, letters):
+    """The multidegree at rank n with the given letter counts {letter: count}."""
+    return MultiDegree(tuple(letters.get(a, 0) for a in range(1, n)))
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [
+        MultiDegree((0, 0)),
+        MultiDegree((0, 0, 0, 0)),
+        MultiDegree((10, 0, 0)),
+        MultiDegree((0, 9, 0, 0)),
+        MultiDegree((0, 0, 8)),
+        # 4 bits per letter, the top letter 8 = 0b1000 fills them
+        spread(9, {1: 2, 4: 1, 7: 2, 8: 3}),
+        spread(9, {2: 3, 5: 3, 8: 3}),
+        # 5 bits per letter, the top letter 16 = 0b10000
+        spread(17, {3: 2, 9: 2, 15: 2, 16: 2}),
+        spread(17, {1: 1, 8: 2, 15: 3, 16: 3}),
+    ],
+    ids=str,
+)
+def test_coded_words_at_edge_degrees(delta):
+    bits = delta.n.bit_length()
+    assert list(_coded_words(delta, bits).items()) == direct_coded_words(delta, bits)
 
 
 def test_partition_covers_degree():
@@ -323,6 +364,14 @@ def test_partition_matches_rule_scan_at_the_largest_total_eight_degree(rs):
     classes = congruence_partition(delta, rs)
     assert sum(map(len, classes)) == 2520
     assert classes == partition_reference(delta, rs)
+
+
+@pytest.mark.parametrize("counts", [(3, 3, 2), (3, 3, 3)], ids=str)
+@pytest.mark.parametrize("rs", [plactic_rules(4), partic_rules(4)], ids=lambda rs: rs.name)
+def test_partition_matches_rule_scan_on_joined_words(rs, counts):
+    # an even and an odd length, both at least 8 letters, so the words come joined from halves
+    delta = MultiDegree(counts)
+    assert congruence_partition(delta, rs) == partition_reference(delta, rs)
 
 
 def test_oracle_imports_only_core():
