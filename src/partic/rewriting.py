@@ -10,6 +10,7 @@ This module is deliberately independent of the normal-form code in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -227,25 +228,28 @@ def words_with_degree(delta: MultiDegree) -> Iterator[Letters]:
         word[i + 1:] = word[:i:-1]
 
 
-# a word of at least 8 letters is joined from two halves; below that the direct walk is faster
-_JOIN = 8
+@lru_cache(maxsize=1 << 10)
+def _half_words(counts: tuple[int, ...], bits: int, shift: int) -> tuple[tuple[Letters, ...], tuple[int, ...]]:
+    """The words of the degree ``counts`` in lexicographic order, and their codes shifted left by ``shift`` bits.
+
+    ``_coded_words`` meets each half-degree in every degree that holds it; this lists it once.
+    """
+    words = tuple(words_with_degree(MultiDegree(counts)))
+    return words, tuple(_encode(w, bits) << shift for w in words)
 
 
 def _coded_words(delta: MultiDegree, bits: int) -> dict[int, Letters]:
     """``{_encode(w, bits): w for w in words_with_degree(delta)}``, in the same order.
 
-    A long word is its first ``h`` letters, a word of a sub-degree of total
-    ``h``, joined to the rest; each half is enumerated and encoded once.
+    A word is its first ``h = L // 2`` letters, a word of a sub-degree of
+    total ``h``, joined to the rest; both halves come from ``_half_words``.
     """
     counts, length = delta.counts, delta.total()
-    if length < _JOIN:
-        return {_encode(w, bits): w for w in words_with_degree(delta)}
     h, halves = length // 2, []
     for sigma in product(*(range(c + 1) for c in counts)):
         if sum(sigma) == h:
-            rest = list(words_with_degree(MultiDegree(tuple(c - k for c, k in zip(counts, sigma)))))
-            shifted = [_encode(s, bits) << h * bits for s in rest]
-            halves += [(p, _encode(p, bits), rest, shifted) for p in words_with_degree(MultiDegree(sigma))]
+            rest, shifted = _half_words(tuple(c - k for c, k in zip(counts, sigma)), bits, h * bits)
+            halves += [(p, cp, rest, shifted) for p, cp in zip(*_half_words(sigma, bits, 0))]
     halves.sort()  # first halves are distinct, so no two tuples compare past them
     codes = [cp | cs for _, cp, _, shifted in halves for cs in shifted]
     return dict(zip(codes, [p + s for p, _, rest, _ in halves for s in rest]))
@@ -272,5 +276,5 @@ def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letter
         cls = _closure(code, length, rs)
         seen |= cls
         # a code outside the degree comes only from a rule that changes the multidegree
-        classes.append({words[c] if c in words else _decode(c, bits) for c in cls})
+        classes.append({words.get(c) or _decode(c, bits) for c in cls})
     return classes

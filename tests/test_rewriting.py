@@ -13,6 +13,7 @@ from partic.rewriting import (
     RewriteRule,
     _coded_words,
     _encode,
+    _half_words,
     congruence_partition,
     partic_rules,
     plactic_rules,
@@ -147,8 +148,8 @@ def direct_coded_words(delta, bits):
 
 @pytest.mark.parametrize("n, max_total", [(3, 9), (4, 9), (5, 8), (6, 7)])
 def test_coded_words_match_the_direct_walk(n, max_total):
-    # words of 8 letters or more are joined from half-words, shorter ones walked
-    # directly; both must list every word, with its code, in lexicographic order
+    # every word is joined from half-words; the join must list every word, with
+    # its code, in lexicographic order
     bits = n.bit_length()
     for delta in multidegrees_up_to(n, max_total):
         assert list(_coded_words(delta, bits).items()) == direct_coded_words(delta, bits), delta
@@ -164,6 +165,9 @@ def spread(n, letters):
     [
         MultiDegree((0, 0)),
         MultiDegree((0, 0, 0, 0)),
+        # one letter: the first half is the empty word, the rest the whole degree
+        MultiDegree((1, 0)),
+        MultiDegree((0, 0, 1)),
         MultiDegree((10, 0, 0)),
         MultiDegree((0, 9, 0, 0)),
         MultiDegree((0, 0, 8)),
@@ -179,6 +183,34 @@ def spread(n, letters):
 def test_coded_words_at_edge_degrees(delta):
     bits = delta.n.bit_length()
     assert list(_coded_words(delta, bits).items()) == direct_coded_words(delta, bits)
+
+
+def test_coded_words_from_cold_and_warm_half_word_tables():
+    bits = (5).bit_length()
+    for delta in multidegrees_up_to(5, 8):
+        _half_words.cache_clear()
+        cold = list(_coded_words(delta, bits).items())
+        assert cold == direct_coded_words(delta, bits), delta
+        assert list(_coded_words(delta, bits).items()) == cold, delta
+    for rs in (plactic_rules(5), partic_rules(5)):
+        _half_words.cache_clear()
+        cold = congruence_partition(MultiDegree((2, 2, 2, 2)), rs)
+        assert congruence_partition(MultiDegree((2, 2, 2, 2)), rs) == cold, rs.name
+
+
+def test_half_word_table_lists_each_half_once_and_shares_only_tuples():
+    # (2, 2, 2, 2) has 19 sub-degrees of total 4, each met once as a first half
+    # (shift 0) and once as a rest (shift 4 letters)
+    _half_words.cache_clear()
+    _coded_words(MultiDegree((2, 2, 2, 2)), 3)
+    assert _half_words.cache_info()[:2] == (0, 38)
+    _coded_words(MultiDegree((2, 2, 2, 2)), 3)
+    assert _half_words.cache_info()[:2] == (38, 38)
+    words, codes = entry = _half_words((1, 1, 0, 2), 3, 12)
+    assert _half_words((1, 1, 0, 2), 3, 12) is entry
+    assert type(words) is tuple and type(codes) is tuple and all(type(w) is tuple for w in words)
+    assert words == tuple(words_with_degree(MultiDegree((1, 1, 0, 2))))
+    assert codes == tuple(_encode(w, 3) << 12 for w in words)
 
 
 def test_partition_covers_degree():
