@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .core import AlgebraElement, MultiDegree, NormalMonomial, Scalar, check_rank
+from .core import AlgebraElement, MultiDegree, NormalMonomial, Scalar, _exact, check_rank
 from .normal_form import _basis_exponents, _left_mul, _right_mul, _step
 
 
@@ -27,52 +27,51 @@ class _Peel:
     """The peel of a growing list of rows over columns 0..ncols-1.
 
     A row with exactly one live nonzero column forces that unknown to 0, so
-    the column dies; ``add`` repeats this until no such row is left.  Rows
-    are indexed by column and queued when their live count drops to 1, so
-    the peel is linear in the nonzeros and does no arithmetic.  Peeling is
-    confluent (a column that dies stays dead when rows are added), so
-    adding the rows in batches leaves the live columns that adding them at
-    once does.
+    the column dies; ``add`` repeats this until no such row is left.  A row
+    that arrives with one live column kills it at once; a row with two or
+    more is indexed by column, and a kill that leaves it one live column
+    kills that column in turn, so the peel is linear in the nonzeros and
+    does no arithmetic.  Peeling is confluent (a column that dies stays dead
+    when rows are added), so adding the rows in batches, or in any order,
+    leaves the live columns that adding them at once does.
     """
 
     def __init__(self, ncols: int) -> None:
         self.live = [True] * ncols
         self.nlive = ncols
-        self._row_cols: list[list[int]] = []  # the live nonzero columns of each row when added
+        self._row_cols: list[list[int]] = []  # the live nonzero columns of each indexed row when added
         self._live_count: list[int] = []
         self._rows_of: list[list[int]] = [[] for _ in range(ncols)]
 
     def add(self, rows: Iterable[Mapping[int, Scalar]]) -> int:
         """Peel with the rows added; return the number of live columns left."""
-        live, live_count, rows_of = self.live, self._live_count, self._rows_of
-        queue = []
+        live, live_count, rows_of, row_cols = self.live, self._live_count, self._rows_of, self._row_cols
         for row in rows:
-            r = len(live_count)
             cs = [c for c, x in row.items() if x and live[c]]
-            self._row_cols.append(cs)
-            live_count.append(len(cs))
-            for c in cs:
-                rows_of[c].append(r)
-            if len(cs) == 1:
-                queue.append(r)
-        while queue:
-            r = queue.pop()
-            if live_count[r] != 1:
+            if len(cs) > 1:
+                for c in cs:
+                    rows_of[c].append(len(live_count))
+                row_cols.append(cs)
+                live_count.append(len(cs))
                 continue
-            c = next(c for c in self._row_cols[r] if live[c])
-            live[c] = False
-            self.nlive -= 1
-            for s in rows_of[c]:
-                live_count[s] -= 1
-                if live_count[s] == 1:
-                    queue.append(s)
+            while cs:  # the columns to kill; two rows can leave the same one
+                c = cs.pop()
+                if live[c]:
+                    live[c] = False
+                    self.nlive -= 1
+                    for s in rows_of[c]:
+                        live_count[s] -= 1
+                        if live_count[s] == 1:
+                            cs.append(next(d for d in row_cols[s] if live[d]))
         return self.nlive
 
     def kernel(self) -> list[int] | None:
         """The live columns, or None if the peel has stalled.
 
-        If every row has no live nonzero, the kernel is exactly the span of
+        If no row has a live nonzero left, the kernel is exactly the span of
         the unit vectors of the live columns; otherwise the peel has stalled.
+        Only indexed rows can have one: a row that arrived with one live
+        column killed it.
         """
         if any(self._live_count):
             return None
@@ -82,7 +81,8 @@ class _Peel:
 def nullspace(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> list[list[Fraction]]:
     """Exact basis of the right kernel {x : sum_c row[c] x_c = 0 for every row}.
 
-    Rows are sparse ``{column: coefficient}`` maps over columns 0..ncols-1.
+    Rows are sparse ``{column: coefficient}`` maps over columns 0..ncols-1
+    with int or Fraction entries; a float raises TypeError.
     The basis is the one dense Gauss-Jordan gives: one vector per free
     column, in column order, each scaled so its first nonzero coordinate is
     1.  Each row is reduced against the rows kept so far and, unless it
@@ -91,14 +91,14 @@ def nullspace(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> list[list[Fra
     :func:`center_basis_in_degree` peels first and calls this only when
     its peel stalls.
     """
-    rows = list(rows)
+    rows = [{c: _exact(x) for c, x in row.items()} for row in rows]
     for row in rows:
         if row and (min(row) < 0 or max(row) >= ncols):
             raise ValueError(f"row {dict(row)} has a column outside 0..{ncols - 1}")
 
     reduced: dict[int, dict[int, Fraction]] = {}  # pivot column -> row, 1 at the pivot
     for row in rows:
-        r = {c: Fraction(x) for c, x in row.items() if x}
+        r = {c: x for c, x in row.items() if x}
         for p in [c for c in r if c in reduced]:
             _subtract(r, r[p], reduced[p])
         if not r:
@@ -145,12 +145,14 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     monomial only where a kernel vector is nonzero.
 
     The rows come one generator at a time, a_1 first, and each batch is fed
-    to one peel.  Once no column is live, the rows so far force every
-    x_m = 0, and further rows can only shrink the kernel, so the degree's
-    center is 0 and no more rows are built.  A degree whose columns survive
-    every generator has the unit vectors of its live columns as kernel when
-    the peel settles every row, and goes to :func:`nullspace` with all the
-    rows only when the peel stalls.
+    to one peel.  A column the peel has killed is forced to 0 by the rows
+    already added, so a batch is built from the live columns only: leaving
+    x_m out of later rows keeps the kernel of the full system.  Once no
+    column is live the degree's center is 0 and no more rows are built.  A
+    degree whose columns survive every generator has the unit vectors of
+    its live columns as kernel when the peel settles every row, and goes to
+    :func:`nullspace` with the rows so built only when the peel stalls; the
+    kernel, and so its reduced echelon basis, is the same.
     """
     check_rank(n)
     if delta.n != n:
@@ -158,9 +160,12 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     cols = list(_basis_exponents(delta))
     peel = _Peel(len(cols))
     rows: list[dict[int, int]] = []
+    live = peel.live
     for i in range(1, n):
         eqs: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
         for c, col in enumerate(cols):
+            if not live[c]:
+                continue
             for mul, sign in ((_left_mul, 1), (_right_mul, -1)):
                 key = _step(mul, col, i)
                 row = eqs.get(key)
@@ -171,9 +176,9 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
         rows.extend(eqs.values())
         if not peel.add(eqs.values()):
             return []
-    live = peel.kernel()
-    if live is not None:
-        return [AlgebraElement.from_monomial(NormalMonomial(n, *cols[c])) for c in live]
+    kernel = peel.kernel()
+    if kernel is not None:
+        return [AlgebraElement.from_monomial(NormalMonomial(n, *cols[c])) for c in kernel]
     vectors = nullspace(rows, len(cols))
     return [AlgebraElement(n, {NormalMonomial(n, *cols[c]): x for c, x in enumerate(vec) if x}) for vec in vectors]
 

@@ -14,7 +14,7 @@ from partic.center import (
     theorem_mismatch,
 )
 from partic.core import AlgebraElement, MultiDegree, NormalMonomial, Word, multidegrees_up_to, nm_to_word
-from partic.normal_form import gen_element, nm_product, normalize
+from partic.normal_form import _basis_exponents, gen_element, nm_product, normalize
 from partic.particles import Configuration, act_word
 
 from center_reference import commutes_with_generators
@@ -57,6 +57,15 @@ def test_nullspace_shape_errors():
     assert nullspace([], 2) == [[1, 0], [0, 1]]
 
 
+def test_nullspace_rejects_floats():
+    # a float would enter the certificate as its binary expansion
+    with pytest.raises(TypeError):
+        nullspace([{0: 0.1, 1: 1}], 2)
+    with pytest.raises(TypeError):
+        nullspace([{0: 1}, {1: 0.0}], 2)
+    assert nullspace([{0: Fraction(1, 10), 1: 1}], 2) == [[1, Fraction(-1, 10)]]
+
+
 def test_nullspace_matches_dense_reference():
     rng = random.Random(20190103)
     values = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 5), Fraction(7, 3)]
@@ -92,6 +101,34 @@ def test_peel_examples():
     # the lone column kills x1, but x0 + x2 = 0 still has two live columns
     assert peel_kernel([{1: 5}, {0: 1, 1: 1, 2: 1}], 3) is None
     assert nullspace([{1: 5}, {0: 1, 1: 1, 2: 1}], 3) == [[1, 0, -1]]
+
+
+@pytest.mark.parametrize(
+    "batches, ncols, kernel, indexed",
+    [
+        # a chain whose one-column row arrives last: x2 = 0, then x1, then x0
+        ([[{0: 1, 1: 1}, {1: 1, 2: -2}, {2: 3}]], 4, [3], 2),
+        # the same chain split over two adds: the kill reaches the rows of the first
+        ([[{0: 1, 1: 1}, {1: 1, 2: -2}], [{2: 3}]], 4, [3], 2),
+        # a one-column row whose column is already dead kills nothing; the next row
+        # has one live column left and kills x1
+        ([[{0: 1}], [{0: 2}, {0: 1, 1: 1}]], 3, [2], 0),
+        # an explicit zero entry is not a live column, so each row arrives with one
+        ([[{0: 1, 1: 0}, {0: 1, 1: 1, 2: 0}]], 3, [2], 0),
+    ],
+)
+def test_peel_kills_on_arrival(batches, ncols, kernel, indexed):
+    rows = [row for batch in batches for row in batch]
+    batched = _Peel(ncols)
+    for batch in batches:
+        batched.add(batch)
+    once = _Peel(ncols)
+    once.add(rows)
+    assert batched.kernel() == once.kernel() == kernel
+    assert batched.live == once.live and batched.nlive == once.nlive == len(kernel)
+    assert nullspace(rows, ncols) == [[int(c == free) for c in range(ncols)] for free in kernel]
+    # only the rows with two or more live columns on arrival are indexed
+    assert len(batched._live_count) == len(once._live_count) == indexed
 
 
 def test_nullspace_matches_dense_reference_on_sparse_systems():
@@ -138,6 +175,7 @@ class StalledPeel:
 
     def __init__(self, ncols):
         self.ncols = ncols
+        self.live = [True] * ncols
 
     def add(self, rows):
         return self.ncols
@@ -174,6 +212,78 @@ def test_peel_solves_every_center_system(monkeypatch):
     for delta, basis in zip(degrees, bases):
         assert center_basis_in_degree(delta.n, delta) == basis, f"degree {delta}"
     assert len(eliminated) == len(degrees)
+
+
+def test_rows_are_built_only_for_live_columns(monkeypatch):
+    # each generator's rows come from the columns live when its batch begins
+    peels = []
+
+    class RecordingPeel(center._Peel):
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            self.batch_live = list(self.live)
+            peels.append(self)
+
+        def add(self, rows):
+            left = super().add(rows)
+            self.batch_live = list(self.live)
+            return left
+
+    real_step = center._step
+    calls = 0
+    index = {}
+
+    def counting_step(mul, col, i):
+        nonlocal calls
+        calls += 1
+        assert peels[-1].batch_live[index[col]], f"dead column {col} in the batch of a_{i}"
+        return real_step(mul, col, i)
+
+    monkeypatch.setattr(center, "_Peel", RecordingPeel)
+    monkeypatch.setattr(center, "_step", counting_step)
+    for delta in multidegrees_up_to(5, 10):
+        index = {col: c for c, col in enumerate(_basis_exponents(delta))}
+        center_basis_in_degree(5, delta)
+    # all the columns in every batch would make 19,222 calls
+    assert calls == 15_094
+
+
+def test_elimination_after_killing_gives_the_peel_bases(monkeypatch):
+    # a peel that peels the a_1 batch only, then records the later batches without
+    # killing and stalls: nullspace gets rows that leave out the columns a_1 killed
+    degrees = [delta for n in (3, 4, 5) for delta in multidegrees_up_to(n, 8)]
+    bases = [center_basis_in_degree(delta.n, delta) for delta in degrees]
+    peels = []
+
+    class FirstBatchPeel(center._Peel):
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            self.batches = 0
+            peels.append(self)
+
+        def add(self, rows):
+            self.batches += 1
+            if self.batches == 1:
+                return super().add(rows)
+            assert all(self.live[c] for row in rows for c in row)
+            return self.nlive
+
+        def kernel(self):
+            return None
+
+    real_nullspace = center.nullspace
+    eliminated = []
+
+    def recording_nullspace(rows, ncols):
+        eliminated.append(peels[-1].nlive < ncols)
+        return real_nullspace(rows, ncols)
+
+    monkeypatch.setattr(center, "_Peel", FirstBatchPeel)
+    monkeypatch.setattr(center, "nullspace", recording_nullspace)
+    for delta, basis in zip(degrees, bases):
+        assert center_basis_in_degree(delta.n, delta) == basis, f"degree {delta}"
+    # of the 705 degrees, 415 survive a_1; in 196 of them a_1 killed some column
+    assert Counter(eliminated) == {True: 196, False: 219}
 
 
 def test_zero_centers_settle_before_the_last_generator(monkeypatch):
