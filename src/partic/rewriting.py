@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from operator import sub
 from typing import Iterator
 
 from .core import MultiDegree, check_rank
@@ -187,12 +188,12 @@ def _steps(code: int, length: int, rs: RelationSet) -> Iterator[int]:
             yield code + diff
 
 
-def _closure(start: int, length: int, rs: RelationSet) -> set[int]:
-    # _steps inlined, as this loop is the oracle's whole cost; a hit on a plain dict is
-    # CPython's fastest lookup, and a window met for the first time raises KeyError
+def _closure(start: int, length: int, rs: RelationSet, seen: set[int]) -> list[int]:
+    # the codes of start's class not yet in seen, in BFS order, added to seen.  _steps is inlined, as
+    # this loop is the oracle's whole cost; a window met for the first time raises KeyError
     windows = rs.windows
     mask, starts, tables = windows.reader(length)
-    seen = {start}
+    seen.add(start)
     queue = [start]
     for cur in queue:
         for table, shift in tables:
@@ -206,7 +207,7 @@ def _closure(start: int, length: int, rs: RelationSet) -> set[int]:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-    return seen
+    return queue
 
 
 def words_with_degree(delta: MultiDegree) -> Iterator[Letters]:
@@ -244,12 +245,13 @@ def _coded_words(delta: MultiDegree, bits: int) -> dict[int, Letters]:
     A word is its first ``h = L // 2`` letters, a word of a sub-degree of
     total ``h``, joined to the rest; both halves come from ``_half_words``.
     """
-    counts, length = delta.counts, delta.total()
-    h, halves = length // 2, []
-    for sigma in product(*(range(c + 1) for c in counts)):
-        if sum(sigma) == h:
-            rest, shifted = _half_words(tuple(c - k for c, k in zip(counts, sigma)), bits, h * bits)
-            halves += [(p, cp, rest, shifted) for p, cp in zip(*_half_words(sigma, bits, 0))]
+    *head, last = delta.counts
+    h, halves = delta.total() // 2, []
+    for sigma in product(*[range(c + 1) for c in head]):
+        k = h - sum(sigma)  # the total fixes the last count, so only the head's box is walked
+        if 0 <= k <= last:
+            rest, shifted = _half_words((*map(sub, head, sigma), last - k), bits, h * bits)
+            halves += [(p, cp, rest, shifted) for p, cp in zip(*_half_words((*sigma, k), bits, 0))]
     halves.sort()  # first halves are distinct, so no two tuples compare past them
     codes = [cp | cs for _, cp, _, shifted in halves for cs in shifted]
     return dict(zip(codes, [p + s for p, _, rest, _ in halves for s in rest]))
@@ -261,20 +263,21 @@ def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letter
     Classes appear in order of their lexicographically smallest member, the order of
     ``_coded_words``.  Each BFS terminates: ``RewriteRule`` refuses a rule that changes
     the letter multiset, so a class never leaves the finitely many words of its
-    multidegree.  A class is a closure, so it holds every one-step rewrite of its
-    members; ``verify`` reads grading off that.
+    multidegree.  The classes share one visited set and hold, once each, every word of the
+    degree and every code they rewrite to; ``verify`` reads grading off that.
     """
     if delta.n != rs.n:
         raise ValueError("multidegree rank does not match relation set rank")
     bits, length = rs.bits, delta.total()
     words = _coded_words(delta, bits)
-    seen: set[int] = set()
+    seen: set[int] = set()  # one visited set for the degree: the classes are disjoint
     classes: list[set[Letters]] = []
     for code in words:
         if code in seen:
             continue
-        cls = _closure(code, length, rs)
-        seen |= cls
-        # a code outside the degree comes only from a rule that changes the multidegree
-        classes.append({words.get(c) or _decode(c, bits) for c in cls})
+        cls = _closure(code, length, rs, seen)
+        try:
+            classes.append(set(map(words.__getitem__, cls)))
+        except KeyError:  # a code outside the degree comes only from a rule that changes the multidegree
+            classes.append({words.get(c) or _decode(c, bits) for c in cls})
     return classes

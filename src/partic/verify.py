@@ -1,8 +1,9 @@
 """Umbrella certification suite behind the ``verify`` CLI subcommand.
 
 Three passes feed the checks.  One goes over multidegrees with their
-congruence classes and reaches each word's normal form from its prefix's; one
-goes over the basis monomials of each multidegree; one runs once.  Each check
+congruence classes and reaches each word's normal form from its prefix's, one
+step per prefix form and last letter; one goes over the basis monomials of
+each multidegree, with the run's labels of them; one runs once.  Each check
 returns the problem it finds on one item, or None.  The report lists checks
 by name, so output is reproducible in any execution order.
 """
@@ -16,6 +17,7 @@ from typing import Callable, Iterator
 from .center import center_basis_in_degree, theorem_mismatch
 from .core import MultiDegree, NormalMonomial, Word, multidegrees_up_to, nm_to_word
 from .normal_form import (
+    Exponents,
     _basis_exponents,
     _left_mul,
     _monomial,
@@ -27,6 +29,9 @@ from .normal_form import (
 )
 from .particles import Configuration, _prepend_letters, act_word, faithfulness_problem, word_label
 from .rewriting import PARTIC, congruence_partition, partic_rules
+
+
+Labels = dict[Exponents, tuple[tuple[int, ...], tuple[int, ...]]]  # {(d, k): word label of its expansion}
 
 
 @dataclass(frozen=True)
@@ -68,30 +73,38 @@ def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[dict]]]:
     n = cfg.n
     rs = partic_rules(n)
     prefix_forms: dict[tuple[int, ...], NormalMonomial] = {}  # the words shorter than max_len
+    # normalize applies _right_mul to the letters in turn, so a word's form is one step on its
+    # prefix's; words whose prefixes share a form and that end alike share that step, done once
+    steps: dict[tuple, NormalMonomial] = {}  # {(d, k, a): the form of m a_a, m being (d, k)}
+    unit = _monomial(n, (0,) * (n - 2), (0,) * (n - 1))
     for delta in multidegrees_up_to(n, cfg.max_len):
         # each class as {word: normal form}
         forms, keep = [], delta.total() < cfg.max_len
         for cls in congruence_partition(delta, rs):
             cls_forms = {}
             for t in cls:
-                if t:  # normalize applies _right_mul to the letters in turn: one more step on the prefix's form
+                if t:
                     p = prefix_forms[t[:-1]]
-                    key = _step(_right_mul, (p.d, p.k), t[-1])
+                    key = p.d, p.k, t[-1]
+                    nf = steps.get(key)
+                    if nf is None:  # each distinct form validated once
+                        nf = steps[key] = _monomial(n, *_step(_right_mul, (p.d, p.k), t[-1]))
+                    cls_forms[t] = nf
                 else:
-                    key = (0,) * (n - 2), (0,) * (n - 1)
-                cls_forms[t] = _monomial(n, *key)  # each distinct form validated once
+                    cls_forms[t] = unit
             if keep:
                 prefix_forms.update(cls_forms)
             forms.append(cls_forms)
         yield delta, forms
 
 
-def _monomials(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[NormalMonomial]]]:
+def _monomials(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[NormalMonomial], Labels]]:
     # the same degrees as _degrees, by total, so a first failing case has a shortest witness
     # word; a pass of its own, as the checks that read only the basis monomials would
     # otherwise be charged a share of the partitions in --timings
+    labels: Labels = {}  # filled by action-factoring, each label computed once
     for delta in multidegrees_up_to(cfg.n, cfg.max_len):
-        yield delta, enumerate_basis(delta)
+        yield delta, enumerate_basis(delta), labels
 
 
 def _once(cfg: VerifyConfig) -> Iterator[tuple]:
@@ -127,7 +140,7 @@ def _normal_form(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict]) -> 
             return f"expansion of {nf} leaves the class of {least}"
 
 
-def _fold_agreement(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial]) -> str | None:
+def _fold_agreement(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial], labels: Labels) -> str | None:
     """``normalize == normalize_right_to_left`` on every word of length <= max_len, by induction.
 
     The folds send a letter a to R_a(1) and L_a(1), and a word a u b, where
@@ -164,7 +177,7 @@ def _fold_problem(m: NormalMonomial, a: int, b: int | None) -> str:
     return f"{rules}, but the folds agree on {w.letters}"
 
 
-def _action_factoring(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial]) -> str | None:
+def _action_factoring(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial], labels: Labels) -> str | None:
     """Every word of length <= max_len acts like its normal form, by induction.
 
     A word acts by its label (``word_label``), and prepending a letter a
@@ -174,18 +187,24 @@ def _action_factoring(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalM
     expansion of its left fold, ``normalize_right_to_left(w)``.  The check is
     about the left fold: it speaks for ``normalize`` together with
     fold-agreement.  At max_len 0 the words of length 1 are still checked.
+    ``labels`` keeps each basis monomial's label once computed, as a source
+    or as one of up to N-1 targets.
     It never calls ``io_label``; tests/action_reference.py sweeps configurations.
     """
     if delta.total() >= max(cfg.max_len, 1):
         return None
     n = cfg.n
     for m in basis:
-        out, inp = word_label(nm_to_word(m))
+        source = m.d, m.k
+        if (label := labels.get(source)) is None:
+            label = labels[source] = word_label(nm_to_word(m))
         for a in range(1, n):
-            d, k = _step(_left_mul, (m.d, m.k), a)
-            o, i = list(out), list(inp)
+            dk = _step(_left_mul, source, a)
+            if (target := labels.get(dk)) is None:
+                target = labels[dk] = word_label(nm_to_word(_monomial(n, *dk)))
+            o, i = map(list, label)
             _prepend_letters(o, i, (a,))
-            if word_label(nm_to_word(_monomial(n, d, k))) != (tuple(o), tuple(i)):
+            if target != (tuple(o), tuple(i)):
                 return _action_problem(m, a)
 
 
@@ -205,7 +224,7 @@ def _action_problem(m: NormalMonomial, a: int) -> str:
     return f"word {w.letters} and its normal form act differently on {c}"
 
 
-def _faithfulness(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial]) -> str | None:
+def _faithfulness(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial], labels: Labels) -> str | None:
     return faithfulness_problem(delta, basis)
 
 

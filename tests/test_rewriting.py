@@ -383,6 +383,17 @@ def test_table_steps_match_rule_scan_for_partial_rule_sets(span):
         assert congruence_partition(MultiDegree((1, 1, 1)), rs) == [{p} for p in permutations((1, 2, 3))]
 
 
+@pytest.mark.parametrize("span", [None, 2, 3, 4], ids=["none", "span-2", "span-3", "span-4"])
+def test_partition_of_partial_rule_sets_matches_rule_scan(span):
+    # one visited set serves every class of a degree; with fewer rules there are more,
+    # smaller classes, down to one word each, and each must still be a whole class
+    rs = RelationSet(f"span-{span}", 4, tuple(r for r in partic_rules(4).rules if len(r.lhs) == span))
+    for delta in multidegrees_up_to(4, 7):
+        classes = congruence_partition(delta, rs)
+        assert classes == partition_reference(delta, rs), delta
+        assert sum(map(len, classes)) == len(set().union(*classes))
+
+
 @pytest.mark.parametrize("n", (4, 5))
 def test_partition_matches_rule_scan(n):
     for rs in (plactic_rules(n), partic_rules(n)):

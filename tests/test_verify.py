@@ -9,7 +9,7 @@ import action_reference
 import fold_reference
 import rewriting_reference
 from partic import normal_form, particles, rewriting, verify
-from partic.core import NormalMonomial, Word, multidegrees_up_to, nm_to_word
+from partic.core import MultiDegree, NormalMonomial, Word, multidegrees_up_to, nm_to_word
 from partic.normal_form import gen_monomial
 from partic.rewriting import PARTIC, congruence_partition
 from partic.verify import VerifyConfig
@@ -194,6 +194,26 @@ def test_a_rule_that_changes_the_multidegree_fails_grading_on_both_routes(monkey
     assert not rewriting_reference.grading_sweep(_with_degree_change(3), 3)[0]
 
 
+def test_a_one_way_rewrite_out_of_the_degree_fails_grading(monkeypatch):
+    # (1, 2) -> (2, 2) and (2, 1) -> (2, 2), without their reverses: both classes of (1, 1)
+    # reach (2, 2), which the visited set of the degree hands to the first only
+    def one_way(n):
+        rs = rewriting.partic_rules(n)
+        target = rewriting._encode((2, 2), rs.bits)
+        for lhs in ((1, 2), (2, 1)):
+            code = rewriting._encode(lhs, rs.bits)
+            rs.windows.by_span.setdefault(2, {}).setdefault(code, []).append(target - code)
+        rs.windows.clear()
+        return rs
+
+    assert congruence_partition(MultiDegree((1, 1)), one_way(3)) == [{(1, 2), (2, 2)}, {(2, 1)}]
+    monkeypatch.setattr(verify, "partic_rules", one_way)
+    assert verdicts(VerifyConfig(3, max_len=2))["grading"] == (
+        False,
+        "degree (1,1): its classes hold 3 words, not the 2 of that multidegree",
+    )
+
+
 def test_grading_reference_reads_the_coded_tables():
     # the mutant lives in the coded tables only, not in rs.rules, so a reference built
     # from the rule list would miss it
@@ -242,13 +262,45 @@ DISTINCT_4_5 = {normal_form.normalize(Word(4, t)) for length in range(6) for t i
 
 @pytest.mark.parametrize("relations", RELATIONS)
 def test_each_form_is_validated_once_and_each_word_costs_one_step(monkeypatch, relations):
+    # words whose prefixes share a normal form and that end in the same letter share one step
     steps = []
     monkeypatch.setattr(verify, "_right_mul", lambda d, k, letters: steps.extend(letters) or REAL_RIGHT(d, k, letters))
     monkeypatch.setattr(verify, "CHECKS", tuple(c for c in verify.CHECKS if c[1] is verify._degrees))
     validated = count_validations(monkeypatch)
     assert verify.run_verify(VerifyConfig(4, max_len=5)).passed
     assert len(validated) == len(set(validated)) == len(DISTINCT_4_5)
-    assert len(steps) == sum(3**length for length in range(1, 6)) == 363
+    words = [t for length in range(1, 6) for t in product(range(1, 4), repeat=length)]
+    pairs = {(normal_form.normalize(Word(4, t[:-1])), t[-1]) for t in words}
+    assert len(steps) == len(pairs) == 183 < len(words) == 363
+
+
+def test_word_label_is_computed_once_per_basis_monomial(monkeypatch):
+    # action-factoring reads each basis monomial's label as a source and as up to N-1 targets
+    calls = []
+    monkeypatch.setattr(verify, "word_label", lambda w: calls.append(w.letters) or particles.word_label(w))
+    cfg = VerifyConfig(4, max_len=5)
+    basis = [m for delta in multidegrees_up_to(4, 5) for m in normal_form.enumerate_basis(delta)]
+    for _ in range(2):  # the labels live for one run, so a second run computes them again
+        calls.clear()
+        assert verify.run_verify(cfg).passed
+        assert sorted(calls) == sorted(nm_to_word(m).letters for m in basis)
+        assert len(calls) == 116
+
+
+@pytest.mark.parametrize(
+    "target, problem",
+    [
+        ((), "the label of L_1(1) is not that of a1 1, but (1,) has the label of its normal form"),
+        ((2, 1), "the label of L_2(a1) is not that of a2 a1, but (2, 1) has the label of its normal form"),
+    ],
+)
+def test_a_label_wrong_on_one_basis_monomial_fails_action_factoring(monkeypatch, target, problem):
+    # the unit's word is first read as a source, that of a2 a1 as a target; a remembered
+    # label must not hide either
+    real = particles.word_label
+    monkeypatch.setattr(verify, "word_label", lambda w: real(Word(w.n, (1,)) if w.letters == target else w))
+    for max_len in (2, 3, 4):
+        assert verdicts(VerifyConfig(3, max_len=max_len))["action-factoring"] == (False, problem)
 
 
 def test_both_passes_validate_each_form_once(monkeypatch):
