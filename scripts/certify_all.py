@@ -18,7 +18,7 @@ RUNS: tuple[tuple[str, ...], ...] = (
     *(("verify", "--N", str(n), "--max-len", str(length), "--max-degree", str(d), "--timings")
       for n, length, d in ((3, 8, 12), (4, 8, 12), (5, 9, 14))),
     ("center", "--N", "6", "--max-degree", "10", "--expect-theorem"),
-    *(("affine-verify", "--N", str(n), "--particles", "6", "--m-max", "3", "--k-max", "2") for n in range(3, 8)),
+    *(("affine-verify", "--N", str(n), "--particles", "6", "--m-max", "3", "--k-max", "2") for n in range(3, 9)),
 )
 
 

@@ -127,17 +127,20 @@ def _basis_count(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict]) -> 
 
 
 def _normal_form(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict]) -> str | None:
-    seen = {}
+    # forms are compared by their exponents, as the dataclass __hash__ and __eq__ are Python-level
+    # calls; within a run a class's forms are nearly always one object, so identity comes first
+    seen = {}  # {(d, k): the class with that form}
     for cls in classes:
-        forms, least = set(cls.values()), min(cls)
-        if len(forms) != 1:
-            return f"class of {least} has {len(forms)} normal forms"
-        nf = forms.pop()
-        if nf in seen:
-            return f"classes of {least} and {seen[nf]} share a normal form"
-        seen[nf] = least
+        forms = iter(cls.values())
+        nf = next(forms)
+        dk = nf.d, nf.k
+        if any(m is not nf and (m.d, m.k) != dk for m in forms):
+            return f"class of {min(cls)} has {len({(m.d, m.k) for m in cls.values()})} normal forms"
+        if dk in seen:
+            return f"classes of {min(cls)} and {min(seen[dk])} share a normal form"
+        seen[dk] = cls
         if nm_to_word(nf).letters not in cls:
-            return f"expansion of {nf} leaves the class of {least}"
+            return f"expansion of {nf} leaves the class of {min(cls)}"
 
 
 def _fold_agreement(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial], labels: Labels) -> str | None:

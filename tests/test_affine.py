@@ -1,9 +1,11 @@
+import json
 import random
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
+import affine_reference
 from partic import affine
 from partic.affine import (
     AffineConfiguration,
@@ -241,11 +243,61 @@ def test_first_failing_instance_refuses_a_negative_bound():
 
 
 def test_labels_that_the_sweep_does_not_confirm_fail(monkeypatch, capsys):
-    # a wrong label must fail the run, never pass it
-    monkeypatch.setattr(affine, "affine_word_label", lambda w: ((), (), w.letters))
+    # a wrong label must fail the run, never pass it; the label function that both
+    # first_failing_instance and the CLI decide with is patched
+    monkeypatch.setattr(affine, "_label", lambda n, letters: ((), (), letters))
     commuting = (AffineWord(4, (0, 2)), AffineWord(4, (2, 0)))
     with pytest.raises(ValueError, match=r"\[0 2\] vs \[2 0\]: labels .* differ, yet act alike"):
         first_failing_instance([commuting], 2)
     assert main(["affine-verify", "--N", "4", "--particles", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and "labels" in err
+
+
+@pytest.mark.parametrize(
+    "n, m_max, k_max",
+    [(n, m, k) for n in (3, 4, 5, 6) for m, k in ((0, 0), (1, 0), (2, 1), (3, 2))] + [(7, 2, 1)],
+)
+def test_the_stream_is_the_eager_list(n, m_max, k_max):
+    # in order and in count, and the public list reads the same stream
+    expected = affine_reference.relation_pairs_eager(n, m_max, k_max)
+    assert list(affine._relation_pairs(n, m_max, k_max)) == expected
+    assert [(l.letters, r.letters) for l, r in affine_relation_instances(n, m_max, k_max)] == expected
+
+
+@pytest.mark.parametrize("n, m_max, k_max", [(2, 0, 0), (4, -1, 0), (4, 0, -1)])
+def test_the_stream_refuses_bad_bounds_at_the_call(n, m_max, k_max):
+    # raised by the call itself, with no next(): a generator function would raise on iteration only
+    with pytest.raises(ValueError):
+        affine._relation_pairs(n, m_max, k_max)
+
+
+def test_the_stream_is_lazy():
+    # the first commutation pairs come at once, though N=1500 has about 1.1 million
+    assert list(islice(affine._relation_pairs(1500, 0, 0), 3)) == [
+        ((0, 2), (2, 0)),
+        ((0, 3), (3, 0)),
+        ((0, 4), (4, 0)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--N", "4", "--m-max", "-1"],
+        ["--N", "4", "--k-max", "-1"],
+        ["--N", "2"],
+        ["--N", "3", "--particles", "-2"],
+    ],
+)
+def test_affine_verify_refuses_bad_bounds(capsys, argv):
+    assert main(["affine-verify", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_affine_verify_counts_every_instance(capsys, n):
+    assert main(["affine-verify", "--N", str(n), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] and payload["instances"] == len(affine_relation_instances(n, 2, 1))

@@ -33,7 +33,7 @@ def test_runs_cover_the_certification_bounds(certify_all):
     assert verify == [(3, 8, 12), (4, 8, 12), (5, 9, 14)]
     # the center theorem at N=6 to degree 10
     assert center == [(6, 10, True)]
-    assert affine == [(n, 6, 3, 2) for n in range(3, 8)]
+    assert affine == [(n, 6, 3, 2) for n in range(3, 9)]
     assert len(runs) == len(verify) + len(center) + len(affine)
 
 

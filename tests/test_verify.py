@@ -319,6 +319,24 @@ def test_each_normal_form_is_expanded_once(monkeypatch):
     assert len(calls) == len(set(calls)) == len(distinct)
 
 
+def test_equal_forms_held_as_distinct_objects_are_one_form():
+    # normal-form compares forms by their exponents, not by object: with the _monomial table
+    # cleared mid-class, every other word of a class holds a new but equal NormalMonomial
+    cfg, distinct = VerifyConfig(4, max_len=5), 0
+    for delta, classes in verify._degrees(cfg):
+        rebuilt = []
+        for cls in classes:
+            normal_form._monomial.cache_clear()
+            rebuilt.append({t: normal_form._monomial(m.n, m.d, m.k) if j % 2 else m for j, (t, m) in enumerate(cls.items())})
+            distinct += len({id(m) for m in rebuilt[-1].values()}) - 1
+        assert verify._normal_form(cfg, delta, rebuilt) is None
+        # a form that truly differs still counts as a second one
+        if len(rebuilt[-1]) > 1:  # so of total 2 or more, whose forms are not a1's
+            rebuilt[-1][max(rebuilt[-1])] = gen_monomial(4, 1)
+            assert verify._normal_form(cfg, delta, rebuilt) == f"class of {min(rebuilt[-1])} has 2 normal forms"
+    assert distinct > 50  # classes that held two objects for one form
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_memoized_forms_are_the_normal_forms(n):
     seen = 0
