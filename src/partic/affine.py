@@ -116,8 +116,7 @@ def _relation_pairs(n: int, m_max: int, k_max: int) -> Iterator[Pair]:
     fails on the module (witness: a_0 a_2 a_1 a_0 vs a_1 a_0 a_2 a_0 on one
     particle at position 3), so that family is emitted for N >= 4 only.
 
-    The rank and the bounds are checked here, at the call, and the pairs
-    come from :func:`_pair_stream`, lazily.
+    The pairs come lazily from :func:`_pair_stream`.
     """
     check_rank(n)
     if m_max < 0 or k_max < 0:  # raised here, not at the first next()
