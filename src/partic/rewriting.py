@@ -178,24 +178,17 @@ def partic_rules(n: int) -> RelationSet:
     return RelationSet(PARTIC, n, base + extra)
 
 
-def _steps(code: int, length: int, rs: RelationSet) -> Iterator[int]:
-    """Every word one rule application away (tests/rewriting_reference.py scans rule by rule)."""
+def _steps(codes: list[int], out: list[int], length: int, rs: RelationSet, seen: set[int]) -> None:
+    """Append to ``out`` and add to ``seen`` each code not in ``seen`` one rule application from one of ``codes``.
+
+    Given one list as both ``codes`` and ``out``, the loop also reads what it
+    appends, so the list grows to the BFS closure of its codes.  This loop is
+    the oracle's whole cost; a window met for the first time raises KeyError
+    (tests/rewriting_reference.py scans rule by rule).
+    """
     windows = rs.windows
     mask, starts, tables = windows.reader(length)
-    for table, shift in tables:
-        window = code >> shift & mask
-        for diff in table[window] if window in table else windows.fill(table, starts, shift, window):
-            yield code + diff
-
-
-def _closure(start: int, length: int, rs: RelationSet, seen: set[int]) -> list[int]:
-    # the codes of start's class not yet in seen, in BFS order, added to seen.  _steps is inlined, as
-    # this loop is the oracle's whole cost; a window met for the first time raises KeyError
-    windows = rs.windows
-    mask, starts, tables = windows.reader(length)
-    seen.add(start)
-    queue = [start]
-    for cur in queue:
+    for cur in codes:
         for table, shift in tables:
             window = cur >> shift & mask
             try:
@@ -206,8 +199,7 @@ def _closure(start: int, length: int, rs: RelationSet, seen: set[int]) -> list[i
                 nxt = cur + diff
                 if nxt not in seen:
                     seen.add(nxt)
-                    queue.append(nxt)
-    return queue
+                    out.append(nxt)
 
 
 def words_with_degree(delta: MultiDegree) -> Iterator[Letters]:
@@ -275,9 +267,9 @@ def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letter
     for code in words:
         if code in seen:
             continue
-        cls = _closure(code, length, rs, seen)
-        try:
-            classes.append(set(map(words.__getitem__, cls)))
-        except KeyError:  # a code outside the degree comes only from a rule that changes the multidegree
-            classes.append({words.get(c) or _decode(c, bits) for c in cls})
+        seen.add(code)
+        cls = [code]
+        _steps(cls, cls, length, rs, seen)
+        # a code outside the degree comes only from a rule that changes the multidegree
+        classes.append({words.get(c) or _decode(c, bits) for c in cls})
     return classes

@@ -26,8 +26,10 @@ def class_of(w: Word, rs: RelationSet) -> set[Letters]:
 
 
 def coded_steps(letters: Letters, rs: RelationSet) -> set[Letters]:
-    """The oracle's own one-step rewrites (``rewriting._steps`` on the coded word), decoded."""
-    return {_decode(code, rs.bits) for code in _steps(_encode(letters, rs.bits), len(letters), rs)}
+    """The oracle's own one-step rewrites (``rewriting._steps`` on the coded word, nothing visited), decoded."""
+    out: list[int] = []
+    _steps([_encode(letters, rs.bits)], out, len(letters), rs, set())
+    return {_decode(code, rs.bits) for code in out}
 
 
 def oriented(rs: RelationSet) -> Pairs:

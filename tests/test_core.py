@@ -74,6 +74,11 @@ def test_value_types_compare_as_their_field_tuples(cls, args, other):
     assert not hasattr(a, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(a, dataclasses.fields(a)[0].name, fb[0])
+    # a name that is not a field is refused too; Python 3.11's slotted frozen classes raise a
+    # misleading TypeError from the generated __setattr__, so any of the three errors will do
+    with pytest.raises((TypeError, AttributeError, dataclasses.FrozenInstanceError)):
+        a.extra = 1
+    assert not hasattr(a, "extra")
 
 
 def test_word_parse_and_str_roundtrip():

@@ -12,8 +12,10 @@ from partic.rewriting import (
     RelationSet,
     RewriteRule,
     _coded_words,
+    _decode,
     _encode,
     _half_words,
+    _steps,
     congruence_partition,
     partic_rules,
     plactic_rules,
@@ -305,6 +307,24 @@ def test_wide_letters_match_rule_scan(n, max_len):
     for _ in range(400):
         letters = tuple(rng.randrange(n - 4, n) for _ in range(rng.randrange(7, 10)))
         assert coded_steps(letters, rs) == steps_reference(letters, pairs), letters
+
+
+@pytest.mark.parametrize("rs", [plactic_rules(5), partic_rules(5)], ids=lambda rs: rs.name)
+def test_steps_append_only_the_codes_not_yet_visited(rs):
+    # congruence_partition keeps one visited set for a whole degree, so the loop must skip
+    # every code already in it and append each other neighbour once, marking it visited
+    rng = random.Random(5)
+    pairs = oriented(rs)
+    for _ in range(300):
+        letters = tuple(rng.randrange(1, 5) for _ in range(rng.randrange(7, 10)))
+        neighbours = sorted(steps_reference(letters, pairs) - {letters})
+        visited = set(rng.sample(neighbours, len(neighbours) // 2))
+        code = _encode(letters, rs.bits)
+        seen = {code} | {_encode(w, rs.bits) for w in visited}
+        before, out = set(seen), []
+        _steps([code], out, len(letters), rs, seen)
+        assert sorted(_decode(c, rs.bits) for c in out) == [w for w in neighbours if w not in visited], letters
+        assert seen == before | set(out)
 
 
 def test_window_memo_holds_only_the_windows_met():
