@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run the certification suite")
     p.add_argument("--N", type=int, required=True)
     p.add_argument(
-        "--max-len", type=int, default=6, help="word-length bound (at N=5: 6 takes about 0.2 s, 7 about 0.3 s, 8 about 0.7 s, 9 about 1.6 s)"
+        "--max-len", type=int, default=6, help="word-length bound (at N=5: 6 takes about 0.15 s, 7 about 0.2 s, 8 about 0.4 s, 9 about 1.1 s)"
     )
     p.add_argument("--max-degree", type=int, help="also certify graded center dimensions to this degree")
     p.add_argument(

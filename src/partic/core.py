@@ -216,12 +216,17 @@ class NormalMonomial:
 
 def nm_to_word(m: NormalMonomial) -> Word:
     """Expand a normal monomial to its defining word (descending then ascending)."""
+    return Word(m.n, _nm_letters(m.d, m.k))
+
+
+def _nm_letters(d: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of :func:`nm_to_word` for the exponents (d, k), unvalidated."""
     letters: list[int] = []
-    for i in range(m.n - 1, 1, -1):
-        letters.extend([i] * m.d[i - 2])
-    for i in range(1, m.n):
-        letters.extend([i] * m.k[i - 1])
-    return Word(m.n, tuple(letters))
+    for i in range(len(k), 1, -1):
+        letters += [i] * d[i - 2]
+    for i, e in enumerate(k, 1):
+        letters += [i] * e
+    return tuple(letters)
 
 
 def _exact(c) -> Fraction:

@@ -119,10 +119,26 @@ def word_label(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     input's deposit is always 0 and the output's position 1 always empty:
     ``IoLabel(Configuration(n, out), Configuration(n, inp))`` accepts it.
     """
-    out = [0] * w.n
-    inp = [0] * w.n
-    _prepend_letters(out, inp, w.letters)
+    return _letters_label(w.n, w.letters)
+
+
+def _letters_label(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """:func:`word_label` of the letters at rank n, unvalidated: :func:`_prepend_letters` from the empty label."""
+    out = [0] * n
+    inp = [0] * n
+    _prepend_letters(out, inp, letters)
     return tuple(out), tuple(inp)
+
+
+def _io_counts(d: tuple[int, ...], k: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The counts of ``(output_of(m), min_input(m))`` for m = (d, k), without building configurations.
+
+    Position 1 empties, position i receives k_{i-1} + d_{i-1} - d_i, and the
+    deposit receives k_{N-1} + d_{N-1}; the input is k with an empty deposit.
+    """
+    dd = (0,) + d  # dd[i - 1] is d_i, with d_1 = 0
+    line = [ki + up - down for ki, up, down in zip(k, dd, dd[1:])]  # positions 2..N-1
+    return (0, *line, k[-1] + dd[-1]), k + (0,)
 
 
 def min_input(m: NormalMonomial) -> Configuration:
@@ -131,18 +147,12 @@ def min_input(m: NormalMonomial) -> Configuration:
     The monomial acts without annihilating on c exactly when c has at least
     k_i particles at every line position i; the deposit is unconstrained.
     """
-    return Configuration(m.n, m.k + (0,))
+    return Configuration(m.n, _io_counts(m.d, m.k)[1])
 
 
 def output_of(m: NormalMonomial) -> Configuration:
-    """Image of ``min_input(m)`` under the monomial's action.
-
-    Position 1 empties, position i receives k_{i-1} + d_{i-1} - d_i, and the
-    deposit receives k_{N-1} + d_{N-1}.
-    """
-    d = (0,) + m.d  # d[i - 1] is d_i, with d_1 = 0
-    line = [k + up - down for k, up, down in zip(m.k, d, d[1:])]  # positions 2..N-1
-    return Configuration(m.n, (0, *line, m.k[-1] + d[-1]))
+    """Image of ``min_input(m)`` under the monomial's action (:func:`_io_counts`)."""
+    return Configuration(m.n, _io_counts(m.d, m.k)[0])
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -164,7 +174,8 @@ class IoLabel:
 
 
 def io_label(m: NormalMonomial) -> IoLabel:
-    return IoLabel(output_of(m), min_input(m))
+    out, inp = _io_counts(m.d, m.k)
+    return IoLabel(Configuration(m.n, out), Configuration(m.n, inp))
 
 
 def monomial_from_io(label: IoLabel) -> NormalMonomial:
@@ -216,11 +227,11 @@ def faithfulness_problem(delta: MultiDegree, basis: list[NormalMonomial]) -> str
     particles leaving positions 1..i.  Labels of two degrees then differ too,
     so faithfulness is decided one degree at a time.
     """
-    labels = [io_label(m) for m in basis]
+    labels = [_io_counts(m.d, m.k) for m in basis]
     if len(set(labels)) < len(labels):
         return "two basis monomials share an (input, output) label"
-    for m, lab in zip(basis, labels):
-        flow = tuple(accumulate(x - y for x, y in zip(lab.j_in.occ[:-1], lab.i_out.occ[:-1])))
+    for m, (out, inp) in zip(basis, labels):
+        flow = tuple(accumulate(x - y for x, y in zip(inp[:-1], out[:-1])))
         if flow != delta.counts:
             return f"the label of {m} gives the multidegree {flow}"
     return None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from operator import sub
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import MultiDegree, check_rank
 
@@ -225,17 +225,18 @@ def words_with_degree(delta: MultiDegree) -> Iterator[Letters]:
 def _half_words(counts: tuple[int, ...], bits: int, shift: int) -> tuple[tuple[Letters, ...], tuple[int, ...]]:
     """The words of the degree ``counts`` in lexicographic order, and their codes shifted left by ``shift`` bits.
 
-    ``_coded_words`` meets each half-degree in every degree that holds it; this lists it once.
+    ``_degree_codes`` meets each half-degree in every degree that holds it; this lists it once.
     """
     words = tuple(words_with_degree(MultiDegree(counts)))
     return words, tuple(_encode(w, bits) << shift for w in words)
 
 
-def _coded_words(delta: MultiDegree, bits: int) -> dict[int, Letters]:
-    """``{_encode(w, bits): w for w in words_with_degree(delta)}``, in the same order.
+def _degree_codes(delta: MultiDegree, bits: int) -> tuple[list[int], Iterator[Letters]]:
+    """The codes ``_encode(w, bits)`` of ``words_with_degree(delta)`` in the same order, and those words, built as read.
 
     A word is its first ``h = L // 2`` letters, a word of a sub-degree of
     total ``h``, joined to the rest; both halves come from ``_half_words``.
+    The words are joined only if read: ``verify`` works on the codes alone.
     """
     *head, last = delta.counts
     h, halves = delta.total() // 2, []
@@ -246,30 +247,45 @@ def _coded_words(delta: MultiDegree, bits: int) -> dict[int, Letters]:
             halves += [(p, cp, rest, shifted) for p, cp in zip(*_half_words((*sigma, k), bits, 0))]
     halves.sort()  # first halves are distinct, so no two tuples compare past them
     codes = [cp | cs for _, cp, _, shifted in halves for cs in shifted]
-    return dict(zip(codes, [p + s for p, _, rest, _ in halves for s in rest]))
+    return codes, (p + s for p, _, rest, _ in halves for s in rest)
 
 
-def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letters]]:
-    """Partition of all words of one multidegree into congruence classes.
+def _coded_words(delta: MultiDegree, bits: int) -> dict[int, Letters]:
+    """``{_encode(w, bits): w for w in words_with_degree(delta)}``, in the same order."""
+    return dict(zip(*_degree_codes(delta, bits)))
 
-    Classes appear in order of their lexicographically smallest member, the order of
-    ``_coded_words``.  Each BFS terminates: ``RewriteRule`` refuses a rule that changes
-    the letter multiset, so a class never leaves the finitely many words of its
-    multidegree.  The classes share one visited set and hold, once each, every word of the
-    degree and every code they rewrite to; ``verify`` reads grading off that.
+
+def code_classes(codes: Iterable[int], length: int, rs: RelationSet) -> list[list[int]]:
+    """The congruence classes of the words of one multidegree, given by their codes (``_degree_codes``).
+
+    Each class is a list of codes, its seed (the first of its codes in the
+    given order) first and the rest in BFS order; classes come in the order
+    of their seeds.  Each BFS terminates: ``RewriteRule`` refuses a rule that
+    changes the letter multiset, so a class never leaves the finitely many
+    words of its multidegree.  The classes share one visited set and hold,
+    once each, every given code and every code they rewrite to; ``verify``
+    reads grading off that.
     """
-    if delta.n != rs.n:
-        raise ValueError("multidegree rank does not match relation set rank")
-    bits, length = rs.bits, delta.total()
-    words = _coded_words(delta, bits)
     seen: set[int] = set()  # one visited set for the degree: the classes are disjoint
-    classes: list[set[Letters]] = []
-    for code in words:
+    classes = []
+    for code in codes:
         if code in seen:
             continue
         seen.add(code)
         cls = [code]
         _steps(cls, cls, length, rs, seen)
-        # a code outside the degree comes only from a rule that changes the multidegree
-        classes.append({words.get(c) or _decode(c, bits) for c in cls})
+        classes.append(cls)
     return classes
+
+
+def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letters]]:
+    """Partition of all words of one multidegree into congruence classes: ``code_classes``, decoded.
+
+    Classes appear in order of their lexicographically smallest member, the
+    order of ``_coded_words``.
+    """
+    if delta.n != rs.n:
+        raise ValueError("multidegree rank does not match relation set rank")
+    words = _coded_words(delta, rs.bits)
+    # a code outside the degree comes only from a rule that changes the multidegree
+    return [{words.get(c) or _decode(c, rs.bits) for c in cls} for cls in code_classes(words, delta.total(), rs)]

@@ -6,6 +6,11 @@ step per prefix form and last letter; one goes over the basis monomials of
 each multidegree, with the run's labels of them; one runs once.  Each check
 returns the problem it finds on one item, or None.  The report lists checks
 by name, so output is reproducible in any execution order.
+
+The passes work on raw values: words are the oracle's integer codes, and
+labels and (output, input) pairs are count tuples.  A ``Word``,
+``Configuration`` or ``IoLabel`` is built only to confirm and report a
+failure, and a message names words as letter tuples, decoded then.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from math import factorial, prod
 from typing import Callable, Iterator
 
 from .center import center_basis_in_degree, theorem_mismatch
-from .core import MultiDegree, NormalMonomial, Word, multidegrees_up_to, nm_to_word
+from .core import MultiDegree, NormalMonomial, Word, _nm_letters, multidegrees_up_to, nm_to_word
 from .normal_form import (
     Exponents,
     _basis_exponents,
@@ -27,8 +32,8 @@ from .normal_form import (
     normalize,
     normalize_right_to_left,
 )
-from .particles import Configuration, _prepend_letters, act_word, faithfulness_problem, word_label
-from .rewriting import PARTIC, congruence_partition, partic_rules
+from .particles import Configuration, _letters_label, _prepend_letters, act_word, faithfulness_problem, word_label
+from .rewriting import PARTIC, _decode, _degree_codes, _encode, code_classes, partic_rules
 
 
 Labels = dict[Exponents, tuple[tuple[int, ...], tuple[int, ...]]]  # {(d, k): word label of its expansion}
@@ -72,26 +77,32 @@ def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[dict]]]:
     # rules: the plactic ones are a subset, so their classes refine these and certify no more
     n = cfg.n
     rs = partic_rules(n)
-    prefix_forms: dict[tuple[int, ...], NormalMonomial] = {}  # the words shorter than max_len
+    bits = rs.bits
+    # a word is its oracle code, first letter lowest: a word of length l is its
+    # prefix's code plus its last letter shifted left by (l - 1) * bits
+    prefix_forms: dict[int, NormalMonomial] = {}  # {code: normal form} of the words shorter than max_len
     # normalize applies _right_mul to the letters in turn, so a word's form is one step on its
     # prefix's; words whose prefixes share a form and that end alike share that step, done once
     steps: dict[tuple, NormalMonomial] = {}  # {(d, k, a): the form of m a_a, m being (d, k)}
     unit = _monomial(n, (0,) * (n - 2), (0,) * (n - 1))
     for delta in multidegrees_up_to(n, cfg.max_len):
-        # each class as {word: normal form}
-        forms, keep = [], delta.total() < cfg.max_len
-        for cls in congruence_partition(delta, rs):
+        length = delta.total()
+        shift = max(length - 1, 0) * bits
+        mask = (1 << shift) - 1
+        # each class as {code: normal form}
+        forms, keep = [], length < cfg.max_len
+        for cls in code_classes(_degree_codes(delta, bits)[0], length, rs):
             cls_forms = {}
-            for t in cls:
-                if t:
-                    p = prefix_forms[t[:-1]]
-                    key = p.d, p.k, t[-1]
+            for code in cls:
+                if code:
+                    p, a = prefix_forms[code & mask], code >> shift
+                    key = p.d, p.k, a
                     nf = steps.get(key)
                     if nf is None:  # each distinct form validated once
-                        nf = steps[key] = _monomial(n, *_step(_right_mul, (p.d, p.k), t[-1]))
-                    cls_forms[t] = nf
+                        nf = steps[key] = _monomial(n, *_step(_right_mul, (p.d, p.k), a))
+                    cls_forms[code] = nf
                 else:
-                    cls_forms[t] = unit
+                    cls_forms[code] = unit
             if keep:
                 prefix_forms.update(cls_forms)
             forms.append(cls_forms)
@@ -128,19 +139,25 @@ def _basis_count(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict]) -> 
 
 def _normal_form(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict]) -> str | None:
     # forms are compared by their exponents, as the dataclass __hash__ and __eq__ are Python-level
-    # calls; within a run a class's forms are nearly always one object, so identity comes first
+    # calls; within a run a class's forms are nearly always one object, so identity comes first.
+    # A class is {code: form}, so a form's expansion is looked up by its code
     seen = {}  # {(d, k): the class with that form}
     for cls in classes:
         forms = iter(cls.values())
         nf = next(forms)
         dk = nf.d, nf.k
         if any(m is not nf and (m.d, m.k) != dk for m in forms):
-            return f"class of {min(cls)} has {len({(m.d, m.k) for m in cls.values()})} normal forms"
+            return f"class of {_least(cfg, cls)} has {len({(m.d, m.k) for m in cls.values()})} normal forms"
         if dk in seen:
-            return f"classes of {min(cls)} and {min(seen[dk])} share a normal form"
+            return f"classes of {_least(cfg, cls)} and {_least(cfg, seen[dk])} share a normal form"
         seen[dk] = cls
-        if nm_to_word(nf).letters not in cls:
-            return f"expansion of {nf} leaves the class of {min(cls)}"
+        if _encode(_nm_letters(*dk), cfg.n.bit_length()) not in cls:  # RelationSet.bits
+            return f"expansion of {nf} leaves the class of {_least(cfg, cls)}"
+
+
+def _least(cfg: VerifyConfig, codes) -> tuple[int, ...]:
+    """The lexicographically smallest word of a class given by its codes, decoded for a message."""
+    return min(_decode(c, cfg.n.bit_length()) for c in codes)
 
 
 def _fold_agreement(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial], labels: Labels) -> str | None:
@@ -191,8 +208,9 @@ def _action_factoring(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalM
     about the left fold: it speaks for ``normalize`` together with
     fold-agreement.  At max_len 0 the words of length 1 are still checked.
     ``labels`` keeps each basis monomial's label once computed, as a source
-    or as one of up to N-1 targets.
-    It never calls ``io_label``; tests/action_reference.py sweeps configurations.
+    or as one of up to N-1 targets: ``word_label``'s fold over the letters of
+    its expansion, with no ``Word`` built.
+    It never calls ``_io_counts``; tests/action_reference.py sweeps configurations.
     """
     if delta.total() >= max(cfg.max_len, 1):
         return None
@@ -200,11 +218,11 @@ def _action_factoring(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalM
     for m in basis:
         source = m.d, m.k
         if (label := labels.get(source)) is None:
-            label = labels[source] = word_label(nm_to_word(m))
+            label = labels[source] = _letters_label(n, _nm_letters(*source))
         for a in range(1, n):
             dk = _step(_left_mul, source, a)
             if (target := labels.get(dk)) is None:
-                target = labels[dk] = word_label(nm_to_word(_monomial(n, *dk)))
+                target = labels[dk] = _letters_label(n, _nm_letters(*dk))
             o, i = map(list, label)
             _prepend_letters(o, i, (a,))
             if target != (tuple(o), tuple(i)):

@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from partic.core import AlgebraElement, NormalMonomial, Word, multidegrees_up_to, nm_to_word
+from partic import particles
+from partic.core import AlgebraElement, NormalMonomial, Word, _nm_letters, multidegrees_up_to, nm_to_word
 from partic.normal_form import enumerate_basis, gen_element, normalize
 from partic.particles import (
     ANNIHILATED,
@@ -144,6 +145,29 @@ def test_word_label_is_left_multiplication_from_the_unit(n, max_len):
             for a in reversed(letters):
                 lab = label_mul(lab, a, "left")
             assert word_label(Word(n, letters)) == (lab.i_out.occ, lab.j_in.occ), letters
+
+
+def basis_up_to(n, max_total):
+    return [m for delta in multidegrees_up_to(n, max_total) for m in enumerate_basis(delta)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_raw_io_counts_are_the_io_label(n):
+    # faithfulness reads the counts without building configurations; the greedy label of
+    # the expansion is a second route to the same counts
+    for m in basis_up_to(n, 6):
+        lab = io_label(m)
+        assert particles._io_counts(m.d, m.k) == (lab.i_out.occ, lab.j_in.occ) == word_label(nm_to_word(m)), m
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_expansion_label_is_the_word_label(n):
+    # action-factoring labels the letters of each expansion without building a Word
+    for m in basis_up_to(n, 6):
+        descending = [i for i in range(n - 1, 1, -1) for _ in range(m.d[i - 2])]
+        ascending = [i for i in range(1, n) for _ in range(m.k[i - 1])]
+        assert _nm_letters(m.d, m.k) == tuple(descending + ascending) == nm_to_word(m).letters, m
+        assert particles._letters_label(n, _nm_letters(m.d, m.k)) == word_label(nm_to_word(m)), m
 
 
 def test_io_label_roundtrip():

@@ -13,9 +13,11 @@ from partic.rewriting import (
     RewriteRule,
     _coded_words,
     _decode,
+    _degree_codes,
     _encode,
     _half_words,
     _steps,
+    code_classes,
     congruence_partition,
     partic_rules,
     plactic_rules,
@@ -435,6 +437,17 @@ def test_partition_matches_rule_scan_on_joined_words(rs, counts):
     # an even and an odd length, both at least 8 letters, so the words come joined from halves
     delta = MultiDegree(counts)
     assert congruence_partition(delta, rs) == partition_reference(delta, rs)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_code_classes_decode_to_the_partition(n):
+    # verify reads the classes as codes straight from the code list; decoded one code at a
+    # time they must be congruence_partition's classes, class by class and in order
+    for rs in (plactic_rules(n), partic_rules(n)):
+        for delta in multidegrees_up_to(n, 7):
+            codes, _ = _degree_codes(delta, rs.bits)
+            decoded = [{_decode(c, rs.bits) for c in cls} for cls in code_classes(codes, delta.total(), rs)]
+            assert decoded == congruence_partition(delta, rs), (rs.name, delta)
 
 
 def test_oracle_imports_only_core():

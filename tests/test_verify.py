@@ -9,7 +9,7 @@ import action_reference
 import fold_reference
 import rewriting_reference
 from partic import normal_form, particles, rewriting, verify
-from partic.core import MultiDegree, NormalMonomial, Word, multidegrees_up_to, nm_to_word
+from partic.core import MultiDegree, NormalMonomial, Word, _nm_letters, multidegrees_up_to, nm_to_word
 from partic.normal_form import gen_monomial
 from partic.rewriting import PARTIC, congruence_partition
 from partic.verify import VerifyConfig
@@ -277,7 +277,8 @@ def test_each_form_is_validated_once_and_each_word_costs_one_step(monkeypatch, r
 def test_word_label_is_computed_once_per_basis_monomial(monkeypatch):
     # action-factoring reads each basis monomial's label as a source and as up to N-1 targets
     calls = []
-    monkeypatch.setattr(verify, "word_label", lambda w: calls.append(w.letters) or particles.word_label(w))
+    real = particles._letters_label
+    monkeypatch.setattr(verify, "_letters_label", lambda n, letters: calls.append(letters) or real(n, letters))
     cfg = VerifyConfig(4, max_len=5)
     basis = [m for delta in multidegrees_up_to(4, 5) for m in normal_form.enumerate_basis(delta)]
     for _ in range(2):  # the labels live for one run, so a second run computes them again
@@ -297,8 +298,8 @@ def test_word_label_is_computed_once_per_basis_monomial(monkeypatch):
 def test_a_label_wrong_on_one_basis_monomial_fails_action_factoring(monkeypatch, target, problem):
     # the unit's word is first read as a source, that of a2 a1 as a target; a remembered
     # label must not hide either
-    real = particles.word_label
-    monkeypatch.setattr(verify, "word_label", lambda w: real(Word(w.n, (1,)) if w.letters == target else w))
+    real = particles._letters_label
+    monkeypatch.setattr(verify, "_letters_label", lambda n, letters: real(n, (1,) if letters == target else letters))
     for max_len in (2, 3, 4):
         assert verdicts(VerifyConfig(3, max_len=max_len))["action-factoring"] == (False, problem)
 
@@ -312,7 +313,7 @@ def test_both_passes_validate_each_form_once(monkeypatch):
 def test_each_normal_form_is_expanded_once(monkeypatch):
     # by normal-form; action-factoring expands basis monomials in its own pass
     calls = []
-    monkeypatch.setattr(verify, "nm_to_word", lambda nf: calls.append(nf) or nm_to_word(nf))
+    monkeypatch.setattr(verify, "_nm_letters", lambda d, k: calls.append((d, k)) or _nm_letters(d, k))
     monkeypatch.setattr(verify, "CHECKS", tuple(c for c in verify.CHECKS if c[1] is verify._degrees))
     assert verify.run_verify(VerifyConfig(4, max_len=5)).passed
     distinct = {normal_form.normalize(Word(4, t)) for length in range(6) for t in product(range(1, 4), repeat=length)}
@@ -333,8 +334,48 @@ def test_equal_forms_held_as_distinct_objects_are_one_form():
         # a form that truly differs still counts as a second one
         if len(rebuilt[-1]) > 1:  # so of total 2 or more, whose forms are not a1's
             rebuilt[-1][max(rebuilt[-1])] = gen_monomial(4, 1)
-            assert verify._normal_form(cfg, delta, rebuilt) == f"class of {min(rebuilt[-1])} has 2 normal forms"
+            least = min(rewriting._decode(c, 3) for c in rebuilt[-1])
+            assert verify._normal_form(cfg, delta, rebuilt) == f"class of {least} has 2 normal forms"
     assert distinct > 50  # classes that held two objects for one form
+
+
+def _at_rank_3(d, k):
+    return NormalMonomial(3, d, k)
+
+
+# right rules that give a word of length 2 or 3 a wrong form, at N=3
+TWO_FORMS = _rule_mapping(REAL_RIGHT, 1, _at_rank_3((0,), (1, 1)), _at_rank_3((0,), (2, 1)))  # (1, 2, 1)
+SHARED = _rule_mapping(REAL_RIGHT, 1, _at_rank_3((0,), (0, 1)), _at_rank_3((0,), (1, 1)))  # (2, 1) as (1, 2)
+SWAPPED = _rule_mapping(  # (1, 2) and (2, 1) trade forms
+    _rule_mapping(REAL_RIGHT, 2, _at_rank_3((0,), (1, 0)), _at_rank_3((1,), (1, 0))),
+    1, _at_rank_3((0,), (0, 1)), _at_rank_3((0,), (1, 1)),
+)
+
+
+@pytest.mark.parametrize(
+    "right, message",
+    [
+        (TWO_FORMS, "class of (1, 2, 1) has 2 normal forms"),
+        (SHARED, "classes of (2, 1) and (1, 2) share a normal form"),
+        (SWAPPED, "expansion of a2 a1 leaves the class of (1, 2)"),
+    ],
+)
+def test_normal_form_messages_name_the_least_word_of_each_class(monkeypatch, right, message):
+    # the degree pass works on integer codes; a message decodes them to letters
+    _patch_rules(monkeypatch, right=right)
+    assert verdicts(VerifyConfig(3, max_len=3))["normal-form"] == (False, message)
+    least = {min(cls) for delta in multidegrees_up_to(3, 3) for cls in congruence_partition(delta, rewriting.partic_rules(3))}
+    named = re.findall(r"\(([\d, ]*)\)", message)
+    assert named and all(tuple(map(int, w.split(", "))) in least for w in named)
+
+
+def test_messages_on_a_rule_out_of_the_degree_name_words(monkeypatch):
+    # (1, 2) <-> (2, 2): grading names the degree and counts its words; normal-form names
+    # the least word of the class of (2, 2), (1, 2), whose code lies outside that degree
+    monkeypatch.setattr(verify, "partic_rules", _with_degree_change)
+    new = verdicts(VerifyConfig(3, max_len=2))
+    assert new["grading"] == (False, "degree (0,2): its classes hold 2 words, not the 1 of that multidegree")
+    assert new["normal-form"] == (False, "class of (1, 2) has 2 normal forms")
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -342,8 +383,8 @@ def test_memoized_forms_are_the_normal_forms(n):
     seen = 0
     for _, forms in verify._degrees(VerifyConfig(n, max_len=7)):
         for cls in forms:
-            for letters, nf in cls.items():
-                assert nf == normal_form.normalize(Word(n, letters))
+            for code, nf in cls.items():
+                assert nf == normal_form.normalize(Word(n, rewriting._decode(code, n.bit_length())))
                 seen += 1
     assert seen == sum((n - 1) ** length for length in range(8))
 
@@ -368,8 +409,9 @@ def pairwise_distinct_labels(n, max_len):
     ],
 )
 def test_labels_that_merge_or_change_degree_fail_faithfulness(monkeypatch, target, source, problem):
-    real = particles.io_label
-    monkeypatch.setattr(particles, "io_label", lambda m: real(source if m == target else m))
+    real = particles._io_counts
+    swap = {(target.d, target.k): (source.d, source.k)}
+    monkeypatch.setattr(particles, "_io_counts", lambda d, k: real(*swap.get((d, k), (d, k))))
     for max_len in range(1, 4):
         reference = pairwise_distinct_labels(3, max_len)
         passed, counterexample = verdicts(VerifyConfig(3, max_len=max_len))["faithfulness"]
