@@ -9,17 +9,27 @@ every c >= J to c - J + I, with t + t0, and annihilates every other c.  So two
 words act differently on some configuration with at most P particles exactly
 when their labels differ and min(|J_lhs|, |J_rhs|) <= P.  Every instance of
 the relation families has equal labels, so each holds at every particle count.
+
+The instances come from one stream, :func:`_relation_stream`, which yields
+each distinct one once, in order.  The two sides of a parametrized instance
+share a suffix (first family) or a prefix (second family); the stream folds
+that part once per pivot, outer exponent and middle block, and each side then
+folds only its own letters, with :func:`partic.particles._prepend_letters`
+before the suffix or :func:`partic.particles._append_letters` after the
+prefix.  Every other pair is labelled by :func:`_label`, the reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator
 
 from .core import check_rank, compositions
-from .particles import ANNIHILATED, _moved, _prepend_letters
+from .particles import ANNIHILATED, _append_letters, _moved, _prepend_letters
 
-Pair = tuple[tuple[int, ...], tuple[int, ...]]  # (lhs, rhs) letters of one relation instance
+Label = tuple[tuple[int, ...], tuple[int, ...], int]  # (output, minimal input, wraparound count)
+# (lhs, rhs) letters of one relation instance and, where known, the labels of both sides
+Item = tuple[tuple[int, ...], tuple[int, ...], tuple[Label, Label] | None]
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -33,9 +43,11 @@ class AffineWord:
         check_rank(self.n)
         letters = tuple(self.letters)
         object.__setattr__(self, "letters", letters)
-        if letters and (min(letters) < 0 or max(letters) > self.n - 1):
-            a = next(a for a in letters if not 0 <= a <= self.n - 1)
-            raise ValueError(f"letter {a} out of range 0..{self.n - 1}")
+        for a in letters:  # the first offending letter is named
+            if type(a) is not int:  # bools too: True would index as a_1
+                raise ValueError(f"letter {a!r} is not an integer")
+            if not 0 <= a <= self.n - 1:
+                raise ValueError(f"letter {a} out of range 0..{self.n - 1}")
 
     def __str__(self) -> str:
         return " ".join(str(a) for a in self.letters)
@@ -54,6 +66,8 @@ class AffineConfiguration:
         object.__setattr__(self, "occ", tuple(self.occ))
         if len(self.occ) != self.n:
             raise ValueError(f"rank {self.n} needs {self.n} counts")
+        if any(type(c) is not int for c in self.occ) or type(self.t) is not int:
+            raise ValueError(f"counts and the wraparound exponent must be integers, got {self}")
         if any(c < 0 for c in self.occ) or self.t < 0:
             raise ValueError("counts and the wraparound exponent must be nonnegative")
 
@@ -69,7 +83,7 @@ def affine_act_word(w: AffineWord, c: AffineConfiguration):
     return ANNIHILATED if occ is None else AffineConfiguration(c.n, occ, c.t + w.letters.count(0))
 
 
-def _label(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def _label(n: int, letters: tuple[int, ...]) -> Label:
     """(output, minimal input, wraparound count t0) of the word ``letters`` of rank n.
 
     The line's label, :func:`partic.particles._prepend_letters` on an empty
@@ -81,7 +95,7 @@ def _label(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int
     return tuple(out), tuple(inp), letters.count(0)
 
 
-def affine_word_label(w: AffineWord) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def affine_word_label(w: AffineWord) -> Label:
     """(output, minimal input, wraparound count t0) of an affine word.
 
     The line's :func:`partic.particles.word_label`, whose index -1 is position
@@ -98,25 +112,28 @@ def affine_configurations(n: int, max_total: int) -> Iterator[AffineConfiguratio
 
 
 def affine_relation_instances(n: int, m_max: int, k_max: int) -> list[tuple[AffineWord, AffineWord]]:
-    """Concrete instances of the cyclic relation families, as :func:`_relation_pairs` yields them."""
-    return [(AffineWord(n, lhs), AffineWord(n, rhs)) for lhs, rhs in _relation_pairs(n, m_max, k_max)]
+    """Concrete instances of the cyclic relation families, as :func:`_relation_stream` yields them."""
+    return [(AffineWord(n, lhs), AffineWord(n, rhs)) for lhs, rhs, _ in _relation_stream(n, m_max, k_max)]
 
 
-def _relation_pairs(n: int, m_max: int, k_max: int) -> Iterator[Pair]:
-    """The distinct (lhs, rhs) letter pairs of the cyclic relation families, first occurrences in order.
+def _relation_stream(n: int, m_max: int, k_max: int) -> Iterator[Item]:
+    """The distinct (lhs, rhs, labels) of the cyclic relation families, first occurrences in order.
 
     Emitted groups, all indices modulo N: distant commutation, the two
     three-letter bump rules, the four-letter exchange rule, and the two
     parametrized families with outer exponents m, m' <= m_max and a full
     cyclic middle block a_{i+1}^{k_{i+1}} ... a_{i-2}^{k_{i-2}} with every
-    k_j <= k_max.  Degenerate parameter choices are kept.
+    k_j <= k_max.  Degenerate parameter choices (m = 0 or m' = 0, one word
+    on both sides) are kept.
 
     The exchange rule needs the outer neighbours i-1 and i+1 of its pivot to
     commute; on a circle with only 3 positions they are adjacent and the rule
     fails on the module (witness: a_0 a_2 a_1 a_0 vs a_1 a_0 a_2 a_0 on one
     particle at position 3), so that family is emitted for N >= 4 only.
 
-    The pairs come lazily from :func:`_pair_stream`.
+    ``labels`` is the pair of :func:`_label` values of the two sides for the
+    parametrized instances with two different sides, and None for the others.
+    The items come lazily from :func:`_pair_stream`.
     """
     check_rank(n)
     if m_max < 0 or k_max < 0:  # raised here, not at the first next()
@@ -124,37 +141,50 @@ def _relation_pairs(n: int, m_max: int, k_max: int) -> Iterator[Pair]:
     return _pair_stream(n, m_max, k_max)
 
 
-def _pair_stream(n: int, m_max: int, k_max: int) -> Iterator[Pair]:
-    # distant commutation: a_i a_j = a_j a_i for i - j != +-1 mod N.  These pairs are
-    # distinct, and no later pair repeats one: later pairs have 3 or more letters, or
-    # (in the parametrized families) 2 or fewer and equal sides
+def _pair_stream(n: int, m_max: int, k_max: int) -> Iterator[Item]:
+    # distant commutation: a_i a_j = a_j a_i for i - j != +-1 mod N.  These pairs
+    # and the bump and exchange rules below are distinct: the length and the first
+    # two letters of the left side tell each from the others
     for i in range(n):
         for j in range(i + 1, n):
             if (j - i) % n not in (1, n - 1):
-                yield (i, j), (j, i)
-    seen: set[Pair] = set()
-    for pair in _repeating_pairs(n, m_max, k_max):
-        if pair not in seen:
-            seen.add(pair)
-            yield pair
-
-
-def _repeating_pairs(n: int, m_max: int, k_max: int) -> Iterator[Pair]:
+                yield (i, j), (j, i), None
     # a_i a_{i-1} a_i = a_i a_i a_{i-1}
     for i in range(n):
         im1 = (i - 1) % n
-        yield (i, im1, i), (i, i, im1)
+        yield (i, im1, i), (i, i, im1), None
     # a_i a_{i+1} a_i = a_{i+1} a_i a_i
     for i in range(n):
         ip1 = (i + 1) % n
-        yield (i, ip1, i), (ip1, i, i)
+        yield (i, ip1, i), (ip1, i, i), None
     # a_i a_{i-1} a_{i+1} a_i = a_{i+1} a_i a_{i-1} a_i; needs a_{i-1}, a_{i+1}
     # non-adjacent, which fails on a 3-cycle
     if n >= 4:
         for i in range(n):
             im1, ip1 = (i - 1) % n, (i + 1) % n
-            yield (i, im1, ip1, i), (ip1, i, im1, i)
-    # the two parametrized families
+            yield (i, im1, ip1, i), (ip1, i, im1, i), None
+    # The two parametrized families at pivot i, with head = a_i^m, tail = a_{i-1}^m
+    # and a middle block mid in the letters i+1, ..., i-2:
+    #   family 1: a_{i-1}^{m'} head mid tail = head a_{i-1}^{m'} mid tail
+    #   family 2: head mid tail a_i^{m'} = head mid a_i^{m'} tail
+    # Degenerate instances (m = 0 or m' = 0) have one word on both sides; such
+    # words repeat, across pivots too, so they are kept in a set.  No other pair
+    # is hashed: an instance with m, m' >= 1 repeats an earlier pair only at
+    # m = m' = 1 with mid empty, which is skipped.  For such an instance
+    # - family 1's sides start with a_{i-1} and a_i, family 2's both with a_i,
+    #   so the first letters fix the family and the pivot;
+    # - the left side then fixes (m, m', mid), read run by run, as mid holds
+    #   neither a_{i-1} nor a_i;
+    # - a side has 2m + m' + |mid| >= 3 letters, so it is no commutation pair;
+    #   3 letters means m = m' = 1 with mid empty, a bump rule (family 1 at i is
+    #   the second one at i-1, family 2 the first one at i); and the exchange
+    #   rule's left side starts a_{i-1} a_{i-2}, family 1's a_{i-1} a_{i-1} or
+    #   a_{i-1} a_i.
+    # The two sides of family 1 share the suffix mid tail and those of family 2
+    # the prefix head mid.  Each is folded once per (i, m, mid); each side then
+    # copies it and folds only its own letters: family 1 prepends, family 2
+    # appends.
+    words: set[tuple[int, ...]] = set()
     for i in range(n):
         im1 = (i - 1) % n
         middle_positions = [(i + s) % n for s in range(1, n - 1)]
@@ -164,10 +194,46 @@ def _repeating_pairs(n: int, m_max: int, k_max: int) -> Iterator[Pair]:
         ]
         for m in range(m_max + 1):
             head, tail = (i,) * m, (im1,) * m
+            if m:
+                suffixes = [_shared(n, mid + tail) for mid in mids]
+                prefixes = [_shared(n, head + mid) for mid in mids]
             for mp in range(m_max + 1):
-                for mid in mids:
-                    yield (im1,) * mp + head + mid + tail, head + (im1,) * mp + mid + tail
-                    yield head + mid + tail + (i,) * mp, head + mid + (i,) * mp + tail
+                if not (m and mp):
+                    for mid in mids:
+                        for word in ((im1,) * mp + head + mid + tail, head + mid + tail + (i,) * mp):
+                            if word not in words:
+                                words.add(word)
+                                yield word, word, None
+                    continue
+                left, right = (im1,) * mp + head, head + (im1,) * mp
+                end_l, end_r = tail + (i,) * mp, (i,) * mp + tail
+                left_t0, end_t0 = left.count(0), end_l.count(0)
+                skip = 1 if m == mp == 1 else 0  # the bump rules, at the empty mid, first in mids
+                shared = islice(zip(suffixes, prefixes), skip, None)
+                for (suffix, s_out, s_inp, s_t0), (prefix, p_out, p_inp, p_t0) in shared:
+                    t0 = s_t0 + left_t0
+                    out, inp, out2, inp2 = s_out[:], s_inp[:], s_out[:], s_inp[:]
+                    _prepend_letters(out, inp, left)
+                    _prepend_letters(out2, inp2, right)
+                    yield left + suffix, right + suffix, (
+                        (tuple(out), tuple(inp), t0),
+                        (tuple(out2), tuple(inp2), t0),
+                    )
+                    t0 = p_t0 + end_t0
+                    out, inp, out2, inp2 = p_out[:], p_inp[:], p_out[:], p_inp[:]
+                    _append_letters(out, inp, end_l)
+                    _append_letters(out2, inp2, end_r)
+                    yield prefix + end_l, prefix + end_r, (
+                        (tuple(out), tuple(inp), t0),
+                        (tuple(out2), tuple(inp2), t0),
+                    )
+
+
+def _shared(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], list[int], int]:
+    """``letters`` with the lists of its :func:`_label`, to be copied and folded further."""
+    out, inp = [0] * n, [0] * n
+    _prepend_letters(out, inp, letters)
+    return letters, out, inp, letters.count(0)
 
 
 def find_relation_counterexample(lhs: AffineWord, rhs: AffineWord, max_particles: int):
@@ -193,32 +259,35 @@ def first_failing_instance(instances: list[tuple[AffineWord, AffineWord]], max_p
     for lhs, rhs in instances:
         if lhs.n != rhs.n:
             raise ValueError("rank mismatch")
-        failure = _first_failure(lhs.n, [(lhs.letters, rhs.letters)], max_particles)[1]
+        failure = _first_failure(lhs.n, [(lhs.letters, rhs.letters, None)], max_particles)[1]
         if failure is not None:
             return failure
     return None
 
 
-def _first_failure(n: int, pairs: Iterable[Pair], max_particles: int):
-    """(pairs read, first (lhs, rhs, witness) whose words act differently or None).
+def _first_failure(n: int, items: Iterable[Item], max_particles: int):
+    """(items read, first (lhs, rhs, witness) whose words act differently or None).
 
-    Each pair is decided from the labels of its letters; words are built only
-    for the first failing pair, whose witness, the lexicographically first,
-    comes from the sweep :func:`find_relation_counterexample`.
+    Each pair is decided from the labels of its letters: those the item
+    carries, else :func:`_label` of each side.  Words are built only for the
+    first failing pair, whose witness, the lexicographically first, comes
+    from the sweep :func:`find_relation_counterexample`.
     """
     if max_particles < 0:
         raise ValueError(f"bound must be nonnegative, got {max_particles}")
     count = 0
-    for lhs, rhs in pairs:
+    for lhs, rhs, labels in items:
         count += 1
-        if lhs == rhs:  # degenerate parameters: one word on both sides
-            continue
-        label, other = _label(n, lhs), _label(n, rhs)
+        if labels is None:
+            if lhs == rhs:  # degenerate parameters: one word on both sides
+                continue
+            labels = _label(n, lhs), _label(n, rhs)
+        label, other = labels
         if label == other or min(sum(label[1]), sum(other[1])) > max_particles:
             continue
         lhs, rhs = AffineWord(n, lhs), AffineWord(n, rhs)
         witness = find_relation_counterexample(lhs, rhs, max_particles)
-        if witness is None:  # then _label itself is wrong
+        if witness is None:  # then a label is wrong
             raise ValueError(
                 f"[{lhs}] vs [{rhs}]: labels {label}, {other} differ, yet act alike "
                 f"on every configuration with <= {max_particles} particles"

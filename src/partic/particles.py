@@ -49,6 +49,8 @@ class Configuration:
         object.__setattr__(self, "occ", tuple(self.occ))
         if len(self.occ) != self.n:
             raise ValueError(f"rank {self.n} needs {self.n} counts (deposit last)")
+        if any(type(c) is not int for c in self.occ):
+            raise ValueError(f"particle counts must be integers, got {self}")
         if any(c < 0 for c in self.occ):
             raise ValueError("particle counts must be nonnegative")
 
@@ -106,6 +108,20 @@ def _prepend_letters(out: list[int], inp: list[int], letters: tuple[int, ...]) -
         else:
             inp[i - 1] += 1  # a new particle starts at i
         out[i] += 1
+
+
+def _append_letters(out: list[int], inp: list[int], letters: tuple[int, ...]) -> None:
+    """Turn the label (out, inp) of a word u into that of u (letters), in place.
+
+    The mirror of :func:`_prepend_letters`, with its indices: letters are
+    appended leftmost first, and each acts before the word it is appended to.
+    """
+    for i in letters:
+        inp[i - 1] += 1  # a new particle starts at i
+        if inp[i]:
+            inp[i] -= 1  # and is the input particle the word needed after i
+        else:
+            out[i] += 1  # and runs on to the output
 
 
 def word_label(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -210,12 +226,8 @@ def label_mul(label: IoLabel, i: int, side: str) -> IoLabel:
     out, inp = list(label.i_out.occ), list(label.j_in.occ)
     if side == "left":
         _prepend_letters(out, inp, (i,))
-    elif inp[i]:  # never the deposit: an input's deposit is empty
-        inp[i] -= 1  # the input particle after i now starts at i
-        inp[i - 1] += 1
     else:
-        out[i] += 1  # a new particle runs from i to the spot after it
-        inp[i - 1] += 1
+        _append_letters(out, inp, (i,))
     return IoLabel(Configuration(n, tuple(out)), Configuration(n, tuple(inp)))
 
 

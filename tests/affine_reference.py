@@ -1,4 +1,4 @@
-"""Reference route for ``partic.affine._relation_pairs``, kept with the tests that compare against it."""
+"""Reference route for ``partic.affine._relation_stream``, kept with the tests that compare against it."""
 from itertools import product
 
 from partic.core import check_rank

@@ -6,7 +6,7 @@ from itertools import islice, product
 import pytest
 
 import affine_reference
-from partic import affine
+from partic import affine, particles
 from partic.affine import (
     AffineConfiguration,
     AffineWord,
@@ -55,6 +55,19 @@ def test_affine_word_validation():
     with pytest.raises(ValueError, match=r"^letter -1 out of range 0\.\.3$"):
         AffineWord(4, (2, -1, 7))
     assert AffineWord(4, []).letters == ()
+
+
+@pytest.mark.parametrize("letters, bad", [((0.5,), "0.5"), ((1, True), "True"), ((2, 3.0, 9), "3.0")])
+def test_affine_word_refuses_non_integer_letters(letters, bad):
+    # a float letter would break the label's list indexing; True would act as a_1
+    with pytest.raises(ValueError, match=rf"^letter {bad} is not an integer$"):
+        AffineWord(4, letters)
+
+
+@pytest.mark.parametrize("occ, t", [((1, 0, 0, 0), 0.5), ((1.5, 0, 0, 0), 0), ((1, 0, 0, 0), True), ((0, False, 1, 0), 0)])
+def test_affine_configuration_refuses_non_integers(occ, t):
+    with pytest.raises(ValueError, match=r"^counts and the wraparound exponent must be integers, got "):
+        AffineConfiguration(4, occ, t)
 
 
 def test_wraparound_marker_counts_a0():
@@ -256,28 +269,59 @@ def test_labels_that_the_sweep_does_not_confirm_fail(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "n, m_max, k_max",
-    [(n, m, k) for n in (3, 4, 5, 6) for m, k in ((0, 0), (1, 0), (2, 1), (3, 2))] + [(7, 2, 1)],
+    [(n, m, k) for n in (3, 4, 5, 6) for m, k in ((0, 0), (1, 0), (2, 1), (3, 2))]
+    # where the pairs are not hashed, repeats must be known in advance: wide middle
+    # blocks at N=3, large outer exponents, and many pivots with short blocks
+    + [(7, 2, 1), (3, 5, 4), (4, 4, 3), (5, 4, 2), (8, 1, 1)],
 )
 def test_the_stream_is_the_eager_list(n, m_max, k_max):
     # in order and in count, and the public list reads the same stream
     expected = affine_reference.relation_pairs_eager(n, m_max, k_max)
-    assert list(affine._relation_pairs(n, m_max, k_max)) == expected
+    assert [(l, r) for l, r, _ in affine._relation_stream(n, m_max, k_max)] == expected
     assert [(l.letters, r.letters) for l, r in affine_relation_instances(n, m_max, k_max)] == expected
+
+
+@pytest.mark.parametrize("n, m_max, k_max", [(n, 3, 2) for n in (3, 4, 5, 6)] + [(7, 3, 1)])
+def test_stream_labels_are_the_labels_of_the_letters(n, m_max, k_max):
+    # the shared-fold fast path against the reference fold of each whole word
+    labelled = 0
+    for lhs, rhs, labels in affine._relation_stream(n, m_max, k_max):
+        if labels is None:  # unlabelled: one word on both sides, or a fixed rule of <= 4 letters
+            assert lhs == rhs or len(lhs) <= 4, (lhs, rhs)
+        else:
+            assert lhs != rhs and labels == (affine._label(n, lhs), affine._label(n, rhs)), (lhs, rhs)
+            labelled += 1
+    # both families, every pivot, m and m' in 1..m_max, all but the bump rules' empty middle block
+    per_family = n * m_max * m_max * (k_max + 1) ** (n - 2) - n
+    assert labelled == 2 * per_family
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_append_after_prepend_is_the_label(n):
+    # any split u v of a word: fold u from the empty label, then append v
+    rng = random.Random(2800 + n)
+    for _ in range(300):
+        letters = tuple(rng.randrange(n) for _ in range(rng.randint(0, 10)))
+        cut = rng.randint(0, len(letters))
+        out, inp = [0] * n, [0] * n
+        particles._prepend_letters(out, inp, letters[:cut])
+        particles._append_letters(out, inp, letters[cut:])
+        assert (tuple(out), tuple(inp)) == affine._label(n, letters)[:2], (letters, cut)
 
 
 @pytest.mark.parametrize("n, m_max, k_max", [(2, 0, 0), (4, -1, 0), (4, 0, -1)])
 def test_the_stream_refuses_bad_bounds_at_the_call(n, m_max, k_max):
     # raised by the call itself, with no next(): a generator function would raise on iteration only
     with pytest.raises(ValueError):
-        affine._relation_pairs(n, m_max, k_max)
+        affine._relation_stream(n, m_max, k_max)
 
 
 def test_the_stream_is_lazy():
     # the first commutation pairs come at once, though N=1500 has about 1.1 million
-    assert list(islice(affine._relation_pairs(1500, 0, 0), 3)) == [
-        ((0, 2), (2, 0)),
-        ((0, 3), (3, 0)),
-        ((0, 4), (4, 0)),
+    assert list(islice(affine._relation_stream(1500, 0, 0), 3)) == [
+        ((0, 2), (2, 0), None),
+        ((0, 3), (3, 0), None),
+        ((0, 4), (4, 0), None),
     ]
 
 
@@ -300,4 +344,5 @@ def test_affine_verify_refuses_bad_bounds(capsys, argv):
 def test_affine_verify_counts_every_instance(capsys, n):
     assert main(["affine-verify", "--N", str(n), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["passed"] and payload["instances"] == len(affine_relation_instances(n, 2, 1))
+    # counted against the reference list, not the stream the CLI reads
+    assert payload["passed"] and payload["instances"] == len(affine_reference.relation_pairs_eager(n, 2, 1))

@@ -318,3 +318,10 @@ def test_configuration_parse_and_str():
         Configuration.parse(9, "1,2,3")
     with pytest.raises(ValueError):
         Configuration(3, (1, -1, 0))
+
+
+@pytest.mark.parametrize("occ", [(1.5, 0, 0, 0), (True, 0, 0, 0), (1, 0, 0, 2.0)])
+def test_configuration_refuses_non_integer_counts(occ):
+    # a float count would break list indexing later; a bool would pass as 0 or 1
+    with pytest.raises(ValueError, match=r"^particle counts must be integers, got "):
+        Configuration(4, occ)
