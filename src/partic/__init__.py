@@ -14,7 +14,6 @@ from .affine import (
     affine_configurations,
     affine_relation_instances,
     find_relation_counterexample,
-    first_failing_instance,
 )
 from .center import (
     center_basis_in_degree,

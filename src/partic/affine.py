@@ -16,7 +16,8 @@ share a suffix (first family) or a prefix (second family); the stream folds
 that part once per pivot, outer exponent and middle block, and each side then
 folds only its own letters, with :func:`partic.particles._prepend_letters`
 before the suffix or :func:`partic.particles._append_letters` after the
-prefix.  Every other pair is labelled by :func:`_label`, the reference.
+prefix.  The fixed rules are labelled by :func:`_label`, the reference, so
+every item with two different sides carries the labels it is decided by.
 """
 from __future__ import annotations
 
@@ -25,10 +26,10 @@ from itertools import islice, product
 from typing import Iterable, Iterator
 
 from .core import check_rank, compositions
-from .particles import ANNIHILATED, _append_letters, _moved, _prepend_letters
+from .particles import ANNIHILATED, _append_letters, _letters_label, _moved, _prepend_letters
 
 Label = tuple[tuple[int, ...], tuple[int, ...], int]  # (output, minimal input, wraparound count)
-# (lhs, rhs) letters of one relation instance and, where known, the labels of both sides
+# (lhs, rhs) letters of one relation instance and the labels of both sides, None when lhs == rhs
 Item = tuple[tuple[int, ...], tuple[int, ...], tuple[Label, Label] | None]
 
 
@@ -86,22 +87,10 @@ def affine_act_word(w: AffineWord, c: AffineConfiguration):
 def _label(n: int, letters: tuple[int, ...]) -> Label:
     """(output, minimal input, wraparound count t0) of the word ``letters`` of rank n.
 
-    The line's label, :func:`partic.particles._prepend_letters` on an empty
-    one, whose index -1 is position N as in :func:`affine_act_word`; t0 is
-    the number of a_0 letters.
+    The line's label, :func:`partic.particles._letters_label`, whose index -1 is
+    position N as in :func:`affine_act_word`; t0 is the number of a_0 letters.
     """
-    out, inp = [0] * n, [0] * n
-    _prepend_letters(out, inp, letters)
-    return tuple(out), tuple(inp), letters.count(0)
-
-
-def affine_word_label(w: AffineWord) -> Label:
-    """(output, minimal input, wraparound count t0) of an affine word.
-
-    The line's :func:`partic.particles.word_label`, whose index -1 is position
-    N as in :func:`affine_act_word`; t0 is the number of a_0 letters.
-    """
-    return _label(w.n, w.letters)
+    return (*_letters_label(n, letters), letters.count(0))
 
 
 def affine_configurations(n: int, max_total: int) -> Iterator[AffineConfiguration]:
@@ -131,9 +120,9 @@ def _relation_stream(n: int, m_max: int, k_max: int) -> Iterator[Item]:
     fails on the module (witness: a_0 a_2 a_1 a_0 vs a_1 a_0 a_2 a_0 on one
     particle at position 3), so that family is emitted for N >= 4 only.
 
-    ``labels`` is the pair of :func:`_label` values of the two sides for the
-    parametrized instances with two different sides, and None for the others.
-    The items come lazily from :func:`_pair_stream`.
+    ``labels`` is the pair of :func:`_label` values of the two sides, and
+    None exactly for the degenerate instances.  The items come lazily from
+    :func:`_pair_stream`.
     """
     check_rank(n)
     if m_max < 0 or k_max < 0:  # raised here, not at the first next()
@@ -148,21 +137,21 @@ def _pair_stream(n: int, m_max: int, k_max: int) -> Iterator[Item]:
     for i in range(n):
         for j in range(i + 1, n):
             if (j - i) % n not in (1, n - 1):
-                yield (i, j), (j, i), None
+                yield _fixed(n, (i, j), (j, i))
     # a_i a_{i-1} a_i = a_i a_i a_{i-1}
     for i in range(n):
         im1 = (i - 1) % n
-        yield (i, im1, i), (i, i, im1), None
+        yield _fixed(n, (i, im1, i), (i, i, im1))
     # a_i a_{i+1} a_i = a_{i+1} a_i a_i
     for i in range(n):
         ip1 = (i + 1) % n
-        yield (i, ip1, i), (ip1, i, i), None
+        yield _fixed(n, (i, ip1, i), (ip1, i, i))
     # a_i a_{i-1} a_{i+1} a_i = a_{i+1} a_i a_{i-1} a_i; needs a_{i-1}, a_{i+1}
     # non-adjacent, which fails on a 3-cycle
     if n >= 4:
         for i in range(n):
             im1, ip1 = (i - 1) % n, (i + 1) % n
-            yield (i, im1, ip1, i), (ip1, i, im1, i), None
+            yield _fixed(n, (i, im1, ip1, i), (ip1, i, im1, i))
     # The two parametrized families at pivot i, with head = a_i^m, tail = a_{i-1}^m
     # and a middle block mid in the letters i+1, ..., i-2:
     #   family 1: a_{i-1}^{m'} head mid tail = head a_{i-1}^{m'} mid tail
@@ -229,6 +218,11 @@ def _pair_stream(n: int, m_max: int, k_max: int) -> Iterator[Item]:
                     )
 
 
+def _fixed(n: int, lhs: tuple[int, ...], rhs: tuple[int, ...]) -> Item:
+    """A fixed rule's item, each side labelled by :func:`_label`."""
+    return lhs, rhs, (_label(n, lhs), _label(n, rhs))
+
+
 def _shared(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], list[int], int]:
     """``letters`` with the lists of its :func:`_label`, to be copied and folded further."""
     out, inp = [0] * n, [0] * n
@@ -248,40 +242,22 @@ def find_relation_counterexample(lhs: AffineWord, rhs: AffineWord, max_particles
     return None
 
 
-def first_failing_instance(instances: list[tuple[AffineWord, AffineWord]], max_particles: int):
-    """First (lhs, rhs, witness) among the instances whose words act differently, or None.
-
-    Decided from labels by :func:`_first_failure`, one instance at a time as
-    each word carries its own rank.
-    """
-    if max_particles < 0:
-        raise ValueError(f"bound must be nonnegative, got {max_particles}")
-    for lhs, rhs in instances:
-        if lhs.n != rhs.n:
-            raise ValueError("rank mismatch")
-        failure = _first_failure(lhs.n, [(lhs.letters, rhs.letters, None)], max_particles)[1]
-        if failure is not None:
-            return failure
-    return None
-
-
 def _first_failure(n: int, items: Iterable[Item], max_particles: int):
     """(items read, first (lhs, rhs, witness) whose words act differently or None).
 
-    Each pair is decided from the labels of its letters: those the item
-    carries, else :func:`_label` of each side.  Words are built only for the
-    first failing pair, whose witness, the lexicographically first, comes
-    from the sweep :func:`find_relation_counterexample`.
+    An item with one word on both sides is skipped; every other one is
+    decided from the labels it carries, as :func:`_relation_stream` gives
+    them, so an item without them raises.  Words are built only for the first
+    failing pair, whose witness, the lexicographically first, comes from the
+    sweep :func:`find_relation_counterexample`.
     """
     if max_particles < 0:
         raise ValueError(f"bound must be nonnegative, got {max_particles}")
     count = 0
     for lhs, rhs, labels in items:
         count += 1
-        if labels is None:
-            if lhs == rhs:  # degenerate parameters: one word on both sides
-                continue
-            labels = _label(n, lhs), _label(n, rhs)
+        if lhs == rhs:  # degenerate parameters: one word on both sides
+            continue
         label, other = labels
         if label == other or min(sum(label[1]), sum(other[1])) > max_particles:
             continue

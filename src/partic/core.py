@@ -23,6 +23,14 @@ def check_rank(n: int) -> int:
     return n
 
 
+def _check_gen(i: int, n: int) -> None:
+    """Refuse a generator index outside 1..N-1, or not an int: a float or a bool would index a list."""
+    if type(i) is not int:
+        raise ValueError(f"generator index {i!r} is not an integer")
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} out of range 1..{n - 1}")
+
+
 def parse_ints(text: str) -> tuple[int, ...]:
     """Parse comma- or whitespace-separated integers ('' gives the empty tuple)."""
     try:
@@ -87,6 +95,8 @@ class MultiDegree:
         object.__setattr__(self, "counts", tuple(self.counts))
         if len(self.counts) < MIN_RANK - 1:
             raise ValueError("a multidegree needs at least 2 components (rank >= 3)")
+        if any(type(c) is not int for c in self.counts):
+            raise ValueError(f"multidegree components must be integers, got {self.counts}")
         if any(c < 0 for c in self.counts):
             raise ValueError("multidegree components must be nonnegative")
 
@@ -99,8 +109,7 @@ class MultiDegree:
 
     def bump(self, i: int) -> MultiDegree:
         """The degree with one extra occurrence of a_i."""
-        if not 1 <= i <= len(self.counts):
-            raise ValueError(f"generator index {i} out of range")
+        _check_gen(i, self.n)
         c = list(self.counts)
         c[i - 1] += 1
         return MultiDegree(tuple(c))
@@ -111,6 +120,8 @@ class MultiDegree:
 
 def compositions(parts: int, budget: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` nonnegative integers with sum <= budget, lexicographic."""
+    if type(budget) is not int:  # 1.5 would never run out, and the odometer never stop
+        raise ValueError(f"bound {budget!r} is not an integer")
     if budget < 0:  # raised here, not at the first next()
         raise ValueError(f"bound must be nonnegative, got {budget}")
     return _odometer(parts, budget)
@@ -183,6 +194,8 @@ class NormalMonomial:
             raise ValueError(
                 f"rank {self.n} needs {self.n - 2} descending and {self.n - 1} ascending exponents"
             )
+        if any(type(e) is not int for e in self.d + self.k):  # bools too: to_json would write true
+            raise ValueError(f"exponents must be integers, got d={self.d} k={self.k}")
         if not normal_condition(self.d, self.k):
             raise ValueError(f"exponents violate the normal-form condition: d={self.d} k={self.k}")
 

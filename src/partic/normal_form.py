@@ -12,12 +12,7 @@ from functools import lru_cache
 from itertools import product
 from operator import sub
 
-from .core import AlgebraElement, MultiDegree, NormalMonomial, Word, nm_to_word
-
-
-def _check_gen(i: int, n: int) -> None:
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range 1..{n - 1}")
+from .core import AlgebraElement, MultiDegree, NormalMonomial, Word, _check_gen, nm_to_word
 
 
 def _left_mul(d: list[int], k: list[int], letters: tuple[int, ...]) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-from .core import MultiDegree, NormalMonomial, Word, check_rank, compositions, parse_ints
+from .core import MultiDegree, NormalMonomial, Word, _check_gen, check_rank, compositions, parse_ints
 
 
 class _AnnihilatedType:
@@ -68,6 +68,7 @@ class Configuration:
 
 def act_gen(i: int, c: Configuration):
     """a_i applied to a configuration: move one particle i -> i+1, or annihilate."""
+    _check_gen(i, c.n)
     return act_word(Word(c.n, (i,)), c)
 
 
@@ -219,8 +220,7 @@ def label_mul(label: IoLabel, i: int, side: str) -> IoLabel:
     the underlying monomial and relabelling.
     """
     n = label.j_in.n
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range 1..{n - 1}")
+    _check_gen(i, n)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     out, inp = list(label.i_out.occ), list(label.j_in.occ)

@@ -5,7 +5,6 @@ from partic import normal_form
 from partic.core import AlgebraElement, Word, nm_to_word
 from partic.normal_form import normalize
 from partic.particles import ANNIHILATED, act_word, configurations, word_label
-from partic.verify import VerifyConfig
 
 
 def _words(n: int, max_len: int):
@@ -14,11 +13,15 @@ def _words(n: int, max_len: int):
         yield from product(range(1, n), repeat=length)
 
 
-def action_factoring_bruteforce(cfg: VerifyConfig):
-    """Act each word and its normal form on every configuration within the bounds."""
-    configs = list(configurations(cfg.n, cfg.max_len, cfg.max_deposit))
-    for letters in _words(cfg.n, cfg.max_len):
-        w = Word(cfg.n, letters)
+def action_factoring_bruteforce(n: int, max_len: int, max_deposit: int):
+    """Act each word and its normal form on every configuration within the bounds.
+
+    Configurations hold at most ``max_len`` particles on the line and at most
+    ``max_deposit`` in the deposit.
+    """
+    configs = list(configurations(n, max_len, max_deposit))
+    for letters in _words(n, max_len):
+        w = Word(n, letters)
         nf_word = nm_to_word(normalize(w))
         for c in configs:
             if act_word(w, c) != act_word(nf_word, c):

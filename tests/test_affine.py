@@ -13,9 +13,7 @@ from partic.affine import (
     affine_act_word,
     affine_configurations,
     affine_relation_instances,
-    affine_word_label,
     find_relation_counterexample,
-    first_failing_instance,
 )
 from partic.cli import main
 from partic.core import Word, compositions
@@ -28,6 +26,15 @@ def acfg(n, occ, t=0):
 
 def affine_act_gen(i, c):
     return affine_act_word(AffineWord(c.n, (i,)), c)
+
+
+def label(w):
+    return affine._label(w.n, w.letters)
+
+
+def item(lhs, rhs):
+    """The pair of words as an item of the relation stream, each side labelled by ``affine._label``."""
+    return lhs.letters, rhs.letters, (label(lhs), label(rhs))
 
 
 def test_affine_act_gen_examples():
@@ -114,13 +121,24 @@ def test_exchange_rule_fails_on_three_cycle():
     # consequently no four-letter exchange instance is emitted at N=3
     insts = affine_relation_instances(3, 2, 1)
     assert ((0, 2, 1, 0), (1, 0, 2, 0)) not in {(l.letters, r.letters) for l, r in insts}
+    # a fixed rule's item labels each side on its own, so the label route finds the witness too
+    assert affine._first_failure(3, [affine._fixed(3, lhs.letters, rhs.letters)], 2) == (1, (lhs, rhs, witness))
 
 
 def test_first_failing_instance_reports_the_first_witness():
-    good = affine_relation_instances(3, 1, 0)
-    assert first_failing_instance(good, 2) is None
+    good = [item(lhs, rhs) for lhs, rhs in affine_relation_instances(3, 1, 0)]
+    assert affine._first_failure(3, good, 2) == (len(good), None)
     bad = (AffineWord(3, (0, 2, 1, 0)), AffineWord(3, (1, 0, 2, 0)))
-    assert first_failing_instance(good + [bad, bad[::-1]], 2) == (*bad, acfg(3, (0, 0, 1)))
+    items = good + [item(*bad), item(*bad[::-1])]
+    assert affine._first_failure(3, items, 2) == (len(good) + 1, (*bad, acfg(3, (0, 0, 1))))
+
+
+def test_an_unlabelled_item_with_two_sides_raises():
+    # _first_failure labels nothing itself, so an item the stream left unlabelled cannot pass
+    with pytest.raises(TypeError):
+        affine._first_failure(4, [((0, 2), (2, 0), None)], 2)
+    # one word on both sides is skipped unread
+    assert affine._first_failure(4, [((0, 2), (0, 2), None)], 2) == (1, None)
 
 
 def test_verify_relation_trivial_and_false():
@@ -173,11 +191,11 @@ def random_pairs(seed, count):
 
 
 def test_affine_word_label_examples():
-    assert affine_word_label(AffineWord(4, ())) == ((0, 0, 0, 0), (0, 0, 0, 0), 0)
+    assert label(AffineWord(4, ())) == ((0, 0, 0, 0), (0, 0, 0, 0), 0)
     # a_0 takes its particle from position N
-    assert affine_word_label(AffineWord(4, (0,))) == ((1, 0, 0, 0), (0, 0, 0, 1), 1)
-    assert affine_word_label(ONCE_AROUND[0]) == ((1, 0, 0), (1, 0, 0), 1)
-    assert affine_word_label(ONCE_AROUND[1]) == ((1, 0, 0), (1, 0, 0), 2)
+    assert label(AffineWord(4, (0,))) == ((1, 0, 0, 0), (0, 0, 0, 1), 1)
+    assert label(ONCE_AROUND[0]) == ((1, 0, 0), (1, 0, 0), 1)
+    assert label(ONCE_AROUND[1]) == ((1, 0, 0), (1, 0, 0), 2)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -186,7 +204,7 @@ def test_affine_word_label_predicts_the_action(n):
     configs = list(affine_configurations(n, 4))
     for _ in range(150):
         w = AffineWord(n, [rng.randrange(n) for _ in range(rng.randint(0, 7))])
-        out, inp, t0 = affine_word_label(w)
+        out, inp, t0 = label(w)
         for c in configs:
             if all(a >= b for a, b in zip(c.occ, inp)):
                 expected = acfg(n, [a - b + o for a, b, o in zip(c.occ, inp, out)], t0)
@@ -202,7 +220,7 @@ def test_the_line_is_the_circle_without_a_0(n):
     for length in range(5):
         for letters in product(range(1, n), repeat=length):
             w, aw = Word(n, letters), AffineWord(n, letters)
-            assert word_label(w) == affine_word_label(aw)[:2], letters
+            assert word_label(w) == label(aw)[:2], letters
             for c in configs:
                 line, circle = act_word(w, c), affine_act_word(aw, acfg(n, c.occ))
                 expected = ANNIHILATED if line is ANNIHILATED else acfg(n, line.occ)
@@ -210,7 +228,8 @@ def test_the_line_is_the_circle_without_a_0(n):
 
 
 def test_first_failing_instance_matches_the_sweep():
-    # the per-instance sweep acts both words on every configuration within the bound
+    # the per-instance sweep acts both words on every configuration within the bound;
+    # one pair per call, as the random pairs mix ranks
     cases = [inst for n in (3, 4, 5) for inst in affine_relation_instances(n, 2, 1)]
     cases += random_pairs(71, 400) + [ONCE_AROUND]
     failing = 0
@@ -218,7 +237,7 @@ def test_first_failing_instance_matches_the_sweep():
         for lhs, rhs in cases:
             witness = find_relation_counterexample(lhs, rhs, particles)
             expected = None if witness is None else (lhs, rhs, witness)
-            assert first_failing_instance([(lhs, rhs)], particles) == expected, (lhs, rhs, particles)
+            assert affine._first_failure(lhs.n, [item(lhs, rhs)], particles) == (1, expected), (lhs, rhs, particles)
             failing += witness is not None
     assert failing > 500  # the random pairs include failing ones at every bound
 
@@ -235,10 +254,11 @@ def test_first_failing_instance_matches_the_sweep():
     ],
 )
 def test_first_failing_instance_at_the_particle_bound(pair):
-    smaller = min(sum(affine_word_label(w)[1]) for w in pair)
-    assert first_failing_instance([pair], smaller - 1) is None
+    smaller = min(sum(label(w)[1]) for w in pair)
+    n = pair[0].n
+    assert affine._first_failure(n, [item(*pair)], smaller - 1) == (1, None)
     assert find_relation_counterexample(*pair, smaller - 1) is None
-    lhs, rhs, witness = first_failing_instance([pair], smaller)
+    lhs, rhs, witness = affine._first_failure(n, [item(*pair)], smaller)[1]
     assert (lhs, rhs) == pair and sum(witness.occ) == smaller
     assert affine_act_word(lhs, witness) != affine_act_word(rhs, witness)
 
@@ -247,21 +267,21 @@ def test_every_instance_has_equal_labels():
     # so each instance holds on configurations with any number of particles
     for n in (3, 4, 5, 6):
         for lhs, rhs in affine_relation_instances(n, 2, 2):
-            assert affine_word_label(lhs) == affine_word_label(rhs), (lhs.letters, rhs.letters)
+            assert label(lhs) == label(rhs), (lhs.letters, rhs.letters)
 
 
 def test_first_failing_instance_refuses_a_negative_bound():
     with pytest.raises(ValueError, match="bound must be nonnegative, got -1"):
-        first_failing_instance(affine_relation_instances(3, 1, 0), -1)
+        affine._first_failure(3, affine._relation_stream(3, 1, 0), -1)
 
 
 def test_labels_that_the_sweep_does_not_confirm_fail(monkeypatch, capsys):
-    # a wrong label must fail the run, never pass it; the label function that both
-    # first_failing_instance and the CLI decide with is patched
+    # a wrong label must fail the run, never pass it; the label function that labels
+    # the items here and the fixed rules of the stream the CLI reads is patched
     monkeypatch.setattr(affine, "_label", lambda n, letters: ((), (), letters))
     commuting = (AffineWord(4, (0, 2)), AffineWord(4, (2, 0)))
     with pytest.raises(ValueError, match=r"\[0 2\] vs \[2 0\]: labels .* differ, yet act alike"):
-        first_failing_instance([commuting], 2)
+        affine._first_failure(4, [item(*commuting)], 2)
     assert main(["affine-verify", "--N", "4", "--particles", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and "labels" in err
@@ -286,14 +306,16 @@ def test_stream_labels_are_the_labels_of_the_letters(n, m_max, k_max):
     # the shared-fold fast path against the reference fold of each whole word
     labelled = 0
     for lhs, rhs, labels in affine._relation_stream(n, m_max, k_max):
-        if labels is None:  # unlabelled: one word on both sides, or a fixed rule of <= 4 letters
-            assert lhs == rhs or len(lhs) <= 4, (lhs, rhs)
+        if lhs == rhs:  # unlabelled exactly when one word is on both sides
+            assert labels is None, lhs
         else:
-            assert lhs != rhs and labels == (affine._label(n, lhs), affine._label(n, rhs)), (lhs, rhs)
+            assert labels == (affine._label(n, lhs), affine._label(n, rhs)), (lhs, rhs)
             labelled += 1
+    # the fixed rules: distant commutation, the two bump rules, and the exchange rule from N=4
+    fixed = n * (n - 3) // 2 + 2 * n + (n if n >= 4 else 0)
     # both families, every pivot, m and m' in 1..m_max, all but the bump rules' empty middle block
     per_family = n * m_max * m_max * (k_max + 1) ** (n - 2) - n
-    assert labelled == 2 * per_family
+    assert labelled == fixed + 2 * per_family
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -317,12 +339,11 @@ def test_the_stream_refuses_bad_bounds_at_the_call(n, m_max, k_max):
 
 
 def test_the_stream_is_lazy():
-    # the first commutation pairs come at once, though N=1500 has about 1.1 million
-    assert list(islice(affine._relation_stream(1500, 0, 0), 3)) == [
-        ((0, 2), (2, 0), None),
-        ((0, 3), (3, 0), None),
-        ((0, 4), (4, 0), None),
-    ]
+    # the first commutation pairs come at once, labelled, though N=1500 has about 1.1 million
+    first = list(islice(affine._relation_stream(1500, 0, 0), 3))
+    assert [(lhs, rhs) for lhs, rhs, _ in first] == [((0, 2), (2, 0)), ((0, 3), (3, 0)), ((0, 4), (4, 0))]
+    for lhs, rhs, labels in first:
+        assert labels == (affine._label(1500, lhs), affine._label(1500, rhs)), (lhs, rhs)
 
 
 @pytest.mark.parametrize(

@@ -318,6 +318,13 @@ def test_zero_centers_settle_before_the_last_generator(monkeypatch):
     assert eliminated == []
 
 
+@pytest.mark.parametrize("r", [1.5, True])
+def test_central_candidate_refuses_non_integer_exponents(r):
+    # 1.5 gave a4^1.5 a3^1.5 a2^1.5 a1^1.5
+    with pytest.raises(ValueError, match=r"^exponents must be integers, got d="):
+        central_candidate(5, r)
+
+
 def test_central_candidate_examples():
     assert central_candidate(4, 0) == NormalMonomial.unit(4)
     assert central_candidate(3, 1) == NormalMonomial(3, (1,), (1, 0))

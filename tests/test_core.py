@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -14,9 +15,9 @@ from partic.core import (
     nm_to_word,
     normal_condition,
 )
-from partic.affine import AffineConfiguration, AffineWord
-from partic.normal_form import enumerate_basis
-from partic.particles import Configuration, IoLabel
+from partic.affine import AffineConfiguration, AffineWord, affine_configurations
+from partic.normal_form import enumerate_basis, gen_monomial, left_mul_gen, right_mul_gen
+from partic.particles import Configuration, IoLabel, act_gen, configurations, io_label, label_mul
 from normal_condition_reference import normal_condition_scan
 from rewriting_reference import multidegree
 
@@ -185,6 +186,40 @@ def test_normal_monomial_messages(d, k, message):
         NormalMonomial(3, d, k)
 
 
+@pytest.mark.parametrize("d, k", [((0.5, 0, 0), (1, 0, 0, 0)), ((0, 0, 0), (True, 0, 0, 0)), ((1, 0, 0), (1, 0, 2.0, 0))])
+def test_normal_monomial_refuses_non_integer_exponents(d, k):
+    # a float exponent would print as a plain letter and go into JSON as a float
+    with pytest.raises(ValueError, match=r"^exponents must be integers, got d="):
+        NormalMonomial(5, d, k)
+
+
+@pytest.mark.parametrize("counts", [(1.5, 0), (1, True), (2, 0, 3.0)])
+def test_multidegree_refuses_non_integer_components(counts):
+    with pytest.raises(ValueError, match=r"^multidegree components must be integers, got "):
+        MultiDegree(counts)
+
+
+# every entry point that takes one generator index at rank 5
+GENERATOR_ENTRY_POINTS = {
+    "left_mul_gen": lambda i: left_mul_gen(i, NormalMonomial.unit(5)),
+    "right_mul_gen": lambda i: right_mul_gen(NormalMonomial.unit(5), i),
+    "gen_monomial": lambda i: gen_monomial(5, i),
+    "act_gen": lambda i: act_gen(i, Configuration(5, (1, 1, 1, 1, 0))),
+    "label_mul": lambda i: label_mul(io_label(NormalMonomial.unit(5)), i, "left"),
+    "MultiDegree.bump": lambda i: MultiDegree((1, 1, 1, 1)).bump(i),
+}
+
+
+@pytest.mark.parametrize("i", [2.0, True, 1.0])
+@pytest.mark.parametrize("entry", sorted(GENERATOR_ENTRY_POINTS))
+def test_generator_entry_points_refuse_non_integers(entry, i):
+    # a float index raised TypeError from list indexing, and True acted as a_1
+    call = GENERATOR_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=rf"^generator index {re.escape(repr(i))} is not an integer$"):
+        call(i)
+    call(int(i))  # the same index as an int is taken
+
+
 def test_monomial_degree_and_length():
     m = NormalMonomial(4, (2, 1), (3, 0, 2))
     assert multidegree(nm_to_word(m)).counts == (3, 2, 3)
@@ -251,6 +286,16 @@ def test_compositions_lexicographic_and_bounded():
     assert list(compositions(3, 0)) == [(0, 0, 0)]
     with pytest.raises(ValueError):
         compositions(2, -1)
+
+
+@pytest.mark.parametrize("budget", [1.5, 2.0, True])
+@pytest.mark.parametrize(
+    "sweep", [lambda b: compositions(2, b), lambda b: configurations(3, b), lambda b: affine_configurations(3, b)]
+)
+def test_sweeps_refuse_a_non_integer_bound(sweep, budget):
+    # the budget 1.5 never ran out: the sweep never ended; next() reads one item at most
+    with pytest.raises(ValueError, match=rf"^bound {re.escape(repr(budget))} is not an integer$"):
+        next(sweep(budget))
 
 
 def test_compositions_match_brute_force_and_take_many_parts():

@@ -25,7 +25,7 @@ def verdicts(cfg):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_action_factoring_agrees_with_reference(n):
     cfg = VerifyConfig(n, max_len=4)
-    reference = action_reference.action_factoring_bruteforce(cfg)
+    reference = action_reference.action_factoring_bruteforce(n, 4, max_deposit=1)
     assert verdicts(cfg)["action-factoring"] == reference == (True, None)
 
 
@@ -104,7 +104,7 @@ def test_broken_normalize_fails_both_routes_on_the_same_word(monkeypatch, letter
     _patch_rules(monkeypatch, left=_rule_mapping(REAL_LEFT, letters[0], before, normal_form.normalize(Word(3, image))))
     cfg = VerifyConfig(3, max_len=3)
     prefix = f"word {letters} and its normal form act differently on "
-    reference = action_reference.action_factoring_bruteforce(cfg)
+    reference = action_reference.action_factoring_bruteforce(3, 3, max_deposit=1)
     for passed, counterexample in (verdicts(cfg)["action-factoring"], reference):
         assert not passed
         assert counterexample.startswith(prefix)
