@@ -201,7 +201,7 @@ def _pair_stream(n: int, m_max: int, k_max: int) -> Iterator[Item]:
                 shared = islice(zip(suffixes, prefixes), skip, None)
                 for (suffix, s_out, s_inp, s_t0), (prefix, p_out, p_inp, p_t0) in shared:
                     t0 = s_t0 + left_t0
-                    out, inp, out2, inp2 = s_out[:], s_inp[:], s_out[:], s_inp[:]
+                    out, inp, out2, inp2 = list(s_out), list(s_inp), list(s_out), list(s_inp)
                     _prepend_letters(out, inp, left)
                     _prepend_letters(out2, inp2, right)
                     yield left + suffix, right + suffix, (
@@ -209,7 +209,7 @@ def _pair_stream(n: int, m_max: int, k_max: int) -> Iterator[Item]:
                         (tuple(out2), tuple(inp2), t0),
                     )
                     t0 = p_t0 + end_t0
-                    out, inp, out2, inp2 = p_out[:], p_inp[:], p_out[:], p_inp[:]
+                    out, inp, out2, inp2 = list(p_out), list(p_inp), list(p_out), list(p_inp)
                     _append_letters(out, inp, end_l)
                     _append_letters(out2, inp2, end_r)
                     yield prefix + end_l, prefix + end_r, (
@@ -223,11 +223,9 @@ def _fixed(n: int, lhs: tuple[int, ...], rhs: tuple[int, ...]) -> Item:
     return lhs, rhs, (_label(n, lhs), _label(n, rhs))
 
 
-def _shared(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], list[int], int]:
-    """``letters`` with the lists of its :func:`_label`, to be copied and folded further."""
-    out, inp = [0] * n, [0] * n
-    _prepend_letters(out, inp, letters)
-    return letters, out, inp, letters.count(0)
+def _shared(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+    """``letters`` with its :func:`_label`, to be copied and folded further."""
+    return letters, *_label(n, letters)
 
 
 def find_relation_counterexample(lhs: AffineWord, rhs: AffineWord, max_particles: int):

@@ -203,28 +203,25 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument("--quiet", action="store_true", help="suppress text output")
+    common.add_argument("--N", type=int, required=True)
 
     parser = argparse.ArgumentParser(prog="partic", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("normalize", parents=[common], help="normal form of a word")
-    p.add_argument("--N", type=int, required=True)
     p.add_argument("--word", required=True, help="letters, e.g. '4 3 2 1 2' (empty = unit)")
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("mul", parents=[common], help="product of two words or JSON monomials")
-    p.add_argument("--N", type=int, required=True)
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=cmd_mul)
 
     p = sub.add_parser("basis", parents=[common], help="basis monomials of one multidegree")
-    p.add_argument("--N", type=int, required=True)
     p.add_argument("--degree", required=True, help="occurrence counts, e.g. '1,1,1'")
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("act", parents=[common], help="act with a word on a configuration")
-    p.add_argument("--N", type=int, required=True)
     p.add_argument("--word", help="rightmost letter acts first")
     p.add_argument("--config", help="counts k_1,...,k_{N-1},k_0 (deposit last)")
     p.add_argument("--dot", action="store_true", help="emit the action graph as DOT")
@@ -232,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_act)
 
     p = sub.add_parser("center", parents=[common], help="graded center basis")
-    p.add_argument("--N", type=int, required=True)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument(
         "--expect-theorem",
@@ -242,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_center)
 
     p = sub.add_parser("verify", parents=[common], help="run the certification suite")
-    p.add_argument("--N", type=int, required=True)
     p.add_argument(
         "--max-len", type=int, default=6, help="word-length bound (at N=5: 6 takes about 0.15 s, 7 about 0.2 s, 8 about 0.4 s, 9 about 1.1 s)"
     )
@@ -258,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("affine-verify", parents=[common], help="check the cyclic relation families")
-    p.add_argument("--N", type=int, required=True)
     p.add_argument(
         "--particles",
         type=int,

@@ -118,13 +118,18 @@ class MultiDegree:
         return ",".join(str(c) for c in self.counts)
 
 
+def _check_bound(bound: int) -> int:
+    """Refuse a sweep bound that is not a nonnegative int; a bool counts as not one."""
+    if type(bound) is not int:  # 1.5 would never run out, and the odometer never stop
+        raise ValueError(f"bound {bound!r} is not an integer")
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+    return bound
+
+
 def compositions(parts: int, budget: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` nonnegative integers with sum <= budget, lexicographic."""
-    if type(budget) is not int:  # 1.5 would never run out, and the odometer never stop
-        raise ValueError(f"bound {budget!r} is not an integer")
-    if budget < 0:  # raised here, not at the first next()
-        raise ValueError(f"bound must be nonnegative, got {budget}")
-    return _odometer(parts, budget)
+    return _odometer(parts, _check_bound(budget))  # raised here, not at the first next()
 
 
 def _odometer(parts: int, budget: int) -> Iterator[tuple[int, ...]]:

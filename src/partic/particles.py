@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-from .core import MultiDegree, NormalMonomial, Word, _check_gen, check_rank, compositions, parse_ints
+from .core import MultiDegree, NormalMonomial, Word, _check_bound, _check_gen, check_rank, compositions, parse_ints
 
 
 class _AnnihilatedType:
@@ -254,13 +254,11 @@ def configurations(n: int, max_particles: int, max_deposit: int | None = None) -
 
     The deposit ranges over 0..max_deposit (default: max_particles).
     Deterministic lexicographic order.  A negative bound raises ValueError,
-    as a sweep over no configuration would pass having examined nothing.
+    as a sweep over no configuration would pass having examined nothing; so
+    does a bound that is not an int (a bool included).
     """
     check_rank(n)
-    if max_deposit is None:
-        max_deposit = max_particles
-    if max_deposit < 0:
-        raise ValueError(f"bound must be nonnegative, got {max_deposit}")
+    max_deposit = _check_bound(max_particles if max_deposit is None else max_deposit)
     for body in compositions(n - 1, max_particles):
         for dep in range(max_deposit + 1):
             yield Configuration(n, body + (dep,))

@@ -40,59 +40,9 @@ class RewriteRule:
 _STARTS = 3
 
 
-class _Windows:
-    """The window tables of one relation set, built from ``by_span`` ({span: {lhs code: [rhs code - lhs code]}}).
-
-    ``tables`` holds one plain dict per ``(starts, shift)`` met, mapping a
-    window code to the differences (rhs - lhs) of the rules starting in its
-    first ``starts`` letters, each shifted to its rule's start and then left
-    by ``shift`` bits more.  ``fill`` computes a missing window from
-    ``by_span``, so a table holds only the windows met, whatever the rank.
-    ``interned`` keeps one copy of each tuple, as many windows share one, and
-    ``readers`` the read plan of each word length; ``clear`` empties all three.
-    """
-
-    def __init__(self, by_span: dict[int, dict[int, list[int]]], bits: int) -> None:
-        self.by_span, self.bits = by_span, bits
-        self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.tables: dict[tuple[int, int], Table] = {}
-        self.readers: dict[int, tuple[int, int, list[tuple[Table, int]]]] = {}
-
-    def fill(self, table: Table, starts: int, shift: int, window: int) -> tuple[int, ...]:
-        """Store in ``table``, the ``(starts, shift)`` table, the differences of ``window``; return them."""
-        bits = self.bits
-        diffs = tuple(
-            diff << start * bits + shift
-            for start in range(starts)
-            for span, rules in self.by_span.items()
-            for diff in rules.get(window >> start * bits & (1 << span * bits) - 1, ())
-        )
-        diffs = table[window] = self.interned.setdefault(diffs, diffs)
-        return diffs
-
-    def reader(self, length: int) -> tuple[int, int, list[tuple[Table, int]]]:
-        """The window mask, the rule starts per window and a (table, shift) pair per window read.
-
-        A window is ``starts - 1`` letters wider than the longest rule, so it
-        holds every rule starting in its first ``starts`` letters.  A word
-        that fits in one wide window would meet a new one with nearly every
-        word, so it reads one-start tables at each position instead.
-        """
-        reader = self.readers.get(length)
-        if reader is None:
-            spans = self.by_span.keys() or (0,)
-            bits, span = self.bits, max(spans)
-            end = (length - min(spans) + 1) * bits
-            starts = _STARTS if length >= span + _STARTS else 1
-            tables = [(self.tables.setdefault((starts, s), {}), s) for s in range(0, end, starts * bits)]
-            reader = self.readers[length] = (1 << (span + starts - 1) * bits) - 1, starts, tables
-        return reader
-
-    def clear(self) -> None:
-        """Drop every table and reader built from ``by_span``, as after an edit of it."""
-        self.tables.clear()
-        self.interned.clear()
-        self.readers.clear()
+def _bits(n: int) -> int:
+    """The bits per letter of a code at rank n, wide enough for every letter 1..n-1."""
+    return n.bit_length()
 
 
 @dataclass(frozen=True)
@@ -100,25 +50,30 @@ class RelationSet:
     """Concrete rule instances for one rank (no patterns at rewrite time).
 
     The oracle works on words coded as integers, ``bits`` bits per letter with
-    the first letter lowest (``_encode``).  ``windows.reader`` gives, per
-    word length, the plain-dict tables that map the window at every third
-    position to the rules, read in both directions, whose left-hand side
-    starts in its first three letters (for short words, at every position to
-    those starting there), their differences shifted to that position, so
-    each rewrite is ``code + diff``; ``windows.fill`` computes a window not
-    yet met from ``by_span``.  Rule letters must lie in 1..n-1: letters are
-    then nonzero, so a window running past the end of a word matches only
-    the rules that fit, and each fits in its ``bits`` bits.
+    the first letter lowest (``_encode``).  ``by_span`` holds the rules, read
+    in both directions, as ``{span: {lhs code: [rhs code - lhs code]}}``, so
+    each rewrite is ``code + diff``.  ``tables`` holds one plain dict per
+    ``(starts, shift)`` met, mapping a window code to the differences of the
+    rules starting in its first ``starts`` letters, each shifted to its rule's
+    start and then left by ``shift`` bits more; ``_fill`` computes a window
+    not yet met from ``by_span``, so a table holds only the windows met,
+    whatever the rank, and ``interned`` keeps one copy of each tuple, as many
+    windows share one.  ``_reader`` gives the tables one word length reads.
+    Rule letters must lie in 1..n-1: letters are then nonzero, so a window
+    running past the end of a word matches only the rules that fit, and each
+    fits in its ``bits`` bits.
     """
 
     name: str
     n: int
     rules: tuple[RewriteRule, ...]
     bits: int = field(init=False, repr=False, compare=False)
-    windows: _Windows = field(init=False, repr=False, compare=False)
+    by_span: dict[int, dict[int, list[int]]] = field(init=False, repr=False, compare=False)
+    tables: dict[tuple[int, int], Table] = field(default_factory=dict, init=False, repr=False, compare=False)
+    interned: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        bits = self.n.bit_length()
+        bits = _bits(self.n)
         by_span: dict[int, dict[int, list[int]]] = {}
         for r in self.rules:
             # a letter 0 would read as the end of a word, one of 2**bits or more spills over
@@ -130,7 +85,39 @@ class RelationSet:
             rules.setdefault(lhs, []).append(rhs - lhs)
             rules.setdefault(rhs, []).append(lhs - rhs)
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "windows", _Windows(by_span, bits))
+        object.__setattr__(self, "by_span", by_span)
+
+
+def _fill(rs: RelationSet, table: Table, starts: int, shift: int, window: int) -> tuple[int, ...]:
+    """Store in ``table``, the ``(starts, shift)`` table of ``rs``, the differences of ``window``; return them."""
+    bits = rs.bits
+    diffs = tuple(
+        diff << start * bits + shift
+        for start in range(starts)
+        for span, rules in rs.by_span.items()
+        for diff in rules.get(window >> start * bits & (1 << span * bits) - 1, ())
+    )
+    diffs = table[window] = rs.interned.setdefault(diffs, diffs)
+    return diffs
+
+
+Reader = tuple[int, int, list[tuple[Table, int]]]
+
+
+def _reader(rs: RelationSet, length: int) -> Reader:
+    """The window mask, the rule starts per window and a (table, shift) pair per window read.
+
+    A window is ``starts - 1`` letters wider than the longest rule, so it
+    holds every rule starting in its first ``starts`` letters.  A word
+    that fits in one wide window would meet a new one with nearly every
+    word, so it reads one-start tables at each position instead.
+    """
+    spans = rs.by_span.keys() or (0,)
+    bits, span = rs.bits, max(spans)
+    end = (length - min(spans) + 1) * bits
+    starts = _STARTS if length >= span + _STARTS else 1
+    tables = [(rs.tables.setdefault((starts, s), {}), s) for s in range(0, end, starts * bits)]
+    return (1 << (span + starts - 1) * bits) - 1, starts, tables
 
 
 def _encode(letters: Letters, bits: int) -> int:
@@ -178,23 +165,23 @@ def partic_rules(n: int) -> RelationSet:
     return RelationSet(PARTIC, n, base + extra)
 
 
-def _steps(codes: list[int], out: list[int], length: int, rs: RelationSet, seen: set[int]) -> None:
+def _steps(codes: list[int], out: list[int], reader: Reader, rs: RelationSet, seen: set[int]) -> None:
     """Append to ``out`` and add to ``seen`` each code not in ``seen`` one rule application from one of ``codes``.
 
-    Given one list as both ``codes`` and ``out``, the loop also reads what it
-    appends, so the list grows to the BFS closure of its codes.  This loop is
-    the oracle's whole cost; a window met for the first time raises KeyError
-    (tests/rewriting_reference.py scans rule by rule).
+    ``reader`` is ``_reader(rs, length)``, the window plan of the codes'
+    common length.  Given one list as both ``codes`` and ``out``, the loop
+    also reads what it appends, so the list grows to the BFS closure of its
+    codes.  This loop is the oracle's whole cost; a window met for the first
+    time raises KeyError (tests/rewriting_reference.py scans rule by rule).
     """
-    windows = rs.windows
-    mask, starts, tables = windows.reader(length)
+    mask, starts, tables = reader
     for cur in codes:
         for table, shift in tables:
             window = cur >> shift & mask
             try:
                 diffs = table[window]
             except KeyError:
-                diffs = windows.fill(table, starts, shift, window)
+                diffs = _fill(rs, table, starts, shift, window)
             for diff in diffs:
                 nxt = cur + diff
                 if nxt not in seen:
@@ -264,8 +251,10 @@ def code_classes(codes: Iterable[int], length: int, rs: RelationSet) -> list[lis
     changes the letter multiset, so a class never leaves the finitely many
     words of its multidegree.  The classes share one visited set and hold,
     once each, every given code and every code they rewrite to; ``verify``
-    reads grading off that.
+    reads grading off that.  All the codes have one length, so the window
+    plan (``_reader``) is built once per call.
     """
+    reader = _reader(rs, length)
     seen: set[int] = set()  # one visited set for the degree: the classes are disjoint
     classes = []
     for code in codes:
@@ -273,7 +262,7 @@ def code_classes(codes: Iterable[int], length: int, rs: RelationSet) -> list[lis
             continue
         seen.add(code)
         cls = [code]
-        _steps(cls, cls, length, rs, seen)
+        _steps(cls, cls, reader, rs, seen)
         classes.append(cls)
     return classes
 

@@ -33,7 +33,7 @@ from .normal_form import (
     normalize_right_to_left,
 )
 from .particles import Configuration, _letters_label, _prepend_letters, act_word, faithfulness_problem, word_label
-from .rewriting import PARTIC, _decode, _degree_codes, _encode, code_classes, partic_rules
+from .rewriting import PARTIC, _bits, _decode, _degree_codes, _encode, code_classes, partic_rules
 
 
 Labels = dict[Exponents, tuple[tuple[int, ...], tuple[int, ...]]]  # {(d, k): word label of its expansion}
@@ -151,13 +151,13 @@ def _normal_form(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict]) -> 
         if dk in seen:
             return f"classes of {_least(cfg, cls)} and {_least(cfg, seen[dk])} share a normal form"
         seen[dk] = cls
-        if _encode(_nm_letters(*dk), cfg.n.bit_length()) not in cls:  # RelationSet.bits
+        if _encode(_nm_letters(*dk), _bits(cfg.n)) not in cls:
             return f"expansion of {nf} leaves the class of {_least(cfg, cls)}"
 
 
 def _least(cfg: VerifyConfig, codes) -> tuple[int, ...]:
     """The lexicographically smallest word of a class given by its codes, decoded for a message."""
-    return min(_decode(c, cfg.n.bit_length()) for c in codes)
+    return min(_decode(c, _bits(cfg.n)) for c in codes)
 
 
 def _fold_agreement(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial], labels: Labels) -> str | None:

@@ -7,7 +7,7 @@ from collections import deque
 from itertools import product
 
 from partic.core import MultiDegree, Word
-from partic.rewriting import Letters, RelationSet, _decode, _encode, _steps, congruence_partition, words_with_degree
+from partic.rewriting import Letters, RelationSet, _decode, _encode, _reader, _steps, congruence_partition, words_with_degree
 
 Pairs = list[tuple[Letters, Letters]]
 
@@ -28,7 +28,7 @@ def class_of(w: Word, rs: RelationSet) -> set[Letters]:
 def coded_steps(letters: Letters, rs: RelationSet) -> set[Letters]:
     """The oracle's own one-step rewrites (``rewriting._steps`` on the coded word, nothing visited), decoded."""
     out: list[int] = []
-    _steps([_encode(letters, rs.bits)], out, len(letters), rs, set())
+    _steps([_encode(letters, rs.bits)], out, _reader(rs, len(letters)), rs, set())
     return {_decode(code, rs.bits) for code in out}
 
 

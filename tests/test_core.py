@@ -290,10 +290,17 @@ def test_compositions_lexicographic_and_bounded():
 
 @pytest.mark.parametrize("budget", [1.5, 2.0, True])
 @pytest.mark.parametrize(
-    "sweep", [lambda b: compositions(2, b), lambda b: configurations(3, b), lambda b: affine_configurations(3, b)]
+    "sweep",
+    [
+        lambda b: compositions(2, b),
+        lambda b: configurations(3, b),
+        lambda b: affine_configurations(3, b),
+        lambda b: configurations(3, 1, b),
+    ],
 )
 def test_sweeps_refuse_a_non_integer_bound(sweep, budget):
-    # the budget 1.5 never ran out: the sweep never ended; next() reads one item at most
+    # the budget 1.5 never ran out: the sweep never ended; next() reads one item at most.
+    # The last sweep bounds the deposit, which is no budget of compositions
     with pytest.raises(ValueError, match=rf"^bound {re.escape(repr(budget))} is not an integer$"):
         next(sweep(budget))
 

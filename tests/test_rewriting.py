@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from partic import rewriting
 from partic.core import MultiDegree, Word, multidegrees_up_to
 from partic.normal_form import enumerate_basis
 from partic.rewriting import (
@@ -16,6 +17,7 @@ from partic.rewriting import (
     _degree_codes,
     _encode,
     _half_words,
+    _reader,
     _steps,
     code_classes,
     congruence_partition,
@@ -324,7 +326,7 @@ def test_steps_append_only_the_codes_not_yet_visited(rs):
         code = _encode(letters, rs.bits)
         seen = {code} | {_encode(w, rs.bits) for w in visited}
         before, out = set(seen), []
-        _steps([code], out, len(letters), rs, seen)
+        _steps([code], out, _reader(rs, len(letters)), rs, seen)
         assert sorted(_decode(c, rs.bits) for c in out) == [w for w in neighbours if w not in visited], letters
         assert seen == before | set(out)
 
@@ -337,10 +339,9 @@ def test_window_memo_holds_only_the_windows_met():
     # length 9 reads the same positions, through the very same tables, and meets a new
     # window at shifts 18 and 36 only
     rs = partic_rules(40)
-    windows = rs.windows
 
     def sizes():
-        return {key: len(table) for key, table in windows.tables.items()}
+        return {key: len(table) for key, table in rs.tables.items()}
 
     assert sizes() == {}
     short = (20, 19, 21, 20)
@@ -352,22 +353,22 @@ def test_window_memo_holds_only_the_windows_met():
     longer = long + (5,)
     assert coded_steps(longer, rs) == steps_reference(longer, oriented(rs))
     assert sizes() == {(1, 0): 1, (1, 6): 1, (1, 12): 1, (3, 0): 1, (3, 18): 2, (3, 36): 2}
-    for table in windows.tables.values():
+    for table in rs.tables.values():
         assert type(table) is dict
         for diffs in table.values():
-            assert windows.interned[diffs] is diffs
-    (mask8, starts8, tables8), (mask9, starts9, tables9) = windows.reader(8), windows.reader(9)
+            assert rs.interned[diffs] is diffs
+    (mask8, starts8, tables8), (mask9, starts9, tables9) = _reader(rs, 8), _reader(rs, 9)
     assert mask8 == mask9 and starts8 == starts9 == 3 and [shift for _, shift in tables9] == [0, 18, 36]
     for (table8, _), (table9, _), key in zip(tables8, tables9, [(3, 0), (3, 18), (3, 36)]):
-        assert table8 is table9 is windows.tables[key]
+        assert table8 is table9 is rs.tables[key]
 
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_clear_leaves_no_stale_table(n):
-    # every table in windows.tables, one-start and wide at each shift, and every cached
-    # reader is filled at lengths 0..9; then a rule (1, 2) <-> (2, 2) goes straight into
-    # by_span, as RewriteRule refuses it, and at N = 3, whose rules all have span 3, it
-    # also moves the last position a rule starts at
+    # every table in rs.tables, one-start and wide at each shift, is filled at lengths
+    # 0..9; then a rule (1, 2) <-> (2, 2) goes straight into by_span, as RewriteRule
+    # refuses it, and at N = 3, whose rules all have span 3, it also moves the last
+    # position a rule starts at
     rs = partic_rules(n)
     rng = random.Random(n)
     words = [
@@ -382,8 +383,8 @@ def test_clear_leaves_no_stale_table(n):
     added = [((1, 2), (2, 2)), ((2, 2), (1, 2))]
     for lhs, rhs in added:
         code = _encode(lhs, rs.bits)
-        rs.windows.by_span.setdefault(2, {}).setdefault(code, []).append(_encode(rhs, rs.bits) - code)
-    rs.windows.clear()
+        rs.by_span.setdefault(2, {}).setdefault(code, []).append(_encode(rhs, rs.bits) - code)
+    rs.tables.clear()
     for batch in words:
         for letters in batch:
             assert coded_steps(letters, rs) == steps_reference(letters, oriented(rs) + added), letters
@@ -448,6 +449,22 @@ def test_code_classes_decode_to_the_partition(n):
             codes, _ = _degree_codes(delta, rs.bits)
             decoded = [{_decode(c, rs.bits) for c in cls} for cls in code_classes(codes, delta.total(), rs)]
             assert decoded == congruence_partition(delta, rs), (rs.name, delta)
+
+
+@pytest.mark.parametrize("rs", [plactic_rules(5), partic_rules(5)], ids=lambda rs: rs.name)
+def test_code_classes_read_one_window_plan_per_call(monkeypatch, rs):
+    # every code of a degree has one length, so one window plan serves all of its classes
+    plans = []
+    monkeypatch.setattr(rewriting, "_reader", lambda rs, length: plans.append(length) or _reader(rs, length))
+    for counts in [(0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2)]:
+        delta = MultiDegree(counts)
+        plans.clear()
+        classes = code_classes(_degree_codes(delta, rs.bits)[0], delta.total(), rs)
+        assert plans == [delta.total()]
+        assert len(classes) > 1 or not delta.total()
+        plans.clear()
+        assert len(congruence_partition(delta, rs)) == len(classes)
+        assert plans == [delta.total()]
 
 
 def test_oracle_imports_only_core():

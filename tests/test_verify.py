@@ -175,12 +175,12 @@ def test_shared_passes_agree_with_the_old_sweeps(n, relations):
 
 def _with_degree_change(n):
     # (1, 2) <-> (2, 2) keeps the length but not the multidegree; RewriteRule refuses it,
-    # so it goes straight into the coded rules, and the window memo is cleared
+    # so it goes straight into the coded rules, and the window tables are cleared
     rs = rewriting.partic_rules(n)
     for lhs, rhs in (((1, 2), (2, 2)), ((2, 2), (1, 2))):
         code = rewriting._encode(lhs, rs.bits)
-        rs.windows.by_span.setdefault(2, {}).setdefault(code, []).append(rewriting._encode(rhs, rs.bits) - code)
-    rs.windows.clear()
+        rs.by_span.setdefault(2, {}).setdefault(code, []).append(rewriting._encode(rhs, rs.bits) - code)
+    rs.tables.clear()
     return rs
 
 
@@ -202,8 +202,8 @@ def test_a_one_way_rewrite_out_of_the_degree_fails_grading(monkeypatch):
         target = rewriting._encode((2, 2), rs.bits)
         for lhs in ((1, 2), (2, 1)):
             code = rewriting._encode(lhs, rs.bits)
-            rs.windows.by_span.setdefault(2, {}).setdefault(code, []).append(target - code)
-        rs.windows.clear()
+            rs.by_span.setdefault(2, {}).setdefault(code, []).append(target - code)
+        rs.tables.clear()
         return rs
 
     assert congruence_partition(MultiDegree((1, 1)), one_way(3)) == [{(1, 2), (2, 2)}, {(2, 1)}]
