@@ -2,15 +2,20 @@
 
 The descending cycle c_r = a_{N-1}^r ... a_2^r a_1^r commutes with every
 generator; per graded component an exact commutator nullspace certifies that
-nothing else does.  All arithmetic is exact rational, no tolerances.
+nothing else does.  The commutator rows of a component are built in its box
+of d-vectors, where the guard of each multiplication rule reads one
+coordinate (:class:`_Box`), and a peel settles them (:class:`_Peel`).  All
+arithmetic is exact rational, no tolerances.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from itertools import compress, product
+from operator import sub
 
 from .core import AlgebraElement, MultiDegree, NormalMonomial, Scalar, _exact, check_rank
-from .normal_form import _basis_exponents, _left_mul, _right_mul, _step
 
 
 def _subtract(target: dict[int, Fraction], f: Fraction, source: dict[int, Fraction]) -> None:
@@ -133,6 +138,69 @@ def central_candidate(n: int, r: int) -> NormalMonomial:
     return NormalMonomial(n, (r,) * (n - 2), (r,) + (0,) * (n - 2))
 
 
+class _Box:
+    """The basis monomials of one multidegree δ as the points of a box, with the rows of its commutators.
+
+    Within δ the exponents are fixed by d alone: k_1 = δ_1 and k_j = δ_j - d_j
+    for j >= 2, and d_j runs over 0..min(δ_{j-1}, δ_j)
+    (``normal_form._basis_exponents``).
+    So a_i m and m a_i, both of degree δ + e_i, are named by their d as well,
+    and substituting k = δ - d into the rules of ``normal_form._left_mul``
+    and ``normal_form._right_mul`` leaves each guard reading one coordinate:
+
+    - a_i m: the rule adds to k_i if i = 1 or d_i = d_{i-1} + k_{i-1} (d_1 = 0),
+      and to d_i otherwise.  In the box d_{i-1} + k_{i-1} = δ_{i-1}, so the
+      product's d is m's if i = 1 or d_i = δ_{i-1}, and otherwise d_i grows
+      by one (k_i = δ_i + 1 - (d_i + 1) is then unchanged).
+    - m a_i: the rule moves a letter from k_{i+1} to d_{i+1} if i < N-1 and
+      k_{i+1} >= 1, that is d_{i+1} < δ_{i+1}, so d_{i+1} grows by one;
+      otherwise the letter lands on k_i and the product's d is m's.
+
+    Padding d with d_1 = d_N = 0 and δ with δ_0 = δ_N = 0 makes the two cases
+    at the ends the same guards: a_1 m never moves d, and m a_{N-1} never does.
+    A point is held as its coordinates times their strides, so a guard
+    compares one entry with a precomputed bound.  Its key is the sum, an int
+    with one digit per d_j in base max(δ) + 1.  No digit carries: a product
+    raises d_i only below δ_{i-1} and d_{i+1} only below δ_{i+1}, so its
+    digits stay in 0..max(δ) too, and distinct products have distinct keys.
+    """
+
+    def __init__(self, delta: MultiDegree) -> None:
+        n, counts = delta.n, delta.counts
+        base = max(counts) + 1
+        self.n = n
+        self.counts = (0, *counts, 0)  # δ_0, δ_1, ..., δ_{N-1}, δ_N
+        self.strides = [base ** (n - j) for j in range(n + 1)]  # the stride of d_j at index j
+        ranges = [range(0, (min(counts[j - 2], counts[j - 1]) + 1) * self.strides[j], self.strides[j]) for j in range(2, n)]
+        self.points = list(product((0,), *ranges, (0,)))  # d_1, ..., d_N, strided, in _basis_exponents order
+        self.keys = list(map(sum, self.points))
+
+    def rows(self, i: int, cols: list[int]) -> Iterable[dict[int, int]]:
+        """The nonzero rows of a_i x - x a_i restricted to the columns ``cols``.
+
+        Each column m adds +1 to the row of a_i m and -1 to the row of m a_i;
+        a column whose two products are equal adds nothing.
+        """
+        points, keys, strides = self.points, self.keys, self.strides
+        full, up = self.counts[i - 1] * strides[i], strides[i]  # d_i = δ_{i-1}, and one more d_i
+        room, over = self.counts[i + 1] * strides[i + 1], strides[i + 1]  # d_{i+1} < δ_{i+1}, and one more d_{i+1}
+        eqs: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        for c in cols:
+            point, key = points[c], keys[c]
+            left = key if point[i - 1] == full else key + up
+            right = key + over if point[i] < room else key
+            if left != right:
+                eqs[left][c] = 1
+                eqs[right][c] = -1
+        return eqs.values()
+
+    def monomial(self, c: int) -> NormalMonomial:
+        """Column c as a validated normal monomial."""
+        counts = self.counts
+        d = tuple(x // s for x, s in zip(self.points[c][1:-1], self.strides[2:]))
+        return NormalMonomial(self.n, d, (counts[1], *map(sub, counts[2:-1], d)))
+
+
 def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     """Exact basis of the central elements homogeneous of one multidegree.
 
@@ -140,9 +208,10 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     a_i there is one equation per product monomial p: the coefficient of p
     in a_i x - x a_i vanishes, i.e. the sum of x_m over a_i m = p minus the
     sum over m a_i = p is zero.  Central elements are the common kernel.
-    Columns and rows are held as raw (d, k) exponents, so no product
-    monomial is built or validated, and a column becomes a validated
-    monomial only where a kernel vector is nonzero.
+    The rows are built in the degree's box (:class:`_Box`), where both
+    products of a column are its key plus at most one stride, so no
+    exponent tuple or product monomial is built, and a column becomes a
+    validated monomial only where a kernel vector is nonzero.
 
     The rows come one generator at a time, a_1 first, and each batch is fed
     to one peel.  A column the peel has killed is forced to 0 by the rows
@@ -157,30 +226,21 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     check_rank(n)
     if delta.n != n:
         raise ValueError("multidegree rank does not match")
-    cols = list(_basis_exponents(delta))
-    peel = _Peel(len(cols))
+    box = _Box(delta)
+    ncols = len(box.keys)
+    peel = _Peel(ncols)
     rows: list[dict[int, int]] = []
     live = peel.live
     for i in range(1, n):
-        eqs: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
-        for c, col in enumerate(cols):
-            if not live[c]:
-                continue
-            for mul, sign in ((_left_mul, 1), (_right_mul, -1)):
-                key = _step(mul, col, i)
-                row = eqs.get(key)
-                if row is None:
-                    eqs[key] = {c: sign}
-                else:
-                    row[c] = row.get(c, 0) + sign
-        rows.extend(eqs.values())
-        if not peel.add(eqs.values()):
+        eqs = box.rows(i, list(compress(range(ncols), live)))
+        rows.extend(eqs)
+        if not peel.add(eqs):
             return []
     kernel = peel.kernel()
     if kernel is not None:
-        return [AlgebraElement.from_monomial(NormalMonomial(n, *cols[c])) for c in kernel]
-    vectors = nullspace(rows, len(cols))
-    return [AlgebraElement(n, {NormalMonomial(n, *cols[c]): x for c, x in enumerate(vec) if x}) for vec in vectors]
+        return [AlgebraElement.from_monomial(box.monomial(c)) for c in kernel]
+    vectors = nullspace(rows, ncols)
+    return [AlgebraElement(n, {box.monomial(c): x for c, x in enumerate(vec) if x}) for vec in vectors]
 
 
 def expected_center_dimension(delta: MultiDegree) -> int:

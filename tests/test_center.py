@@ -1,6 +1,9 @@
+import inspect
 import random
+import types
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -17,7 +20,7 @@ from partic.core import AlgebraElement, MultiDegree, NormalMonomial, Word, multi
 from partic.normal_form import _basis_exponents, gen_element, nm_product, normalize
 from partic.particles import Configuration, act_word
 
-from center_reference import commutes_with_generators
+from center_reference import commutes_with_generators, step_rows
 from nullspace_reference import nullspace_dense
 
 
@@ -221,31 +224,126 @@ def test_rows_are_built_only_for_live_columns(monkeypatch):
     class RecordingPeel(center._Peel):
         def __init__(self, ncols):
             super().__init__(ncols)
-            self.batch_live = list(self.live)
             peels.append(self)
 
-        def add(self, rows):
-            left = super().add(rows)
-            self.batch_live = list(self.live)
-            return left
+    real_rows = center._Box.rows
+    visits = entries = 0
 
-    real_step = center._step
-    calls = 0
-    index = {}
-
-    def counting_step(mul, col, i):
-        nonlocal calls
-        calls += 1
-        assert peels[-1].batch_live[index[col]], f"dead column {col} in the batch of a_{i}"
-        return real_step(mul, col, i)
+    def recording_rows(box, i, cols):
+        nonlocal visits, entries
+        live = peels[-1].live  # the peel adds a batch only after building it
+        assert cols == [c for c, x in enumerate(live) if x], f"the batch of a_{i} is not the live columns"
+        rows = list(real_rows(box, i, cols))
+        assert all(live[c] for row in rows for c in row)
+        visits += len(cols)
+        entries += sum(map(len, rows))
+        return rows
 
     monkeypatch.setattr(center, "_Peel", RecordingPeel)
-    monkeypatch.setattr(center, "_step", counting_step)
+    monkeypatch.setattr(center._Box, "rows", recording_rows)
     for delta in multidegrees_up_to(5, 10):
-        index = {col: c for c, col in enumerate(_basis_exponents(delta))}
         center_basis_in_degree(5, delta)
-    # all the columns in every batch would make 19,222 calls
-    assert calls == 15_094
+    # all the columns in every batch would make 9,611 visits; a column whose two
+    # products agree adds nothing, and every other one adds two entries
+    assert visits == 7_547
+    assert visits - entries // 2 == 1_644
+
+
+# the degrees that scripts/certify_all.py certifies the center at
+CERTIFIED_DEGREES = ((3, 12), (4, 12), (5, 14), (6, 12))
+
+
+class BatchPeel:
+    """A peel that kills nothing and records each batch of rows; it always stalls."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.live = [True] * ncols
+        self.batches = []
+
+    def add(self, rows):
+        self.batches.append(list(rows))
+        return self.ncols
+
+    def kernel(self):
+        return None
+
+
+def row_multiset(rows):
+    """The nonzero rows as a multiset of sets of nonzero (column, coefficient) entries."""
+    rows = (frozenset(filter(itemgetter(1), row.items())) for row in rows)
+    return Counter(filter(None, rows))
+
+
+def first_row_disagreement(module, degrees, monkeypatch):
+    """The first (degree, i) where the module's center batches differ from the _step rows, or None."""
+    peels = []
+
+    def recording_peel(ncols):
+        peels.append(BatchPeel(ncols))
+        return peels[-1]
+
+    monkeypatch.setattr(module, "_Peel", recording_peel)
+    monkeypatch.setattr(module, "nullspace", lambda rows, ncols: [])
+    for delta in degrees:
+        module.center_basis_in_degree(delta.n, delta)
+        batches = peels[-1].batches
+        assert len(batches) == delta.n - 1
+        exponents = list(_basis_exponents(delta))
+        cols = list(range(len(exponents)))
+        for i, batch in enumerate(batches, 1):
+            if row_multiset(batch) != row_multiset(step_rows(exponents, i, cols)):
+                return delta, i
+    return None
+
+
+def test_box_rows_are_the_step_rows_at_every_certified_degree(monkeypatch):
+    degrees = [delta for n, top in CERTIFIED_DEGREES for delta in multidegrees_up_to(n, top)]
+    assert len(degrees) == 91 + 455 + 3_060 + 6_188
+    assert first_row_disagreement(center, degrees, monkeypatch) is None
+
+
+def mutant_center(old, new):
+    """partic.center compiled from its source with the one occurrence of old replaced by new."""
+    source = inspect.getsource(center)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("partic.center", center.__doc__)
+    module.__package__ = "partic"
+    exec(compile(source.replace(old, new), center.__file__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize(
+    "old, new, first_change",
+    [
+        # the left guard written d_i <= δ_{i-1}: a_i m never raises d_i
+        ("point[i - 1] == full", "point[i - 1] <= full", ((1, 0), "dimension 1, expected 0")),
+        # the right guard reading d_i instead of d_{i+1}
+        ("point[i] < room", "point[i - 1] < room", ((1, 1), "dimension 0, expected 1")),
+        # base max(δ): a digit max(δ) carries into the next one, and keys collide
+        ("base = max(counts) + 1", "base = max(counts)", ((1, 0, 1), "dimension 1, expected 0")),
+    ],
+)
+def test_guard_mutants_fail_the_row_comparison(monkeypatch, old, new, first_change):
+    # the zero degree has one column and no nonzero row; under base max(δ) = 0 its
+    # strides would be 0, which range refuses
+    degrees = [delta for n, top in CERTIFIED_DEGREES for delta in multidegrees_up_to(n, top) if any(delta.counts)]
+    mutant = mutant_center(old, new)
+    # each mutant also changes a center verdict; the first one in certification order
+    verdicts = ((delta.counts, theorem_mismatch(delta, mutant.center_basis_in_degree(delta.n, delta))) for delta in degrees)
+    assert next(v for v in verdicts if v[1]) == first_change
+    assert first_row_disagreement(mutant, degrees, monkeypatch) is not None
+
+
+def test_the_peel_settles_every_certified_degree(monkeypatch):
+    # scripts/certify_all.py's center bounds never reach the exact elimination
+    def refusing_nullspace(rows, ncols):
+        raise AssertionError("the peel stalled")
+
+    monkeypatch.setattr(center, "nullspace", refusing_nullspace)
+    for n, top in CERTIFIED_DEGREES:
+        for delta in multidegrees_up_to(n, top):
+            assert theorem_mismatch(delta, center_basis_in_degree(n, delta)) is None, f"degree {delta}"
 
 
 def test_elimination_after_killing_gives_the_peel_bases(monkeypatch):

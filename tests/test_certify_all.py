@@ -31,8 +31,8 @@ def test_runs_cover_the_certification_bounds(certify_all):
     # every check at N=3, 4 with words to length 8 and at N=5 to length 9, the center to
     # degree 12 at N=3, 4 and 14 at N=5
     assert verify == [(3, 8, 12), (4, 8, 12), (5, 9, 14)]
-    # the center theorem at N=6 to degree 10
-    assert center == [(6, 10, True)]
+    # the center theorem at N=6 to degree 12
+    assert center == [(6, 12, True)]
     assert affine == [(n, 6, 3, 2) for n in range(3, 9)]
     assert len(runs) == len(verify) + len(center) + len(affine)
 
