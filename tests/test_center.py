@@ -174,13 +174,15 @@ def test_nullspace_matches_dense_reference_on_sparse_systems():
 
 
 class StalledPeel:
-    """A peel that kills no column and always stalls: every degree goes to the elimination."""
+    """A peel that kills no column, records each batch of rows and always stalls: every degree goes to the elimination."""
 
     def __init__(self, ncols):
         self.ncols = ncols
         self.live = [True] * ncols
+        self.batches = []
 
     def add(self, rows):
+        self.batches.append(list(rows))
         return self.ncols
 
     def kernel(self):
@@ -253,22 +255,6 @@ def test_rows_are_built_only_for_live_columns(monkeypatch):
 CERTIFIED_DEGREES = ((3, 12), (4, 12), (5, 14), (6, 12))
 
 
-class BatchPeel:
-    """A peel that kills nothing and records each batch of rows; it always stalls."""
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.live = [True] * ncols
-        self.batches = []
-
-    def add(self, rows):
-        self.batches.append(list(rows))
-        return self.ncols
-
-    def kernel(self):
-        return None
-
-
 def row_multiset(rows):
     """The nonzero rows as a multiset of sets of nonzero (column, coefficient) entries."""
     rows = (frozenset(filter(itemgetter(1), row.items())) for row in rows)
@@ -280,7 +266,7 @@ def first_row_disagreement(module, degrees, monkeypatch):
     peels = []
 
     def recording_peel(ncols):
-        peels.append(BatchPeel(ncols))
+        peels.append(StalledPeel(ncols))
         return peels[-1]
 
     monkeypatch.setattr(module, "_Peel", recording_peel)
