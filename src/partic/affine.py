@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterable, Iterator
 
-from .core import check_rank, compositions
+from .core import _check_bound, check_rank, compositions
 from .particles import ANNIHILATED, _append_letters, _letters_label, _moved, _prepend_letters
 
 Label = tuple[tuple[int, ...], tuple[int, ...], int]  # (output, minimal input, wraparound count)
@@ -125,8 +125,8 @@ def _relation_stream(n: int, m_max: int, k_max: int) -> Iterator[Item]:
     :func:`_pair_stream`.
     """
     check_rank(n)
-    if m_max < 0 or k_max < 0:  # raised here, not at the first next()
-        raise ValueError("bounds must be nonnegative")
+    _check_bound(m_max, "m_max")  # raised here, not at the first next()
+    _check_bound(k_max, "k_max")
     return _pair_stream(n, m_max, k_max)
 
 
@@ -249,8 +249,7 @@ def _first_failure(n: int, items: Iterable[Item], max_particles: int):
     failing pair, whose witness, the lexicographically first, comes from the
     sweep :func:`find_relation_counterexample`.
     """
-    if max_particles < 0:
-        raise ValueError(f"bound must be nonnegative, got {max_particles}")
+    _check_bound(max_particles, "max_particles")
     count = 0
     for lhs, rhs, labels in items:
         count += 1

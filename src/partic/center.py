@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import compress, product
 from operator import sub
 
-from .core import AlgebraElement, MultiDegree, NormalMonomial, Scalar, _exact, check_rank
+from .core import AlgebraElement, MultiDegree, NormalMonomial, Scalar, _check_bound, _exact, check_rank
 
 
 def _subtract(target: dict[int, Fraction], f: Fraction, source: dict[int, Fraction]) -> None:
@@ -133,8 +133,7 @@ def nullspace(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> list[list[Fra
 def central_candidate(n: int, r: int) -> NormalMonomial:
     """(a_{N-1} a_{N-2} ... a_1)^r in normal form: every d_i = r, k = (r, 0, ..., 0)."""
     check_rank(n)
-    if r < 0:
-        raise ValueError("exponent must be nonnegative")
+    _check_bound(r, "exponent")
     return NormalMonomial(n, (r,) * (n - 2), (r,) + (0,) * (n - 2))
 
 

@@ -145,7 +145,7 @@ def cmd_center(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = VerifyConfig(args.N, args.max_len, max_degree=args.max_degree, max_deposit=args.max_deposit)
+    cfg = VerifyConfig(args.N, args.max_len, max_degree=args.max_degree)
     report = run_verify(cfg)
     lines = []
     payload_checks = []
@@ -242,13 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-len", type=int, default=6, help="word-length bound (at N=5: 6 takes about 0.15 s, 7 about 0.2 s, 8 about 0.4 s, 9 about 1.1 s)"
     )
     p.add_argument("--max-degree", type=int, help="also certify graded center dimensions to this degree")
-    p.add_argument(
-        "--max-deposit",
-        type=int,
-        default=1,
-        help="reported, but never changes a verdict: no move reads the deposit, "
-        "and action-factoring covers every deposit",
-    )
     p.add_argument("--timings", action="store_true", help="include wall times (non-reproducible)")
     p.set_defaults(func=cmd_verify)
 

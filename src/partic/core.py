@@ -118,12 +118,15 @@ class MultiDegree:
         return ",".join(str(c) for c in self.counts)
 
 
-def _check_bound(bound: int) -> int:
-    """Refuse a sweep bound that is not a nonnegative int; a bool counts as not one."""
+def _check_bound(bound: int, name: str = "bound") -> int:
+    """Refuse, naming it, a sweep bound that is not a nonnegative int; a bool counts as not one.
+
+    Every bound of the package is refused here and nowhere else.
+    """
     if type(bound) is not int:  # 1.5 would never run out, and the odometer never stop
-        raise ValueError(f"bound {bound!r} is not an integer")
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
+        raise ValueError(f"{name} {bound!r} is not an integer")
+    if bound < 0:  # a check would pass having examined nothing
+        raise ValueError(f"{name} must be nonnegative, got {bound}")
     return bound
 
 
@@ -279,9 +282,6 @@ class AlgebraElement:
     @staticmethod
     def from_monomial(m: NormalMonomial, coeff: Scalar = 1) -> AlgebraElement:
         return AlgebraElement(m.n, {m: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def sorted_terms(self) -> list[tuple[NormalMonomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda item: item[0])

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 from itertools import islice, product
 
@@ -271,8 +272,32 @@ def test_every_instance_has_equal_labels():
 
 
 def test_first_failing_instance_refuses_a_negative_bound():
-    with pytest.raises(ValueError, match="bound must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="^max_particles must be nonnegative, got -1$"):
         affine._first_failure(3, affine._relation_stream(3, 1, 0), -1)
+
+
+@pytest.mark.parametrize("bound", [2.5, True])
+def test_first_failing_instance_refuses_a_non_integer_bound(bound):
+    # both read (13, None): every instance passed at a bound that bounds nothing
+    items = affine._relation_stream(3, 1, 0)
+    with pytest.raises(ValueError, match=rf"^max_particles {re.escape(repr(bound))} is not an integer$"):
+        affine._first_failure(3, items, bound)
+    assert len(list(items)) == 13  # refused before any item was read
+
+
+@pytest.mark.parametrize(
+    "m_max, k_max, message",
+    [
+        # 1.5 raised TypeError at the first next(), and True ran as k_max 1
+        (1.5, 1, "m_max 1.5 is not an integer"),
+        (1, True, "k_max True is not an integer"),
+        (-1, 1, "m_max must be nonnegative, got -1"),
+        (1, -1, "k_max must be nonnegative, got -1"),
+    ],
+)
+def test_the_stream_refuses_a_bad_bound_at_the_call(m_max, k_max, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        affine._relation_stream(3, m_max, k_max)
 
 
 def test_labels_that_the_sweep_does_not_confirm_fail(monkeypatch, capsys):

@@ -134,6 +134,14 @@ def test_verify_has_no_relations_or_center_option(capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_verify_has_no_max_deposit_option(capsys):
+    # no move reads the deposit, so action-factoring decides every deposit at once
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--N", "3", "--max-deposit", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-deposit 1" in capsys.readouterr().err
+
+
 def test_affine_verify_small(capsys):
     code, out, _ = run(
         capsys, "affine-verify", "--N", "3", "--particles", "3", "--m-max", "1", "--k-max", "1"
@@ -164,7 +172,7 @@ def test_module_entry_point():
 # literal stdout, recorded before any refactoring; output must stay byte-identical
 
 GOLDEN_VERIFY_TEXT = """\
-[PASS] action-factoring (N=3, max_deposit=1, max_len=3, relations=partic)
+[PASS] action-factoring (N=3, max_len=3, relations=partic)
 [PASS] basis-count (N=3, max_len=3, relations=partic)
 [PASS] faithfulness (N=3, max_len=3, relations=partic)
 [PASS] fold-agreement (N=3, max_len=3, relations=partic)
@@ -176,7 +184,7 @@ all checks passed
 GOLDEN_VERIFY_JSON = (
     '{"checks": ['
     '{"counterexample": null, "name": "action-factoring", "params": '
-    '{"N": 3, "max_deposit": 1, "max_len": 3, "relations": "partic"}, "passed": true}, '
+    '{"N": 3, "max_len": 3, "relations": "partic"}, "passed": true}, '
     '{"counterexample": null, "name": "basis-count", "params": '
     '{"N": 3, "max_len": 3, "relations": "partic"}, "passed": true}, '
     '{"counterexample": null, "name": "faithfulness", "params": '
@@ -242,9 +250,10 @@ def test_golden_output_hash(capsys, argv, digest):
     [
         # bounds that would certify nothing
         ["verify", "--N", "3", "--max-len", "-1"],
-        ["verify", "--N", "3", "--max-len", "2", "--max-deposit", "-1"],
         ["verify", "--N", "3", "--max-len", "2", "--max-degree", "-1"],
         ["affine-verify", "--N", "3", "--particles", "-2"],
+        ["affine-verify", "--N", "3", "--m-max", "-1"],
+        ["affine-verify", "--N", "3", "--k-max", "-1"],
         ["center", "--N", "3", "--max-degree", "-1"],
         ["act", "--N", "3", "--dot", "--particles", "-1"],
         ["act", "--N", "0", "--dot", "--particles", "0"],
@@ -325,11 +334,7 @@ SUBCOMMAND_PARTS = {
         option("--particles", bounds),
     ],
     "center": [option("--max-degree", bounds), switch("--expect-theorem")],
-    "verify": [
-        option("--max-len", bounds),
-        option("--max-degree", bounds),
-        option("--max-deposit", bounds),
-    ],
+    "verify": [option("--max-len", bounds), option("--max-degree", bounds)],
     # the largest case, N=6 with m-max = k-max = 3, is 38,968 relation instances: about 0.8 s
     "affine-verify": [option("--particles", bounds), option("--m-max", bounds), option("--k-max", bounds)],
 }

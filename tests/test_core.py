@@ -229,8 +229,8 @@ def test_monomial_degree_and_length():
 def test_element_arithmetic_trivials():
     m = NormalMonomial.unit(3)
     e = AlgebraElement(3, {m: 2})
-    assert (e + (-1) * e).is_zero()
-    assert (0 * e).is_zero()
+    assert e + (-1) * e == AlgebraElement(3)
+    assert 0 * e == AlgebraElement(3)
     assert AlgebraElement(3, {m: 1}) + AlgebraElement(3, {m: 2}) == AlgebraElement(3, {m: 3})
 
 

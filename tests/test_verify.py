@@ -513,6 +513,24 @@ def test_max_degree_alone_turns_the_center_check_on():
         VerifyConfig(3, max_degree=-1)
 
 
+@pytest.mark.parametrize(
+    "bound, value, message",
+    [
+        # the non-integers were taken as bounds, or raised TypeError ("6"), not ValueError
+        ("max_len", 1.5, "max_len 1.5 is not an integer"),
+        ("max_len", True, "max_len True is not an integer"),
+        ("max_len", "6", "max_len '6' is not an integer"),
+        ("max_len", -1, "max_len must be nonnegative, got -1"),
+        ("max_degree", 2.5, "max_degree 2.5 is not an integer"),
+        ("max_degree", -1, "max_degree must be nonnegative, got -1"),
+        ("max_deposit", -1, "max_deposit must be nonnegative, got -1"),
+    ],
+)
+def test_config_refuses_a_bound_that_is_no_nonnegative_int(bound, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        VerifyConfig(5, **{bound: value})
+
+
 def test_a_local_failure_no_word_confirms_still_fails(monkeypatch):
     # the checks read a broken left rule, the folds that confirm a witness the real one
     monkeypatch.setattr(verify, "_left_mul", _passes_through_at_n_minus_1)
