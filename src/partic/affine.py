@@ -11,13 +11,14 @@ when their labels differ and min(|J_lhs|, |J_rhs|) <= P.  Every instance of
 the relation families has equal labels, so each holds at every particle count.
 
 The instances come from one stream, :func:`_relation_stream`, which yields
-each distinct one once, in order.  The two sides of a parametrized instance
-share a suffix (first family) or a prefix (second family); the stream folds
-that part once per pivot, outer exponent and middle block, and each side then
-folds only its own letters, with :func:`partic.particles._prepend_letters`
-before the suffix or :func:`partic.particles._append_letters` after the
-prefix.  The fixed rules are labelled by :func:`_label`, the reference, so
-every item with two different sides carries the labels it is decided by.
+each distinct one whose two sides differ once, in order.  The two sides of a
+parametrized instance share a suffix (first family) or a prefix (second
+family); the stream folds that part once per pivot, outer exponent and middle
+block, and each side then folds only its own letters, with
+:func:`partic.particles._prepend_letters` before the suffix or
+:func:`partic.particles._append_letters` after the prefix.  The fixed rules
+are labelled by :func:`_label`, the reference, so every item carries the
+labels it is decided by.
 """
 from __future__ import annotations
 
@@ -29,8 +30,8 @@ from .core import _check_bound, check_rank, compositions
 from .particles import ANNIHILATED, _append_letters, _letters_label, _moved, _prepend_letters
 
 Label = tuple[tuple[int, ...], tuple[int, ...], int]  # (output, minimal input, wraparound count)
-# (lhs, rhs) letters of one relation instance and the labels of both sides, None when lhs == rhs
-Item = tuple[tuple[int, ...], tuple[int, ...], tuple[Label, Label] | None]
+# (lhs, rhs) letters of one relation instance, two different words, and the labels of both sides
+Item = tuple[tuple[int, ...], tuple[int, ...], tuple[Label, Label]]
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -96,7 +97,7 @@ def _label(n: int, letters: tuple[int, ...]) -> Label:
 def affine_configurations(n: int, max_total: int) -> Iterator[AffineConfiguration]:
     """All t = 0 configurations with at most ``max_total`` particles, lexicographic."""
     check_rank(n)
-    for body in compositions(n, max_total):
+    for body in compositions(n, max_total, "max_total"):
         yield AffineConfiguration(n, body, 0)
 
 
@@ -106,23 +107,28 @@ def affine_relation_instances(n: int, m_max: int, k_max: int) -> list[tuple[Affi
 
 
 def _relation_stream(n: int, m_max: int, k_max: int) -> Iterator[Item]:
-    """The distinct (lhs, rhs, labels) of the cyclic relation families, first occurrences in order.
+    """The distinct (lhs, rhs, labels) of the cyclic relation families with lhs != rhs, in order.
 
     Emitted groups, all indices modulo N: distant commutation, the two
     three-letter bump rules, the four-letter exchange rule, and the two
-    parametrized families with outer exponents m, m' <= m_max and a full
-    cyclic middle block a_{i+1}^{k_{i+1}} ... a_{i-2}^{k_{i-2}} with every
-    k_j <= k_max.  Degenerate parameter choices (m = 0 or m' = 0, one word
-    on both sides) are kept.
+    parametrized families with outer exponents 1 <= m, m' <= m_max and a
+    full cyclic middle block a_{i+1}^{k_{i+1}} ... a_{i-2}^{k_{i-2}} with
+    every k_j <= k_max.  The parameter choices m = 0 or m' = 0 put one word
+    on both sides, so they state nothing and are not emitted.  The count is
+
+        N(N-3)/2 + 2N + [N >= 4] N + 2 (N m_max^2 (k_max+1)^(N-2) - [m_max >= 1] N):
+
+    the commutation pairs, the bump rules, the exchange rule, and per family
+    every pivot, m, m' and middle block but the bump rules' m = m' = 1 with
+    the empty middle block.
 
     The exchange rule needs the outer neighbours i-1 and i+1 of its pivot to
     commute; on a circle with only 3 positions they are adjacent and the rule
     fails on the module (witness: a_0 a_2 a_1 a_0 vs a_1 a_0 a_2 a_0 on one
     particle at position 3), so that family is emitted for N >= 4 only.
 
-    ``labels`` is the pair of :func:`_label` values of the two sides, and
-    None exactly for the degenerate instances.  The items come lazily from
-    :func:`_pair_stream`.
+    ``labels`` is the pair of :func:`_label` values of the two sides.  The
+    items come lazily from :func:`_pair_stream`.
     """
     check_rank(n)
     _check_bound(m_max, "m_max")  # raised here, not at the first next()
@@ -156,10 +162,9 @@ def _pair_stream(n: int, m_max: int, k_max: int) -> Iterator[Item]:
     # and a middle block mid in the letters i+1, ..., i-2:
     #   family 1: a_{i-1}^{m'} head mid tail = head a_{i-1}^{m'} mid tail
     #   family 2: head mid tail a_i^{m'} = head mid a_i^{m'} tail
-    # Degenerate instances (m = 0 or m' = 0) have one word on both sides; such
-    # words repeat, across pivots too, so they are kept in a set.  No other pair
-    # is hashed: an instance with m, m' >= 1 repeats an earlier pair only at
-    # m = m' = 1 with mid empty, which is skipped.  For such an instance
+    # m and m' run over 1..m_max: with m = 0 or m' = 0 both sides are one word.
+    # No pair is hashed: an instance with m, m' >= 1 repeats an earlier pair
+    # only at m = m' = 1 with mid empty, which is skipped.  For such an instance
     # - family 1's sides start with a_{i-1} and a_i, family 2's both with a_i,
     #   so the first letters fix the family and the pivot;
     # - the left side then fixes (m, m', mid), read run by run, as mid holds
@@ -173,7 +178,6 @@ def _pair_stream(n: int, m_max: int, k_max: int) -> Iterator[Item]:
     # the prefix head mid.  Each is folded once per (i, m, mid); each side then
     # copies it and folds only its own letters: family 1 prepends, family 2
     # appends.
-    words: set[tuple[int, ...]] = set()
     for i in range(n):
         im1 = (i - 1) % n
         middle_positions = [(i + s) % n for s in range(1, n - 1)]
@@ -181,19 +185,11 @@ def _pair_stream(n: int, m_max: int, k_max: int) -> Iterator[Item]:
             tuple(p for p, e in zip(middle_positions, ks) for _ in range(e))
             for ks in product(range(k_max + 1), repeat=n - 2)
         ]
-        for m in range(m_max + 1):
+        for m in range(1, m_max + 1):
             head, tail = (i,) * m, (im1,) * m
-            if m:
-                suffixes = [_shared(n, mid + tail) for mid in mids]
-                prefixes = [_shared(n, head + mid) for mid in mids]
-            for mp in range(m_max + 1):
-                if not (m and mp):
-                    for mid in mids:
-                        for word in ((im1,) * mp + head + mid + tail, head + mid + tail + (i,) * mp):
-                            if word not in words:
-                                words.add(word)
-                                yield word, word, None
-                    continue
+            suffixes = [_shared(n, mid + tail) for mid in mids]
+            prefixes = [_shared(n, head + mid) for mid in mids]
+            for mp in range(1, m_max + 1):
                 left, right = (im1,) * mp + head, head + (im1,) * mp
                 end_l, end_r = tail + (i,) * mp, (i,) * mp + tail
                 left_t0, end_t0 = left.count(0), end_l.count(0)
@@ -243,18 +239,15 @@ def find_relation_counterexample(lhs: AffineWord, rhs: AffineWord, max_particles
 def _first_failure(n: int, items: Iterable[Item], max_particles: int):
     """(items read, first (lhs, rhs, witness) whose words act differently or None).
 
-    An item with one word on both sides is skipped; every other one is
-    decided from the labels it carries, as :func:`_relation_stream` gives
-    them, so an item without them raises.  Words are built only for the first
-    failing pair, whose witness, the lexicographically first, comes from the
-    sweep :func:`find_relation_counterexample`.
+    Each item is decided from the labels it carries, as :func:`_relation_stream`
+    gives them, so an item without them raises.  Words are built only for the
+    first failing pair, whose witness, the lexicographically first, comes from
+    the sweep :func:`find_relation_counterexample`.
     """
     _check_bound(max_particles, "max_particles")
     count = 0
     for lhs, rhs, labels in items:
         count += 1
-        if lhs == rhs:  # degenerate parameters: one word on both sides
-            continue
         label, other = labels
         if label == other or min(sum(label[1]), sum(other[1])) > max_particles:
             continue

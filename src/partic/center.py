@@ -174,7 +174,7 @@ class _Box:
         self.points = list(product((0,), *ranges, (0,)))  # d_1, ..., d_N, strided, in _basis_exponents order
         self.keys = list(map(sum, self.points))
 
-    def rows(self, i: int, cols: list[int]) -> Iterable[dict[int, int]]:
+    def rows(self, i: int, cols: Iterable[int]) -> Iterable[dict[int, int]]:
         """The nonzero rows of a_i x - x a_i restricted to the columns ``cols``.
 
         Each column m adds +1 to the row of a_i m and -1 to the row of m a_i;
@@ -218,9 +218,9 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     x_m out of later rows keeps the kernel of the full system.  Once no
     column is live the degree's center is 0 and no more rows are built.  A
     degree whose columns survive every generator has the unit vectors of
-    its live columns as kernel when the peel settles every row, and goes to
-    :func:`nullspace` with the rows so built only when the peel stalls; the
-    kernel, and so its reduced echelon basis, is the same.
+    its live columns as kernel when the peel settles every row.  Only when
+    the peel stalls does :func:`nullspace` run, on the full commutator
+    system over every column, whose kernel is the center by definition.
     """
     check_rank(n)
     if delta.n != n:
@@ -228,17 +228,14 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     box = _Box(delta)
     ncols = len(box.keys)
     peel = _Peel(ncols)
-    rows: list[dict[int, int]] = []
     live = peel.live
     for i in range(1, n):
-        eqs = box.rows(i, list(compress(range(ncols), live)))
-        rows.extend(eqs)
-        if not peel.add(eqs):
+        if not peel.add(box.rows(i, list(compress(range(ncols), live)))):
             return []
     kernel = peel.kernel()
     if kernel is not None:
         return [AlgebraElement.from_monomial(box.monomial(c)) for c in kernel]
-    vectors = nullspace(rows, ncols)
+    vectors = nullspace((row for i in range(1, n) for row in box.rows(i, range(ncols))), ncols)
     return [AlgebraElement(n, {box.monomial(c): x for c, x in enumerate(vec) if x}) for vec in vectors]
 
 

@@ -7,6 +7,7 @@ explicitly requested (``verify --timings``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -89,7 +90,8 @@ def _action_graph_dot(n: int, particles: int) -> list[str]:
     check_rank(n)  # compositions cannot take a negative number of parts
     lines = ["digraph action {", "  rankdir=LR;"]
     # exactly `particles` in all; compositions come in lexicographic order, so the nodes come sorted
-    nodes = [Configuration(n, body + (particles - sum(body),)) for body in compositions(n - 1, particles)]
+    bodies = compositions(n - 1, particles, "particles")
+    nodes = [Configuration(n, body + (particles - sum(body),)) for body in bodies]
     for c in nodes:
         lines.append(f'  "{c}";')
     for c in nodes:
@@ -199,6 +201,7 @@ def cmd_affine_verify(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; main looks each command up when it runs
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -210,23 +213,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", parents=[common], help="normal form of a word")
     p.add_argument("--word", required=True, help="letters, e.g. '4 3 2 1 2' (empty = unit)")
-    p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("mul", parents=[common], help="product of two words or JSON monomials")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_mul)
 
     p = sub.add_parser("basis", parents=[common], help="basis monomials of one multidegree")
     p.add_argument("--degree", required=True, help="occurrence counts, e.g. '1,1,1'")
-    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("act", parents=[common], help="act with a word on a configuration")
     p.add_argument("--word", help="rightmost letter acts first")
     p.add_argument("--config", help="counts k_1,...,k_{N-1},k_0 (deposit last)")
     p.add_argument("--dot", action="store_true", help="emit the action graph as DOT")
     p.add_argument("--particles", type=int, help="particle number for --dot")
-    p.set_defaults(func=cmd_act)
 
     p = sub.add_parser("center", parents=[common], help="graded center basis")
     p.add_argument("--max-degree", type=int, required=True)
@@ -235,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit nonzero unless dimensions are 1 at r*(1,...,1) and 0 elsewhere",
     )
-    p.set_defaults(func=cmd_center)
 
     p = sub.add_parser("verify", parents=[common], help="run the certification suite")
     p.add_argument(
@@ -243,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-degree", type=int, help="also certify graded center dimensions to this degree")
     p.add_argument("--timings", action="store_true", help="include wall times (non-reproducible)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("affine-verify", parents=[common], help="check the cyclic relation families")
     p.add_argument(
@@ -258,16 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="bound on the outer exponents m, m' of the two parametrized families "
-        "(at N=8 with --k-max 2: 2 takes about 0.25 s, 3 about 0.45 s, 4 about 0.7 s)",
+        "(at N=8 with --k-max 2: 2 takes about 0.2 s, 3 about 0.35 s, 4 about 0.6 s)",
     )
     p.add_argument(
         "--k-max",
         type=int,
         default=1,
         help="bound on each of the N-2 exponents of the families' middle block, so the cost grows "
-        "as (k+1)^(N-2) (at N=8 with --m-max 2: 1 takes about 0.1 s, 2 about 0.25 s, 3 about 1.5 s)",
+        "as (k+1)^(N-2) (at N=8 with --m-max 2: 1 takes about 0.1 s, 2 about 0.2 s, 3 about 1.0 s)",
     )
-    p.set_defaults(func=cmd_affine_verify)
 
     return parser
 
@@ -275,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.subcommand.replace("-", "_")](args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -118,7 +118,7 @@ class MultiDegree:
         return ",".join(str(c) for c in self.counts)
 
 
-def _check_bound(bound: int, name: str = "bound") -> int:
+def _check_bound(bound: int, name: str) -> int:
     """Refuse, naming it, a sweep bound that is not a nonnegative int; a bool counts as not one.
 
     Every bound of the package is refused here and nowhere else.
@@ -130,9 +130,9 @@ def _check_bound(bound: int, name: str = "bound") -> int:
     return bound
 
 
-def compositions(parts: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` nonnegative integers with sum <= budget, lexicographic."""
-    return _odometer(parts, _check_bound(budget))  # raised here, not at the first next()
+def compositions(parts: int, budget: int, name: str = "budget") -> Iterator[tuple[int, ...]]:
+    """All tuples of ``parts`` nonnegative integers with sum <= budget (refused as ``name``), lexicographic."""
+    return _odometer(parts, _check_bound(budget, name))  # raised here, not at the first next()
 
 
 def _odometer(parts: int, budget: int) -> Iterator[tuple[int, ...]]:
@@ -156,10 +156,10 @@ def _odometer(parts: int, budget: int) -> Iterator[tuple[int, ...]]:
         occ[j - 1] += 1
 
 
-def multidegrees_up_to(n: int, max_total: int) -> list[MultiDegree]:
-    """All multidegrees of rank n with total <= max_total, by total then lex."""
+def multidegrees_up_to(n: int, max_degree: int) -> list[MultiDegree]:
+    """All multidegrees of rank n with total degree <= max_degree, by total then lex."""
     check_rank(n)
-    combos = sorted(compositions(n - 1, max_total), key=lambda c: (sum(c), c))
+    combos = sorted(compositions(n - 1, max_degree, "max_degree"), key=lambda c: (sum(c), c))
     return [MultiDegree(c) for c in combos]
 
 

@@ -258,7 +258,8 @@ def configurations(n: int, max_particles: int, max_deposit: int | None = None) -
     does a bound that is not an int (a bool included).
     """
     check_rank(n)
-    max_deposit = _check_bound(max_particles if max_deposit is None else max_deposit)
-    for body in compositions(n - 1, max_particles):
+    bodies = compositions(n - 1, max_particles, "max_particles")
+    max_deposit = max_particles if max_deposit is None else _check_bound(max_deposit, "max_deposit")
+    for body in bodies:
         for dep in range(max_deposit + 1):
             yield Configuration(n, body + (dep,))

@@ -38,6 +38,20 @@ def item(lhs, rhs):
     return lhs.letters, rhs.letters, (label(lhs), label(rhs))
 
 
+def instance_count(n, m_max, k_max):
+    """The number of items of the relation stream, in closed form."""
+    # the fixed rules: distant commutation, the two bump rules, and the exchange rule from N=4
+    fixed = n * (n - 3) // 2 + 2 * n + (n if n >= 4 else 0)
+    # both families, every pivot, m and m' in 1..m_max, all but the bump rules' empty middle block
+    per_family = n * m_max * m_max * (k_max + 1) ** (n - 2) - (n if m_max else 0)
+    return fixed + 2 * per_family
+
+
+def eager_pairs(n, m_max, k_max):
+    """The reference list without its instances of one word on both sides, which the stream leaves out."""
+    return [(lhs, rhs) for lhs, rhs in affine_reference.relation_pairs_eager(n, m_max, k_max) if lhs != rhs]
+
+
 def test_affine_act_gen_examples():
     # a_0 moves a particle N -> 1 and bumps t
     assert affine_act_gen(0, acfg(4, (0, 0, 0, 1))) == acfg(4, (1, 0, 0, 0), t=1)
@@ -92,7 +106,7 @@ def test_instances_include_examples():
     pairs = {(l.letters, r.letters) for l, r in insts}
     # the four-letter exchange rule read cyclically at i = 0
     assert ((0, 3, 1, 0), (1, 0, 3, 0)) in pairs
-    # degenerate family parameters reduce to a three-letter bump rule
+    # the three-letter bump rule a_i a_{i+1} a_i = a_{i+1} a_i a_i at i = 0
     assert ((0, 1, 0), (1, 0, 0)) in pairs
 
 
@@ -138,8 +152,6 @@ def test_an_unlabelled_item_with_two_sides_raises():
     # _first_failure labels nothing itself, so an item the stream left unlabelled cannot pass
     with pytest.raises(TypeError):
         affine._first_failure(4, [((0, 2), (2, 0), None)], 2)
-    # one word on both sides is skipped unread
-    assert affine._first_failure(4, [((0, 2), (0, 2), None)], 2) == (1, None)
 
 
 def test_verify_relation_trivial_and_false():
@@ -278,11 +290,11 @@ def test_first_failing_instance_refuses_a_negative_bound():
 
 @pytest.mark.parametrize("bound", [2.5, True])
 def test_first_failing_instance_refuses_a_non_integer_bound(bound):
-    # both read (13, None): every instance passed at a bound that bounds nothing
+    # both read (6, None): every instance passed at a bound that bounds nothing
     items = affine._relation_stream(3, 1, 0)
     with pytest.raises(ValueError, match=rf"^max_particles {re.escape(repr(bound))} is not an integer$"):
         affine._first_failure(3, items, bound)
-    assert len(list(items)) == 13  # refused before any item was read
+    assert len(list(items)) == 6  # refused before any item was read
 
 
 @pytest.mark.parametrize(
@@ -321,7 +333,7 @@ def test_labels_that_the_sweep_does_not_confirm_fail(monkeypatch, capsys):
 )
 def test_the_stream_is_the_eager_list(n, m_max, k_max):
     # in order and in count, and the public list reads the same stream
-    expected = affine_reference.relation_pairs_eager(n, m_max, k_max)
+    expected = eager_pairs(n, m_max, k_max)
     assert [(l, r) for l, r, _ in affine._relation_stream(n, m_max, k_max)] == expected
     assert [(l.letters, r.letters) for l, r in affine_relation_instances(n, m_max, k_max)] == expected
 
@@ -329,18 +341,12 @@ def test_the_stream_is_the_eager_list(n, m_max, k_max):
 @pytest.mark.parametrize("n, m_max, k_max", [(n, 3, 2) for n in (3, 4, 5, 6)] + [(7, 3, 1)])
 def test_stream_labels_are_the_labels_of_the_letters(n, m_max, k_max):
     # the shared-fold fast path against the reference fold of each whole word
-    labelled = 0
+    count = 0
     for lhs, rhs, labels in affine._relation_stream(n, m_max, k_max):
-        if lhs == rhs:  # unlabelled exactly when one word is on both sides
-            assert labels is None, lhs
-        else:
-            assert labels == (affine._label(n, lhs), affine._label(n, rhs)), (lhs, rhs)
-            labelled += 1
-    # the fixed rules: distant commutation, the two bump rules, and the exchange rule from N=4
-    fixed = n * (n - 3) // 2 + 2 * n + (n if n >= 4 else 0)
-    # both families, every pivot, m and m' in 1..m_max, all but the bump rules' empty middle block
-    per_family = n * m_max * m_max * (k_max + 1) ** (n - 2) - n
-    assert labelled == fixed + 2 * per_family
+        assert lhs != rhs, lhs
+        assert labels == (affine._label(n, lhs), affine._label(n, rhs)), (lhs, rhs)
+        count += 1
+    assert count == instance_count(n, m_max, k_max)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -391,4 +397,19 @@ def test_affine_verify_counts_every_instance(capsys, n):
     assert main(["affine-verify", "--N", str(n), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     # counted against the reference list, not the stream the CLI reads
-    assert payload["passed"] and payload["instances"] == len(affine_reference.relation_pairs_eager(n, 2, 1))
+    assert payload["passed"] and payload["instances"] == len(eager_pairs(n, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "n, m_max, k_max",
+    [(3, 0, 0), (3, 1, 0), (3, 4, 3), (4, 0, 2), (4, 2, 0), (5, 3, 1), (6, 1, 2), (8, 3, 2)],
+)
+def test_affine_verify_counts_the_closed_form(capsys, n, m_max, k_max):
+    argv = ["--N", str(n), "--particles", "0", "--m-max", str(m_max), "--k-max", str(k_max), "--json"]
+    assert main(["affine-verify", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["instances"] == instance_count(n, m_max, k_max)
+
+
+def test_the_closed_form_at_the_certified_bounds():
+    # the runs of scripts/certify_all.py: N=3..8 with m, m' <= 3 and k <= 2
+    assert [instance_count(n, 3, 2) for n in range(3, 9)] == [162, 654, 2440, 8763, 30639, 105_004]

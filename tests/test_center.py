@@ -334,7 +334,7 @@ def test_the_peel_settles_every_certified_degree(monkeypatch):
 
 def test_elimination_after_killing_gives_the_peel_bases(monkeypatch):
     # a peel that peels the a_1 batch only, then records the later batches without
-    # killing and stalls: nullspace gets rows that leave out the columns a_1 killed
+    # killing and stalls: nullspace gets the full system, whatever columns a_1 killed
     degrees = [delta for n in (3, 4, 5) for delta in multidegrees_up_to(n, 8)]
     bases = [center_basis_in_degree(delta.n, delta) for delta in degrees]
     peels = []

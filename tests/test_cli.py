@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from normal_condition_reference import normal_condition_scan
+from partic import cli
 from partic.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -212,7 +213,7 @@ degree (3,0): dimension 0
 prediction check: ok
 """
 
-GOLDEN_AFFINE = "all 13 relation instances verified on configurations with <= 2 particles\n"
+GOLDEN_AFFINE = "all 6 relation instances verified on configurations with <= 2 particles\n"
 
 
 @pytest.mark.parametrize(
@@ -287,6 +288,26 @@ def test_malformed_input_exits_2_with_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("center --N 3 --max-degree -1", "max_degree must be nonnegative, got -1"),
+        ("act --N 3 --dot --particles -1", "particles must be nonnegative, got -1"),
+    ],
+)
+def test_a_refused_bound_is_named(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    assert main(["normalize", "--N", "3", "--word", "1"]) == 0
+    # a command is looked up when it runs, so one replaced after the parser was built is called
+    monkeypatch.setattr(cli, "cmd_normalize", lambda args: 7)
+    assert main(["normalize", "--N", "3", "--word", "1"]) == 7
+    assert cli.build_parser.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 @pytest.mark.parametrize(

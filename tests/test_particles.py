@@ -305,8 +305,12 @@ def test_faithfulness_check_examples():
 def test_configurations_refuse_a_negative_bound():
     # no configuration has a negative count, and a sweep over none would pass vacuously
     assert list(configurations(3, 0, max_deposit=0)) == [cfg(3, 0, 0, 0)]
-    for max_particles, max_deposit in ((2, -1), (-1, None), (-1, 2)):
-        with pytest.raises(ValueError, match="must be nonnegative"):
+    for max_particles, max_deposit, name in (
+        (2, -1, "max_deposit"),
+        (-1, None, "max_particles"),
+        (-1, 2, "max_particles"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$"):
             list(configurations(3, max_particles, max_deposit))
 
 
