@@ -39,6 +39,11 @@ class _Peel:
     does no arithmetic.  Peeling is confluent (a column that dies stays dead
     when rows are added), so adding the rows in batches, or in any order,
     leaves the live columns that adding them at once does.
+
+    Most commutator rows hold one entry, so a one-entry row is decided from
+    its single (column, coefficient) pair, with no list built unless it
+    kills.  The column-to-rows index is a dict that holds only the columns
+    of indexed rows, built as they arrive.
     """
 
     def __init__(self, ncols: int) -> None:
@@ -46,28 +51,36 @@ class _Peel:
         self.nlive = ncols
         self._row_cols: list[list[int]] = []  # the live nonzero columns of each indexed row when added
         self._live_count: list[int] = []
-        self._rows_of: list[list[int]] = [[] for _ in range(ncols)]
+        self._rows_of: dict[int, list[int]] = {}  # column -> the indexed rows it sits in
 
     def add(self, rows: Iterable[Mapping[int, Scalar]]) -> int:
         """Peel with the rows added; return the number of live columns left."""
         live, live_count, rows_of, row_cols = self.live, self._live_count, self._rows_of, self._row_cols
+        killed = 0
         for row in rows:
-            cs = [c for c, x in row.items() if x and live[c]]
-            if len(cs) > 1:
-                for c in cs:
-                    rows_of[c].append(len(live_count))
-                row_cols.append(cs)
-                live_count.append(len(cs))
-                continue
+            if len(row) == 1:
+                [(c, x)] = row.items()
+                if not (x and live[c]):
+                    continue
+                cs = [c]
+            else:
+                cs = [c for c, x in row.items() if x and live[c]]
+                if len(cs) > 1:
+                    for c in cs:
+                        rows_of.setdefault(c, []).append(len(live_count))
+                    row_cols.append(cs)
+                    live_count.append(len(cs))
+                    continue
             while cs:  # the columns to kill; two rows can leave the same one
                 c = cs.pop()
                 if live[c]:
                     live[c] = False
-                    self.nlive -= 1
-                    for s in rows_of[c]:
+                    killed += 1
+                    for s in rows_of.get(c, ()):
                         live_count[s] -= 1
                         if live_count[s] == 1:
                             cs.append(next(d for d in row_cols[s] if live[d]))
+        self.nlive -= killed
         return self.nlive
 
     def kernel(self) -> list[int] | None:
@@ -242,7 +255,7 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
 def expected_center_dimension(delta: MultiDegree) -> int:
     """Graded center dimension: 1 at degrees r*(1, ..., 1), else 0."""
     c = delta.counts
-    return 1 if all(x == c[0] for x in c) else 0
+    return 1 if c.count(c[0]) == len(c) else 0
 
 
 def theorem_mismatch(delta: MultiDegree, basis: list[AlgebraElement]) -> str | None:

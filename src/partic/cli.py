@@ -123,6 +123,7 @@ def cmd_act(args) -> int:
 
 
 def cmd_center(args) -> int:
+    # only the output _emit prints is built: the JSON entries, the text lines, or neither
     lines = []
     degrees = []
     mismatch = None
@@ -130,16 +131,17 @@ def cmd_center(args) -> int:
         basis = center_basis_in_degree(args.N, delta)
         if mismatch is None and theorem_mismatch(delta, basis) is not None:
             mismatch = str(delta)
-        entry = {
-            "degree": list(delta.counts),
-            "dimension": len(basis),
-            "basis": [[[str(c), m.to_json()] for m, c in b.sorted_terms()] for b in basis],
-        }
-        degrees.append(entry)
-        line = f"degree ({delta}): dimension {len(basis)}"
-        if basis:
-            line += "  basis: " + "; ".join(b.pretty() for b in basis)
-        lines.append(line)
+        if args.json:
+            degrees.append({
+                "degree": list(delta.counts),
+                "dimension": len(basis),
+                "basis": [[[str(c), m.to_json()] for m, c in b.sorted_terms()] for b in basis],
+            })
+        elif not args.quiet:
+            line = f"degree ({delta}): dimension {len(basis)}"
+            if basis:
+                line += "  basis: " + "; ".join(b.pretty() for b in basis)
+            lines.append(line)
     if args.expect_theorem:
         lines.append("prediction check: " + ("ok" if mismatch is None else f"MISMATCH at ({mismatch})"))
     _emit(args, {"command": "center", "degrees": degrees, "mismatch": mismatch}, lines)

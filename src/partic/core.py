@@ -92,12 +92,13 @@ class MultiDegree:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if len(self.counts) < MIN_RANK - 1:
+        counts = tuple(self.counts)
+        object.__setattr__(self, "counts", counts)
+        if len(counts) < MIN_RANK - 1:
             raise ValueError("a multidegree needs at least 2 components (rank >= 3)")
-        if any(type(c) is not int for c in self.counts):
-            raise ValueError(f"multidegree components must be integers, got {self.counts}")
-        if any(c < 0 for c in self.counts):
+        if not {*map(type, counts)} <= {int}:
+            raise ValueError(f"multidegree components must be integers, got {counts}")
+        if min(counts) < 0:
             raise ValueError("multidegree components must be nonnegative")
 
     @property
@@ -159,7 +160,8 @@ def _odometer(parts: int, budget: int) -> Iterator[tuple[int, ...]]:
 def multidegrees_up_to(n: int, max_degree: int) -> list[MultiDegree]:
     """All multidegrees of rank n with total degree <= max_degree, by total then lex."""
     check_rank(n)
-    combos = sorted(compositions(n - 1, max_degree, "max_degree"), key=lambda c: (sum(c), c))
+    # the odometer yields lex order and the sort is stable, so sorting by total alone keeps lex within a total
+    combos = sorted(compositions(n - 1, max_degree, "max_degree"), key=sum)
     return [MultiDegree(c) for c in combos]
 
 

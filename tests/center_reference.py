@@ -1,5 +1,7 @@
 """Reference routes for the center, kept with the tests that compare against them."""
-from partic.core import AlgebraElement
+from collections.abc import Iterable, Mapping
+
+from partic.core import AlgebraElement, Scalar
 from partic.normal_form import Exponents, _left_mul, _right_mul, _step, element_product, gen_element
 
 
@@ -27,3 +29,45 @@ def step_rows(exponents: list[Exponents], i: int, cols: list[int]) -> list[dict[
             row = eqs.setdefault(_step(mul, exponents[c], i), {})
             row[c] = row.get(c, 0) + sign
     return list(eqs.values())
+
+
+class ReferencePeel:
+    """The generic peel loop that ``center._Peel`` speeds up, with its attributes.
+
+    Every row becomes a fresh list of its live nonzero columns, zero entries
+    tested on each, whatever its length, and the column-to-rows index holds
+    one list per column from the start.
+    """
+
+    def __init__(self, ncols: int) -> None:
+        self.live = [True] * ncols
+        self.nlive = ncols
+        self._row_cols: list[list[int]] = []
+        self._live_count: list[int] = []
+        self._rows_of: list[list[int]] = [[] for _ in range(ncols)]
+
+    def add(self, rows: Iterable[Mapping[int, Scalar]]) -> int:
+        live, live_count, rows_of, row_cols = self.live, self._live_count, self._rows_of, self._row_cols
+        for row in rows:
+            cs = [c for c, x in row.items() if x and live[c]]
+            if len(cs) > 1:
+                for c in cs:
+                    rows_of[c].append(len(live_count))
+                row_cols.append(cs)
+                live_count.append(len(cs))
+                continue
+            while cs:
+                c = cs.pop()
+                if live[c]:
+                    live[c] = False
+                    self.nlive -= 1
+                    for s in rows_of[c]:
+                        live_count[s] -= 1
+                        if live_count[s] == 1:
+                            cs.append(next(d for d in row_cols[s] if live[d]))
+        return self.nlive
+
+    def kernel(self) -> list[int] | None:
+        if any(self._live_count):
+            return None
+        return [c for c, x in enumerate(self.live) if x]

@@ -20,7 +20,7 @@ from partic.core import AlgebraElement, MultiDegree, NormalMonomial, Word, multi
 from partic.normal_form import _basis_exponents, gen_element, nm_product, normalize
 from partic.particles import Configuration, act_word
 
-from center_reference import commutes_with_generators, step_rows
+from center_reference import ReferencePeel, commutes_with_generators, step_rows
 from nullspace_reference import nullspace_dense
 
 
@@ -171,6 +171,37 @@ def test_nullspace_matches_dense_reference_on_sparse_systems():
         assert batched.live == once.live, sparse
         assert batched.kernel() == one_shot, sparse
     assert peeled > 100 and stalled > 100 and settled_early > 100
+
+
+def test_peel_matches_the_reference_peel():
+    # random sparse systems, fed whole and in random batches to _Peel and to the generic loop
+    rng = random.Random(34034)
+    values = [0, 1, -1, 2, Fraction(-1, 2)]
+    one_entry = Counter()
+    for _ in range(800):
+        ncols = rng.randint(1, 9)
+        rows = []
+        for _ in range(rng.randint(0, 14)):
+            if rows and rng.random() < 0.2:
+                rows.append(dict(rng.choice(rows)))  # a repeated row
+            else:
+                width = rng.choice((1, 1, 1, 2, 2, 3))
+                rows.append({c: rng.choice(values) for c in rng.sample(range(ncols), min(width, ncols))})
+        # what the reference meets on each one-entry row, adding one row at a time
+        single = ReferencePeel(ncols)
+        for row in rows:
+            if len(row) == 1:
+                [(c, x)] = row.items()
+                one_entry["zero" if not x else "live" if single.live[c] else "dead"] += 1
+            single.add([row])
+        cuts = sorted(rng.sample(range(len(rows) + 1), rng.randint(0, len(rows) + 1)))
+        for batches in ([rows], [rows[start:stop] for start, stop in zip([0, *cuts], [*cuts, len(rows)])]):
+            fast, slow = _Peel(ncols), ReferencePeel(ncols)
+            for batch in batches:
+                assert fast.add(batch) == slow.add(batch), rows
+            assert (fast.live, fast.nlive, fast._live_count) == (slow.live, slow.nlive, slow._live_count), rows
+            assert fast.kernel() == slow.kernel(), rows
+    assert min(one_entry[k] for k in ("zero", "live", "dead")) > 300
 
 
 class StalledPeel:

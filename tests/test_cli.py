@@ -105,6 +105,33 @@ def test_center_expect_prediction(capsys):
     assert "degree (1,1): dimension 1  basis: a2 a1" in out
 
 
+def test_center_quiet_prints_nothing(capsys):
+    assert run(capsys, "center", "--N", "4", "--max-degree", "4", "--quiet", "--expect-theorem") == (0, "", "")
+
+
+@pytest.mark.parametrize("mode", ["text", "json", "quiet"])
+def test_center_mismatch_fails_in_every_mode(capsys, monkeypatch, mode):
+    # the theorem is checked at every degree whatever output is built; the last degree is made to fail
+    degrees = [d.counts for d in cli.multidegrees_up_to(3, 3)]
+    checked = []
+
+    def last_degree_mismatch(delta, basis):
+        checked.append(delta.counts)
+        return "dimension 1, expected 0" if delta.counts == degrees[-1] else None
+
+    monkeypatch.setattr(cli, "theorem_mismatch", last_degree_mismatch)
+    flags = {"text": [], "json": ["--json"], "quiet": ["--quiet"]}[mode]
+    code, out, _ = run(capsys, "center", "--N", "3", "--max-degree", "3", "--expect-theorem", *flags)
+    assert code == 1
+    assert checked == degrees
+    if mode == "text":
+        assert out.splitlines()[-1] == "prediction check: MISMATCH at (3,0)"
+    elif mode == "json":
+        assert json.loads(out)["mismatch"] == "3,0"
+    else:
+        assert out == ""
+
+
 def test_verify_small_pass(capsys):
     code, out, _ = run(capsys, "verify", "--N", "3", "--max-len", "4")
     assert code == 0

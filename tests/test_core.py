@@ -320,3 +320,12 @@ def test_multidegrees_up_to_ordering():
     totals = [d.total() for d in ds]
     assert totals == sorted(totals)
     assert len(ds) == len(set(ds)) == 6
+
+
+def test_multidegrees_up_to_are_by_total_then_lex():
+    # sorting the lexicographic odometer by total alone keeps lex order within each total
+    bounds = [(n, top) for n in range(3, 8) for top in range(7)] + [(5, 10)]
+    for n, top in bounds:
+        want = sorted(compositions(n - 1, top), key=lambda c: (sum(c), c))
+        assert [d.counts for d in multidegrees_up_to(n, top)] == want, (n, top)
+    assert len(want) == 1_001
