@@ -52,26 +52,47 @@ def _json_ints(xs) -> tuple[int, ...]:
     return tuple(_json_int(x) for x in xs)
 
 
+# the letters 1..N-1 of each rank met up to _SET_RANKS, so that Word checks its letters in one C-level call
+_LETTERS: dict[int, frozenset[int]] = {}
+_SET_RANKS = 1 << 10
+
+
+def _letter_set(n: int, letters: tuple) -> frozenset:
+    """A set that holds every letter of ``letters`` in 1..n-1 and no other of them: all of 1..n-1, kept in
+    ``_LETTERS``, up to rank ``_SET_RANKS``; past it only those of ``letters``, so no rank builds a large set."""
+    if n > _SET_RANKS:
+        return frozenset(filter(range(1, n).__contains__, letters))
+    allowed = _LETTERS[n] = frozenset(range(1, n))
+    return allowed
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class Word:
     """A raw monomial in the free algebra: a finite sequence of generator indices.
 
     The written order is the product order: ``Word(5, (4, 3, 2, 1, 2))`` is
-    a_4 a_3 a_2 a_1 a_2.  The empty word is the unit.
+    a_4 a_3 a_2 a_1 a_2.  The empty word is the unit.  A letter must equal
+    one of the ints 1..N-1: 1.5, nan and "1" are refused, while True and 2.0,
+    which hash and compare as ints, pass.
     """
 
     n: int
     letters: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        top = check_rank(self.n) - 1
-        letters = self.letters
-        if type(letters) is not tuple:
+    def __init__(self, n: int, letters: Iterable[int] = ()) -> None:
+        # a float rank equal to a cached one must not find it: check_rank refuses it
+        allowed = _LETTERS.get(n) if type(n) is int else None
+        if allowed is None:
+            check_rank(n)
             letters = tuple(letters)
-            object.__setattr__(self, "letters", letters)
-        for a in letters:
-            if not 1 <= a <= top:
-                raise ValueError(f"letter {a} out of range 1..{top}")
+            allowed = _letter_set(n, letters)
+        elif type(letters) is not tuple:
+            letters = tuple(letters)
+        if not allowed.issuperset(letters):
+            bad = next(a for a in letters if a not in allowed)
+            raise ValueError(f"letter {bad!r} out of range 1..{n - 1}")
+        _set_n(self, n)
+        _set_letters(self, letters)
 
     @staticmethod
     def parse(n: int, text: str) -> Word:
@@ -79,6 +100,10 @@ class Word:
 
     def __str__(self) -> str:
         return " ".join(str(a) for a in self.letters)
+
+
+# the slots' own setters: like object.__setattr__ they pass the frozen __setattr__ by, in a cheaper call
+_set_n, _set_letters = Word.n.__set__, Word.letters.__set__
 
 
 @dataclass(frozen=True, order=True, slots=True)

@@ -36,7 +36,7 @@ class RewriteRule:
             raise ValueError("a rewrite rule must preserve the multidegree")
 
 
-# rule starts read by one window lookup: a word of length 8 needs 3 lookups, not 7
+# rule starts read by one window lookup but the last: a word of length 8 needs 2 lookups, not 7
 _STARTS = 3
 
 
@@ -101,23 +101,33 @@ def _fill(rs: RelationSet, table: Table, starts: int, shift: int, window: int) -
     return diffs
 
 
-Reader = tuple[int, int, list[tuple[Table, int]]]
+Reader = tuple[int, dict[int, int], list[tuple[Table, int]]]
 
 
 def _reader(rs: RelationSet, length: int) -> Reader:
-    """The window mask, the rule starts per window and a (table, shift) pair per window read.
+    """The window mask, the rule starts of each window by its shift, and a (table, shift) pair per window read.
 
-    A window is ``starts - 1`` letters wider than the longest rule, so it
-    holds every rule starting in its first ``starts`` letters.  A word
-    that fits in one wide window would meet a new one with nearly every
-    word, so it reads one-start tables at each position instead.
+    A window is ``_STARTS - 1`` letters wider than the longest rule, so it
+    holds every rule starting in its first ``_STARTS`` letters.  The last
+    window reaches the word's end, so it holds every rule that fits from
+    there on and takes every start that remains: a word of ``length >=
+    span + _STARTS`` letters, ``span`` the longest rule's, reads ``1 +
+    ceil((length - span - 2) / 3)`` windows.  A word that fits in one wide
+    window would meet a new one with nearly every word, so it reads
+    one-start tables at each of its ``length - min span + 1`` rule starts
+    instead.
     """
     spans = rs.by_span.keys() or (0,)
-    bits, span = rs.bits, max(spans)
-    end = (length - min(spans) + 1) * bits
-    starts = _STARTS if length >= span + _STARTS else 1
-    tables = [(rs.tables.setdefault((starts, s), {}), s) for s in range(0, end, starts * bits)]
-    return (1 << (span + starts - 1) * bits) - 1, starts, tables
+    bits, span, starts = rs.bits, max(spans), length - min(spans) + 1
+    if length < span + _STARTS:
+        width, plan = span, {p * bits: 1 for p in range(starts)}
+    else:
+        width = span + _STARTS - 1
+        tail = -((width - length) // _STARTS) * _STARTS  # the first window start that reaches the end
+        plan = {p * bits: _STARTS for p in range(0, tail, _STARTS)}
+        plan[tail * bits] = starts - tail
+    tables = [(rs.tables.setdefault((k, shift), {}), shift) for shift, k in plan.items()]
+    return (1 << width * bits) - 1, plan, tables
 
 
 def _encode(letters: Letters, bits: int) -> int:
@@ -174,14 +184,14 @@ def _steps(codes: list[int], out: list[int], reader: Reader, rs: RelationSet, se
     codes.  This loop is the oracle's whole cost; a window met for the first
     time raises KeyError (tests/rewriting_reference.py scans rule by rule).
     """
-    mask, starts, tables = reader
+    mask, plan, tables = reader
     for cur in codes:
         for table, shift in tables:
             window = cur >> shift & mask
             try:
                 diffs = table[window]
             except KeyError:
-                diffs = _fill(rs, table, starts, shift, window)
+                diffs = _fill(rs, table, plan[shift], shift, window)
             for diff in diffs:
                 nxt = cur + diff
                 if nxt not in seen:
@@ -276,5 +286,8 @@ def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letter
     if delta.n != rs.n:
         raise ValueError("multidegree rank does not match relation set rank")
     words = _coded_words(delta, rs.bits)
-    # a code outside the degree comes only from a rule that changes the multidegree
-    return [{words.get(c) or _decode(c, rs.bits) for c in cls} for cls in code_classes(words, delta.total(), rs)]
+    classes = code_classes(words, delta.total(), rs)
+    try:
+        return [set(map(words.__getitem__, cls)) for cls in classes]
+    except KeyError:  # a code outside the degree comes only from a rule that changes the multidegree
+        return [{words.get(c) or _decode(c, rs.bits) for c in cls} for cls in classes]

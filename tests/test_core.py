@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from fractions import Fraction
 from itertools import product
@@ -35,12 +36,34 @@ def test_word_letter_range():
         Word(3, (3,))
     with pytest.raises(ValueError):
         Word(3, (0,))
-    # the first bad letter is named, wherever it stands
-    for letters, bad in (((5, 1, 2), 5), ((1, 0, 2), 0), ((1, 2, -1), -1), ((1, 7, 0), 7)):
-        with pytest.raises(ValueError, match=rf"^letter {bad} out of range 1\.\.4$"):
-            Word(5, letters)
-        with pytest.raises(ValueError, match=rf"^letter {bad} out of range 1\.\.4$"):
-            Word(5, list(letters))
+    # the first bad letter is named by its repr, wherever it stands, so an int reads as
+    # written; a letter must equal one of the ints 1..N-1, so a float, nan or a string is
+    # refused too, at ranks past those whose letter sets are kept as well
+    ints = [((5, 1, 2), 5), ((1, 0, 2), 0), ((1, 2, -1), -1), ((1, 7, 0), 7)]
+    others = [((1.5,), 1.5), ((1, math.nan, 2), math.nan), ((2, "1"), "1"), ((4.5, 9), 4.5)]
+    for letters, bad in ints + others:
+        for given in (letters, list(letters)):
+            with pytest.raises(ValueError, match=rf"^letter {re.escape(repr(bad))} out of range 1\.\.4$"):
+                Word(5, given)
+    for letters, bad in others:
+        with pytest.raises(ValueError, match=rf"^letter {re.escape(repr(bad))} out of range 1\.\.2999$"):
+            Word(3000, letters)
+
+
+def test_word_passes_letters_that_hash_and_compare_as_ints():
+    # True and 2.0 equal 1 and 2 and hash alike, so the set check lets them through; an
+    # exact type check of every letter costs about as much as the rest of the constructor
+    assert Word(5, (True, 2.0)).letters == (1, 2)
+    assert Word(3000, (True, 2.0, 2999)).letters == (1, 2, 2999)
+
+
+@pytest.mark.parametrize("rank", [2, 5.0, 3.0, True, None, "5", [5], (5,)], ids=repr)
+def test_word_refuses_a_rank_as_check_rank_does(rank):
+    # a float equal to a rank already met, or an unhashable rank, takes the same refusal
+    Word(5, ())
+    Word(3, ())
+    with pytest.raises(ValueError, match=rf"^rank must be an integer >= 3, got {re.escape(repr(rank))}$"):
+        Word(rank, (1,))
 
 
 # two instances of each value type, built from their fields, each sequence field given as a list

@@ -1,7 +1,7 @@
 import ast
 import random
 from collections import Counter
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from pathlib import Path
 
 import pytest
@@ -274,21 +274,36 @@ def test_count_matches_basis_up_to_six():
             assert len(congruence_partition(delta, rs)) == len(enumerate_basis(delta))
 
 
+def ending_words(n, seed, heads=2):
+    """For each length 9..12, ``heads`` random beginnings, each followed by every four-letter ending over 1..n-1.
+
+    The last window of a word takes every rule start that remains, 4 or 5 of
+    them at these lengths under the full rule sets, so every rule is met at
+    each start it can take near the end.
+    """
+    rng = random.Random(seed)
+    for length in range(9, 13):
+        for _ in range(heads):
+            head = tuple(rng.randrange(1, n) for _ in range(length - 4))
+            yield from (head + end for end in product(range(1, n), repeat=4))
+
+
 @pytest.mark.parametrize("n", range(3, 7))
 def test_table_steps_match_rule_scan(n):
     # one one-start window per position (words that fit in one wide window) and one wide
-    # window per three rule starts (longer words), each from its own table, give the same
-    # neighbours as trying every rule at every position; the partic rules are the
-    # plactic ones plus the exchange rules.  Length 8 spans two full wide windows and part
-    # of a third (N = 3..5 only, as the N = 6 scan would take 5^8 words)
+    # window per three rule starts (longer words), the last taking every start that
+    # remains, each from its own table, give the same neighbours as trying every rule at
+    # every position; the partic rules are the plactic ones plus the exchange rules.  Every
+    # word of length <= 8 (N = 3..5; <= 6 at N = 6, as the scan would take 5^8 words), then
+    # words of length 9..12 with every ending
     plactic, partic = plactic_rules(n), partic_rules(n)
     base = oriented(plactic)
     extra = [pair for pair in oriented(partic) if pair not in base]
-    for length in range(9 if n <= 5 else 7):
-        for letters in product(range(1, n), repeat=length):
-            want = steps_reference(letters, base)
-            assert coded_steps(letters, plactic) == want, letters
-            assert coded_steps(letters, partic) == want | steps_reference(letters, extra), letters
+    exhaustive = (product(range(1, n), repeat=length) for length in range(9 if n <= 5 else 7))
+    for letters in chain(*exhaustive, ending_words(n, n)):
+        want = steps_reference(letters, base)
+        assert coded_steps(letters, plactic) == want, letters
+        assert coded_steps(letters, partic) == want | steps_reference(letters, extra), letters
 
 
 @pytest.mark.parametrize("n, max_len", [(9, 4), (17, 3)])
@@ -332,12 +347,14 @@ def test_steps_append_only_the_codes_not_yet_visited(rs):
 
 
 def test_window_memo_holds_only_the_windows_met():
-    # filled lazily from by_span, one plain dict per (rule starts per window, shift), and
+    # filled lazily from by_span, one plain dict per (rule starts in the window, shift), and
     # no table reads another: a rank-40 word of length 4 fits in one wide window, so it
-    # reads the one-start table at each of its 3 rule starts, shifted there; a word of
-    # length 8 reads one wide window per three starts, at shifts 0, 18 and 36.  A word of
-    # length 9 reads the same positions, through the very same tables, and meets a new
-    # window at shifts 18 and 36 only
+    # reads the one-start table at each of its 3 rule starts, shifted there.  A longer word
+    # reads one 6-letter window per three starts, and its last window, which reaches the
+    # word's end, takes every start that remains: 4 starts at shift 18 at length 8, 5 there
+    # at length 9, so these two share only the table at shift 0, where they meet one
+    # window; at length 10 the last window, at shift 36, takes 3 starts, and at length 13
+    # a full window reads that same table
     rs = partic_rules(40)
 
     def sizes():
@@ -346,21 +363,49 @@ def test_window_memo_holds_only_the_windows_met():
     assert sizes() == {}
     short = (20, 19, 21, 20)
     assert coded_steps(short, rs) == steps_reference(short, oriented(rs))
-    assert sizes() == {(1, 0): 1, (1, 6): 1, (1, 12): 1}
+    one_start = {(1, 0): 1, (1, 6): 1, (1, 12): 1}
+    assert sizes() == one_start
     long = short + (5, 4, 6, 5)
     assert coded_steps(long, rs) == steps_reference(long, oriented(rs))
-    assert sizes() == {(1, 0): 1, (1, 6): 1, (1, 12): 1, (3, 0): 1, (3, 18): 1, (3, 36): 1}
+    assert sizes() == {**one_start, (3, 0): 1, (4, 18): 1}
     longer = long + (5,)
     assert coded_steps(longer, rs) == steps_reference(longer, oriented(rs))
-    assert sizes() == {(1, 0): 1, (1, 6): 1, (1, 12): 1, (3, 0): 1, (3, 18): 2, (3, 36): 2}
+    assert sizes() == {**one_start, (3, 0): 1, (4, 18): 1, (5, 18): 1}
+    longest = longer + (6,)
+    assert coded_steps(longest, rs) == steps_reference(longest, oriented(rs))
+    assert sizes() == {**one_start, (3, 0): 1, (4, 18): 1, (5, 18): 1, (3, 18): 1, (3, 36): 1}
     for table in rs.tables.values():
         assert type(table) is dict
         for diffs in table.values():
             assert rs.interned[diffs] is diffs
-    (mask8, starts8, tables8), (mask9, starts9, tables9) = _reader(rs, 8), _reader(rs, 9)
-    assert mask8 == mask9 and starts8 == starts9 == 3 and [shift for _, shift in tables9] == [0, 18, 36]
-    for (table8, _), (table9, _), key in zip(tables8, tables9, [(3, 0), (3, 18), (3, 36)]):
-        assert table8 is table9 is rs.tables[key]
+    plans = {length: _reader(rs, length) for length in (8, 9, 10, 13)}
+    assert {mask for mask, _, _ in plans.values()} == {(1 << 36) - 1}
+    assert {length: plan for length, (_, plan, _) in plans.items()} == {
+        8: {0: 3, 18: 4},
+        9: {0: 3, 18: 5},
+        10: {0: 3, 18: 3, 36: 3},
+        13: {0: 3, 18: 3, 36: 3, 54: 3},
+    }
+    for _, plan, tables in plans.values():
+        assert [shift for _, shift in tables] == list(plan)
+        for (table, shift), starts in zip(tables, plan.values()):
+            assert table is rs.tables[starts, shift]
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_window_lookups_per_word_have_the_closed_form(n):
+    # the work count of a rewrite step: one lookup per rule start for a word that fits in
+    # one wide window, else 1 + ceil((L - span - 2) / 3), span the longest rule's; and the
+    # windows read, in order, take every rule start of the word exactly once
+    for rs in (plactic_rules(n), partic_rules(n)):
+        lo, hi = min(rs.by_span), max(rs.by_span)
+        for length in range(13):
+            want = max(0, length - lo + 1) if length < hi + 3 else 1 + -(-(length - hi - 2) // 3)
+            _, plan, tables = _reader(rs, length)
+            assert len(tables) == want, (rs.name, length)
+            starts = [shift // rs.bits + j for shift, count in plan.items() for j in range(count)]
+            assert starts == list(range(length - lo + 1)), (rs.name, length)
+    assert len(_reader(partic_rules(5), 8)[2]) == len(_reader(plactic_rules(5), 8)[2]) == 2
 
 
 @pytest.mark.parametrize("n", (3, 4))
@@ -399,9 +444,9 @@ def test_table_steps_match_rule_scan_for_partial_rule_sets(span):
     assert bool(rules) == (span is not None)
     rs = RelationSet(f"span-{span}", 4, rules)
     pairs = oriented(rs)
-    for length in range(9):
-        for letters in product(range(1, 4), repeat=length):
-            assert coded_steps(letters, rs) == steps_reference(letters, pairs), letters
+    exhaustive = (product(range(1, 4), repeat=length) for length in range(9))
+    for letters in chain(*exhaustive, ending_words(4, 4)):
+        assert coded_steps(letters, rs) == steps_reference(letters, pairs), letters
     if span is None:
         assert congruence_partition(MultiDegree((1, 1, 1)), rs) == [{p} for p in permutations((1, 2, 3))]
 
