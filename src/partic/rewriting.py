@@ -2,7 +2,10 @@
 
 Every defining relation permutes the letters of a word, so each congruence
 class sits inside the finite set of words with one multidegree and can be
-closed off by plain breadth-first search.  No term orders, no completion.
+closed off by breadth-first search: over words (``code_classes``), or over
+blocks, the classes one letter shorter times a last letter, joined by the
+rule applications that end at the last letter (``BlockClasses``).  No term
+orders, no completion.
 
 This module is deliberately independent of the normal-form code in
 ``partic.normal_form``; the two certify each other.
@@ -59,6 +62,11 @@ class RelationSet:
     not yet met from ``by_span``, so a table holds only the windows met,
     whatever the rank, and ``interned`` keeps one copy of each tuple, as many
     windows share one.  ``_reader`` gives the tables one word length reads.
+    ``ends`` holds one plain dict per window width met by ``BlockClasses``,
+    mapping the code of a word's last ``width`` letters (the longest rule's
+    span, or the whole of a shorter word) to the differences of the rules
+    that end at its last letter, each shifted to its rule's start in the
+    window; ``_fill_end`` computes a window not yet met from ``by_span``.
     Rule letters must lie in 1..n-1: letters are then nonzero, so a window
     running past the end of a word matches only the rules that fit, and each
     fits in its ``bits`` bits.
@@ -70,6 +78,7 @@ class RelationSet:
     bits: int = field(init=False, repr=False, compare=False)
     by_span: dict[int, dict[int, list[int]]] = field(init=False, repr=False, compare=False)
     tables: dict[tuple[int, int], Table] = field(default_factory=dict, init=False, repr=False, compare=False)
+    ends: dict[int, Table] = field(default_factory=dict, init=False, repr=False, compare=False)
     interned: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -98,6 +107,16 @@ def _fill(rs: RelationSet, table: Table, starts: int, shift: int, window: int) -
         for diff in rules.get(window >> start * bits & (1 << span * bits) - 1, ())
     )
     diffs = table[window] = rs.interned.setdefault(diffs, diffs)
+    return diffs
+
+
+def _fill_end(rs: RelationSet, width: int, window: int) -> tuple[int, ...]:
+    """Store in ``rs.ends[width]`` the differences of the rules ending at the last of the ``width`` letters of ``window``; return them."""
+    bits, diffs = rs.bits, []
+    for span, rules in rs.by_span.items():
+        if span <= width:
+            diffs += [diff << (width - span) * bits for diff in rules.get(window >> (width - span) * bits, ())]
+    diffs = rs.ends[width][window] = tuple(diffs)
     return diffs
 
 
@@ -275,6 +294,129 @@ def code_classes(codes: Iterable[int], length: int, rs: RelationSet) -> list[lis
         _steps(cls, cls, reader, rs, seen)
         classes.append(cls)
     return classes
+
+
+class BlockClasses:
+    """The congruence classes of the words of one length, built degree by degree from those one letter shorter.
+
+    A relation is a congruence, so for a class ``C`` of the words one letter
+    shorter and a letter ``a`` the words ``u a``, ``u`` in ``C``, lie in one
+    class: they are the *block* ``(C, a)``.  A rule application that leaves
+    the last letter alone rewrites ``u`` inside ``C``, so it stays in its
+    block, and a degree's classes are its blocks joined by the rule
+    applications that end at the last letter, applied to every word.
+    ``of`` joins them by breadth-first search over blocks, with one visited
+    set per degree, seeded in order of each block's least word of the degree
+    (the least of ``C`` times ``a``), so the classes come in the order of
+    ``code_classes`` and hold the words it gives them: a rewrite out of the
+    degree pulls the block it reaches into the class.  A seed that a class
+    of an earlier degree pulled in is that class, as the rules are read in
+    both directions, so no two classes of one length hold the same block.
+
+    A block is the int ``j << bits | a``, ``j`` the index of ``C`` in the
+    shorter ``classes``; ``classes`` lists each class's blocks, its seed
+    first.  The words of a block are those of ``C`` with ``a`` added at the
+    top; ``_codes`` and ``_index`` (``{code: j << bits}``) list them for
+    the classes made so far once a longer length reads them.  The rules come
+    from ``rs.by_span`` through ``rs.ends``; nothing here reads a normal form.
+    """
+
+    def __init__(self, rs: RelationSet, shorter: BlockClasses | None = None) -> None:
+        self.rs, self.shorter = rs, shorter
+        self.length = 0 if shorter is None else shorter.length + 1
+        self.shift = max(self.length - 1, 0) * rs.bits  # a word's last letter is code >> shift
+        self.mask = (1 << self.shift) - 1  # and its prefix code & mask
+        self.classes: list[list[int]] = []
+        # {counts: [(the lexicographic code of the class's least word of the degree, class index)]}
+        self._degrees: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        self._codes: list[list[int]] = []
+        self._index: dict[int, int] = {}
+        self._owner: dict[int, int] = {}  # {block: the first class to hold it}
+        if shorter is None:  # the empty word, code 0, is its own block
+            self.classes.append([0])
+            self._degrees[(0,) * (rs.n - 1)] = [(0, 0)]
+
+    def of(self, delta: MultiDegree) -> list[int]:
+        """The classes of the words of ``delta``, as indices into ``classes``, by least word of ``delta``."""
+        if delta.n != self.rs.n or delta.total() != self.length:
+            raise ValueError(f"multidegree {delta} is not of rank {self.rs.n} and total {self.length}")
+        return [j for _, j in self._listed(delta.counts)]
+
+    def words(self, block: int) -> list[int]:
+        if self.shorter is None:
+            return [0]
+        top = (block & (1 << self.rs.bits) - 1) << self.shift
+        return [c | top for c in self.shorter._codes[block >> self.rs.bits]]
+
+    def size(self, block: int) -> int:
+        return 1 if self.shorter is None else len(self.shorter._codes[block >> self.rs.bits])
+
+    def block(self, code: int) -> int | None:
+        """The block of the word with this code, or None if no word of this length has it."""
+        if self.shorter is None:
+            return 0 if code == 0 else None
+        j, a = self.shorter._index.get(code & self.mask), code >> self.shift
+        return j | a if j is not None and 0 < a < 1 << self.rs.bits else None
+
+    def _listed(self, counts: tuple[int, ...]) -> list[tuple[int, int]]:
+        listed = self._degrees.get(counts)
+        if listed is None:
+            listed = self._degrees[counts] = self._close(counts)
+        return listed
+
+    def _grow(self) -> None:
+        """Extend ``_codes`` and ``_index`` to the classes made since the last call."""
+        for j in range(len(self._codes), len(self.classes)):
+            codes = [w for b in self.classes[j] for w in self.words(b)]
+            self._codes.append(codes)
+            self._index.update(dict.fromkeys(codes, j << self.rs.bits))
+
+    def _close(self, counts: tuple[int, ...]) -> list[tuple[int, int]]:
+        rs, shorter, length, shift, mask = self.rs, self.shorter, self.length, self.shift, self.mask
+        bits, letter = rs.bits, (1 << rs.bits) - 1
+        seeds = []
+        for a, c in enumerate(counts, 1):
+            if c:
+                below = shorter._listed((*counts[:a - 1], c - 1, *counts[a:]))
+                seeds += [(key << bits | a, j << bits | a) for key, j in below]
+        seeds.sort()
+        shorter._grow()
+        codes, index = shorter._codes, shorter._index
+        width = min(length, max(rs.by_span, default=0))
+        table, wshift = rs.ends.setdefault(width, {}), (length - width) * bits  # a word's window is code >> wshift
+        classes, owner = self.classes, self._owner
+        seen: set[int] = set()  # the blocks of this degree's classes
+        listed = []
+        for key, seed in seeds:
+            if seed in seen:
+                continue
+            j = owner.get(seed)
+            if j is not None:  # pulled in by a class of an earlier degree
+                seen.update(classes[j])
+                listed.append((key, j))
+                continue
+            seen.add(seed)
+            cls = [seed]
+            for b in cls:  # reads what it appends
+                top = (b & letter) << shift
+                for c in codes[b >> bits]:
+                    w = c | top
+                    try:
+                        diffs = table[w >> wshift]
+                    except KeyError:
+                        diffs = _fill_end(rs, width, w >> wshift)
+                    for diff in diffs:
+                        nxt = w + (diff << wshift)
+                        nb = index[nxt & mask] | nxt >> shift
+                        if nb not in seen:
+                            seen.add(nb)
+                            cls.append(nb)
+            j = len(classes)
+            classes.append(cls)
+            for b in cls:
+                owner.setdefault(b, j)
+            listed.append((key, j))
+        return listed
 
 
 def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letters]]:

@@ -1,9 +1,11 @@
 """Umbrella certification suite behind the ``verify`` CLI subcommand.
 
 Three passes feed the checks.  One goes over multidegrees with their
-congruence classes and reaches each word's normal form from its prefix's, one
-step per prefix form and last letter; one goes over the basis monomials of
-each multidegree, with the run's labels of them; one runs once.  Each check
+congruence classes, each built from the classes one letter shorter as blocks
+(a shorter class times a last letter, ``rewriting.BlockClasses``), and gives
+each block one normal form, one step on its shorter class's form; one goes
+over the basis monomials of each multidegree, with the run's labels of them;
+one runs once.  Each check
 returns the problem it finds on one item, or None.  The report lists checks
 by name, so output is reproducible in any execution order.
 
@@ -33,7 +35,7 @@ from .normal_form import (
     normalize_right_to_left,
 )
 from .particles import Configuration, _letters_label, _prepend_letters, act_word, faithfulness_problem, word_label
-from .rewriting import PARTIC, _bits, _decode, _degree_codes, _encode, code_classes, partic_rules
+from .rewriting import PARTIC, BlockClasses, _decode, _encode, partic_rules
 
 
 Labels = dict[Exponents, tuple[tuple[int, ...], tuple[int, ...]]]  # {(d, k): word label of its expansion}
@@ -71,42 +73,34 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[dict]]]:
-    # one degree at a time, as all classes grow exponentially; by total, so a first failing
-    # word is shortest and every word's prefix already has its normal form.  Only the partic
-    # rules: the plactic ones are a subset, so their classes refine these and certify no more
+def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[dict], BlockClasses]]:
+    # one degree at a time, by total, so a first failing word is shortest and the classes one
+    # letter shorter are all there.  Only the partic rules: the plactic ones are a subset, so
+    # their classes refine these and certify no more
     n = cfg.n
     rs = partic_rules(n)
-    bits = rs.bits
-    # a word is its oracle code, first letter lowest: a word of length l is its
-    # prefix's code plus its last letter shifted left by (l - 1) * bits
-    prefix_forms: dict[int, NormalMonomial] = {}  # {code: normal form} of the words shorter than max_len
-    # normalize applies _right_mul to the letters in turn, so a word's form is one step on its
-    # prefix's; words whose prefixes share a form and that end alike share that step, done once
+    bits, letter = rs.bits, (1 << rs.bits) - 1
+    # normalize applies _right_mul to the letters in turn, so the form of u a is R_a of the form
+    # of u; while normal-form passes, every word of a class has the class's form, so a block
+    # (C, a) has the one form R_a(form of C), and blocks whose classes share a form share the step
     steps: dict[tuple, NormalMonomial] = {}  # {(d, k, a): the form of m a_a, m being (d, k)}
-    unit = _monomial(n, (0,) * (n - 2), (0,) * (n - 1))
+    level = BlockClasses(rs)
+    forms = [{0: _monomial(n, (0,) * (n - 2), (0,) * (n - 1))}]  # each class of the level as {block: form}
     for delta in multidegrees_up_to(n, cfg.max_len):
-        length = delta.total()
-        shift = max(length - 1, 0) * bits
-        mask = (1 << shift) - 1
-        # each class as {code: normal form}
-        forms, keep = [], length < cfg.max_len
-        for cls in code_classes(_degree_codes(delta, bits)[0], length, rs):
+        if delta.total() != level.length:  # the form of each class one letter shorter is its seed block's
+            level, prefix_forms, forms = BlockClasses(rs, level), [next(iter(f.values())) for f in forms], []
+        ids = level.of(delta)
+        for cls in level.classes[len(forms):]:  # the classes this degree made
             cls_forms = {}
-            for code in cls:
-                if code:
-                    p, a = prefix_forms[code & mask], code >> shift
-                    key = p.d, p.k, a
-                    nf = steps.get(key)
-                    if nf is None:  # each distinct form validated once
-                        nf = steps[key] = _monomial(n, *_step(_right_mul, (p.d, p.k), a))
-                    cls_forms[code] = nf
-                else:
-                    cls_forms[code] = unit
-            if keep:
-                prefix_forms.update(cls_forms)
+            for b in cls:
+                p, a = prefix_forms[b >> bits], b & letter
+                key = p.d, p.k, a
+                nf = steps.get(key)
+                if nf is None:  # each distinct form validated once
+                    nf = steps[key] = _monomial(n, *_step(_right_mul, (p.d, p.k), a))
+                cls_forms[b] = nf
             forms.append(cls_forms)
-        yield delta, forms
+        yield delta, [forms[j] for j in ids], level
 
 
 def _monomials(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[NormalMonomial], Labels]]:
@@ -122,42 +116,42 @@ def _once(cfg: VerifyConfig) -> Iterator[tuple]:
     yield ()
 
 
-def _grading(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict]) -> str | None:
-    # a class is a BFS closure, so it holds every one-step rewrite of its members: the
-    # classes of delta hold exactly multinomial(delta) words iff no rewrite leaves delta
+def _grading(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict], level: BlockClasses) -> str | None:
+    # the classes hold every word of delta and every word any rewrite of one of them reaches,
+    # each once: so exactly multinomial(delta) words iff no rewrite leaves delta
     size = factorial(delta.total()) // prod(map(factorial, delta.counts))
-    if (held := sum(map(len, classes))) != size:
+    if (held := sum(level.size(b) for cls in classes for b in cls)) != size:
         return f"degree ({delta}): its classes hold {held} words, not the {size} of that multidegree"
 
 
-def _basis_count(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict]) -> str | None:
+def _basis_count(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict], level: BlockClasses) -> str | None:
     # the basis is counted unvalidated, as the monomial pass validates each basis monomial
     nc, nb = len(classes), sum(1 for _ in _basis_exponents(delta))
     if nc != nb:
         return f"degree ({delta}): {nc} classes vs {nb} basis monomials"
 
 
-def _normal_form(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict]) -> str | None:
+def _normal_form(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict], level: BlockClasses) -> str | None:
     # forms are compared by their exponents, as the dataclass __hash__ and __eq__ are Python-level
     # calls; within a run a class's forms are nearly always one object, so identity comes first.
-    # A class is {code: form}, so a form's expansion is looked up by its code
+    # A class is {block: form}, so a form's expansion is looked up by its block
     seen = {}  # {(d, k): the class with that form}
     for cls in classes:
         forms = iter(cls.values())
         nf = next(forms)
         dk = nf.d, nf.k
         if any(m is not nf and (m.d, m.k) != dk for m in forms):
-            return f"class of {_least(cfg, cls)} has {len({(m.d, m.k) for m in cls.values()})} normal forms"
+            return f"class of {_least(level, cls)} has {len({(m.d, m.k) for m in cls.values()})} normal forms"
         if dk in seen:
-            return f"classes of {_least(cfg, cls)} and {_least(cfg, seen[dk])} share a normal form"
+            return f"classes of {_least(level, cls)} and {_least(level, seen[dk])} share a normal form"
         seen[dk] = cls
-        if _encode(_nm_letters(*dk), _bits(cfg.n)) not in cls:
-            return f"expansion of {nf} leaves the class of {_least(cfg, cls)}"
+        if level.block(_encode(_nm_letters(*dk), level.rs.bits)) not in cls:
+            return f"expansion of {nf} leaves the class of {_least(level, cls)}"
 
 
-def _least(cfg: VerifyConfig, codes) -> tuple[int, ...]:
-    """The lexicographically smallest word of a class given by its codes, decoded for a message."""
-    return min(_decode(c, _bits(cfg.n)) for c in codes)
+def _least(level: BlockClasses, blocks) -> tuple[int, ...]:
+    """The lexicographically smallest word of a class given by its blocks, decoded for a message."""
+    return min(_decode(c, level.rs.bits) for b in blocks for c in level.words(b))
 
 
 def _fold_agreement(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial], labels: Labels) -> str | None:

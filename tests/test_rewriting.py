@@ -10,6 +10,8 @@ from partic import rewriting
 from partic.core import MultiDegree, Word, multidegrees_up_to
 from partic.normal_form import enumerate_basis
 from partic.rewriting import (
+    PARTIC,
+    BlockClasses,
     RelationSet,
     RewriteRule,
     _coded_words,
@@ -494,6 +496,54 @@ def test_code_classes_decode_to_the_partition(n):
             codes, _ = _degree_codes(delta, rs.bits)
             decoded = [{_decode(c, rs.bits) for c in cls} for cls in code_classes(codes, delta.total(), rs)]
             assert decoded == congruence_partition(delta, rs), (rs.name, delta)
+
+
+def without_one_exchange_rule(n):
+    # the partic rules less their first exchange rule, which N = 3 has none of
+    rules = partic_rules(n).rules
+    return RelationSet(PARTIC, n, rules[:len(plactic_rules(n).rules)] + rules[len(plactic_rules(n).rules) + 1:])
+
+
+def block_partitions(rs, max_len):
+    """Each degree of total <= max_len, in verify's order, with its ``BlockClasses`` classes as code sets."""
+    level = BlockClasses(rs)
+    for delta in multidegrees_up_to(rs.n, max_len):
+        if delta.total() != level.length:
+            level = BlockClasses(rs, level)
+        yield delta, [{c for b in level.classes[j] for c in level.words(b)} for j in level.of(delta)]
+
+
+@pytest.mark.parametrize("n, max_len", [(3, 9), (4, 8), (5, 7), (6, 6)])
+@pytest.mark.parametrize("rules", [plactic_rules, partic_rules, without_one_exchange_rule])
+def test_block_classes_are_the_bfs_classes(rules, n, max_len):
+    # the blocks joined by the rewrites at the last letter are the classes code_classes closes
+    # word by word: the same code sets in the same order, the order of their least words
+    rs, reference = rules(n), rules(n)
+    for delta, classes in block_partitions(rs, max_len):
+        codes, _ = _degree_codes(delta, rs.bits)
+        assert classes == [set(cls) for cls in code_classes(codes, delta.total(), reference)], (rs.name, delta)
+
+
+def test_blocks_partition_the_words_of_each_length():
+    # a block is a shorter class times a letter: the blocks of a length partition its words,
+    # and each class holds whole blocks; at N = 5, L <= 6, 1,161 blocks make 595 classes
+    rs, levels = partic_rules(5), []
+    for delta in multidegrees_up_to(5, 6):
+        if not levels or delta.total() != levels[-1].length:
+            levels.append(BlockClasses(rs, levels[-1] if levels else None))
+        levels[-1].of(delta)
+    assert sum(len(cls) for level in levels for cls in level.classes) == 1161
+    assert sum(len(level.classes) for level in levels) == 595
+    for length, level in enumerate(levels):
+        blocks = [b for cls in level.classes for b in cls]
+        words = [w for b in blocks for w in level.words(b)]
+        assert len(blocks) == len(set(blocks))
+        assert sorted(words) == sorted(_encode(w, rs.bits) for w in product(range(1, 5), repeat=length))
+        assert all(level.block(w) in cls for cls in level.classes for b in cls for w in level.words(b))
+        assert [level.size(b) for b in blocks] == [len(level.words(b)) for b in blocks]
+        # a code of another length has no block
+        assert level.block(_encode((1,) * (length + 1), rs.bits)) is None
+        assert length == 0 or level.block(_encode((1,) * (length - 1), rs.bits)) is None
 
 
 @pytest.mark.parametrize("rs", [plactic_rules(5), partic_rules(5)], ids=lambda rs: rs.name)

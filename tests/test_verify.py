@@ -11,7 +11,7 @@ import rewriting_reference
 from partic import normal_form, particles, rewriting, verify
 from partic.core import MultiDegree, NormalMonomial, Word, _nm_letters, multidegrees_up_to, nm_to_word
 from partic.normal_form import gen_monomial
-from partic.rewriting import PARTIC, congruence_partition
+from partic.rewriting import PARTIC, RelationSet, congruence_partition
 from partic.verify import VerifyConfig
 
 SWEPT = ("action-factoring", "basis-count", "fold-agreement", "grading", "normal-form")
@@ -194,24 +194,98 @@ def test_a_rule_that_changes_the_multidegree_fails_grading_on_both_routes(monkey
     assert not rewriting_reference.grading_sweep(_with_degree_change(3), 3)[0]
 
 
-def test_a_one_way_rewrite_out_of_the_degree_fails_grading(monkeypatch):
-    # (1, 2) -> (2, 2) and (2, 1) -> (2, 2), without their reverses: both classes of (1, 1)
-    # reach (2, 2), which the visited set of the degree hands to the first only
-    def one_way(n):
-        rs = rewriting.partic_rules(n)
-        target = rewriting._encode((2, 2), rs.bits)
-        for lhs in ((1, 2), (2, 1)):
-            code = rewriting._encode(lhs, rs.bits)
-            rs.by_span.setdefault(2, {}).setdefault(code, []).append(target - code)
-        rs.tables.clear()
-        return rs
+def _one_way(n):
+    # (1, 2) -> (2, 2) and (2, 1) -> (2, 2), without their reverses
+    rs = rewriting.partic_rules(n)
+    target = rewriting._encode((2, 2), rs.bits)
+    for lhs in ((1, 2), (2, 1)):
+        code = rewriting._encode(lhs, rs.bits)
+        rs.by_span.setdefault(2, {}).setdefault(code, []).append(target - code)
+    rs.tables.clear()
+    return rs
 
-    assert congruence_partition(MultiDegree((1, 1)), one_way(3)) == [{(1, 2), (2, 2)}, {(2, 1)}]
-    monkeypatch.setattr(verify, "partic_rules", one_way)
+
+def test_a_one_way_rewrite_out_of_the_degree_fails_grading(monkeypatch):
+    # both classes of (1, 1) reach (2, 2), which the visited set of the degree hands to the first only
+    assert congruence_partition(MultiDegree((1, 1)), _one_way(3)) == [{(1, 2), (2, 2)}, {(2, 1)}]
+    monkeypatch.setattr(verify, "partic_rules", _one_way)
     assert verdicts(VerifyConfig(3, max_len=2))["grading"] == (
         False,
         "degree (1,1): its classes hold 3 words, not the 2 of that multidegree",
     )
+
+
+class WordBlocks:
+    """The BFS route's classes in the shape the checks read: every word its own block."""
+
+    def __init__(self, rs):
+        self.rs = rs
+
+    def words(self, code):
+        return [code]
+
+    def size(self, code):
+        return 1
+
+    def block(self, code):
+        return code
+
+
+def bfs_degrees(cfg):
+    """``verify._degrees`` by the BFS route: ``code_classes`` on each degree, one normal form per word."""
+    n = cfg.n
+    rs = verify.partic_rules(n)
+    level, bits = WordBlocks(rs), rs.bits
+    prefix_forms, steps = {}, {}
+    unit = normal_form._monomial(n, (0,) * (n - 2), (0,) * (n - 1))
+    for delta in multidegrees_up_to(n, cfg.max_len):
+        length = delta.total()
+        shift = max(length - 1, 0) * bits
+        forms = []
+        for cls in rewriting.code_classes(rewriting._degree_codes(delta, bits)[0], length, rs):
+            cls_forms = {}
+            for code in cls:
+                if code:
+                    p, a = prefix_forms[code & (1 << shift) - 1], code >> shift
+                    if (p.d, p.k, a) not in steps:
+                        steps[p.d, p.k, a] = normal_form._monomial(n, *normal_form._step(verify._right_mul, (p.d, p.k), a))
+                    cls_forms[code] = steps[p.d, p.k, a]
+                else:
+                    cls_forms[code] = unit
+            if length < cfg.max_len:
+                prefix_forms.update(cls_forms)
+            forms.append(cls_forms)
+        yield delta, forms, level
+
+
+ROUTE_RULES = {
+    "partic": rewriting.partic_rules,
+    "plactic": rewriting.plactic_rules,
+    "without an exchange rule": lambda n: RelationSet(PARTIC, n, tuple(
+        r for r in rewriting.partic_rules(n).rules if r.lhs != (2, 1, 3, 2))),
+    "one way": _one_way,
+    "degree change": _with_degree_change,
+}
+
+
+@pytest.mark.parametrize("rules", ROUTE_RULES)
+@pytest.mark.parametrize("n, max_len", [(3, 8), (4, 6), (5, 5), (6, 5)])
+def test_the_block_route_gives_the_bfs_verdicts(monkeypatch, rules, n, max_len):
+    # every degree-pass check, run on the blocks and on the BFS classes with one normal form
+    # per word, under rules that pass, that fail basis-count, and that rewrite out of the degree.
+    # A one-way rule makes the BFS classes reach sets, not congruence classes: from length 2 on
+    # (2, 2) lies in a class of (0, 2) and in one of (1, 1), so from length 3 on blocks overlap
+    # and the routes count classes apart; grading fails at length 2 on both, as it must
+    monkeypatch.setattr(verify, "partic_rules", ROUTE_RULES[rules])
+    degree_checks = tuple(c for c in verify.CHECKS if c[1] is verify._degrees)
+    for bound in range(max_len + 1):
+        monkeypatch.setattr(verify, "CHECKS", degree_checks)
+        blocks = verdicts(VerifyConfig(n, max_len=bound))
+        monkeypatch.setattr(verify, "CHECKS", tuple((name, bfs_degrees, check, f) for name, _, check, f in degree_checks))
+        bfs = verdicts(VerifyConfig(n, max_len=bound))
+        if rules == "one way" and bound > 2:
+            blocks, bfs = blocks["grading"], bfs["grading"]
+        assert blocks == bfs, bound
 
 
 def test_grading_reference_reads_the_coded_tables():
@@ -322,20 +396,20 @@ def test_each_normal_form_is_expanded_once(monkeypatch):
 
 def test_equal_forms_held_as_distinct_objects_are_one_form():
     # normal-form compares forms by their exponents, not by object: with the _monomial table
-    # cleared mid-class, every other word of a class holds a new but equal NormalMonomial
+    # cleared mid-class, every other block of a class holds a new but equal NormalMonomial
     cfg, distinct = VerifyConfig(4, max_len=5), 0
-    for delta, classes in verify._degrees(cfg):
+    for delta, classes, level in verify._degrees(cfg):
         rebuilt = []
         for cls in classes:
             normal_form._monomial.cache_clear()
-            rebuilt.append({t: normal_form._monomial(m.n, m.d, m.k) if j % 2 else m for j, (t, m) in enumerate(cls.items())})
+            rebuilt.append({b: normal_form._monomial(m.n, m.d, m.k) if j % 2 else m for j, (b, m) in enumerate(cls.items())})
             distinct += len({id(m) for m in rebuilt[-1].values()}) - 1
-        assert verify._normal_form(cfg, delta, rebuilt) is None
+        assert verify._normal_form(cfg, delta, rebuilt, level) is None
         # a form that truly differs still counts as a second one
         if len(rebuilt[-1]) > 1:  # so of total 2 or more, whose forms are not a1's
             rebuilt[-1][max(rebuilt[-1])] = gen_monomial(4, 1)
-            least = min(rewriting._decode(c, 3) for c in rebuilt[-1])
-            assert verify._normal_form(cfg, delta, rebuilt) == f"class of {least} has 2 normal forms"
+            least = min(rewriting._decode(c, 3) for b in rebuilt[-1] for c in level.words(b))
+            assert verify._normal_form(cfg, delta, rebuilt, level) == f"class of {least} has 2 normal forms"
     assert distinct > 50  # classes that held two objects for one form
 
 
@@ -380,12 +454,15 @@ def test_messages_on_a_rule_out_of_the_degree_name_words(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_memoized_forms_are_the_normal_forms(n):
+    # the pass computes one form per block, R_a of its shorter class's form: it must be the
+    # normal form of every word of the block
     seen = 0
-    for _, forms in verify._degrees(VerifyConfig(n, max_len=7)):
+    for _, forms, level in verify._degrees(VerifyConfig(n, max_len=7)):
         for cls in forms:
-            for code, nf in cls.items():
-                assert nf == normal_form.normalize(Word(n, rewriting._decode(code, n.bit_length())))
-                seen += 1
+            for block, nf in cls.items():
+                for code in level.words(block):
+                    assert nf == normal_form.normalize(Word(n, rewriting._decode(code, n.bit_length())))
+                    seen += 1
     assert seen == sum((n - 1) ** length for length in range(8))
 
 
