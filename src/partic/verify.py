@@ -82,8 +82,8 @@ def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[dict], Block
     bits, letter = rs.bits, (1 << rs.bits) - 1
     # normalize applies _right_mul to the letters in turn, so the form of u a is R_a of the form
     # of u; while normal-form passes, every word of a class has the class's form, so a block
-    # (C, a) has the one form R_a(form of C), and blocks whose classes share a form share the step
-    steps: dict[tuple, NormalMonomial] = {}  # {(d, k, a): the form of m a_a, m being (d, k)}
+    # (C, a) has the one form R_a(form of C).  Distinct classes then have distinct forms, so
+    # each step is taken once, and _monomial validates each distinct form once
     level = BlockClasses(rs)
     forms = [{0: _monomial(n, (0,) * (n - 2), (0,) * (n - 1))}]  # each class of the level as {block: form}
     for delta in multidegrees_up_to(n, cfg.max_len):
@@ -93,12 +93,8 @@ def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[dict], Block
         for cls in level.classes[len(forms):]:  # the classes this degree made
             cls_forms = {}
             for b in cls:
-                p, a = prefix_forms[b >> bits], b & letter
-                key = p.d, p.k, a
-                nf = steps.get(key)
-                if nf is None:  # each distinct form validated once
-                    nf = steps[key] = _monomial(n, *_step(_right_mul, (p.d, p.k), a))
-                cls_forms[b] = nf
+                p = prefix_forms[b >> bits]
+                cls_forms[b] = _monomial(n, *_step(_right_mul, (p.d, p.k), b & letter))
             forms.append(cls_forms)
         yield delta, [forms[j] for j in ids], level
 
