@@ -111,7 +111,7 @@ def _fill(rs: RelationSet, table: Table, starts: int, shift: int, window: int) -
 
 
 def _fill_end(rs: RelationSet, width: int, window: int) -> tuple[int, ...]:
-    """Store in ``rs.ends[width]`` the differences of the rules ending at the last of the ``width`` letters of ``window``; return them."""
+    """Store in ``rs.ends[width]`` the differences of the rules ending at the last letter of ``window``; return them."""
     bits, diffs = rs.bits, []
     for span, rules in rs.by_span.items():
         if span <= width:
@@ -307,9 +307,9 @@ class BlockClasses:
     applications that end at the last letter, applied to every word.
     ``of`` joins them by breadth-first search over blocks, with one visited
     set per degree, seeded in order of each block's least word of the degree
-    (the least of ``C`` times ``a``), so the classes come in the order of
-    ``code_classes`` and hold the words it gives them: a rewrite out of the
-    degree pulls the block it reaches into the class.  A seed that a class
+    (``C``'s least word of the shorter degree, then ``a``), so the classes
+    come in the order of ``code_classes`` and hold the words it gives them:
+    a rewrite out of the degree pulls the block it reaches into the class.  A seed that a class
     of an earlier degree pulled in is that class, as the rules are read in
     both directions, so no two classes of one length hold the same block.
 
@@ -343,12 +343,14 @@ class BlockClasses:
         return [j for _, j in self._listed(delta.counts)]
 
     def words(self, block: int) -> list[int]:
+        """The codes of the words of a block."""
         if self.shorter is None:
             return [0]
         top = (block & (1 << self.rs.bits) - 1) << self.shift
         return [c | top for c in self.shorter._codes[block >> self.rs.bits]]
 
     def size(self, block: int) -> int:
+        """The number of words of a block, without listing them."""
         return 1 if self.shorter is None else len(self.shorter._codes[block >> self.rs.bits])
 
     def block(self, code: int) -> int | None:

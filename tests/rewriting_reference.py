@@ -7,7 +7,18 @@ from collections import deque
 from itertools import product
 
 from partic.core import MultiDegree, Word
-from partic.rewriting import Letters, RelationSet, _decode, _encode, _reader, _steps, congruence_partition, words_with_degree
+from partic.rewriting import (
+    PARTIC,
+    Letters,
+    RelationSet,
+    _decode,
+    _encode,
+    _reader,
+    _steps,
+    congruence_partition,
+    partic_rules,
+    words_with_degree,
+)
 
 Pairs = list[tuple[Letters, Letters]]
 
@@ -18,6 +29,11 @@ def multidegree(w: Word) -> MultiDegree:
     for a in w.letters:
         counts[a - 1] += 1
     return MultiDegree(tuple(counts))
+
+
+def without_exchange_rule(n: int) -> RelationSet:
+    """The partic rules less the exchange rule a2 a1 a3 a2 = a3 a2 a1 a2, which N = 3 has none of."""
+    return RelationSet(PARTIC, n, tuple(r for r in partic_rules(n).rules if r.lhs != (2, 1, 3, 2)))
 
 
 def class_of(w: Word, rs: RelationSet) -> set[Letters]:

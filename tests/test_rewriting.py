@@ -10,7 +10,6 @@ from partic import rewriting
 from partic.core import MultiDegree, Word, multidegrees_up_to
 from partic.normal_form import enumerate_basis
 from partic.rewriting import (
-    PARTIC,
     BlockClasses,
     RelationSet,
     RewriteRule,
@@ -34,6 +33,7 @@ from rewriting_reference import (
     oriented,
     partition_reference,
     steps_reference,
+    without_exchange_rule,
 )
 
 
@@ -498,12 +498,6 @@ def test_code_classes_decode_to_the_partition(n):
             assert decoded == congruence_partition(delta, rs), (rs.name, delta)
 
 
-def without_one_exchange_rule(n):
-    # the partic rules less their first exchange rule, which N = 3 has none of
-    rules = partic_rules(n).rules
-    return RelationSet(PARTIC, n, rules[:len(plactic_rules(n).rules)] + rules[len(plactic_rules(n).rules) + 1:])
-
-
 def block_partitions(rs, max_len):
     """Each degree of total <= max_len, in verify's order, with its ``BlockClasses`` classes as code sets."""
     level = BlockClasses(rs)
@@ -514,7 +508,7 @@ def block_partitions(rs, max_len):
 
 
 @pytest.mark.parametrize("n, max_len", [(3, 9), (4, 8), (5, 7), (6, 6)])
-@pytest.mark.parametrize("rules", [plactic_rules, partic_rules, without_one_exchange_rule])
+@pytest.mark.parametrize("rules", [plactic_rules, partic_rules, without_exchange_rule])
 def test_block_classes_are_the_bfs_classes(rules, n, max_len):
     # the blocks joined by the rewrites at the last letter are the classes code_classes closes
     # word by word: the same code sets in the same order, the order of their least words

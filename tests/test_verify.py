@@ -11,7 +11,7 @@ import rewriting_reference
 from partic import normal_form, particles, rewriting, verify
 from partic.core import MultiDegree, NormalMonomial, Word, _nm_letters, multidegrees_up_to, nm_to_word
 from partic.normal_form import gen_monomial
-from partic.rewriting import PARTIC, RelationSet, congruence_partition
+from partic.rewriting import PARTIC, congruence_partition
 from partic.verify import VerifyConfig
 
 SWEPT = ("action-factoring", "basis-count", "fold-agreement", "grading", "normal-form")
@@ -247,9 +247,10 @@ def bfs_degrees(cfg):
             for code in cls:
                 if code:
                     p, a = prefix_forms[code & (1 << shift) - 1], code >> shift
-                    if (p.d, p.k, a) not in steps:
-                        steps[p.d, p.k, a] = normal_form._monomial(n, *normal_form._step(verify._right_mul, (p.d, p.k), a))
-                    cls_forms[code] = steps[p.d, p.k, a]
+                    key = p.d, p.k, a
+                    if key not in steps:
+                        steps[key] = normal_form._monomial(n, *normal_form._step(verify._right_mul, (p.d, p.k), a))
+                    cls_forms[code] = steps[key]
                 else:
                     cls_forms[code] = unit
             if length < cfg.max_len:
@@ -261,8 +262,7 @@ def bfs_degrees(cfg):
 ROUTE_RULES = {
     "partic": rewriting.partic_rules,
     "plactic": rewriting.plactic_rules,
-    "without an exchange rule": lambda n: RelationSet(PARTIC, n, tuple(
-        r for r in rewriting.partic_rules(n).rules if r.lhs != (2, 1, 3, 2))),
+    "without an exchange rule": rewriting_reference.without_exchange_rule,
     "one way": _one_way,
     "degree change": _with_degree_change,
 }
@@ -281,7 +281,8 @@ def test_the_block_route_gives_the_bfs_verdicts(monkeypatch, rules, n, max_len):
     for bound in range(max_len + 1):
         monkeypatch.setattr(verify, "CHECKS", degree_checks)
         blocks = verdicts(VerifyConfig(n, max_len=bound))
-        monkeypatch.setattr(verify, "CHECKS", tuple((name, bfs_degrees, check, f) for name, _, check, f in degree_checks))
+        bfs_checks = tuple((name, bfs_degrees, check, fields) for name, _, check, fields in degree_checks)
+        monkeypatch.setattr(verify, "CHECKS", bfs_checks)
         bfs = verdicts(VerifyConfig(n, max_len=bound))
         if rules == "one way" and bound > 2:
             blocks, bfs = blocks["grading"], bfs["grading"]
