@@ -231,15 +231,18 @@ def label_mul(label: IoLabel, i: int, side: str) -> IoLabel:
     return IoLabel(Configuration(n, tuple(out)), Configuration(n, tuple(inp)))
 
 
-def faithfulness_problem(delta: MultiDegree, basis: list[NormalMonomial]) -> str | None:
+def faithfulness_problem(
+    delta: MultiDegree, basis: list[NormalMonomial], labels: list[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> str | None:
     """Why the labels of one degree's basis monomials fail faithfulness, or None.
 
-    They must be pairwise distinct and each give back ``delta``: a_i moves a
-    particle from i to i+1, so the count of a_i is the net number of
-    particles leaving positions 1..i.  Labels of two degrees then differ too,
-    so faithfulness is decided one degree at a time.
+    ``labels`` holds the (output, input) counts of each basis monomial, in
+    order, as :func:`word_label` gives them for its expansion.  They must be
+    pairwise distinct and each give back ``delta``: a_i moves a particle
+    from i to i+1, so the count of a_i is the net number of particles
+    leaving positions 1..i.  Labels of two degrees then differ too, so
+    faithfulness is decided one degree at a time.
     """
-    labels = [_io_counts(m.d, m.k) for m in basis]
     if len(set(labels)) < len(labels):
         return "two basis monomials share an (input, output) label"
     for m, (out, inp) in zip(basis, labels):

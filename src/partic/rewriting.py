@@ -55,21 +55,17 @@ class RelationSet:
     The oracle works on words coded as integers, ``bits`` bits per letter with
     the first letter lowest (``_encode``).  ``by_span`` holds the rules, read
     in both directions, as ``{span: {lhs code: [rhs code - lhs code]}}``, so
-    each rewrite is ``code + diff``.  ``tables`` holds one plain dict per
-    ``(starts, shift)`` met, mapping a window code to the differences of the
-    rules starting in its first ``starts`` letters, each shifted to its rule's
-    start and then left by ``shift`` bits more; ``_fill`` computes a window
-    not yet met from ``by_span``, so a table holds only the windows met,
-    whatever the rank, and ``interned`` keeps one copy of each tuple, as many
-    windows share one.  ``_reader`` gives the tables one word length reads.
-    ``ends`` holds one plain dict per window width met by ``BlockClasses``,
-    mapping the code of a word's last ``width`` letters (the longest rule's
-    span, or the whole of a shorter word) to the differences of the rules
-    that end at its last letter, each shifted to its rule's start in the
-    window; ``_fill_end`` computes a window not yet met from ``by_span``.
-    Rule letters must lie in 1..n-1: letters are then nonzero, so a window
-    running past the end of a word matches only the rules that fit, and each
-    fits in its ``bits`` bits.
+    each rewrite is ``code + diff``; ``BlockClasses`` reads only this.
+    ``tables``, the word BFS's, holds one plain dict per ``(starts, shift)``
+    met, mapping a window code to the differences of the rules starting in
+    its first ``starts`` letters, each shifted to its rule's start and then
+    left by ``shift`` bits more; ``_fill`` computes a window not yet met from
+    ``by_span``, so a table holds only the windows met, whatever the rank,
+    and ``interned`` keeps one copy of each tuple, as many windows share one.
+    ``_reader`` gives the tables one word length reads.  Rule letters must
+    lie in 1..n-1: letters are then nonzero, so a window running past the end
+    of a word matches only the rules that fit, and each fits in its ``bits``
+    bits.
     """
 
     name: str
@@ -78,7 +74,6 @@ class RelationSet:
     bits: int = field(init=False, repr=False, compare=False)
     by_span: dict[int, dict[int, list[int]]] = field(init=False, repr=False, compare=False)
     tables: dict[tuple[int, int], Table] = field(default_factory=dict, init=False, repr=False, compare=False)
-    ends: dict[int, Table] = field(default_factory=dict, init=False, repr=False, compare=False)
     interned: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -110,16 +105,6 @@ def _fill(rs: RelationSet, table: Table, starts: int, shift: int, window: int) -
     return diffs
 
 
-def _fill_end(rs: RelationSet, width: int, window: int) -> tuple[int, ...]:
-    """Store in ``rs.ends[width]`` the differences of the rules ending at the last letter of ``window``; return them."""
-    bits, diffs = rs.bits, []
-    for span, rules in rs.by_span.items():
-        if span <= width:
-            diffs += [diff << (width - span) * bits for diff in rules.get(window >> (width - span) * bits, ())]
-    diffs = rs.ends[width][window] = tuple(diffs)
-    return diffs
-
-
 Reader = tuple[int, dict[int, int], list[tuple[Table, int]]]
 
 
@@ -129,22 +114,16 @@ def _reader(rs: RelationSet, length: int) -> Reader:
     A window is ``_STARTS - 1`` letters wider than the longest rule, so it
     holds every rule starting in its first ``_STARTS`` letters.  The last
     window reaches the word's end, so it holds every rule that fits from
-    there on and takes every start that remains: a word of ``length >=
-    span + _STARTS`` letters, ``span`` the longest rule's, reads ``1 +
-    ceil((length - span - 2) / 3)`` windows.  A word that fits in one wide
-    window would meet a new one with nearly every word, so it reads
-    one-start tables at each of its ``length - min span + 1`` rule starts
-    instead.
+    there on and takes every start that remains: a word of ``length``
+    letters, ``span`` the longest rule's, reads ``1 + max(0, ceil((length -
+    span - 2) / 3))`` windows, and one no longer than a window reads one, at
+    shift 0.
     """
     spans = rs.by_span.keys() or (0,)
-    bits, span, starts = rs.bits, max(spans), length - min(spans) + 1
-    if length < span + _STARTS:
-        width, plan = span, {p * bits: 1 for p in range(starts)}
-    else:
-        width = span + _STARTS - 1
-        tail = -((width - length) // _STARTS) * _STARTS  # the first window start that reaches the end
-        plan = {p * bits: _STARTS for p in range(0, tail, _STARTS)}
-        plan[tail * bits] = starts - tail
+    bits, width, starts = rs.bits, max(spans) + _STARTS - 1, max(length - min(spans) + 1, 0)
+    tail = max(0, -((width - length) // _STARTS) * _STARTS)  # the first window start that reaches the end
+    plan = {p * bits: _STARTS for p in range(0, tail, _STARTS)}
+    plan[tail * bits] = starts - tail
     tables = [(rs.tables.setdefault((k, shift), {}), shift) for shift, k in plan.items()]
     return (1 << width * bits) - 1, plan, tables
 
@@ -241,18 +220,17 @@ def words_with_degree(delta: MultiDegree) -> Iterator[Letters]:
 def _half_words(counts: tuple[int, ...], bits: int, shift: int) -> tuple[tuple[Letters, ...], tuple[int, ...]]:
     """The words of the degree ``counts`` in lexicographic order, and their codes shifted left by ``shift`` bits.
 
-    ``_degree_codes`` meets each half-degree in every degree that holds it; this lists it once.
+    ``_coded_words`` meets each half-degree in every degree that holds it; this lists it once.
     """
     words = tuple(words_with_degree(MultiDegree(counts)))
     return words, tuple(_encode(w, bits) << shift for w in words)
 
 
-def _degree_codes(delta: MultiDegree, bits: int) -> tuple[list[int], Iterator[Letters]]:
-    """The codes ``_encode(w, bits)`` of ``words_with_degree(delta)`` in the same order, and those words, built as read.
+def _coded_words(delta: MultiDegree, bits: int) -> dict[int, Letters]:
+    """``{_encode(w, bits): w for w in words_with_degree(delta)}``, in the same order.
 
     A word is its first ``h = L // 2`` letters, a word of a sub-degree of
     total ``h``, joined to the rest; both halves come from ``_half_words``.
-    The words are joined only if read: ``verify`` works on the codes alone.
     """
     *head, last = delta.counts
     h, halves = delta.total() // 2, []
@@ -262,26 +240,21 @@ def _degree_codes(delta: MultiDegree, bits: int) -> tuple[list[int], Iterator[Le
             rest, shifted = _half_words((*map(sub, head, sigma), last - k), bits, h * bits)
             halves += [(p, cp, rest, shifted) for p, cp in zip(*_half_words((*sigma, k), bits, 0))]
     halves.sort()  # first halves are distinct, so no two tuples compare past them
-    codes = [cp | cs for _, cp, _, shifted in halves for cs in shifted]
-    return codes, (p + s for p, _, rest, _ in halves for s in rest)
-
-
-def _coded_words(delta: MultiDegree, bits: int) -> dict[int, Letters]:
-    """``{_encode(w, bits): w for w in words_with_degree(delta)}``, in the same order."""
-    return dict(zip(*_degree_codes(delta, bits)))
+    return {cp | cs: p + s for p, cp, rest, shifted in halves for s, cs in zip(rest, shifted)}
 
 
 def code_classes(codes: Iterable[int], length: int, rs: RelationSet) -> list[list[int]]:
-    """The congruence classes of the words of one multidegree, given by their codes (``_degree_codes``).
+    """The congruence classes of the words of one multidegree, given by their codes (``_coded_words``).
 
     Each class is a list of codes, its seed (the first of its codes in the
     given order) first and the rest in BFS order; classes come in the order
     of their seeds.  Each BFS terminates: ``RewriteRule`` refuses a rule that
     changes the letter multiset, so a class never leaves the finitely many
     words of its multidegree.  The classes share one visited set and hold,
-    once each, every given code and every code they rewrite to; ``verify``
-    reads grading off that.  All the codes have one length, so the window
-    plan (``_reader``) is built once per call.
+    once each, every given code and every code they rewrite to.  All the
+    codes have one length, so the window plan (``_reader``) is built once per
+    call.  ``congruence_partition`` decodes these classes, and the tests
+    certify ``BlockClasses`` against them.
     """
     reader = _reader(rs, length)
     seen: set[int] = set()  # one visited set for the degree: the classes are disjoint
@@ -297,128 +270,116 @@ def code_classes(codes: Iterable[int], length: int, rs: RelationSet) -> list[lis
 
 
 class BlockClasses:
-    """The congruence classes of the words of one length, built degree by degree from those one letter shorter.
+    """The congruence classes of the words of one length, built from the classes one letter shorter.
 
     A relation is a congruence, so for a class ``C`` of the words one letter
     shorter and a letter ``a`` the words ``u a``, ``u`` in ``C``, lie in one
     class: they are the *block* ``(C, a)``.  A rule application that leaves
     the last letter alone rewrites ``u`` inside ``C``, so it stays in its
     block, and a degree's classes are its blocks joined by the rule
-    applications that end at the last letter, applied to every word.
-    ``of`` joins them by breadth-first search over blocks, with one visited
-    set per degree, seeded in order of each block's least word of the degree
-    (``C``'s least word of the shorter degree, then ``a``), so the classes
-    come in the order of ``code_classes`` and hold the words it gives them:
-    a rewrite out of the degree pulls the block it reaches into the class.  A seed that a class
-    of an earlier degree pulled in is that class, as the rules are read in
-    both directions, so no two classes of one length hold the same block.
+    applications that end at the last letter, applied to every word.  The
+    constructor joins them for every degree of the length, in lexicographic
+    order, by breadth-first search over blocks with one visited set per
+    degree, seeded in order of each block's least word of the degree (``C``'s
+    least word of the shorter degree, then ``a``), so the classes come in the
+    order of ``code_classes`` and hold the words it gives them: a rewrite out
+    of the degree pulls the block it reaches into the class.  A seed that a
+    class of an earlier degree pulled in is that class, as the rules are read
+    in both directions, so no two classes of one length hold the same block.
 
     A block is the int ``j << bits | a``, ``j`` the index of ``C`` in the
-    shorter ``classes``; ``classes`` lists each class's blocks, its seed
-    first.  The words of a block are those of ``C`` with ``a`` added at the
-    top; ``_codes`` and ``_index`` (``{code: j << bits}``) list them for
-    the classes made so far once a longer length reads them.  The rules come
-    from ``rs.by_span`` through ``rs.ends``; nothing here reads a normal form.
+    shorter classes; ``classes`` lists each class's blocks, its seed first.
+    The words of a block are those of ``C`` with ``a`` added at the top;
+    ``_words`` lists the words of each shorter class and ``_index`` maps
+    each to ``j << bits``.  The length 0 has the one block 0, the empty word
+    under the letter 0.  The rules that end at a word's last letter come
+    straight from ``rs.by_span``: a word's last ``span`` letters are ``code
+    >> (length - span) * bits``.  Nothing here reads a normal form.
     """
 
     def __init__(self, rs: RelationSet, shorter: BlockClasses | None = None) -> None:
-        self.rs, self.shorter = rs, shorter
+        self.rs = rs
         self.length = 0 if shorter is None else shorter.length + 1
         self.shift = max(self.length - 1, 0) * rs.bits  # a word's last letter is code >> shift
         self.mask = (1 << self.shift) - 1  # and its prefix code & mask
         self.classes: list[list[int]] = []
         # {counts: [(the lexicographic code of the class's least word of the degree, class index)]}
         self._degrees: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        self._codes: list[list[int]] = []
-        self._index: dict[int, int] = {}
-        self._owner: dict[int, int] = {}  # {block: the first class to hold it}
-        if shorter is None:  # the empty word, code 0, is its own block
+        if shorter is None:  # the empty word, code 0, is the one block 0
             self.classes.append([0])
             self._degrees[(0,) * (rs.n - 1)] = [(0, 0)]
+            self._words, self._index = [[0]], {0: 0}
+        else:
+            self._close(shorter)
 
     def of(self, delta: MultiDegree) -> list[int]:
         """The classes of the words of ``delta``, as indices into ``classes``, by least word of ``delta``."""
         if delta.n != self.rs.n or delta.total() != self.length:
             raise ValueError(f"multidegree {delta} is not of rank {self.rs.n} and total {self.length}")
-        return [j for _, j in self._listed(delta.counts)]
+        return [j for _, j in self._degrees[delta.counts]]
 
     def words(self, block: int) -> list[int]:
         """The codes of the words of a block."""
-        if self.shorter is None:
-            return [0]
         top = (block & (1 << self.rs.bits) - 1) << self.shift
-        return [c | top for c in self.shorter._codes[block >> self.rs.bits]]
+        return [c | top for c in self._words[block >> self.rs.bits]]
 
     def size(self, block: int) -> int:
         """The number of words of a block, without listing them."""
-        return 1 if self.shorter is None else len(self.shorter._codes[block >> self.rs.bits])
+        return len(self._words[block >> self.rs.bits])
 
     def block(self, code: int) -> int | None:
         """The block of the word with this code, or None if no word of this length has it."""
-        if self.shorter is None:
+        if not self.length:
             return 0 if code == 0 else None
-        j, a = self.shorter._index.get(code & self.mask), code >> self.shift
+        j, a = self._index.get(code & self.mask), code >> self.shift
         return j | a if j is not None and 0 < a < 1 << self.rs.bits else None
 
-    def _listed(self, counts: tuple[int, ...]) -> list[tuple[int, int]]:
-        listed = self._degrees.get(counts)
-        if listed is None:
-            listed = self._degrees[counts] = self._close(counts)
-        return listed
-
-    def _grow(self) -> None:
-        """Extend ``_codes`` and ``_index`` to the classes made since the last call."""
-        for j in range(len(self._codes), len(self.classes)):
-            codes = [w for b in self.classes[j] for w in self.words(b)]
-            self._codes.append(codes)
-            self._index.update(dict.fromkeys(codes, j << self.rs.bits))
-
-    def _close(self, counts: tuple[int, ...]) -> list[tuple[int, int]]:
-        rs, shorter, length, shift, mask = self.rs, self.shorter, self.length, self.shift, self.mask
+    def _close(self, shorter: BlockClasses) -> None:
+        rs, length, shift, mask = self.rs, self.length, self.shift, self.mask
         bits, letter = rs.bits, (1 << rs.bits) - 1
-        seeds = []
-        for a, c in enumerate(counts, 1):
-            if c:
-                below = shorter._listed((*counts[:a - 1], c - 1, *counts[a:]))
-                seeds += [(key << bits | a, j << bits | a) for key, j in below]
-        seeds.sort()
-        shorter._grow()
-        codes, index = shorter._codes, shorter._index
-        width = min(length, max(rs.by_span, default=0))
-        table, wshift = rs.ends.setdefault(width, {}), (length - width) * bits  # a word's window is code >> wshift
-        classes, owner = self.classes, self._owner
-        seen: set[int] = set()  # the blocks of this degree's classes
-        listed = []
-        for key, seed in seeds:
-            if seed in seen:
-                continue
-            j = owner.get(seed)
-            if j is not None:  # pulled in by a class of an earlier degree
-                seen.update(classes[j])
+        words = self._words = [[w for b in cls for w in shorter.words(b)] for cls in shorter.classes]
+        index = self._index = {}
+        for j, codes in enumerate(words):
+            index.update(dict.fromkeys(codes, j << bits))
+        # the rules of each span that fits, by where they start: a word's last span letters are w >> wshift
+        ends = [((length - span) * bits, rules.get) for span, rules in rs.by_span.items() if span <= length]
+        below = shorter._degrees
+        degrees = sorted({c[:i] + (c[i] + 1,) + c[i + 1:] for c in below for i in range(len(c))})
+        classes, owner = self.classes, {}  # owner: {block: the first class to hold it}
+        for counts in degrees:
+            seeds = sorted(
+                (key << bits | a, j << bits | a)
+                for a, c in enumerate(counts, 1) if c
+                for key, j in below[(*counts[:a - 1], c - 1, *counts[a:])]
+            )
+            seen: set[int] = set()  # the blocks of this degree's classes
+            listed = self._degrees[counts] = []
+            for key, seed in seeds:
+                if seed in seen:
+                    continue
+                j = owner.get(seed)
+                if j is not None:  # pulled in by a class of an earlier degree
+                    seen.update(classes[j])
+                    listed.append((key, j))
+                    continue
+                seen.add(seed)
+                cls = [seed]
+                for b in cls:  # reads what it appends
+                    top = (b & letter) << shift
+                    for c in words[b >> bits]:
+                        w = c | top
+                        for wshift, get in ends:
+                            for diff in get(w >> wshift, ()):
+                                nxt = w + (diff << wshift)
+                                nb = index[nxt & mask] | nxt >> shift
+                                if nb not in seen:
+                                    seen.add(nb)
+                                    cls.append(nb)
+                j = len(classes)
+                classes.append(cls)
+                for b in cls:
+                    owner.setdefault(b, j)
                 listed.append((key, j))
-                continue
-            seen.add(seed)
-            cls = [seed]
-            for b in cls:  # reads what it appends
-                top = (b & letter) << shift
-                for c in codes[b >> bits]:
-                    w = c | top
-                    try:
-                        diffs = table[w >> wshift]
-                    except KeyError:
-                        diffs = _fill_end(rs, width, w >> wshift)
-                    for diff in diffs:
-                        nxt = w + (diff << wshift)
-                        nb = index[nxt & mask] | nxt >> shift
-                        if nb not in seen:
-                            seen.add(nb)
-                            cls.append(nb)
-            j = len(classes)
-            classes.append(cls)
-            for b in cls:
-                owner.setdefault(b, j)
-            listed.append((key, j))
-        return listed
 
 
 def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letters]]:

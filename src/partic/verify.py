@@ -88,22 +88,20 @@ def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[dict], Block
     forms = [{0: _monomial(n, (0,) * (n - 2), (0,) * (n - 1))}]  # each class of the level as {block: form}
     for delta in multidegrees_up_to(n, cfg.max_len):
         if delta.total() != level.length:  # the form of each class one letter shorter is its seed block's
-            level, prefix_forms, forms = BlockClasses(rs, level), [next(iter(f.values())) for f in forms], []
-        ids = level.of(delta)
-        for cls in level.classes[len(forms):]:  # the classes this degree made
-            cls_forms = {}
-            for b in cls:
-                p = prefix_forms[b >> bits]
-                cls_forms[b] = _monomial(n, *_step(_right_mul, (p.d, p.k), b & letter))
-            forms.append(cls_forms)
-        yield delta, [forms[j] for j in ids], level
+            prefix = [(m.d, m.k) for m in (next(iter(f.values())) for f in forms)]
+            level = BlockClasses(rs, level)
+            forms = [
+                {b: _monomial(n, *_step(_right_mul, prefix[b >> bits], b & letter)) for b in cls}
+                for cls in level.classes
+            ]
+        yield delta, [forms[j] for j in level.of(delta)], level
 
 
 def _monomials(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[NormalMonomial], Labels]]:
     # the same degrees as _degrees, by total, so a first failing case has a shortest witness
     # word; a pass of its own, as the checks that read only the basis monomials would
     # otherwise be charged a share of the partitions in --timings
-    labels: Labels = {}  # filled by action-factoring, each label computed once
+    labels: Labels = {}  # filled by action-factoring and faithfulness, each label computed once
     for delta in multidegrees_up_to(cfg.n, cfg.max_len):
         yield delta, enumerate_basis(delta), labels
 
@@ -187,6 +185,12 @@ def _fold_problem(m: NormalMonomial, a: int, b: int | None) -> str:
     return f"{rules}, but the folds agree on {w.letters}"
 
 
+def _label(labels: Labels, n: int, dk: Exponents) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Store in ``labels`` and return the label of ``dk``: ``word_label``'s fold over its expansion."""
+    label = labels[dk] = _letters_label(n, _nm_letters(*dk))
+    return label
+
+
 def _action_factoring(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial], labels: Labels) -> str | None:
     """Every word of length <= max_len acts like its normal form, by induction.
 
@@ -197,22 +201,21 @@ def _action_factoring(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalM
     expansion of its left fold, ``normalize_right_to_left(w)``.  The check is
     about the left fold: it speaks for ``normalize`` together with
     fold-agreement.  At max_len 0 the words of length 1 are still checked.
-    ``labels`` keeps each basis monomial's label once computed, as a source
-    or as one of up to N-1 targets: ``word_label``'s fold over the letters of
-    its expansion, with no ``Word`` built.
-    It never calls ``_io_counts``; tests/action_reference.py sweeps configurations.
+    ``labels`` keeps each basis monomial's label once computed (``_label``),
+    as a source or as one of up to N-1 targets: ``word_label``'s fold over
+    the letters of its expansion, with no ``Word`` built.  Faithfulness
+    decides on these same labels, so neither check calls ``_io_counts``;
+    tests/action_reference.py sweeps configurations.
     """
     if delta.total() >= max(cfg.max_len, 1):
         return None
     n = cfg.n
     for m in basis:
         source = m.d, m.k
-        if (label := labels.get(source)) is None:
-            label = labels[source] = _letters_label(n, _nm_letters(*source))
+        label = labels.get(source) or _label(labels, n, source)
         for a in range(1, n):
             dk = _step(_left_mul, source, a)
-            if (target := labels.get(dk)) is None:
-                target = labels[dk] = _letters_label(n, _nm_letters(*dk))
+            target = labels.get(dk) or _label(labels, n, dk)
             o, i = map(list, label)
             _prepend_letters(o, i, (a,))
             if target != (tuple(o), tuple(i)):
@@ -236,7 +239,9 @@ def _action_problem(m: NormalMonomial, a: int) -> str:
 
 
 def _faithfulness(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial], labels: Labels) -> str | None:
-    return faithfulness_problem(delta, basis)
+    # decided on the labels the action gives, those action-factoring checks; it has stored nearly all
+    keys = [(m.d, m.k) for m in basis]
+    return faithfulness_problem(delta, basis, [labels.get(dk) or _label(labels, cfg.n, dk) for dk in keys])
 
 
 def _center(cfg: VerifyConfig) -> str | None:

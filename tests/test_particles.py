@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from partic import particles
-from partic.core import AlgebraElement, NormalMonomial, Word, _nm_letters, multidegrees_up_to, nm_to_word
+from partic.core import AlgebraElement, MultiDegree, NormalMonomial, Word, _nm_letters, multidegrees_up_to, nm_to_word
 from partic.normal_form import enumerate_basis, gen_element, normalize
 from partic.particles import (
     ANNIHILATED,
@@ -297,9 +297,18 @@ def test_relations_act_identically():
 
 
 def test_faithfulness_check_examples():
+    # decided on the labels the action gives each basis monomial's expansion
     for n, max_len in ((4, 5), (3, 6), (4, 0)):
         for delta in multidegrees_up_to(n, max_len):
-            assert faithfulness_problem(delta, enumerate_basis(delta)) is None
+            basis = enumerate_basis(delta)
+            assert faithfulness_problem(delta, basis, [word_label(nm_to_word(m)) for m in basis]) is None
+    # and fails on labels that merge two basis monomials or give another degree
+    delta = MultiDegree((1, 1))
+    basis = enumerate_basis(delta)
+    label = word_label(nm_to_word(basis[0]))
+    assert faithfulness_problem(delta, basis, [label, label]).startswith("two basis monomials share")
+    other = word_label(Word(3, (1,)))
+    assert faithfulness_problem(delta, basis, [label, other]) == f"the label of {basis[1]} gives the multidegree (1, 0)"
 
 
 def test_configurations_refuse_a_negative_bound():

@@ -15,7 +15,6 @@ from partic.rewriting import (
     RewriteRule,
     _coded_words,
     _decode,
-    _degree_codes,
     _encode,
     _half_words,
     _reader,
@@ -292,10 +291,9 @@ def ending_words(n, seed, heads=2):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_table_steps_match_rule_scan(n):
-    # one one-start window per position (words that fit in one wide window) and one wide
-    # window per three rule starts (longer words), the last taking every start that
-    # remains, each from its own table, give the same neighbours as trying every rule at
-    # every position; the partic rules are the plactic ones plus the exchange rules.  Every
+    # one window per three rule starts, the last taking every start that remains (all of
+    # them for a word that fits in one window), each from its own table, give the same
+    # neighbours as trying every rule at every position; the partic rules are the plactic ones plus the exchange rules.  Every
     # word of length <= 8 (N = 3..5; <= 6 at N = 6, as the scan would take 5^8 words), then
     # words of length 9..12 with every ending
     plactic, partic = plactic_rules(n), partic_rules(n)
@@ -350,13 +348,13 @@ def test_steps_append_only_the_codes_not_yet_visited(rs):
 
 def test_window_memo_holds_only_the_windows_met():
     # filled lazily from by_span, one plain dict per (rule starts in the window, shift), and
-    # no table reads another: a rank-40 word of length 4 fits in one wide window, so it
-    # reads the one-start table at each of its 3 rule starts, shifted there.  A longer word
-    # reads one 6-letter window per three starts, and its last window, which reaches the
-    # word's end, takes every start that remains: 4 starts at shift 18 at length 8, 5 there
-    # at length 9, so these two share only the table at shift 0, where they meet one
-    # window; at length 10 the last window, at shift 36, takes 3 starts, and at length 13
-    # a full window reads that same table
+    # no table reads another: a rank-40 word of length 4 fits in one 6-letter window, so it
+    # reads one window at shift 0 with its 3 rule starts, the table a full window reads
+    # there.  A longer word reads one window per three starts, and its last window, which
+    # reaches the word's end, takes every start that remains: 4 starts at shift 18 at
+    # length 8, 5 there at length 9, so these two share only the table at shift 0, where
+    # they meet one window; at length 10 the last window, at shift 36, takes 3 starts, and
+    # at length 13 a full window reads that same table
     rs = partic_rules(40)
 
     def sizes():
@@ -365,17 +363,16 @@ def test_window_memo_holds_only_the_windows_met():
     assert sizes() == {}
     short = (20, 19, 21, 20)
     assert coded_steps(short, rs) == steps_reference(short, oriented(rs))
-    one_start = {(1, 0): 1, (1, 6): 1, (1, 12): 1}
-    assert sizes() == one_start
+    assert sizes() == {(3, 0): 1}
     long = short + (5, 4, 6, 5)
     assert coded_steps(long, rs) == steps_reference(long, oriented(rs))
-    assert sizes() == {**one_start, (3, 0): 1, (4, 18): 1}
+    assert sizes() == {(3, 0): 2, (4, 18): 1}
     longer = long + (5,)
     assert coded_steps(longer, rs) == steps_reference(longer, oriented(rs))
-    assert sizes() == {**one_start, (3, 0): 1, (4, 18): 1, (5, 18): 1}
+    assert sizes() == {(3, 0): 2, (4, 18): 1, (5, 18): 1}
     longest = longer + (6,)
     assert coded_steps(longest, rs) == steps_reference(longest, oriented(rs))
-    assert sizes() == {**one_start, (3, 0): 1, (4, 18): 1, (5, 18): 1, (3, 18): 1, (3, 36): 1}
+    assert sizes() == {(3, 0): 2, (4, 18): 1, (5, 18): 1, (3, 18): 1, (3, 36): 1}
     for table in rs.tables.values():
         assert type(table) is dict
         for diffs in table.values():
@@ -396,23 +393,29 @@ def test_window_memo_holds_only_the_windows_met():
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_window_lookups_per_word_have_the_closed_form(n):
-    # the work count of a rewrite step: one lookup per rule start for a word that fits in
-    # one wide window, else 1 + ceil((L - span - 2) / 3), span the longest rule's; and the
-    # windows read, in order, take every rule start of the word exactly once
+    # the work count of a rewrite step: 1 + ceil((L - span - 2) / 3) lookups, span the longest
+    # rule's, and one for a word that fits in one window; the windows read, in order, take
+    # every rule start of the word exactly once.  A word shorter than the shortest rule
+    # reads one window that holds nothing
     for rs in (plactic_rules(n), partic_rules(n)):
         lo, hi = min(rs.by_span), max(rs.by_span)
         for length in range(13):
-            want = max(0, length - lo + 1) if length < hi + 3 else 1 + -(-(length - hi - 2) // 3)
+            want = 1 + max(0, -(-(length - hi - 2) // 3))
             _, plan, tables = _reader(rs, length)
             assert len(tables) == want, (rs.name, length)
             starts = [shift // rs.bits + j for shift, count in plan.items() for j in range(count)]
             assert starts == list(range(length - lo + 1)), (rs.name, length)
+            if length < lo:
+                assert plan == {0: 0}
+                letters = (1,) * length
+                assert coded_steps(letters, rs) == steps_reference(letters, oriented(rs)) == set()
+                assert set(rs.tables[0, 0].values()) == {()}
     assert len(_reader(partic_rules(5), 8)[2]) == len(_reader(plactic_rules(5), 8)[2]) == 2
 
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_clear_leaves_no_stale_table(n):
-    # every table in rs.tables, one-start and wide at each shift, is filled at lengths
+    # every table in rs.tables, at each start count and shift, is filled at lengths
     # 0..9; then a rule (1, 2) <-> (2, 2) goes straight into by_span, as RewriteRule
     # refuses it, and at N = 3, whose rules all have span 3, it also moves the last
     # position a rule starts at
@@ -489,11 +492,11 @@ def test_partition_matches_rule_scan_on_joined_words(rs, counts):
 
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_code_classes_decode_to_the_partition(n):
-    # verify reads the classes as codes straight from the code list; decoded one code at a
-    # time they must be congruence_partition's classes, class by class and in order
+    # the tests read the BFS classes as codes straight from the coded words; decoded one code
+    # at a time they must be congruence_partition's classes, class by class and in order
     for rs in (plactic_rules(n), partic_rules(n)):
         for delta in multidegrees_up_to(n, 7):
-            codes, _ = _degree_codes(delta, rs.bits)
+            codes = _coded_words(delta, rs.bits)
             decoded = [{_decode(c, rs.bits) for c in cls} for cls in code_classes(codes, delta.total(), rs)]
             assert decoded == congruence_partition(delta, rs), (rs.name, delta)
 
@@ -514,7 +517,7 @@ def test_block_classes_are_the_bfs_classes(rules, n, max_len):
     # word by word: the same code sets in the same order, the order of their least words
     rs, reference = rules(n), rules(n)
     for delta, classes in block_partitions(rs, max_len):
-        codes, _ = _degree_codes(delta, rs.bits)
+        codes = _coded_words(delta, rs.bits)
         assert classes == [set(cls) for cls in code_classes(codes, delta.total(), reference)], (rs.name, delta)
 
 
@@ -540,6 +543,32 @@ def test_blocks_partition_the_words_of_each_length():
         assert length == 0 or level.block(_encode((1,) * (length - 1), rs.bits)) is None
 
 
+@pytest.mark.parametrize("n", (3, 4))
+def test_a_rule_planted_between_levels_is_read_by_the_next(n):
+    # the block route's counterpart of test_clear_leaves_no_stale_table: it keeps no table,
+    # so a rule planted in by_span once the levels to length 3 are built is read by the
+    # level of length 4 with nothing cleared.  The rule (1, 1, 2, 2) <-> (2, 2, 1, 1) spans
+    # the whole word, so it ends at the last letter wherever it applies, and it joins two
+    # classes; at N = 3 it is the first rule of span 4, at N = 4 it joins the exchange rule
+    rs, levels = partic_rules(n), []
+    for _ in range(4):
+        levels.append(BlockClasses(rs, levels[-1] if levels else None))
+    before = len(BlockClasses(rs, levels[-1]).classes)
+    degrees = [delta for delta in multidegrees_up_to(n, 4) if delta.total() == 4]
+    for delta in degrees:  # the word BFS fills its window tables under the rules as they were
+        code_classes(_coded_words(delta, rs.bits), 4, rs)
+    lhs, rhs = _encode((1, 1, 2, 2), rs.bits), _encode((2, 2, 1, 1), rs.bits)
+    rules = rs.by_span.setdefault(4, {})
+    rules.setdefault(lhs, []).append(rhs - lhs)
+    rules.setdefault(rhs, []).append(lhs - rhs)
+    level = BlockClasses(rs, levels[-1])
+    assert len(level.classes) == before - 1
+    rs.tables.clear()
+    for delta in degrees:
+        blocks = [{c for b in level.classes[j] for c in level.words(b)} for j in level.of(delta)]
+        assert blocks == [set(cls) for cls in code_classes(_coded_words(delta, rs.bits), 4, rs)], delta
+
+
 @pytest.mark.parametrize("rs", [plactic_rules(5), partic_rules(5)], ids=lambda rs: rs.name)
 def test_code_classes_read_one_window_plan_per_call(monkeypatch, rs):
     # every code of a degree has one length, so one window plan serves all of its classes
@@ -548,7 +577,7 @@ def test_code_classes_read_one_window_plan_per_call(monkeypatch, rs):
     for counts in [(0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2)]:
         delta = MultiDegree(counts)
         plans.clear()
-        classes = code_classes(_degree_codes(delta, rs.bits)[0], delta.total(), rs)
+        classes = code_classes(_coded_words(delta, rs.bits), delta.total(), rs)
         assert plans == [delta.total()]
         assert len(classes) > 1 or not delta.total()
         plans.clear()

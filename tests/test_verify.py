@@ -242,7 +242,7 @@ def bfs_degrees(cfg):
         length = delta.total()
         shift = max(length - 1, 0) * bits
         forms = []
-        for cls in rewriting.code_classes(rewriting._degree_codes(delta, bits)[0], length, rs):
+        for cls in rewriting.code_classes(rewriting._coded_words(delta, bits), length, rs):
             cls_forms = {}
             for code in cls:
                 if code:
@@ -287,6 +287,17 @@ def test_the_block_route_gives_the_bfs_verdicts(monkeypatch, rules, n, max_len):
         if rules == "one way" and bound > 2:
             blocks, bfs = blocks["grading"], bfs["grading"]
         assert blocks == bfs, bound
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_verify_never_reads_the_window_tables(monkeypatch, n):
+    # the degree pass closes classes from blocks, straight from by_span: the word BFS's
+    # window tables in the run's RelationSet stay empty
+    built = []
+    monkeypatch.setattr(verify, "partic_rules", lambda n: built.append(rewriting.partic_rules(n)) or built[-1])
+    assert verify.run_verify(VerifyConfig(n)).passed
+    assert len(built) == 1
+    assert built[0].tables == {} and built[0].interned == {}
 
 
 def test_grading_reference_reads_the_coded_tables():
@@ -467,12 +478,15 @@ def test_memoized_forms_are_the_normal_forms(n):
     assert seen == sum((n - 1) ** length for length in range(8))
 
 
-def pairwise_distinct_labels(n, max_len):
-    """The faithfulness sweep before the per-degree check: labels distinct over all degrees at once."""
+def pairwise_distinct_labels(n, max_len, swap):
+    """The faithfulness sweep before the per-degree check: fold labels distinct over all degrees at once.
+
+    Each basis monomial in ``swap`` is labelled as its image there.
+    """
     seen = {}
     for delta in multidegrees_up_to(n, max_len):
         for m in normal_form.enumerate_basis(delta):
-            if seen.setdefault(particles.io_label(m), m) != m:
+            if seen.setdefault(particles.word_label(nm_to_word(swap.get(m, m))), m) != m:
                 return False
     return True
 
@@ -487,11 +501,12 @@ def pairwise_distinct_labels(n, max_len):
     ],
 )
 def test_labels_that_merge_or_change_degree_fail_faithfulness(monkeypatch, target, source, problem):
-    real = particles._io_counts
-    swap = {(target.d, target.k): (source.d, source.k)}
-    monkeypatch.setattr(particles, "_io_counts", lambda d, k: real(*swap.get((d, k), (d, k))))
+    # the label is swapped on the fold route, where faithfulness reads it
+    real = verify._letters_label
+    swap = {_nm_letters(target.d, target.k): _nm_letters(source.d, source.k)}
+    monkeypatch.setattr(verify, "_letters_label", lambda n, letters: real(n, swap.get(letters, letters)))
     for max_len in range(1, 4):
-        reference = pairwise_distinct_labels(3, max_len)
+        reference = pairwise_distinct_labels(3, max_len, {target: source})
         passed, counterexample = verdicts(VerifyConfig(3, max_len=max_len))["faithfulness"]
         assert passed == reference == (sum(target.d) + sum(target.k) > max_len)
         assert passed or counterexample.startswith(problem)
