@@ -293,8 +293,12 @@ class BlockClasses:
     ``_words`` lists the words of each shorter class and ``_index`` maps
     each to ``j << bits``.  The length 0 has the one block 0, the empty word
     under the letter 0.  The rules that end at a word's last letter come
-    straight from ``rs.by_span``: a word's last ``span`` letters are ``code
-    >> (length - span) * bits``.  Nothing here reads a normal form.
+    from ``rs.by_span``: a word's last ``span`` letters are ``code >>
+    (length - span) * bits``, and those of every span that fits lie in its
+    last ``tail`` letters, ``tail`` the longest such span, so one call to
+    ``_close`` reads ``by_span`` once per ``tail`` met and keeps the shifted
+    differences by it until the level is built.  Nothing here reads a
+    normal form.
     """
 
     def __init__(self, rs: RelationSet, shorter: BlockClasses | None = None) -> None:
@@ -341,8 +345,11 @@ class BlockClasses:
         index = self._index = {}
         for j, codes in enumerate(words):
             index.update(dict.fromkeys(codes, j << bits))
-        # the rules of each span that fits, by where they start: a word's last span letters are w >> wshift
-        ends = [((length - span) * bits, rules.get) for span, rules in rs.by_span.items() if span <= length]
+        # the rules that end at a word's last letter depend on its last `tail` letters, w >> tshift:
+        # one list of their diffs, each shifted to its start, per tail met, filled from by_span
+        spans = [(span, rules) for span, rules in rs.by_span.items() if span <= length]
+        tail = max((span for span, _ in spans), default=0)
+        tshift, ends = (length - tail) * bits, {}
         below = shorter._degrees
         degrees = sorted({c[:i] + (c[i] + 1,) + c[i + 1:] for c in below for i in range(len(c))})
         classes, owner = self.classes, {}  # owner: {block: the first class to hold it}
@@ -368,13 +375,21 @@ class BlockClasses:
                     top = (b & letter) << shift
                     for c in words[b >> bits]:
                         w = c | top
-                        for wshift, get in ends:
-                            for diff in get(w >> wshift, ()):
-                                nxt = w + (diff << wshift)
-                                nb = index[nxt & mask] | nxt >> shift
-                                if nb not in seen:
-                                    seen.add(nb)
-                                    cls.append(nb)
+                        end = w >> tshift
+                        try:
+                            diffs = ends[end]
+                        except KeyError:
+                            diffs = ends[end] = [
+                                diff << (length - span) * bits
+                                for span, rules in spans
+                                for diff in rules.get(end >> (tail - span) * bits, ())
+                            ]
+                        for diff in diffs:
+                            nxt = w + diff
+                            nb = index[nxt & mask] | nxt >> shift
+                            if nb not in seen:
+                                seen.add(nb)
+                                cls.append(nb)
                 j = len(classes)
                 classes.append(cls)
                 for b in cls:

@@ -1,18 +1,21 @@
 """Umbrella certification suite behind the ``verify`` CLI subcommand.
 
-Three passes feed the checks.  One goes over multidegrees with their
-congruence classes, each built from the classes one letter shorter as blocks
-(a shorter class times a last letter, ``rewriting.BlockClasses``), and gives
-each block one normal form, one step on its shorter class's form; one goes
-over the basis monomials of each multidegree, with the run's labels of them;
-one runs once.  Each check
-returns the problem it finds on one item, or None.  The report lists checks
-by name, so output is reproducible in any execution order.
+A run numbers the basis monomials of length <= max_len once (``_Basis``)
+and keeps, for each, its single steps R_a and L_a as numbers, its
+expansion and its fold label, each computed once.  Two passes read this
+index.  One goes over multidegrees with their congruence classes, each
+built from the classes one letter shorter as blocks (a shorter class times
+a last letter, ``rewriting.BlockClasses``), and gives each block the form
+R_a of its shorter class's form, read from the index; one goes over the
+numbers of the basis monomials of each multidegree; one runs once.  Each
+check returns the problem it finds on one item, or None.  The report lists
+checks by name, so output is reproducible in any execution order.
 
-The passes work on raw values: words are the oracle's integer codes, and
-labels and (output, input) pairs are count tuples.  A ``Word``,
-``Configuration`` or ``IoLabel`` is built only to confirm and report a
-failure, and a message names words as letter tuples, decoded then.
+The passes work on raw values: words are the oracle's integer codes,
+basis monomials their numbers, and labels and (output, input) pairs are
+count tuples.  A ``Word``, ``Configuration`` or ``IoLabel`` is built only
+to confirm and report a failure, and a message names words as letter
+tuples, decoded then.
 """
 from __future__ import annotations
 
@@ -23,22 +26,9 @@ from typing import Callable, Iterator
 
 from .center import center_basis_in_degree, theorem_mismatch
 from .core import MultiDegree, NormalMonomial, Word, _check_bound, _nm_letters, multidegrees_up_to, nm_to_word
-from .normal_form import (
-    Exponents,
-    _basis_exponents,
-    _left_mul,
-    _monomial,
-    _right_mul,
-    _step,
-    enumerate_basis,
-    normalize,
-    normalize_right_to_left,
-)
+from .normal_form import _left_mul, _right_mul, _step, enumerate_basis, normalize, normalize_right_to_left
 from .particles import Configuration, _letters_label, _prepend_letters, act_word, faithfulness_problem, word_label
 from .rewriting import PARTIC, BlockClasses, _decode, _encode, partic_rules
-
-
-Labels = dict[Exponents, tuple[tuple[int, ...], tuple[int, ...]]]  # {(d, k): word label of its expansion}
 
 
 @dataclass(frozen=True)
@@ -73,44 +63,96 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _degrees(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[dict], BlockClasses]]:
+OUT = -1  # the number of a product that is no basis monomial of the index
+
+
+class _Basis:
+    """The basis monomials of length <= ``bound``, numbered, with what the checks read of each.
+
+    Numbers follow ``enumerate_basis`` over ``multidegrees_up_to``, so they
+    run by total, and ``degrees`` maps a degree's counts to the range of its
+    numbers; ``ids`` maps (d, k) to the number.  ``right[m][a]`` and
+    ``left[m][a]`` are the numbers of R_a(m) and L_a(m), each one ``_step``
+    of ``_right_mul`` or ``_left_mul`` (this module's names, read when the
+    index is built), for a = 1..N-1; slot 0 is unused.  A
+    product that is no basis monomial of length <= ``bound`` is ``OUT``, and
+    so is every product of a monomial of length ``bound``, which is never
+    taken.  The last row, the row of ``OUT``, is all ``OUT``, so a product
+    of a product is ``OUT`` once either is.  ``letters[m]`` is the expansion
+    of m, ``labels[m]`` its fold label, ``word_label``'s; ``monomials`` and
+    ``labels`` hold None at ``OUT``.  The index lives for one run.
+    """
+
+    def __init__(self, n: int, bound: int) -> None:
+        self.bound = bound
+        self.degrees: dict[tuple[int, ...], range] = {}
+        monomials: list = []
+        short = 0  # the monomials shorter than bound, whose products are taken
+        for delta in multidegrees_up_to(n, bound):
+            basis = enumerate_basis(delta)
+            self.degrees[delta.counts] = range(len(monomials), len(monomials) + len(basis))
+            monomials += basis
+            if delta.total() < bound:
+                short = len(monomials)
+        self.ids = ids = {(m.d, m.k): i for i, m in enumerate(monomials)}
+        shorter = [(m.d, m.k) for m in monomials[:short]]
+        out = [(OUT,) * n] * (len(monomials) - short + 1)
+        self.right = [(OUT, *[ids.get(_step(_right_mul, dk, a), OUT) for a in range(1, n)]) for dk in shorter] + out
+        self.left = [(OUT, *[ids.get(_step(_left_mul, dk, a), OUT) for a in range(1, n)]) for dk in shorter] + out
+        self.letters = [_nm_letters(m.d, m.k) for m in monomials]
+        self.labels = [_letters_label(n, w) for w in self.letters] + [None]
+        self.monomials = monomials + [None]
+
+
+class _Run:
+    """One ``run_verify``: the bounds its checks read and the run's ``_Basis``.
+
+    Walks and checks take it in place of the config.  The index reaches
+    ``max(max_len, 1)``, as action-factoring checks the words of length 1
+    at max_len 0.
+    """
+
+    def __init__(self, cfg: VerifyConfig) -> None:
+        self.n, self.max_len, self.max_degree = cfg.n, cfg.max_len, cfg.max_degree
+        self.basis = _Basis(cfg.n, max(cfg.max_len, 1))
+
+
+def _degrees(run: _Run) -> Iterator[tuple[MultiDegree, list[dict], BlockClasses]]:
     # one degree at a time, by total, so a first failing word is shortest and the classes one
     # letter shorter are all there.  Only the partic rules: the plactic ones are a subset, so
     # their classes refine these and certify no more
-    n = cfg.n
+    n = run.n
     rs = partic_rules(n)
     bits, letter = rs.bits, (1 << rs.bits) - 1
     # normalize applies _right_mul to the letters in turn, so the form of u a is R_a of the form
     # of u; while normal-form passes, every word of a class has the class's form, so a block
-    # (C, a) has the one form R_a(form of C).  Distinct classes then have distinct forms, so
-    # each step is taken once, and _monomial validates each distinct form once
-    level = BlockClasses(rs)
-    forms = [{0: _monomial(n, (0,) * (n - 2), (0,) * (n - 1))}]  # each class of the level as {block: form}
-    for delta in multidegrees_up_to(n, cfg.max_len):
-        if delta.total() != level.length:  # the form of each class one letter shorter is its seed block's
-            prefix = [(m.d, m.k) for m in (next(iter(f.values())) for f in forms)]
+    # (C, a) has the one form R_a(form of C), the index's entry.  A form is the index's
+    # monomial, None where the step left the index, and a class's is its seed block's
+    right, monomials = run.basis.right, run.basis.monomials
+    level, prefix, forms = BlockClasses(rs), [0], [{0: monomials[0]}]  # number 0 is the unit
+    for delta in multidegrees_up_to(n, run.max_len):
+        if delta.total() != level.length:
             level = BlockClasses(rs, level)
-            forms = [
-                {b: _monomial(n, *_step(_right_mul, prefix[b >> bits], b & letter)) for b in cls}
-                for cls in level.classes
-            ]
+            steps = [[right[prefix[b >> bits]][b & letter] for b in cls] for cls in level.classes]
+            prefix = [ids[0] for ids in steps]
+            forms = [dict(zip(cls, map(monomials.__getitem__, ids))) for cls, ids in zip(level.classes, steps)]
         yield delta, [forms[j] for j in level.of(delta)], level
 
 
-def _monomials(cfg: VerifyConfig) -> Iterator[tuple[MultiDegree, list[NormalMonomial], Labels]]:
+def _monomials(run: _Run) -> Iterator[tuple[MultiDegree, range]]:
     # the same degrees as _degrees, by total, so a first failing case has a shortest witness
     # word; a pass of its own, as the checks that read only the basis monomials would
     # otherwise be charged a share of the partitions in --timings
-    labels: Labels = {}  # filled by action-factoring and faithfulness, each label computed once
-    for delta in multidegrees_up_to(cfg.n, cfg.max_len):
-        yield delta, enumerate_basis(delta), labels
+    degrees = run.basis.degrees
+    for delta in multidegrees_up_to(run.n, run.max_len):
+        yield delta, degrees[delta.counts]
 
 
-def _once(cfg: VerifyConfig) -> Iterator[tuple]:
+def _once(run: _Run) -> Iterator[tuple]:
     yield ()
 
 
-def _grading(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict], level: BlockClasses) -> str | None:
+def _grading(run: _Run, delta: MultiDegree, classes: list[dict], level: BlockClasses) -> str | None:
     # the classes hold every word of delta and every word any rewrite of one of them reaches,
     # each once: so exactly multinomial(delta) words iff no rewrite leaves delta
     size = factorial(delta.total()) // prod(map(factorial, delta.counts))
@@ -118,29 +160,43 @@ def _grading(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict], level: 
         return f"degree ({delta}): its classes hold {held} words, not the {size} of that multidegree"
 
 
-def _basis_count(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict], level: BlockClasses) -> str | None:
-    # the basis is counted unvalidated, as the monomial pass validates each basis monomial
-    nc, nb = len(classes), sum(1 for _ in _basis_exponents(delta))
+def _basis_count(run: _Run, delta: MultiDegree, classes: list[dict], level: BlockClasses) -> str | None:
+    nc, nb = len(classes), len(run.basis.degrees[delta.counts])
     if nc != nb:
         return f"degree ({delta}): {nc} classes vs {nb} basis monomials"
 
 
-def _normal_form(cfg: VerifyConfig, delta: MultiDegree, classes: list[dict], level: BlockClasses) -> str | None:
+def _normal_form(run: _Run, delta: MultiDegree, classes: list[dict], level: BlockClasses) -> str | None:
     # forms are compared by their exponents, as the dataclass __hash__ and __eq__ are Python-level
     # calls; within a run a class's forms are nearly always one object, so identity comes first.
-    # A class is {block: form}, so a form's expansion is looked up by its block
-    seen = {}  # {(d, k): the class with that form}
+    # A form's expansion is the index's, looked up by its number
+    basis = run.basis
+    seen = {}  # {number: the class with that form}
     for cls in classes:
         forms = iter(cls.values())
         nf = next(forms)
-        dk = nf.d, nf.k
-        if any(m is not nf and (m.d, m.k) != dk for m in forms):
-            return f"class of {_least(level, cls)} has {len({(m.d, m.k) for m in cls.values()})} normal forms"
-        if dk in seen:
-            return f"classes of {_least(level, cls)} and {_least(level, seen[dk])} share a normal form"
-        seen[dk] = cls
-        if level.block(_encode(_nm_letters(*dk), level.rs.bits)) not in cls:
+        if nf is None or any(m is not nf and (m is None or (m.d, m.k) != (nf.d, nf.k)) for m in forms):
+            return _forms_problem(run, level, cls)
+        i = basis.ids[nf.d, nf.k]
+        if i in seen:
+            return f"classes of {_least(level, cls)} and {_least(level, seen[i])} share a normal form"
+        seen[i] = cls
+        if level.block(_encode(basis.letters[i], level.rs.bits)) not in cls:
             return f"expansion of {nf} leaves the class of {_least(level, cls)}"
+
+
+def _forms_problem(run: _Run, level: BlockClasses, cls: dict) -> str:
+    """Why a class has no one form: a block whose step left the index, else its distinct forms."""
+    least = _least(level, cls)
+    off = [b for b, m in cls.items() if m is None]
+    if not off:
+        return f"class of {least} has {len({(m.d, m.k) for m in cls.values()})} normal forms"
+    # while normal-form passes, every shorter word has its class's form, so the right fold of
+    # a word of the block takes the step that left the index last
+    w = min(_decode(c, level.rs.bits) for c in level.words(off[0]))
+    d, k = [0] * (run.n - 2), [0] * (run.n - 1)
+    _right_mul(d, k, w)
+    return f"class of {least}: the right fold of {w} is d={tuple(d)} k={tuple(k)}, {_outside(run.basis)}"
 
 
 def _least(level: BlockClasses, blocks) -> tuple[int, ...]:
@@ -148,7 +204,23 @@ def _least(level: BlockClasses, blocks) -> tuple[int, ...]:
     return min(_decode(c, level.rs.bits) for b in blocks for c in level.words(b))
 
 
-def _fold_agreement(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial], labels: Labels) -> str | None:
+def _outside(basis: _Basis) -> str:
+    return f"no basis monomial of length <= {basis.bound}"
+
+
+def _off_index(run: _Run, steps) -> str | None:
+    """The first of ``steps``, (rule name, number, letter), whose product is ``OUT``, as a problem."""
+    basis = run.basis
+    for name, m, a in steps:
+        rule, table = (_right_mul, basis.right) if name == "R" else (_left_mul, basis.left)
+        if table[m][a] == OUT:
+            mono = basis.monomials[m]
+            d, k = _step(rule, (mono.d, mono.k), a)
+            return f"{name}_{a}({mono}) is d={d} k={k}, {_outside(basis)}"
+    return None
+
+
+def _fold_agreement(run: _Run, delta: MultiDegree, ids: range) -> str | None:
     """``normalize == normalize_right_to_left`` on every word of length <= max_len, by induction.
 
     The folds send a letter a to R_a(1) and L_a(1), and a word a u b, where
@@ -156,42 +228,43 @@ def _fold_agreement(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMon
     ``_right_mul``, ``_left_mul``).  So the check compares these for every
     basis monomial m of length <= max_len - 2 and all a, b; m is a basis
     monomial as the degree pass validates the right fold of every word.
-    The letters are compared at every bound, so no bound examines nothing.
+    Each product is the index's entry, so a product outside the index
+    fails the check.  The letters are compared at every bound, so no bound
+    examines nothing.
     """
-    n = cfg.n
+    n, right, left = run.n, run.basis.right, run.basis.left
     if not delta.total():
-        unit = basis[0].d, basis[0].k
         for a in range(1, n):
-            if _step(_right_mul, unit, a) != _step(_left_mul, unit, a):
-                return _fold_problem(basis[0], a, None)
-    if delta.total() > cfg.max_len - 2:
+            if right[0][a] != left[0][a] or right[0][a] == OUT:
+                return _fold_problem(run, 0, a, None)
+    if delta.total() > run.max_len - 2:
         return None
-    for m in basis:
-        dk = m.d, m.k
-        right = [_step(_right_mul, dk, b) for b in range(1, n)]
+    for m in ids:
+        rm, lm = right[m], left[m]
         for a in range(1, n):
-            left = _step(_left_mul, dk, a)
+            la = right[lm[a]]  # the right steps of L_a(m)
             for b in range(1, n):
-                if _step(_left_mul, right[b - 1], a) != _step(_right_mul, left, b):
-                    return _fold_problem(m, a, b)
+                x = left[rm[b]][a]
+                if x != la[b] or x == OUT:
+                    return _fold_problem(run, m, a, b)
 
 
-def _fold_problem(m: NormalMonomial, a: int, b: int | None) -> str:
-    # a local failure, reported on its word once the two folds confirm it
-    w = Word(m.n, (a, *nm_to_word(m).letters) + ((b,) if b else ()))
+def _fold_problem(run: _Run, m: int, a: int, b: int | None) -> str:
+    # a local failure: a product outside the index, or one reported on its word once the two
+    # folds confirm it
+    right, left = run.basis.right, run.basis.left
+    steps = [("R", m, b), ("L", m, a), ("L", right[m][b], a), ("R", left[m][a], b)] if b else [("R", m, a), ("L", m, a)]
+    if problem := _off_index(run, steps):
+        return problem
+    mono = run.basis.monomials[m]
+    w = Word(run.n, (a, *run.basis.letters[m]) + ((b,) if b else ()))
     if normalize(w) != normalize_right_to_left(w):
         return f"folds disagree on {w.letters}"
-    rules = f"L_{a} R_{b} and R_{b} L_{a} differ on {m}" if b else f"R_{a} and L_{a} differ on 1"
+    rules = f"L_{a} R_{b} and R_{b} L_{a} differ on {mono}" if b else f"R_{a} and L_{a} differ on 1"
     return f"{rules}, but the folds agree on {w.letters}"
 
 
-def _label(labels: Labels, n: int, dk: Exponents) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Store in ``labels`` and return the label of ``dk``: ``word_label``'s fold over its expansion."""
-    label = labels[dk] = _letters_label(n, _nm_letters(*dk))
-    return label
-
-
-def _action_factoring(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial], labels: Labels) -> str | None:
+def _action_factoring(run: _Run, delta: MultiDegree, ids: range) -> str | None:
     """Every word of length <= max_len acts like its normal form, by induction.
 
     A word acts by its label (``word_label``), and prepending a letter a
@@ -201,25 +274,22 @@ def _action_factoring(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalM
     expansion of its left fold, ``normalize_right_to_left(w)``.  The check is
     about the left fold: it speaks for ``normalize`` together with
     fold-agreement.  At max_len 0 the words of length 1 are still checked.
-    ``labels`` keeps each basis monomial's label once computed (``_label``),
-    as a source or as one of up to N-1 targets: ``word_label``'s fold over
-    the letters of its expansion, with no ``Word`` built.  Faithfulness
-    decides on these same labels, so neither check calls ``_io_counts``;
+    Labels and L_a(m) are the index's: ``word_label``'s fold over the
+    letters of each basis monomial's expansion, with no ``Word`` built, and
+    a product outside the index fails the check.  Faithfulness decides on
+    these same labels, so neither check calls ``_io_counts``;
     tests/action_reference.py sweeps configurations.
     """
-    if delta.total() >= max(cfg.max_len, 1):
+    if delta.total() >= max(run.max_len, 1):
         return None
-    n = cfg.n
-    for m in basis:
-        source = m.d, m.k
-        label = labels.get(source) or _label(labels, n, source)
+    n, left, labels = run.n, run.basis.left, run.basis.labels
+    for m in ids:
+        label, row = labels[m], left[m]
         for a in range(1, n):
-            dk = _step(_left_mul, source, a)
-            target = labels.get(dk) or _label(labels, n, dk)
             o, i = map(list, label)
             _prepend_letters(o, i, (a,))
-            if target != (tuple(o), tuple(i)):
-                return _action_problem(m, a)
+            if labels[row[a]] != (tuple(o), tuple(i)):
+                return _off_index(run, [("L", m, a)]) or _action_problem(run.basis.monomials[m], a)
 
 
 def _action_problem(m: NormalMonomial, a: int) -> str:
@@ -238,15 +308,15 @@ def _action_problem(m: NormalMonomial, a: int) -> str:
     return f"word {w.letters} and its normal form act differently on {c}"
 
 
-def _faithfulness(cfg: VerifyConfig, delta: MultiDegree, basis: list[NormalMonomial], labels: Labels) -> str | None:
-    # decided on the labels the action gives, those action-factoring checks; it has stored nearly all
-    keys = [(m.d, m.k) for m in basis]
-    return faithfulness_problem(delta, basis, [labels.get(dk) or _label(labels, cfg.n, dk) for dk in keys])
+def _faithfulness(run: _Run, delta: MultiDegree, ids: range) -> str | None:
+    # decided on the labels the action gives, those action-factoring checks
+    basis = run.basis
+    return faithfulness_problem(delta, basis.monomials[ids.start:ids.stop], basis.labels[ids.start:ids.stop])
 
 
-def _center(cfg: VerifyConfig) -> str | None:
-    for delta in multidegrees_up_to(cfg.n, cfg.max_degree):
-        problem = theorem_mismatch(delta, center_basis_in_degree(cfg.n, delta))
+def _center(run: _Run) -> str | None:
+    for delta in multidegrees_up_to(run.n, run.max_degree):
+        problem = theorem_mismatch(delta, center_basis_in_degree(run.n, delta))
         if problem is not None:
             return f"degree ({delta}): {problem}"
 
@@ -271,18 +341,19 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
     rows = [(VerifyCheck(name, base | {f: getattr(cfg, f) for f in fields}, True, None, 0.0), walk, check)
             for name, walk, check, fields in CHECKS if name != CENTER or cfg.max_degree is not None]
     t0 = time.perf_counter()
+    run = _Run(cfg)  # its index is shared work of the first pass
     for walk in dict.fromkeys(w for _, w, _ in rows):
         on_pass = [(record, check) for record, w, check in rows if w is walk]
-        for item in walk(cfg):
+        for item in walk(run):
             for record, check in on_pass:
                 if record.passed:  # a check stops at its first problem
                     t = time.perf_counter()
-                    record.counterexample = check(cfg, *item)
+                    record.counterexample = check(run, *item)
                     record.seconds += time.perf_counter() - t
                     record.passed = record.counterexample is None
             if not any(record.passed for record, _ in on_pass):
                 break
-        # the pass's shared work (partitions, normal forms, basis monomials) is split equally
+        # the pass's shared work (the basis index, partitions, block forms) is split equally
         t1 = time.perf_counter()
         shared = (t1 - t0 - sum(record.seconds for record, _ in on_pass)) / len(on_pass)
         for record, _ in on_pass:

@@ -2,6 +2,7 @@
 import re
 import time
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,6 +40,7 @@ def _normalize_mapping(letters, image):
 
 
 REAL_RIGHT, REAL_LEFT = normal_form._right_mul, normal_form._left_mul
+REAL_WALK = normal_form._basis_exponents
 
 
 def _absorbs_from_2(d, k, letters):
@@ -348,7 +350,9 @@ DISTINCT_4_5 = {normal_form.normalize(Word(4, t)) for length in range(6) for t i
 
 @pytest.mark.parametrize("relations", RELATIONS)
 def test_each_form_is_validated_once_and_each_word_costs_one_step(monkeypatch, relations):
-    # words whose prefixes share a normal form and that end in the same letter share one step
+    # words whose prefixes share a normal form and that end in the same letter share one step:
+    # the run's basis index takes one step per (basis monomial of length <= 4, letter), and the
+    # degree pass reads every block's form from it, taking no step of its own
     steps = []
     monkeypatch.setattr(verify, "_right_mul", lambda d, k, letters: steps.extend(letters) or REAL_RIGHT(d, k, letters))
     monkeypatch.setattr(verify, "CHECKS", tuple(c for c in verify.CHECKS if c[1] is verify._degrees))
@@ -358,10 +362,15 @@ def test_each_form_is_validated_once_and_each_word_costs_one_step(monkeypatch, r
     words = [t for length in range(1, 6) for t in product(range(1, 4), repeat=length)]
     pairs = {(normal_form.normalize(Word(4, t[:-1])), t[-1]) for t in words}
     assert len(steps) == len(pairs) == 183 < len(words) == 363
+    run = verify._Run(VerifyConfig(4, max_len=5))
+    steps.clear()
+    assert sum(len(classes) for _, classes, _ in verify._degrees(run)) == len(DISTINCT_4_5)
+    assert steps == []
 
 
 def test_word_label_is_computed_once_per_basis_monomial(monkeypatch):
-    # action-factoring reads each basis monomial's label as a source and as up to N-1 targets
+    # the index labels each basis monomial once; action-factoring reads the label as a source
+    # and as up to N-1 targets, and faithfulness reads it again
     calls = []
     real = particles._letters_label
     monkeypatch.setattr(verify, "_letters_label", lambda n, letters: calls.append(letters) or real(n, letters))
@@ -372,6 +381,44 @@ def test_word_label_is_computed_once_per_basis_monomial(monkeypatch):
         assert verify.run_verify(cfg).passed
         assert sorted(calls) == sorted(nm_to_word(m).letters for m in basis)
         assert len(calls) == 116
+
+
+def index_work(monkeypatch, cfg) -> dict:
+    """Run ``run_verify`` on ``cfg`` and return the work its basis index was built from, as counted in ``verify``."""
+    work = {"R": [], "L": [], "expansions": [], "basis walks": []}
+
+    def logged(rule, log):
+        return lambda d, k, letters: log.append((tuple(d), tuple(k), *letters)) or rule(d, k, letters)
+
+    monkeypatch.setattr(verify, "_right_mul", logged(REAL_RIGHT, work["R"]))
+    monkeypatch.setattr(verify, "_left_mul", logged(REAL_LEFT, work["L"]))
+    monkeypatch.setattr(verify, "_nm_letters", lambda d, k: work["expansions"].append((d, k)) or _nm_letters(d, k))
+    walks = work["basis walks"]
+    monkeypatch.setattr(normal_form, "_basis_exponents", lambda delta: walks.append(delta) or REAL_WALK(delta))
+    assert verify.run_verify(cfg).passed
+    return work
+
+
+def test_the_index_takes_each_step_expansion_and_basis_walk_once(monkeypatch):
+    # one R and one L step per (basis monomial of length <= L-1, letter), one expansion per
+    # basis monomial, one walk of each degree's basis: both passes read them all from the index
+    n, max_len = 5, 6
+    basis = [(m.d, m.k) for delta in multidegrees_up_to(n, max_len) for m in normal_form.enumerate_basis(delta)]
+    shorter = [(d, k) for d, k in basis if sum(d) + sum(k) < max_len]
+    work = index_work(monkeypatch, VerifyConfig(n, max_len=max_len))
+    for rule in ("R", "L"):
+        assert sorted(work[rule]) == sorted((d, k, a) for d, k in shorter for a in range(1, n))
+    assert len(work["R"]) == len(work["L"]) == 4 * 290
+    assert sorted(work["expansions"]) == sorted(basis) and len(basis) == 595
+    assert work["basis walks"] == multidegrees_up_to(n, max_len) and len(work["basis walks"]) == 210
+
+
+def test_a_second_run_builds_its_own_index(monkeypatch):
+    # the index lives for one run: a second run takes every step, expansion and walk again
+    cfg = VerifyConfig(4, max_len=5)
+    first, second = index_work(monkeypatch, cfg), index_work(monkeypatch, cfg)
+    assert first == second
+    assert [len(first[key]) for key in ("R", "L", "expansions", "basis walks")] == [183, 183, 116, 56]
 
 
 @pytest.mark.parametrize(
@@ -397,10 +444,10 @@ def test_both_passes_validate_each_form_once(monkeypatch):
 
 
 def test_each_normal_form_is_expanded_once(monkeypatch):
-    # by normal-form; action-factoring expands basis monomials in its own pass
+    # by the index, whose expansions normal-form reads in the degree pass and whose labels
+    # action-factoring and faithfulness read in the monomial pass
     calls = []
     monkeypatch.setattr(verify, "_nm_letters", lambda d, k: calls.append((d, k)) or _nm_letters(d, k))
-    monkeypatch.setattr(verify, "CHECKS", tuple(c for c in verify.CHECKS if c[1] is verify._degrees))
     assert verify.run_verify(VerifyConfig(4, max_len=5)).passed
     distinct = {normal_form.normalize(Word(4, t)) for length in range(6) for t in product(range(1, 4), repeat=length)}
     assert len(calls) == len(set(calls)) == len(distinct)
@@ -409,19 +456,19 @@ def test_each_normal_form_is_expanded_once(monkeypatch):
 def test_equal_forms_held_as_distinct_objects_are_one_form():
     # normal-form compares forms by their exponents, not by object: with the _monomial table
     # cleared mid-class, every other block of a class holds a new but equal NormalMonomial
-    cfg, distinct = VerifyConfig(4, max_len=5), 0
-    for delta, classes, level in verify._degrees(cfg):
+    run, distinct = verify._Run(VerifyConfig(4, max_len=5)), 0
+    for delta, classes, level in verify._degrees(run):
         rebuilt = []
         for cls in classes:
             normal_form._monomial.cache_clear()
             rebuilt.append({b: normal_form._monomial(m.n, m.d, m.k) if j % 2 else m for j, (b, m) in enumerate(cls.items())})
             distinct += len({id(m) for m in rebuilt[-1].values()}) - 1
-        assert verify._normal_form(cfg, delta, rebuilt, level) is None
+        assert verify._normal_form(run, delta, rebuilt, level) is None
         # a form that truly differs still counts as a second one
         if len(rebuilt[-1]) > 1:  # so of total 2 or more, whose forms are not a1's
             rebuilt[-1][max(rebuilt[-1])] = gen_monomial(4, 1)
             least = min(rewriting._decode(c, 3) for b in rebuilt[-1] for c in level.words(b))
-            assert verify._normal_form(cfg, delta, rebuilt, level) == f"class of {least} has 2 normal forms"
+            assert verify._normal_form(run, delta, rebuilt, level) == f"class of {least} has 2 normal forms"
     assert distinct > 50  # classes that held two objects for one form
 
 
@@ -464,12 +511,67 @@ def test_messages_on_a_rule_out_of_the_degree_name_words(monkeypatch):
     assert new["normal-form"] == (False, "class of (1, 2) has 2 normal forms")
 
 
+def _leaves_the_basis_at_2(d, k, letters):
+    # _right_mul that raises d_2 for a2 whenever k_1 >= 1, without moving k: a1 a2 a2 then
+    # folds to d=(2,) k=(1, 0), which violates the normal-form condition
+    for i in letters:
+        if i == 2 and k[0] >= 1:
+            d[0] += 1
+        else:
+            REAL_RIGHT(d, k, (i,))
+
+
+def test_a_product_outside_the_basis_fails_checks_instead_of_raising(monkeypatch):
+    # the degree pass validated every step, so this rule raised ValueError at (1, 2, 2) and lost
+    # the whole report; the index holds such a step as outside the basis, which no check reads
+    # here, as normal-form and fold-agreement fail at length 2 already
+    _patch_rules(monkeypatch, right=_leaves_the_basis_at_2)
+    assert verdicts(VerifyConfig(3, max_len=4)) == {
+        "action-factoring": (True, None),
+        "basis-count": (True, None),
+        "faithfulness": (True, None),
+        "fold-agreement": (False, "folds disagree on (1, 2)"),
+        "grading": (True, None),
+        "normal-form": (False, "expansion of a2 a1 leaves the class of (1, 2)"),
+    }
+
+
+OFF_BASIS = " no basis monomial of length <= 3"
+
+
+@pytest.mark.parametrize(
+    "rules, problems",
+    [
+        (  # a1 a2 times a1 goes to d=(2,) k=(1, 0)
+            {"right": _rule_mapping(REAL_RIGHT, 1, _at_rank_3((0,), (1, 1)), SimpleNamespace(d=(2,), k=(1, 0)))},
+            {
+                "fold-agreement": "R_1(a1 a2) is d=(2,) k=(1, 0)," + OFF_BASIS,
+                "normal-form": "class of (1, 2, 1): the right fold of (1, 2, 1) is d=(2,) k=(1, 0)," + OFF_BASIS,
+            },
+        ),
+        (  # a2 times a1 goes to d=(1,) k=(0, 1)
+            {"left": _rule_mapping(REAL_LEFT, 2, _at_rank_3((0,), (1, 0)), SimpleNamespace(d=(1,), k=(0, 1)))},
+            {
+                "action-factoring": "L_2(a1) is d=(1,) k=(0, 1)," + OFF_BASIS,
+                "fold-agreement": "L_2(a1) is d=(1,) k=(0, 1)," + OFF_BASIS,
+            },
+        ),
+    ],
+)
+def test_a_product_outside_the_basis_is_named_with_its_exponents(monkeypatch, rules, problems):
+    # a step that leaves the basis fails the checks that read it, never a KeyError: normal-form
+    # names the class's least word and the fold of a word of the block that left
+    _patch_rules(monkeypatch, **rules)
+    new = verdicts(VerifyConfig(3, max_len=3))
+    assert {name: problem for name, (passed, problem) in new.items() if not passed} == problems
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_memoized_forms_are_the_normal_forms(n):
     # the pass computes one form per block, R_a of its shorter class's form: it must be the
     # normal form of every word of the block
     seen = 0
-    for _, forms, level in verify._degrees(VerifyConfig(n, max_len=7)):
+    for _, forms, level in verify._degrees(verify._Run(VerifyConfig(n, max_len=7))):
         for cls in forms:
             for block, nf in cls.items():
                 for code in level.words(block):
