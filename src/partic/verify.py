@@ -1,6 +1,6 @@
 """Umbrella certification suite behind the ``verify`` CLI subcommand.
 
-A run numbers the basis monomials of length <= max_len once (``_Basis``)
+A run numbers the basis monomials of length <= max_len once (``_Run``)
 and keeps, for each, its single steps R_a and L_a as numbers, its
 expansion and its fold label, each computed once.  Two passes read this
 index.  One goes over multidegrees with their congruence classes, each
@@ -66,33 +66,37 @@ class VerifyReport:
 OUT = -1  # the number of a product that is no basis monomial of the index
 
 
-class _Basis:
-    """The basis monomials of length <= ``bound``, numbered, with what the checks read of each.
+class _Run:
+    """One ``run_verify``: the bounds its checks read and its basis index, which walks and checks share.
 
-    Numbers follow ``enumerate_basis`` over ``multidegrees_up_to``, so they
-    run by total, and ``degrees`` maps a degree's counts to the range of its
-    numbers; ``ids`` maps (d, k) to the number.  ``right[m][a]`` and
-    ``left[m][a]`` are the numbers of R_a(m) and L_a(m), each one ``_step``
-    of ``_right_mul`` or ``_left_mul`` (this module's names, read when the
-    index is built), for a = 1..N-1; slot 0 is unused.  A
-    product that is no basis monomial of length <= ``bound`` is ``OUT``, and
-    so is every product of a monomial of length ``bound``, which is never
-    taken.  The last row, the row of ``OUT``, is all ``OUT``, so a product
-    of a product is ``OUT`` once either is.  ``letters[m]`` is the expansion
-    of m, ``labels[m]`` its fold label, ``word_label``'s; ``monomials`` and
-    ``labels`` hold None at ``OUT``.  The index lives for one run.
+    The index numbers the basis monomials of length <= ``bound``, which is
+    ``max(max_len, 1)`` as action-factoring checks the words of length 1 at
+    max_len 0.  Numbers follow ``enumerate_basis`` over
+    ``multidegrees_up_to``, so they run by total, and ``degrees`` maps a
+    degree's counts to the range of its numbers; ``ids`` maps (d, k) to the
+    number.  ``right[m][a]`` and ``left[m][a]`` are the numbers of R_a(m)
+    and L_a(m), each one ``_step`` of ``_right_mul`` or ``_left_mul`` (this
+    module's names, read when the run starts), for a = 1..N-1; slot 0 is
+    unused.  A product that is no basis monomial of the index is ``OUT``,
+    and so is every product of a monomial of length ``bound``, which is
+    never taken.  The last row, the row of ``OUT``, is all ``OUT``, so a
+    product of a product is ``OUT`` once either is.  ``letters[m]`` is the
+    expansion of m, ``labels[m]`` its fold label, ``word_label``'s;
+    ``monomials`` and ``labels`` hold None at ``OUT``.  Nothing outlives
+    the run.
     """
 
-    def __init__(self, n: int, bound: int) -> None:
-        self.bound = bound
+    def __init__(self, cfg: VerifyConfig) -> None:
+        n = self.n = cfg.n
+        self.max_len, self.max_degree, self.bound = cfg.max_len, cfg.max_degree, max(cfg.max_len, 1)
         self.degrees: dict[tuple[int, ...], range] = {}
         monomials: list = []
         short = 0  # the monomials shorter than bound, whose products are taken
-        for delta in multidegrees_up_to(n, bound):
+        for delta in multidegrees_up_to(n, self.bound):
             basis = enumerate_basis(delta)
             self.degrees[delta.counts] = range(len(monomials), len(monomials) + len(basis))
             monomials += basis
-            if delta.total() < bound:
+            if delta.total() < self.bound:
                 short = len(monomials)
         self.ids = ids = {(m.d, m.k): i for i, m in enumerate(monomials)}
         shorter = [(m.d, m.k) for m in monomials[:short]]
@@ -102,19 +106,6 @@ class _Basis:
         self.letters = [_nm_letters(m.d, m.k) for m in monomials]
         self.labels = [_letters_label(n, w) for w in self.letters] + [None]
         self.monomials = monomials + [None]
-
-
-class _Run:
-    """One ``run_verify``: the bounds its checks read and the run's ``_Basis``.
-
-    Walks and checks take it in place of the config.  The index reaches
-    ``max(max_len, 1)``, as action-factoring checks the words of length 1
-    at max_len 0.
-    """
-
-    def __init__(self, cfg: VerifyConfig) -> None:
-        self.n, self.max_len, self.max_degree = cfg.n, cfg.max_len, cfg.max_degree
-        self.basis = _Basis(cfg.n, max(cfg.max_len, 1))
 
 
 def _degrees(run: _Run) -> Iterator[tuple[MultiDegree, list[dict], BlockClasses]]:
@@ -128,7 +119,7 @@ def _degrees(run: _Run) -> Iterator[tuple[MultiDegree, list[dict], BlockClasses]
     # of u; while normal-form passes, every word of a class has the class's form, so a block
     # (C, a) has the one form R_a(form of C), the index's entry.  A form is the index's
     # monomial, None where the step left the index, and a class's is its seed block's
-    right, monomials = run.basis.right, run.basis.monomials
+    right, monomials = run.right, run.monomials
     level, prefix, forms = BlockClasses(rs), [0], [{0: monomials[0]}]  # number 0 is the unit
     for delta in multidegrees_up_to(n, run.max_len):
         if delta.total() != level.length:
@@ -141,9 +132,9 @@ def _degrees(run: _Run) -> Iterator[tuple[MultiDegree, list[dict], BlockClasses]
 
 def _monomials(run: _Run) -> Iterator[tuple[MultiDegree, range]]:
     # the same degrees as _degrees, by total, so a first failing case has a shortest witness
-    # word; a pass of its own, as the checks that read only the basis monomials would
-    # otherwise be charged a share of the partitions in --timings
-    degrees = run.basis.degrees
+    # word; a pass of its own, as the checks that read only the basis index would otherwise
+    # be charged a share of the partitions in --timings
+    degrees = run.degrees
     for delta in multidegrees_up_to(run.n, run.max_len):
         yield delta, degrees[delta.counts]
 
@@ -161,7 +152,7 @@ def _grading(run: _Run, delta: MultiDegree, classes: list[dict], level: BlockCla
 
 
 def _basis_count(run: _Run, delta: MultiDegree, classes: list[dict], level: BlockClasses) -> str | None:
-    nc, nb = len(classes), len(run.basis.degrees[delta.counts])
+    nc, nb = len(classes), len(run.degrees[delta.counts])
     if nc != nb:
         return f"degree ({delta}): {nc} classes vs {nb} basis monomials"
 
@@ -170,18 +161,17 @@ def _normal_form(run: _Run, delta: MultiDegree, classes: list[dict], level: Bloc
     # forms are compared by their exponents, as the dataclass __hash__ and __eq__ are Python-level
     # calls; within a run a class's forms are nearly always one object, so identity comes first.
     # A form's expansion is the index's, looked up by its number
-    basis = run.basis
     seen = {}  # {number: the class with that form}
     for cls in classes:
         forms = iter(cls.values())
         nf = next(forms)
         if nf is None or any(m is not nf and (m is None or (m.d, m.k) != (nf.d, nf.k)) for m in forms):
             return _forms_problem(run, level, cls)
-        i = basis.ids[nf.d, nf.k]
+        i = run.ids[nf.d, nf.k]
         if i in seen:
             return f"classes of {_least(level, cls)} and {_least(level, seen[i])} share a normal form"
         seen[i] = cls
-        if level.block(_encode(basis.letters[i], level.rs.bits)) not in cls:
+        if level.block(_encode(run.letters[i], level.rs.bits)) not in cls:
             return f"expansion of {nf} leaves the class of {_least(level, cls)}"
 
 
@@ -196,7 +186,8 @@ def _forms_problem(run: _Run, level: BlockClasses, cls: dict) -> str:
     w = min(_decode(c, level.rs.bits) for c in level.words(off[0]))
     d, k = [0] * (run.n - 2), [0] * (run.n - 1)
     _right_mul(d, k, w)
-    return f"class of {least}: the right fold of {w} is d={tuple(d)} k={tuple(k)}, {_outside(run.basis)}"
+    fold = f"the right fold of {w} is d={tuple(d)} k={tuple(k)}"
+    return f"class of {least}: {fold}, no basis monomial of length <= {run.bound}"
 
 
 def _least(level: BlockClasses, blocks) -> tuple[int, ...]:
@@ -204,19 +195,14 @@ def _least(level: BlockClasses, blocks) -> tuple[int, ...]:
     return min(_decode(c, level.rs.bits) for b in blocks for c in level.words(b))
 
 
-def _outside(basis: _Basis) -> str:
-    return f"no basis monomial of length <= {basis.bound}"
-
-
 def _off_index(run: _Run, steps) -> str | None:
     """The first of ``steps``, (rule name, number, letter), whose product is ``OUT``, as a problem."""
-    basis = run.basis
     for name, m, a in steps:
-        rule, table = (_right_mul, basis.right) if name == "R" else (_left_mul, basis.left)
+        rule, table = (_right_mul, run.right) if name == "R" else (_left_mul, run.left)
         if table[m][a] == OUT:
-            mono = basis.monomials[m]
+            mono = run.monomials[m]
             d, k = _step(rule, (mono.d, mono.k), a)
-            return f"{name}_{a}({mono}) is d={d} k={k}, {_outside(basis)}"
+            return f"{name}_{a}({mono}) is d={d} k={k}, no basis monomial of length <= {run.bound}"
     return None
 
 
@@ -232,7 +218,7 @@ def _fold_agreement(run: _Run, delta: MultiDegree, ids: range) -> str | None:
     fails the check.  The letters are compared at every bound, so no bound
     examines nothing.
     """
-    n, right, left = run.n, run.basis.right, run.basis.left
+    n, right, left = run.n, run.right, run.left
     if not delta.total():
         for a in range(1, n):
             if right[0][a] != left[0][a] or right[0][a] == OUT:
@@ -252,12 +238,12 @@ def _fold_agreement(run: _Run, delta: MultiDegree, ids: range) -> str | None:
 def _fold_problem(run: _Run, m: int, a: int, b: int | None) -> str:
     # a local failure: a product outside the index, or one reported on its word once the two
     # folds confirm it
-    right, left = run.basis.right, run.basis.left
+    right, left = run.right, run.left
     steps = [("R", m, b), ("L", m, a), ("L", right[m][b], a), ("R", left[m][a], b)] if b else [("R", m, a), ("L", m, a)]
     if problem := _off_index(run, steps):
         return problem
-    mono = run.basis.monomials[m]
-    w = Word(run.n, (a, *run.basis.letters[m]) + ((b,) if b else ()))
+    mono = run.monomials[m]
+    w = Word(run.n, (a, *run.letters[m]) + ((b,) if b else ()))
     if normalize(w) != normalize_right_to_left(w):
         return f"folds disagree on {w.letters}"
     rules = f"L_{a} R_{b} and R_{b} L_{a} differ on {mono}" if b else f"R_{a} and L_{a} differ on 1"
@@ -282,14 +268,14 @@ def _action_factoring(run: _Run, delta: MultiDegree, ids: range) -> str | None:
     """
     if delta.total() >= max(run.max_len, 1):
         return None
-    n, left, labels = run.n, run.basis.left, run.basis.labels
+    n, left, labels = run.n, run.left, run.labels
     for m in ids:
         label, row = labels[m], left[m]
         for a in range(1, n):
             o, i = map(list, label)
             _prepend_letters(o, i, (a,))
             if labels[row[a]] != (tuple(o), tuple(i)):
-                return _off_index(run, [("L", m, a)]) or _action_problem(run.basis.monomials[m], a)
+                return _off_index(run, [("L", m, a)]) or _action_problem(run.monomials[m], a)
 
 
 def _action_problem(m: NormalMonomial, a: int) -> str:
@@ -310,8 +296,7 @@ def _action_problem(m: NormalMonomial, a: int) -> str:
 
 def _faithfulness(run: _Run, delta: MultiDegree, ids: range) -> str | None:
     # decided on the labels the action gives, those action-factoring checks
-    basis = run.basis
-    return faithfulness_problem(delta, basis.monomials[ids.start:ids.stop], basis.labels[ids.start:ids.stop])
+    return faithfulness_problem(delta, run.monomials[ids.start:ids.stop], run.labels[ids.start:ids.stop])
 
 
 def _center(run: _Run) -> str | None:
