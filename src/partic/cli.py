@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run the certification suite")
     p.add_argument(
-        "--max-len", type=int, default=6, help="word-length bound (at N=5: 6 takes about 0.17 s, 7 about 0.23 s, 8 about 0.3 s, 9 about 0.45 s)"
+        "--max-len", type=int, default=6, help="word-length bound (at N=5: 6 or 7 takes about 0.15 s, 8 about 0.2 s, 9 about 0.3 s, 10 about 0.75 s)"
     )
     p.add_argument("--max-degree", type=int, help="also certify graded center dimensions to this degree")
     p.add_argument("--timings", action="store_true", help="include wall times (non-reproducible)")
