@@ -4,8 +4,8 @@ The descending cycle c_r = a_{N-1}^r ... a_2^r a_1^r commutes with every
 generator; per graded component an exact commutator nullspace certifies that
 nothing else does.  The commutator rows of a component are built in its box
 of d-vectors, where the guard of each multiplication rule reads one
-coordinate (:class:`_Box`), and a peel settles them (:class:`_Peel`).  All
-arithmetic is exact rational, no tolerances.
+coordinate (:class:`_Box`), and a peel reads them once, in order
+(:class:`_Peel`).  All arithmetic is exact rational, no tolerances.
 """
 from __future__ import annotations
 
@@ -29,69 +29,42 @@ def _subtract(target: dict[int, Fraction], f: Fraction, source: dict[int, Fracti
 
 
 class _Peel:
-    """The peel of a growing list of rows over columns 0..ncols-1.
+    """The peel of a growing list of rows over columns 0..ncols-1, each read once, in order.
 
-    A row with exactly one live nonzero column forces that unknown to 0, so
-    the column dies; ``add`` repeats this until no such row is left.  A row
-    that arrives with one live column kills it at once; a row with two or
-    more is indexed by column, and a kill that leaves it one live column
-    kills that column in turn, so the peel is linear in the nonzeros and
-    does no arithmetic.  Peeling is confluent (a column that dies stays dead
-    when rows are added), so adding the rows in batches, or in any order,
-    leaves the live columns that adding them at once does.
-
-    Most commutator rows hold one entry, so a one-entry row is decided from
-    its single (column, coefficient) pair, with no list built unless it
-    kills.  The column-to-rows index is a dict that holds only the columns
-    of indexed rows, built as they arrive.
+    A row read with exactly one live nonzero column forces that unknown to 0
+    (its other columns are dead) and kills it; a row read with two or more
+    waits, and no later kill returns to it.  A one-entry row, the commonest
+    commutator row, is decided from its (column, coefficient) pair alone.
     """
 
     def __init__(self, ncols: int) -> None:
         self.live = [True] * ncols
         self.nlive = ncols
-        self._row_cols: list[list[int]] = []  # the live nonzero columns of each indexed row when added
-        self._live_count: list[int] = []
-        self._rows_of: dict[int, list[int]] = {}  # column -> the indexed rows it sits in
+        self._waiting: list[list[int]] = []  # the live columns of each row read with two or more
 
     def add(self, rows: Iterable[Mapping[int, Scalar]]) -> int:
         """Peel with the rows added; return the number of live columns left."""
-        live, live_count, rows_of, row_cols = self.live, self._live_count, self._rows_of, self._row_cols
-        killed = 0
+        live, waiting, killed = self.live, self._waiting, 0
         for row in rows:
             if len(row) == 1:
                 [(c, x)] = row.items()
                 if not (x and live[c]):
                     continue
-                cs = [c]
             else:
                 cs = [c for c, x in row.items() if x and live[c]]
-                if len(cs) > 1:
-                    for c in cs:
-                        rows_of.setdefault(c, []).append(len(live_count))
-                    row_cols.append(cs)
-                    live_count.append(len(cs))
+                if len(cs) != 1:
+                    if cs:
+                        waiting.append(cs)
                     continue
-            while cs:  # the columns to kill; two rows can leave the same one
-                c = cs.pop()
-                if live[c]:
-                    live[c] = False
-                    killed += 1
-                    for s in rows_of.get(c, ()):
-                        live_count[s] -= 1
-                        if live_count[s] == 1:
-                            cs.append(next(d for d in row_cols[s] if live[d]))
+                [c] = cs
+            live[c] = False
+            killed += 1
         self.nlive -= killed
         return self.nlive
 
     def kernel(self) -> list[int] | None:
-        """The live columns, or None if the peel has stalled.
-
-        If no row has a live nonzero left, the kernel is exactly the span of
-        the unit vectors of the live columns; otherwise the peel has stalled.
-        Only indexed rows can have one: a row that arrived with one live
-        column killed it.
-        """
-        if any(self._live_count):
+        """The live columns, whose unit vectors then span the kernel, or None if a waiting row keeps one."""
+        if any(self.live[c] for cs in self._waiting for c in cs):
             return None
         return [c for c, x in enumerate(self.live) if x]
 
@@ -100,14 +73,13 @@ def nullspace(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> list[list[Fra
     """Exact basis of the right kernel {x : sum_c row[c] x_c = 0 for every row}.
 
     Rows are sparse ``{column: coefficient}`` maps over columns 0..ncols-1
-    with int or Fraction entries; a float raises TypeError.
-    The basis is the one dense Gauss-Jordan gives: one vector per free
-    column, in column order, each scaled so its first nonzero coordinate is
-    1.  Each row is reduced against the rows kept so far and, unless it
-    vanishes, kept with its smallest column as pivot; the kept rows stay in
-    reduced row echelon form, which is unique.  No peel runs here:
-    :func:`center_basis_in_degree` peels first and calls this only when
-    its peel stalls.
+    with int or Fraction entries; a float raises TypeError.  The basis is the
+    one dense Gauss-Jordan gives: one vector per free column, in column
+    order, each scaled so its first nonzero coordinate is 1.  Each row is
+    reduced against the rows kept so far and, unless it vanishes, kept with
+    its smallest column as pivot; the kept rows stay in reduced row echelon
+    form, which is unique.  No peel runs here; :func:`center_basis_in_degree`
+    calls this only when its peel stalls.
     """
     rows = [{c: _exact(x) for c, x in row.items()} for row in rows]
     for row in rows:
@@ -225,15 +197,14 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     exponent tuple or product monomial is built, and a column becomes a
     validated monomial only where a kernel vector is nonzero.
 
-    The rows come one generator at a time, a_1 first, and each batch is fed
-    to one peel.  A column the peel has killed is forced to 0 by the rows
-    already added, so a batch is built from the live columns only: leaving
-    x_m out of later rows keeps the kernel of the full system.  Once no
-    column is live the degree's center is 0 and no more rows are built.  A
-    degree whose columns survive every generator has the unit vectors of
-    its live columns as kernel when the peel settles every row.  Only when
-    the peel stalls does :func:`nullspace` run, on the full commutator
-    system over every column, whose kernel is the center by definition.
+    The rows come one generator at a time, a_1 first, in the box's order,
+    and one peel reads them.  A killed column is forced to 0 by the rows
+    already read, so a batch is built from the live columns only, which
+    keeps the kernel of the full system; once none is live the center is 0.
+    Every entry is ±1, so each kill is a ±1 entry alone in its row: a degree
+    the peel settles has the same center over Z and over every field.  Only
+    if a waiting row keeps a live column does :func:`nullspace` run, on the
+    full system over every column, and its basis holds over Q.
     """
     check_rank(n)
     if delta.n != n:
@@ -241,9 +212,8 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     box = _Box(delta)
     ncols = len(box.keys)
     peel = _Peel(ncols)
-    live = peel.live
     for i in range(1, n):
-        if not peel.add(box.rows(i, list(compress(range(ncols), live)))):
+        if not peel.add(box.rows(i, list(compress(range(ncols), peel.live)))):
             return []
     kernel = peel.kernel()
     if kernel is not None:

@@ -326,7 +326,9 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
     rows = [(VerifyCheck(name, base | {f: getattr(cfg, f) for f in fields}, True, None, 0.0), walk, check)
             for name, walk, check, fields in CHECKS if name != CENTER or cfg.max_degree is not None]
     t0 = time.perf_counter()
-    run = _Run(cfg)  # its index is shared work of the first pass
+    run = _Run(cfg)
+    index = time.perf_counter() - t0  # the basis index's build, charged after the passes
+    t0 += index
     for walk in dict.fromkeys(w for _, w, _ in rows):
         on_pass = [(record, check) for record, w, check in rows if w is walk]
         for item in walk(run):
@@ -338,10 +340,13 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
                     record.passed = record.counterexample is None
             if not any(record.passed for record, _ in on_pass):
                 break
-        # the pass's shared work (the basis index, partitions, block forms) is split equally
+        # the pass's shared work (partitions, block forms) is split equally
         t1 = time.perf_counter()
         shared = (t1 - t0 - sum(record.seconds for record, _ in on_pass)) / len(on_pass)
         for record, _ in on_pass:
             record.seconds += shared
         t0 = t1
+    readers = [record for record, walk, _ in rows if walk is not _once]  # every check but the center's
+    for record in readers:
+        record.seconds += index / len(readers)  # an equal share of the index each
     return VerifyReport([record for record, _, _ in rows])

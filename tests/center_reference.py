@@ -32,11 +32,15 @@ def step_rows(exponents: list[Exponents], i: int, cols: list[int]) -> list[dict[
 
 
 class ReferencePeel:
-    """The generic peel loop that ``center._Peel`` speeds up, with its attributes.
+    """The propagating peel, which ``center._Peel`` is compared with.
 
     Every row becomes a fresh list of its live nonzero columns, zero entries
-    tested on each, whatever its length, and the column-to-rows index holds
-    one list per column from the start.
+    tested on each, whatever its length.  A row with one kills that column;
+    a row with two or more is stored and indexed by column, one list per
+    column from the start, and a kill that leaves a stored row one live
+    column kills that column in turn.  So it kills every column ``_Peel``
+    kills (``_Peel`` never returns to a row), and where ``_Peel`` settles
+    the two have the same kernel.
     """
 
     def __init__(self, ncols: int) -> None:

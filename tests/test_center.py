@@ -107,11 +107,12 @@ def test_peel_examples():
 
 
 @pytest.mark.parametrize(
-    "batches, ncols, kernel, indexed",
+    "batches, ncols, kernel, waiting",
     [
-        # a chain whose one-column row arrives last: x2 = 0, then x1, then x0
+        # a chain whose one-column row comes last: x2 = 0 kills x2, and the two rows
+        # read before it wait with live columns, so the peel stalls
         ([[{0: 1, 1: 1}, {1: 1, 2: -2}, {2: 3}]], 4, [3], 2),
-        # the same chain split over two adds: the kill reaches the rows of the first
+        # the same chain split over two adds: a kill never returns to a waiting row
         ([[{0: 1, 1: 1}, {1: 1, 2: -2}], [{2: 3}]], 4, [3], 2),
         # a one-column row whose column is already dead kills nothing; the next row
         # has one live column left and kills x1
@@ -120,18 +121,19 @@ def test_peel_examples():
         ([[{0: 1, 1: 0}, {0: 1, 1: 1, 2: 0}]], 3, [2], 0),
     ],
 )
-def test_peel_kills_on_arrival(batches, ncols, kernel, indexed):
+def test_peel_kills_on_arrival(batches, ncols, kernel, waiting):
     rows = [row for batch in batches for row in batch]
     batched = _Peel(ncols)
     for batch in batches:
         batched.add(batch)
     once = _Peel(ncols)
     once.add(rows)
-    assert batched.kernel() == once.kernel() == kernel
-    assert batched.live == once.live and batched.nlive == once.nlive == len(kernel)
+    assert batched.live == once.live and batched.nlive == once.nlive
+    # a peel with no waiting row settles; a stalled one leaves the kernel to nullspace
+    assert batched.kernel() == once.kernel() == (None if waiting else kernel)
     assert nullspace(rows, ncols) == [[int(c == free) for c in range(ncols)] for free in kernel]
-    # only the rows with two or more live columns on arrival are indexed
-    assert len(batched._live_count) == len(once._live_count) == indexed
+    # only the rows with two or more live columns when read wait
+    assert len(batched._waiting) == len(once._waiting) == waiting
 
 
 def test_nullspace_matches_dense_reference_on_sparse_systems():
@@ -174,10 +176,12 @@ def test_nullspace_matches_dense_reference_on_sparse_systems():
 
 
 def test_peel_matches_the_reference_peel():
-    # random sparse systems, fed whole and in random batches to _Peel and to the generic loop
+    # random sparse systems, fed whole and in random batches to _Peel and to the propagating
+    # reference, which kills a column as soon as any row read so far forces it
     rng = random.Random(34034)
     values = [0, 1, -1, 2, Fraction(-1, 2)]
     one_entry = Counter()
+    outcomes = Counter()
     for _ in range(800):
         ncols = rng.randint(1, 9)
         rows = []
@@ -198,10 +202,19 @@ def test_peel_matches_the_reference_peel():
         for batches in ([rows], [rows[start:stop] for start, stop in zip([0, *cuts], [*cuts, len(rows)])]):
             fast, slow = _Peel(ncols), ReferencePeel(ncols)
             for batch in batches:
-                assert fast.add(batch) == slow.add(batch), rows
-            assert (fast.live, fast.nlive, fast._live_count) == (slow.live, slow.nlive, slow._live_count), rows
-            assert fast.kernel() == slow.kernel(), rows
+                assert fast.add(batch) >= slow.add(batch), rows
+                # every _Peel kill is a reference kill
+                assert all(f or not s for f, s in zip(fast.live, slow.live)), rows
+            assert fast.nlive == sum(fast.live), rows
+            kernel = fast.kernel()
+            if not fast._waiting:
+                assert (fast.live, fast.nlive) == (slow.live, slow.nlive), rows
+            # a settled peel, waiting rows or not, has the reference's kernel
+            if kernel is not None:
+                assert kernel == slow.kernel(), rows
+            outcomes["stalled" if kernel is None else "waited" if fast._waiting else "read"] += 1
     assert min(one_entry[k] for k in ("zero", "live", "dead")) > 300
+    assert min(outcomes[k] for k in ("read", "waited", "stalled")) > 100, outcomes
 
 
 class StalledPeel:
@@ -361,6 +374,51 @@ def test_the_peel_settles_every_certified_degree(monkeypatch):
     for n, top in CERTIFIED_DEGREES:
         for delta in multidegrees_up_to(n, top):
             assert theorem_mismatch(delta, center_basis_in_degree(n, delta)) is None, f"degree {delta}"
+
+
+def recorded_peels(monkeypatch):
+    """The list of every peel that center_basis_in_degree makes from now on, in order."""
+    peels = []
+
+    class RecordingPeel(center._Peel):
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            peels.append(self)
+
+    monkeypatch.setattr(center, "_Peel", RecordingPeel)
+    return peels
+
+
+def test_no_row_waits_at_a_certified_degree(monkeypatch):
+    # read in the box's order, every commutator row of scripts/certify_all.py's center
+    # bounds has at most one live column when read, so no row of any of them waits
+    peels = recorded_peels(monkeypatch)
+    for n, top in CERTIFIED_DEGREES:
+        for delta in multidegrees_up_to(n, top):
+            center_basis_in_degree(n, delta)
+            assert peels.pop()._waiting == [], f"degree {delta}"
+
+
+def test_rows_read_high_to_low_wait_and_still_settle(monkeypatch):
+    # each batch's columns scanned high to low: rows wait, but every waiting row loses
+    # its live columns before the end, so each basis is the box order's and no
+    # degree reaches the exact elimination
+    degrees = list(multidegrees_up_to(4, 10))
+    bases = [center_basis_in_degree(4, delta) for delta in degrees]
+    peels = recorded_peels(monkeypatch)
+    real_rows = center._Box.rows
+
+    def reversed_rows(box, i, cols):
+        return real_rows(box, i, cols[::-1])
+
+    def refusing_nullspace(rows, ncols):
+        raise AssertionError("the peel stalled")
+
+    monkeypatch.setattr(center._Box, "rows", reversed_rows)
+    monkeypatch.setattr(center, "nullspace", refusing_nullspace)
+    for delta, basis in zip(degrees, bases):
+        assert center_basis_in_degree(4, delta) == basis, f"degree {delta}"
+    assert sum(len(peel._waiting) for peel in peels) == 486
 
 
 def test_elimination_after_killing_gives_the_peel_bases(monkeypatch):

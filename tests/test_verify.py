@@ -699,6 +699,24 @@ def test_check_seconds_add_up_to_the_wall_time():
     assert all(c.seconds > 0 for c in report.checks)
 
 
+def test_the_index_build_is_charged_to_the_checks_that_read_it(monkeypatch):
+    # a basis index slowed by a known delay: each of the six word checks takes an equal
+    # share of it, and the center check, which reads no index, none
+    delay = 0.3
+    real_run = verify._Run
+
+    def slow_run(cfg):
+        time.sleep(delay)
+        return real_run(cfg)
+
+    monkeypatch.setattr(verify, "_Run", slow_run)
+    report = verify.run_verify(VerifyConfig(3, max_len=3, max_degree=3))
+    seconds = {c.name: c.seconds for c in report.checks}
+    assert len(seconds) == 7
+    assert seconds.pop(verify.CENTER) < delay / 12
+    assert all(s >= delay / 6 for s in seconds.values()), seconds
+
+
 def test_max_degree_alone_turns_the_center_check_on():
     assert verify.CENTER not in verdicts(VerifyConfig(3, max_len=2))
     checks = {c.name: c for c in verify.run_verify(VerifyConfig(3, max_len=2, max_degree=0)).checks}
