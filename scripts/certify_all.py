@@ -16,7 +16,7 @@ from partic.cli import main as run
 
 RUNS: tuple[tuple[str, ...], ...] = (
     *(("verify", "--N", str(n), "--max-len", str(length), "--max-degree", str(d), "--timings")
-      for n, length, d in ((3, 12, 12), (4, 10, 12), (5, 10, 14), (6, 8, 10))),
+      for n, length, d in ((3, 12, 12), (4, 10, 12), (5, 10, 16), (6, 8, 10))),
     ("center", "--N", "6", "--max-degree", "12", "--expect-theorem"),
     *(("affine-verify", "--N", str(n), "--particles", "6", "--m-max", "3", "--k-max", "2") for n in range(3, 9)),
 )

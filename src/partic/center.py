@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, product
 from operator import sub
 
@@ -122,6 +123,23 @@ def central_candidate(n: int, r: int) -> NormalMonomial:
     return NormalMonomial(n, (r,) * (n - 2), (r,) + (0,) * (n - 2))
 
 
+@lru_cache(maxsize=1 << 10)
+def _shape(ranges: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The strides, strided points and keys of the box whose d_2, ..., d_{N-1} run over 0..ranges (:class:`_Box`).
+
+    The stride of d_j is at index j (d_1 and d_N are padding, always 0), the
+    points are in ``normal_form._basis_exponents`` order and the keys are
+    their sums.  Every multidegree with the same ranges reads the same entry
+    of this bounded table, so a run over many degrees builds each shape once
+    while it stays in the table; the value depends on the key alone.
+    """
+    n = len(ranges) + 2
+    base = max(ranges) + 2
+    strides = tuple(base ** (n - j) for j in range(n + 1))
+    points = tuple(product((0,), *(range(0, (r + 1) * s, s) for r, s in zip(ranges, strides[2:])), (0,)))
+    return strides, points, tuple(map(sum, points))
+
+
 class _Box:
     """The basis monomials of one multidegree δ as the points of a box, with the rows of its commutators.
 
@@ -144,20 +162,21 @@ class _Box:
     at the ends the same guards: a_1 m never moves d, and m a_{N-1} never does.
     A point is held as its coordinates times their strides, so a guard
     compares one entry with a precomputed bound.  Its key is the sum, an int
-    with one digit per d_j in base max(δ) + 1.  No digit carries: a product
-    raises d_i only below δ_{i-1} and d_{i+1} only below δ_{i+1}, so its
-    digits stay in 0..max(δ) too, and distinct products have distinct keys.
+    with one digit per d_j in base max(ranges) + 2, where the ranges are the
+    bounds min(δ_{j-1}, δ_j) of d_2, ..., d_{N-1}.  No digit carries: a
+    product raises d_i only while d_i < δ_{i-1}, and d_{i+1} only while
+    d_{i+1} < δ_{i+1}, so a raised digit is at most min(δ_{i-1}, δ_i + 1),
+    or min(δ_i + 1, δ_{i+1}) for d_{i+1}: at most its range + 1, below the
+    base.  So distinct products have distinct keys, and the strides, points
+    and keys depend on the ranges alone: every degree with the same ranges
+    shares one :func:`_shape`, and only the guards' bounds read δ itself.
     """
 
     def __init__(self, delta: MultiDegree) -> None:
-        n, counts = delta.n, delta.counts
-        base = max(counts) + 1
-        self.n = n
+        counts = delta.counts
+        self.n = delta.n
         self.counts = (0, *counts, 0)  # δ_0, δ_1, ..., δ_{N-1}, δ_N
-        self.strides = [base ** (n - j) for j in range(n + 1)]  # the stride of d_j at index j
-        ranges = [range(0, (min(counts[j - 2], counts[j - 1]) + 1) * self.strides[j], self.strides[j]) for j in range(2, n)]
-        self.points = list(product((0,), *ranges, (0,)))  # d_1, ..., d_N, strided, in _basis_exponents order
-        self.keys = list(map(sum, self.points))
+        self.strides, self.points, self.keys = _shape(tuple(map(min, counts, counts[1:])))
 
     def rows(self, i: int, cols: Iterable[int]) -> Iterable[dict[int, int]]:
         """The nonzero rows of a_i x - x a_i restricted to the columns ``cols``.

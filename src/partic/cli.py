@@ -230,7 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--particles", type=int, help="particle number for --dot")
 
     p = sub.add_parser("center", parents=[common], help="graded center basis")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument(
+        "--max-degree",
+        type=int,
+        required=True,
+        help="total-degree bound (at N=5: 10 takes about 0.16 s, 14 about 0.2-0.25 s, 16 about 0.25 s; "
+        "at N=6: 10 about 0.19 s, 12 about 0.29 s)",
+    )
     p.add_argument(
         "--expect-theorem",
         action="store_true",
@@ -241,7 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-len", type=int, default=6, help="word-length bound (at N=5: 6 or 7 takes about 0.15 s, 8 about 0.2 s, 9 about 0.3 s, 10 about 0.75 s)"
     )
-    p.add_argument("--max-degree", type=int, help="also certify graded center dimensions to this degree")
+    p.add_argument(
+        "--max-degree",
+        type=int,
+        help="also certify graded center dimensions to this degree (the check alone, at N=5: 10 takes "
+        "about 0.02 s, 14 about 0.05 s, 16 about 0.11 s; at N=6: 10 about 0.05 s, 12 about 0.11 s)",
+    )
     p.add_argument("--timings", action="store_true", help="include wall times (non-reproducible)")
 
     p = sub.add_parser("affine-verify", parents=[common], help="check the cyclic relation families")

@@ -1,9 +1,12 @@
+import importlib.util
 import inspect
 import random
 import types
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +19,9 @@ from partic.center import (
     nullspace,
     theorem_mismatch,
 )
+from partic.cli import build_parser
 from partic.core import AlgebraElement, MultiDegree, NormalMonomial, Word, multidegrees_up_to, nm_to_word
-from partic.normal_form import _basis_exponents, gen_element, nm_product, normalize
+from partic.normal_form import _basis_exponents, enumerate_basis, gen_element, nm_product, normalize
 from partic.particles import Configuration, act_word
 
 from center_reference import ReferencePeel, commutes_with_generators, step_rows
@@ -295,8 +299,24 @@ def test_rows_are_built_only_for_live_columns(monkeypatch):
     assert visits - entries // 2 == 1_644
 
 
-# the degrees that scripts/certify_all.py certifies the center at
-CERTIFIED_DEGREES = ((3, 12), (4, 12), (5, 14), (6, 12))
+def certified_degrees():
+    """(N, top) for each rank that scripts/certify_all.py certifies the center at, top its largest degree.
+
+    Read from the script's RUNS: the ``--max-degree`` of its ``verify`` and
+    ``center`` runs.
+    """
+    spec = importlib.util.spec_from_file_location("certify_all", Path(__file__).resolve().parent.parent / "scripts" / "certify_all.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    top = {}
+    for argv in script.RUNS:
+        args = build_parser().parse_args(list(argv))
+        if args.subcommand in ("verify", "center") and args.max_degree is not None:
+            top[args.N] = max(top.get(args.N, 0), args.max_degree)
+    return tuple(sorted(top.items()))
+
+
+CERTIFIED_DEGREES = certified_degrees()
 
 
 def row_multiset(rows):
@@ -329,8 +349,29 @@ def first_row_disagreement(module, degrees, monkeypatch):
 
 def test_box_rows_are_the_step_rows_at_every_certified_degree(monkeypatch):
     degrees = [delta for n, top in CERTIFIED_DEGREES for delta in multidegrees_up_to(n, top)]
-    assert len(degrees) == 91 + 455 + 3_060 + 6_188
+    # C(top + N - 1, N - 1) degrees of total at most top at each rank
+    assert len(degrees) == sum(comb(top + n - 1, n - 1) for n, top in CERTIFIED_DEGREES)
     assert first_row_disagreement(center, degrees, monkeypatch) is None
+
+
+def test_degrees_with_the_same_ranges_share_one_shape():
+    # a box's points depend only on its d-ranges min(δ_{j-1}, δ_j): the 1,001 degrees of
+    # N=5, D <= 10 build one shape per distinct range tuple
+    degrees = list(multidegrees_up_to(5, 10))
+    ranges = {tuple(map(min, delta.counts, delta.counts[1:])) for delta in degrees}
+    center._shape.cache_clear()
+    for delta in degrees:
+        center_basis_in_degree(5, delta)
+    info = center._shape.cache_info()
+    assert len(ranges) == info.misses == info.currsize == 64
+    assert info.hits == len(degrees) - 64
+
+
+def test_box_columns_are_the_basis_at_every_certified_degree():
+    for n, top in CERTIFIED_DEGREES:
+        for delta in multidegrees_up_to(n, top):
+            box = center._Box(delta)
+            assert [box.monomial(c) for c in range(len(box.keys))] == enumerate_basis(delta), f"degree {delta}"
 
 
 def mutant_center(old, new):
@@ -350,14 +391,12 @@ def mutant_center(old, new):
         ("point[i - 1] == full", "point[i - 1] <= full", ((1, 0), "dimension 1, expected 0")),
         # the right guard reading d_i instead of d_{i+1}
         ("point[i] < room", "point[i - 1] < room", ((1, 1), "dimension 0, expected 1")),
-        # base max(δ): a digit max(δ) carries into the next one, and keys collide
-        ("base = max(counts) + 1", "base = max(counts)", ((1, 0, 1), "dimension 1, expected 0")),
+        # base max(ranges) + 1: a raised digit range + 1 carries into the next one, and keys collide
+        ("base = max(ranges) + 2", "base = max(ranges) + 1", ((1, 0, 1), "dimension 1, expected 0")),
     ],
 )
 def test_guard_mutants_fail_the_row_comparison(monkeypatch, old, new, first_change):
-    # the zero degree has one column and no nonzero row; under base max(δ) = 0 its
-    # strides would be 0, which range refuses
-    degrees = [delta for n, top in CERTIFIED_DEGREES for delta in multidegrees_up_to(n, top) if any(delta.counts)]
+    degrees = [delta for n, top in CERTIFIED_DEGREES for delta in multidegrees_up_to(n, top)]
     mutant = mutant_center(old, new)
     # each mutant also changes a center verdict; the first one in certification order
     verdicts = ((delta.counts, theorem_mismatch(delta, mutant.center_basis_in_degree(delta.n, delta))) for delta in degrees)
