@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run the certification suite")
     p.add_argument(
-        "--max-len", type=int, default=6, help="word-length bound (at N=5: 6 or 7 takes about 0.15 s, 8 about 0.2 s, 9 about 0.3 s, 10 about 0.75 s)"
+        "--max-len", type=int, default=6, help="word-length bound (at N=5: 6 or 7 takes about 0.2 s, 8 to 10 about 0.25-0.3 s, 11 about 0.45 s, 12 about 0.6 s)"
     )
     p.add_argument(
         "--max-degree",

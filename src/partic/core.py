@@ -9,7 +9,7 @@ and never appears in classical words.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 MIN_RANK = 3
@@ -182,12 +182,21 @@ def _odometer(parts: int, budget: int) -> Iterator[tuple[int, ...]]:
         occ[j - 1] += 1
 
 
+_set_counts = MultiDegree.counts.__set__
+
+
 def multidegrees_up_to(n: int, max_degree: int) -> list[MultiDegree]:
     """All multidegrees of rank n with total degree <= max_degree, by total then lex."""
     check_rank(n)
     # the odometer yields lex order and the sort is stable, so sorting by total alone keeps lex within a total
     combos = sorted(compositions(n - 1, max_degree, "max_degree"), key=sum)
-    return [MultiDegree(c) for c in combos]
+    # each is a tuple of n - 1 >= 2 nonnegative ints, so it goes straight into the slot, as in Word
+    degrees = []
+    for counts in combos:
+        delta = object.__new__(MultiDegree)
+        _set_counts(delta, counts)
+        degrees.append(delta)
+    return degrees
 
 
 def normal_condition(d: Iterable[int], k: Iterable[int]) -> bool:
@@ -260,6 +269,22 @@ class NormalMonomial:
             if e:
                 factors.append(f"a{i}" + (f"^{e}" if e > 1 else ""))
         return " ".join(factors) if factors else "1"
+
+
+def _refuse_assignment(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# dataclass(frozen=True) refuses a __setattr__ in the class body, and on Python 3.11 the one it
+# generates for a slotted class raises a misleading TypeError for a name that is not a field
+# (MultiDegree.n among them), as it refers to the class before slots=True rebuilt it.  The
+# constructors set their slots through the slot setters or object.__setattr__, so they pass these by
+for _cls in (Word, MultiDegree, NormalMonomial):
+    _cls.__setattr__, _cls.__delattr__ = _refuse_assignment, _refuse_deletion
 
 
 def nm_to_word(m: NormalMonomial) -> Word:

@@ -4,8 +4,9 @@ Every defining relation permutes the letters of a word, so each congruence
 class sits inside the finite set of words with one multidegree and can be
 closed off by breadth-first search: over words (``code_classes``), or over
 blocks, the classes one letter shorter times a last letter, joined by the
-rule applications that end at the last letter (``BlockClasses``).  No term
-orders, no completion.
+rule applications that end at the last letter, each rule applied once per
+class of the prefix it extends rather than once per word
+(``BlockClasses``).  No term orders, no completion.
 
 This module is deliberately independent of the normal-form code in
 ``partic.normal_form``; the two certify each other.
@@ -269,6 +270,31 @@ def code_classes(codes: Iterable[int], length: int, rs: RelationSet) -> list[lis
     return classes
 
 
+def _walk(levels: list[BlockClasses], span: int, side: int, walked: dict[int, list[int]]) -> list[int]:
+    """The block ``walk(X, side)`` for each class ``X`` of ``levels[span]``, ``side`` a code of ``span`` letters.
+
+    ``levels[s]`` is the level ``s`` letters shorter than the one being
+    built, ``levels[0]``.  After each letter but the last the walk moves to
+    the owner of the block it reached.  ``walked`` keeps the list of each
+    prefix of a side by its code, which fixes its length as letters are
+    nonzero, so the sides of one span share the walks of their prefixes.
+    """
+    bits = levels[0].rs.bits
+    xs: Iterable[int] = range(len(levels[span].classes))
+    for i in range(1, span + 1):
+        prefix = side & (1 << i * bits) - 1
+        if prefix in walked:
+            xs = walked[prefix]
+            continue
+        a = prefix >> (i - 1) * bits
+        if i < span:
+            owner = levels[span - i]._owner
+            xs = walked[prefix] = [owner[x << bits | a] for x in xs]
+        else:
+            xs = walked[prefix] = [x << bits | a for x in xs]
+    return xs
+
+
 class BlockClasses:
     """The congruence classes of the words of one length, built from the classes one letter shorter.
 
@@ -277,32 +303,47 @@ class BlockClasses:
     class: they are the *block* ``(C, a)``.  A rule application that leaves
     the last letter alone rewrites ``u`` inside ``C``, so it stays in its
     block, and a degree's classes are its blocks joined by the rule
-    applications that end at the last letter, applied to every word.  The
-    constructor joins them for every degree of the length, in lexicographic
-    order, by breadth-first search over blocks with one visited set per
-    degree, seeded in order of each block's least word of the degree (``C``'s
-    least word of the shorter degree, then ``a``), so the classes come in the
-    order of ``code_classes`` and hold the words it gives them: a rewrite out
-    of the degree pulls the block it reaches into the class.  A seed that a
-    class of an earlier degree pulled in is that class, as the rules are read
-    in both directions, so no two classes of one length hold the same block.
+    applications that end at the last letter.  The constructor joins them
+    for every degree of the length, in lexicographic order, by breadth-first
+    search over blocks with one visited set per degree, seeded in order of
+    each block's least word of the degree (``C``'s least word of the shorter
+    degree, then ``a``), so the classes come in the order of
+    ``code_classes`` and hold the words it gives them: a rewrite out of the
+    degree pulls the block it reaches into the class.  A seed that a class
+    of an earlier degree pulled in is that class, as the rules are read in
+    both directions, so no two classes of one length hold the same block.
+
+    The joins are found once per class of a prefix, not once per word.  A
+    word's block is (the class of its prefix, its last letter), and the
+    class of the prefix is the owner of the prefix's block, the first class
+    of that length to hold it.  So for a class ``X`` of length ``L - s`` and
+    a word ``v`` of ``s`` letters, every word ``x v``, ``x`` in ``X``, lies
+    in the block ``walk(X, v)``: the block ``(X, v_1)``, then the block of
+    its owner and ``v_2``, and so on to ``v_s``, under any rule set.  A rule
+    application ``l -> r`` of span ``s`` that ends at the last letter takes
+    ``x l`` to ``x r``, so the joins between blocks are exactly the directed
+    edges ``walk(X, l) -> walk(X, r)`` over the classes ``X`` of length
+    ``L - s`` and the entries of ``rs.by_span[s]``.  A level's work is
+    therefore the sum over spans ``s`` of (classes of length ``L - s``) times
+    (rules of span ``s``) walks, whatever the number of words.  The edges
+    are directed, as the word BFS's rewrites are, so a rule read one way
+    only, or one that changes the multidegree, joins blocks only in the
+    direction it rewrites.  Only a rule read one way puts a word in two
+    classes of one length; its block is then the one through the first.
 
     A block is the int ``j << bits | a``, ``j`` the index of ``C`` in the
     shorter classes; ``classes`` lists each class's blocks, its seed first.
-    The words of a block are those of ``C`` with ``a`` added at the top;
-    ``_words`` lists the words of each shorter class and ``_index`` maps
-    each to ``j << bits``.  The length 0 has the one block 0, the empty word
-    under the letter 0.  The rules that end at a word's last letter come
-    from ``rs.by_span``: a word's last ``span`` letters are ``code >>
-    (length - span) * bits``, and those of every span that fits lie in its
-    last ``tail`` letters, ``tail`` the longest such span, so one call to
-    ``_close`` reads ``by_span`` once per ``tail`` met and keeps the shifted
-    differences by it until the level is built.  Nothing here reads a
-    normal form.
+    The length 0 has the one block 0, the empty word under the letter 0.  A
+    level keeps ``shorter``, the level one letter shorter, the owner of each
+    of its blocks, and the number of words of each class, so ``size`` reads
+    a count, ``block`` walks the owners letter by letter and ``words`` lists
+    a block's words down the levels; only failure messages and the tests
+    list words.  Nothing here reads a normal form.
     """
 
     def __init__(self, rs: RelationSet, shorter: BlockClasses | None = None) -> None:
         self.rs = rs
+        self.shorter = shorter
         self.length = 0 if shorter is None else shorter.length + 1
         self.shift = max(self.length - 1, 0) * rs.bits  # a word's last letter is code >> shift
         self.mask = (1 << self.shift) - 1  # and its prefix code & mask
@@ -312,7 +353,7 @@ class BlockClasses:
         if shorter is None:  # the empty word, code 0, is the one block 0
             self.classes.append([0])
             self._degrees[(0,) * (rs.n - 1)] = [(0, 0)]
-            self._words, self._index = [[0]], {0: 0}
+            self._owner, self._sizes = [0], [1]
         else:
             self._close(shorter)
 
@@ -323,36 +364,51 @@ class BlockClasses:
         return [j for _, j in self._degrees[delta.counts]]
 
     def words(self, block: int) -> list[int]:
-        """The codes of the words of a block."""
+        """The codes of the words of a block, listed down the shorter levels."""
+        shorter = self.shorter
+        if shorter is None:
+            return [0]
         top = (block & (1 << self.rs.bits) - 1) << self.shift
-        return [c | top for c in self._words[block >> self.rs.bits]]
+        return [c | top for b in shorter.classes[block >> self.rs.bits] for c in shorter.words(b)]
 
     def size(self, block: int) -> int:
         """The number of words of a block, without listing them."""
-        return len(self._words[block >> self.rs.bits])
+        return 1 if self.shorter is None else self.shorter._sizes[block >> self.rs.bits]
 
     def block(self, code: int) -> int | None:
-        """The block of the word with this code, or None if no word of this length has it."""
-        if not self.length:
+        """The block of the word with this code, or None if no word of this length has it.
+
+        It is the owner of the block of the word's prefix, one letter shorter, and its last letter.
+        """
+        shorter = self.shorter
+        if shorter is None:
             return 0 if code == 0 else None
-        j, a = self._index.get(code & self.mask), code >> self.shift
-        return j | a if j is not None and 0 < a < 1 << self.rs.bits else None
+        prefix, a = shorter.block(code & self.mask), code >> self.shift
+        return shorter._owner[prefix] << self.rs.bits | a if prefix is not None and 0 < a < self.rs.n else None
 
     def _close(self, shorter: BlockClasses) -> None:
-        rs, length, shift, mask = self.rs, self.length, self.shift, self.mask
-        bits, letter = rs.bits, (1 << rs.bits) - 1
-        words = self._words = [[w for b in cls for w in shorter.words(b)] for cls in shorter.classes]
-        index = self._index = {}
-        for j, codes in enumerate(words):
-            index.update(dict.fromkeys(codes, j << bits))
-        # the rules that end at a word's last letter depend on its last `tail` letters, w >> tshift:
-        # one list of their diffs, each shifted to its start, per tail met, filled from by_span
-        spans = [(span, rules) for span, rules in rs.by_span.items() if span <= length]
-        tail = max((span for span, _ in spans), default=0)
-        tshift, ends = (length - tail) * bits, {}
+        rs, length, bits = self.rs, self.length, self.rs.bits
+        levels = [self, shorter]  # levels[s]: the level s letters shorter
+        while levels[-1].shorter is not None:
+            levels.append(levels[-1].shorter)
+        edges: dict[int, list[int]] = {}  # {block: the blocks one rule application at the last letter away}
+        for span, rules in rs.by_span.items():
+            if span <= length:
+                walked: dict[int, list[int]] = {}
+                for lhs, diffs in rules.items():
+                    sources = _walk(levels, span, lhs, walked)
+                    for diff in diffs:
+                        for b, nb in zip(sources, _walk(levels, span, lhs + diff, walked)):
+                            if b in edges:
+                                edges[b].append(nb)
+                            else:
+                                edges[b] = [nb]
         below = shorter._degrees
         degrees = sorted({c[:i] + (c[i] + 1,) + c[i + 1:] for c in below for i in range(len(c))})
-        classes, owner = self.classes, {}  # owner: {block: the first class to hold it}
+        classes, sizes = self.classes, []
+        self._sizes = sizes
+        owner = self._owner = [-1] * (len(shorter.classes) << bits)  # {block: the first class to hold it}
+        below_sizes = shorter._sizes
         for counts in degrees:
             seeds = sorted(
                 (key << bits | a, j << bits | a)
@@ -364,36 +420,24 @@ class BlockClasses:
             for key, seed in seeds:
                 if seed in seen:
                     continue
-                j = owner.get(seed)
-                if j is not None:  # pulled in by a class of an earlier degree
+                j = owner[seed]
+                if j >= 0:  # pulled in by a class of an earlier degree
                     seen.update(classes[j])
                     listed.append((key, j))
                     continue
                 seen.add(seed)
                 cls = [seed]
                 for b in cls:  # reads what it appends
-                    top = (b & letter) << shift
-                    for c in words[b >> bits]:
-                        w = c | top
-                        end = w >> tshift
-                        try:
-                            diffs = ends[end]
-                        except KeyError:
-                            diffs = ends[end] = [
-                                diff << (length - span) * bits
-                                for span, rules in spans
-                                for diff in rules.get(end >> (tail - span) * bits, ())
-                            ]
-                        for diff in diffs:
-                            nxt = w + diff
-                            nb = index[nxt & mask] | nxt >> shift
-                            if nb not in seen:
-                                seen.add(nb)
-                                cls.append(nb)
+                    for nb in edges.get(b, ()):
+                        if nb not in seen:
+                            seen.add(nb)
+                            cls.append(nb)
                 j = len(classes)
                 classes.append(cls)
                 for b in cls:
-                    owner.setdefault(b, j)
+                    if owner[b] < 0:
+                        owner[b] = j
+                sizes.append(sum(below_sizes[b >> bits] for b in cls))
                 listed.append((key, j))
 
 

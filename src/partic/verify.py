@@ -1,15 +1,17 @@
 """Umbrella certification suite behind the ``verify`` CLI subcommand.
 
-A run numbers the basis monomials of length <= max_len once (``_Run``)
-and keeps, for each, its single steps R_a and L_a as numbers, its
-expansion and its fold label, each computed once.  Two passes read this
-index.  One goes over multidegrees with their congruence classes, each
-built from the classes one letter shorter as blocks (a shorter class times
-a last letter, ``rewriting.BlockClasses``), and gives each block the form
-R_a of its shorter class's form, read from the index; one goes over the
-numbers of the basis monomials of each multidegree; one runs once.  Each
-check returns the problem it finds on one item, or None.  The report lists
-checks by name, so output is reproducible in any execution order.
+A run lists the multidegrees once, numbers the basis monomials of length
+<= max_len once (``_Run``) and keeps, for each, its single steps R_a and
+L_a as numbers, its expansion and its fold label, each computed once.  Two
+passes read this index.  One goes over multidegrees with their congruence
+classes, each built from the classes one letter shorter as blocks (a
+shorter class times a last letter, ``rewriting.BlockClasses``, which
+applies each rule once per class of a prefix, so a passing run lists no
+word), and gives each block the form R_a of its shorter class's form, read
+from the index; one goes over the numbers of the basis monomials of each
+multidegree; one runs once.  Each check returns the problem it finds on
+one item, or None.  The report lists checks by name, so output is
+reproducible in any execution order.
 
 The passes work on raw values: words are the oracle's integer codes,
 basis monomials their numbers, and labels and (output, input) pairs are
@@ -72,8 +74,9 @@ class _Run:
     The index numbers the basis monomials of length <= ``bound``, which is
     ``max(max_len, 1)`` as action-factoring checks the words of length 1 at
     max_len 0.  Numbers follow ``enumerate_basis`` over
-    ``multidegrees_up_to``, so they run by total, and ``degrees`` maps a
-    degree's counts to the range of its numbers; ``ids`` maps (d, k) to the
+    ``multidegrees``, the run's one list of ``multidegrees_up_to``, so they
+    run by total, and ``degrees`` maps a degree's counts to the range of its
+    numbers; ``ids`` maps (d, k) to the
     number.  ``right[m][a]`` and ``left[m][a]`` are the numbers of R_a(m)
     and L_a(m), each one ``_step`` of ``_right_mul`` or ``_left_mul`` (this
     module's names, read when the run starts), for a = 1..N-1; slot 0 is
@@ -92,7 +95,8 @@ class _Run:
         self.degrees: dict[tuple[int, ...], range] = {}
         monomials: list = []
         short = 0  # the monomials shorter than bound, whose products are taken
-        for delta in multidegrees_up_to(n, self.bound):
+        self.multidegrees = multidegrees_up_to(n, self.bound)
+        for delta in self.multidegrees:
             basis = enumerate_basis(delta)
             self.degrees[delta.counts] = range(len(monomials), len(monomials) + len(basis))
             monomials += basis
@@ -108,6 +112,14 @@ class _Run:
         self.monomials = monomials + [None]
 
 
+def _walked(run: _Run) -> Iterator[MultiDegree]:
+    """The degrees of total <= max_len, by total: the front of the run's list, which runs to ``bound``."""
+    for delta in run.multidegrees:
+        if delta.total() > run.max_len:
+            return
+        yield delta
+
+
 def _degrees(run: _Run) -> Iterator[tuple[MultiDegree, list[dict], BlockClasses]]:
     # one degree at a time, by total, so a first failing word is shortest and the classes one
     # letter shorter are all there.  Only the partic rules: the plactic ones are a subset, so
@@ -121,7 +133,7 @@ def _degrees(run: _Run) -> Iterator[tuple[MultiDegree, list[dict], BlockClasses]
     # monomial, None where the step left the index, and a class's is its seed block's
     right, monomials = run.right, run.monomials
     level, prefix, forms = BlockClasses(rs), [0], [{0: monomials[0]}]  # number 0 is the unit
-    for delta in multidegrees_up_to(n, run.max_len):
+    for delta in _walked(run):
         if delta.total() != level.length:
             level = BlockClasses(rs, level)
             steps = [[right[prefix[b >> bits]][b & letter] for b in cls] for cls in level.classes]
@@ -135,7 +147,7 @@ def _monomials(run: _Run) -> Iterator[tuple[MultiDegree, range]]:
     # word; a pass of its own, as the checks that read only the basis index would otherwise
     # be charged a share of the partitions in --timings
     degrees = run.degrees
-    for delta in multidegrees_up_to(run.n, run.max_len):
+    for delta in _walked(run):
         yield delta, degrees[delta.counts]
 
 

@@ -28,9 +28,9 @@ def test_runs_cover_the_certification_bounds(certify_all):
     verify = [(a.N, a.max_len, a.max_degree) for a in runs if a.subcommand == "verify"]
     center = [(a.N, a.max_degree, a.expect_theorem) for a in runs if a.subcommand == "center"]
     affine = [(a.N, a.particles, a.m_max, a.k_max) for a in runs if a.subcommand == "affine-verify"]
-    # every check with words to length 12 at N=3, 10 at N=4, 10 at N=5 and 8 at N=6, the
+    # every check with words to length 16 at N=3, 12 at N=4, 12 at N=5 and 10 at N=6, the
     # center to degree 12 at N=3, 4, 16 at N=5 and 10 at N=6
-    assert verify == [(3, 12, 12), (4, 10, 12), (5, 10, 16), (6, 8, 10)]
+    assert verify == [(3, 16, 12), (4, 12, 12), (5, 12, 16), (6, 10, 10)]
     # the center theorem at N=6 to degree 12
     assert center == [(6, 12, True)]
     assert affine == [(n, 6, 3, 2) for n in range(3, 9)]

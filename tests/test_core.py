@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import re
@@ -98,11 +99,25 @@ def test_value_types_compare_as_their_field_tuples(cls, args, other):
     assert not hasattr(a, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(a, dataclasses.fields(a)[0].name, fb[0])
-    # a name that is not a field is refused too; Python 3.11's slotted frozen classes raise a
-    # misleading TypeError from the generated __setattr__, so any of the three errors will do
-    with pytest.raises((TypeError, AttributeError, dataclasses.FrozenInstanceError)):
+    # a name that is not a field is refused too.  Python 3.11's slotted frozen classes raise a
+    # misleading TypeError from the generated __setattr__; the core value types replace it
+    core = cls in (Word, MultiDegree, NormalMonomial)
+    with pytest.raises(dataclasses.FrozenInstanceError if core else (TypeError, AttributeError, dataclasses.FrozenInstanceError)):
         a.extra = 1
     assert not hasattr(a, "extra")
+
+
+@pytest.mark.parametrize("value", [Word(5, (4, 3)), MultiDegree((1, 2, 0)), NormalMonomial(4, (1, 0), (1, 0, 2))], ids=type)
+def test_core_value_types_refuse_every_assignment_as_frozen(value):
+    # a field, a name that is no field and, on a MultiDegree, the property n: each assignment
+    # and each deletion raises FrozenInstanceError, naming the attribute, and changes nothing
+    before = copy.copy(value)
+    for name in (dataclasses.fields(value)[0].name, "extra", "n"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert value == before and not hasattr(value, "extra")
 
 
 def test_word_parse_and_str_roundtrip():
@@ -352,3 +367,25 @@ def test_multidegrees_up_to_are_by_total_then_lex():
         want = sorted(compositions(n - 1, top), key=lambda c: (sum(c), c))
         assert [d.counts for d in multidegrees_up_to(n, top)] == want, (n, top)
     assert len(want) == 1_001
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_multidegrees_up_to_are_the_validated_degrees(n):
+    # built without revalidation, each degree is the one MultiDegree(counts) builds
+    for top in range(6):
+        degrees = multidegrees_up_to(n, top)
+        want = [MultiDegree(c) for c in sorted(compositions(n - 1, top), key=sum)]
+        assert degrees == want and [hash(d) for d in degrees] == [hash(d) for d in want], (n, top)
+        assert all(type(d) is MultiDegree and type(d.counts) is tuple for d in degrees)
+        assert [d.n for d in degrees] == [n] * len(want)
+
+
+@pytest.mark.parametrize(
+    "n, top, error",
+    [(2, 3, "rank must be"), (3.0, 3, "rank must be"), (True, 3, "rank must be"),
+     (4, -1, "max_degree must be nonnegative"), (4, 2.0, "max_degree 2.0 is not an integer"),
+     (4, True, "max_degree True is not an integer")],
+)
+def test_multidegrees_up_to_refuses_bad_ranks_and_bounds(n, top, error):
+    with pytest.raises(ValueError, match=error):
+        multidegrees_up_to(n, top)
