@@ -73,20 +73,19 @@ class _Run:
 
     The index numbers the basis monomials of length <= ``bound``, which is
     ``max(max_len, 1)`` as action-factoring checks the words of length 1 at
-    max_len 0.  Numbers follow ``enumerate_basis`` over
-    ``multidegrees``, the run's one list of ``multidegrees_up_to``, so they
-    run by total, and ``degrees`` maps a degree's counts to the range of its
-    numbers; ``ids`` maps (d, k) to the
-    number.  ``right[m][a]`` and ``left[m][a]`` are the numbers of R_a(m)
-    and L_a(m), each one ``_step`` of ``_right_mul`` or ``_left_mul`` (this
-    module's names, read when the run starts), for a = 1..N-1; slot 0 is
-    unused.  A product that is no basis monomial of the index is ``OUT``,
-    and so is every product of a monomial of length ``bound``, which is
-    never taken.  The last row, the row of ``OUT``, is all ``OUT``, so a
-    product of a product is ``OUT`` once either is.  ``letters[m]`` is the
-    expansion of m, ``labels[m]`` its fold label, ``word_label``'s;
-    ``monomials`` and ``labels`` hold None at ``OUT``.  Nothing outlives
-    the run.
+    max_len 0.  Numbers follow ``enumerate_basis`` over ``multidegrees``,
+    the run's one list of ``multidegrees_up_to``, so they run by total, and
+    ``degrees`` maps a degree's counts to the range of its numbers; ``ids``
+    maps (d, k) to the number.  ``right[m][a]`` and ``left[m][a]`` are the
+    numbers of R_a(m) and L_a(m), each one ``_step`` of ``_right_mul`` or
+    ``_left_mul`` (this module's names, read when the run starts), for a =
+    1..N-1; slot 0 is unused.  A product that is no basis monomial of the
+    index is ``OUT``, and so is every product of a monomial of length
+    ``bound``, which is never taken.  The last row, the row of ``OUT``, is
+    all ``OUT``, so a product of a product is ``OUT`` once either is.
+    ``letters[m]`` is the expansion of m, ``labels[m]`` its fold label,
+    ``word_label``'s; ``monomials`` and ``labels`` hold None at ``OUT``.
+    Nothing outlives the run.
     """
 
     def __init__(self, cfg: VerifyConfig) -> None:
