@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterable, Iterator
 
-from .core import _check_bound, check_rank, compositions
+from .core import _check_bound, _refuse_assignment, _refuse_deletion, check_rank, compositions
 from .particles import ANNIHILATED, _append_letters, _letters_label, _moved, _prepend_letters
 
 Label = tuple[tuple[int, ...], tuple[int, ...], int]  # (output, minimal input, wraparound count)
@@ -75,6 +75,11 @@ class AffineConfiguration:
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.occ) + f" t={self.t}"
+
+
+# frozen as the core value types are (core._refuse_assignment says why)
+for _cls in (AffineWord, AffineConfiguration):
+    _cls.__setattr__, _cls.__delattr__ = _refuse_assignment, _refuse_deletion
 
 
 def affine_act_word(w: AffineWord, c: AffineConfiguration):

@@ -282,7 +282,8 @@ def _refuse_deletion(self, name: str) -> None:
 # dataclass(frozen=True) refuses a __setattr__ in the class body, and on Python 3.11 the one it
 # generates for a slotted class raises a misleading TypeError for a name that is not a field
 # (MultiDegree.n among them), as it refers to the class before slots=True rebuilt it.  The
-# constructors set their slots through the slot setters or object.__setattr__, so they pass these by
+# constructors set their slots through the slot setters or object.__setattr__, so they pass these by.
+# particles and affine install them on their value types too
 for _cls in (Word, MultiDegree, NormalMonomial):
     _cls.__setattr__, _cls.__delattr__ = _refuse_assignment, _refuse_deletion
 

@@ -18,7 +18,18 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-from .core import MultiDegree, NormalMonomial, Word, _check_bound, _check_gen, check_rank, compositions, parse_ints
+from .core import (
+    MultiDegree,
+    NormalMonomial,
+    Word,
+    _check_bound,
+    _check_gen,
+    _refuse_assignment,
+    _refuse_deletion,
+    check_rank,
+    compositions,
+    parse_ints,
+)
 
 
 class _AnnihilatedType:
@@ -188,6 +199,11 @@ class IoLabel:
             raise ValueError("unrealizable label: output configuration occupies position 1")
         if sum(self.i_out.occ) != sum(self.j_in.occ):
             raise ValueError("unrealizable label: particle counts differ")
+
+
+# frozen as the core value types are (core._refuse_assignment says why)
+for _cls in (Configuration, IoLabel):
+    _cls.__setattr__, _cls.__delattr__ = _refuse_assignment, _refuse_deletion
 
 
 def io_label(m: NormalMonomial) -> IoLabel:

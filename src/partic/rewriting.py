@@ -2,11 +2,12 @@
 
 Every defining relation permutes the letters of a word, so each congruence
 class sits inside the finite set of words with one multidegree and can be
-closed off by breadth-first search: over words (``code_classes``), or over
-blocks, the classes one letter shorter times a last letter, joined by the
-rule applications that end at the last letter, each rule applied once per
-class of the prefix it extends rather than once per word
-(``BlockClasses``).  No term orders, no completion.
+closed off by breadth-first search.  The search runs over blocks, the
+classes one letter shorter times a last letter, joined by the rule
+applications that end at the last letter, each rule applied once per class
+of the prefix it extends rather than once per word (``BlockClasses``).
+``congruence_partition`` reads a chain of these levels kept on its
+``RelationSet``.  No term orders, no completion.
 
 This module is deliberately independent of the normal-form code in
 ``partic.normal_form``; the two certify each other.
@@ -14,9 +15,6 @@ This module is deliberately independent of the normal-form code in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import product
-from operator import sub
 from typing import Iterable, Iterator
 
 from .core import MultiDegree, check_rank
@@ -25,7 +23,6 @@ PLACTIC = "plactic"
 PARTIC = "partic"
 
 Letters = tuple[int, ...]
-Table = dict[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -38,10 +35,6 @@ class RewriteRule:
     def __post_init__(self) -> None:
         if sorted(self.lhs) != sorted(self.rhs):
             raise ValueError("a rewrite rule must preserve the multidegree")
-
-
-# rule starts read by one window lookup but the last: a word of length 8 needs 2 lookups, not 7
-_STARTS = 3
 
 
 def _bits(n: int) -> int:
@@ -57,16 +50,12 @@ class RelationSet:
     the first letter lowest (``_encode``).  ``by_span`` holds the rules, read
     in both directions, as ``{span: {lhs code: [rhs code - lhs code]}}``, so
     each rewrite is ``code + diff``; ``BlockClasses`` reads only this.
-    ``tables``, the word BFS's, holds one plain dict per ``(starts, shift)``
-    met, mapping a window code to the differences of the rules starting in
-    its first ``starts`` letters, each shifted to its rule's start and then
-    left by ``shift`` bits more; ``_fill`` computes a window not yet met from
-    ``by_span``, so a table holds only the windows met, whatever the rank,
-    and ``interned`` keeps one copy of each tuple, as many windows share one.
-    ``_reader`` gives the tables one word length reads.  Rule letters must
-    lie in 1..n-1: letters are then nonzero, so a window running past the end
-    of a word matches only the rules that fit, and each fits in its ``bits``
-    bits.
+    ``levels`` is the chain ``congruence_partition`` reads: ``levels[L]`` is
+    the ``BlockClasses`` of the words of length L, each built from the one
+    before when a call first needs it.  A level reads ``by_span`` once, when
+    it is built, so a change to ``by_span`` is seen once ``levels`` is
+    cleared.  Rule letters must lie in 1..n-1: letters are then nonzero, so
+    a code fixes its word's length, and each fits in its ``bits`` bits.
     """
 
     name: str
@@ -74,8 +63,7 @@ class RelationSet:
     rules: tuple[RewriteRule, ...]
     bits: int = field(init=False, repr=False, compare=False)
     by_span: dict[int, dict[int, list[int]]] = field(init=False, repr=False, compare=False)
-    tables: dict[tuple[int, int], Table] = field(default_factory=dict, init=False, repr=False, compare=False)
-    interned: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    levels: list[BlockClasses] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bits = _bits(self.n)
@@ -93,56 +81,11 @@ class RelationSet:
         object.__setattr__(self, "by_span", by_span)
 
 
-def _fill(rs: RelationSet, table: Table, starts: int, shift: int, window: int) -> tuple[int, ...]:
-    """Store in ``table``, the ``(starts, shift)`` table of ``rs``, the differences of ``window``; return them."""
-    bits = rs.bits
-    diffs = tuple(
-        diff << start * bits + shift
-        for start in range(starts)
-        for span, rules in rs.by_span.items()
-        for diff in rules.get(window >> start * bits & (1 << span * bits) - 1, ())
-    )
-    diffs = table[window] = rs.interned.setdefault(diffs, diffs)
-    return diffs
-
-
-Reader = tuple[int, dict[int, int], list[tuple[Table, int]]]
-
-
-def _reader(rs: RelationSet, length: int) -> Reader:
-    """The window mask, the rule starts of each window by its shift, and a (table, shift) pair per window read.
-
-    A window is ``_STARTS - 1`` letters wider than the longest rule, so it
-    holds every rule starting in its first ``_STARTS`` letters.  The last
-    window reaches the word's end, so it holds every rule that fits from
-    there on and takes every start that remains: a word of ``length``
-    letters, ``span`` the longest rule's, reads ``1 + max(0, ceil((length -
-    span - 2) / 3))`` windows, and one no longer than a window reads one, at
-    shift 0.
-    """
-    spans = rs.by_span.keys() or (0,)
-    bits, width, starts = rs.bits, max(spans) + _STARTS - 1, max(length - min(spans) + 1, 0)
-    tail = max(0, -((width - length) // _STARTS) * _STARTS)  # the first window start that reaches the end
-    plan = {p * bits: _STARTS for p in range(0, tail, _STARTS)}
-    plan[tail * bits] = starts - tail
-    tables = [(rs.tables.setdefault((k, shift), {}), shift) for shift, k in plan.items()]
-    return (1 << width * bits) - 1, plan, tables
-
-
 def _encode(letters: Letters, bits: int) -> int:
     code = 0
     for a in reversed(letters):
         code = code << bits | a
     return code
-
-
-def _decode(code: int, bits: int) -> Letters:
-    # every letter is nonzero, so the code ends with its last letter
-    mask, out = (1 << bits) - 1, []
-    while code:
-        out.append(code & mask)
-        code >>= bits
-    return tuple(out)
 
 
 def _plactic(n: int) -> tuple[RewriteRule, ...]:
@@ -174,30 +117,6 @@ def partic_rules(n: int) -> RelationSet:
     return RelationSet(PARTIC, n, base + extra)
 
 
-def _steps(codes: list[int], out: list[int], reader: Reader, rs: RelationSet, seen: set[int]) -> None:
-    """Append to ``out`` and add to ``seen`` each code not in ``seen`` one rule application from one of ``codes``.
-
-    ``reader`` is ``_reader(rs, length)``, the window plan of the codes'
-    common length.  Given one list as both ``codes`` and ``out``, the loop
-    also reads what it appends, so the list grows to the BFS closure of its
-    codes.  This loop is the oracle's whole cost; a window met for the first
-    time raises KeyError (tests/rewriting_reference.py scans rule by rule).
-    """
-    mask, plan, tables = reader
-    for cur in codes:
-        for table, shift in tables:
-            window = cur >> shift & mask
-            try:
-                diffs = table[window]
-            except KeyError:
-                diffs = _fill(rs, table, plan[shift], shift, window)
-            for diff in diffs:
-                nxt = cur + diff
-                if nxt not in seen:
-                    seen.add(nxt)
-                    out.append(nxt)
-
-
 def words_with_degree(delta: MultiDegree) -> Iterator[Letters]:
     """All words with the given multidegree, in lexicographic order."""
     # Narayana's next permutation in place: from the sorted word, each step gives
@@ -215,59 +134,6 @@ def words_with_degree(delta: MultiDegree) -> Iterator[Letters]:
             j -= 1
         word[i], word[j] = word[j], word[i]
         word[i + 1:] = word[:i:-1]
-
-
-@lru_cache(maxsize=1 << 10)
-def _half_words(counts: tuple[int, ...], bits: int, shift: int) -> tuple[tuple[Letters, ...], tuple[int, ...]]:
-    """The words of the degree ``counts`` in lexicographic order, and their codes shifted left by ``shift`` bits.
-
-    ``_coded_words`` meets each half-degree in every degree that holds it; this lists it once.
-    """
-    words = tuple(words_with_degree(MultiDegree(counts)))
-    return words, tuple(_encode(w, bits) << shift for w in words)
-
-
-def _coded_words(delta: MultiDegree, bits: int) -> dict[int, Letters]:
-    """``{_encode(w, bits): w for w in words_with_degree(delta)}``, in the same order.
-
-    A word is its first ``h = L // 2`` letters, a word of a sub-degree of
-    total ``h``, joined to the rest; both halves come from ``_half_words``.
-    """
-    *head, last = delta.counts
-    h, halves = delta.total() // 2, []
-    for sigma in product(*[range(c + 1) for c in head]):
-        k = h - sum(sigma)  # the total fixes the last count, so only the head's box is walked
-        if 0 <= k <= last:
-            rest, shifted = _half_words((*map(sub, head, sigma), last - k), bits, h * bits)
-            halves += [(p, cp, rest, shifted) for p, cp in zip(*_half_words((*sigma, k), bits, 0))]
-    halves.sort()  # first halves are distinct, so no two tuples compare past them
-    return {cp | cs: p + s for p, cp, rest, shifted in halves for s, cs in zip(rest, shifted)}
-
-
-def code_classes(codes: Iterable[int], length: int, rs: RelationSet) -> list[list[int]]:
-    """The congruence classes of the words of one multidegree, given by their codes (``_coded_words``).
-
-    Each class is a list of codes, its seed (the first of its codes in the
-    given order) first and the rest in BFS order; classes come in the order
-    of their seeds.  Each BFS terminates: ``RewriteRule`` refuses a rule that
-    changes the letter multiset, so a class never leaves the finitely many
-    words of its multidegree.  The classes share one visited set and hold,
-    once each, every given code and every code they rewrite to.  All the
-    codes have one length, so the window plan (``_reader``) is built once per
-    call.  ``congruence_partition`` decodes these classes, and the tests
-    certify ``BlockClasses`` against them.
-    """
-    reader = _reader(rs, length)
-    seen: set[int] = set()  # one visited set for the degree: the classes are disjoint
-    classes = []
-    for code in codes:
-        if code in seen:
-            continue
-        seen.add(code)
-        cls = [code]
-        _steps(cls, cls, reader, rs, seen)
-        classes.append(cls)
-    return classes
 
 
 def _walk(levels: list[BlockClasses], span: int, side: int, walked: dict[int, list[int]]) -> list[int]:
@@ -307,9 +173,10 @@ class BlockClasses:
     for every degree of the length, in lexicographic order, by breadth-first
     search over blocks with one visited set per degree, seeded in order of
     each block's least word of the degree (``C``'s least word of the shorter
-    degree, then ``a``), so the classes come in the order of
-    ``code_classes`` and hold the words it gives them: a rewrite out of the
-    degree pulls the block it reaches into the class.  A seed that a class
+    degree, then ``a``), so the classes come in the order of their least
+    words and hold every word of the degree and every word a rewrite of one
+    of them reaches: a rewrite out of the degree pulls the block it reaches
+    into the class.  A seed that a class
     of an earlier degree pulled in is that class, as the rules are read in
     both directions, so no two classes of one length hold the same block.
 
@@ -326,7 +193,7 @@ class BlockClasses:
     ``L - s`` and the entries of ``rs.by_span[s]``.  A level's work is
     therefore the sum over spans ``s`` of (classes of length ``L - s``) times
     (rules of span ``s``) walks, whatever the number of words.  The edges
-    are directed, as the word BFS's rewrites are, so a rule read one way
+    are directed, as rewrites are, so a rule read one way
     only, or one that changes the multidegree, joins blocks only in the
     direction it rewrites.  Only a rule read one way puts a word in two
     classes of one length; its block is then the one through the first.
@@ -336,9 +203,11 @@ class BlockClasses:
     The length 0 has the one block 0, the empty word under the letter 0.  A
     level keeps ``shorter``, the level one letter shorter, the owner of each
     of its blocks, and the number of words of each class, so ``size`` reads
-    a count, ``block`` walks the owners letter by letter and ``words`` lists
-    a block's words down the levels; only failure messages and the tests
-    list words.  Nothing here reads a normal form.
+    a count, ``block`` walks the owners letter by letter, and ``words`` and
+    ``class_words`` list a block's or a class's words down the levels, as
+    letter tuples; only ``congruence_partition``, failure messages and the
+    tests list words.
+    Nothing here reads a normal form.
     """
 
     def __init__(self, rs: RelationSet, shorter: BlockClasses | None = None) -> None:
@@ -363,13 +232,30 @@ class BlockClasses:
             raise ValueError(f"multidegree {delta} is not of rank {self.rs.n} and total {self.length}")
         return [j for _, j in self._degrees[delta.counts]]
 
-    def words(self, block: int) -> list[int]:
-        """The codes of the words of a block, listed down the shorter levels."""
-        shorter = self.shorter
-        if shorter is None:
-            return [0]
-        top = (block & (1 << self.rs.bits) - 1) << self.shift
-        return [c | top for b in shorter.classes[block >> self.rs.bits] for c in shorter.words(b)]
+    def words(self, block: int) -> list[Letters]:
+        """The words of the block ``j << bits | a``: ``w + (a,)`` for each word ``w`` of the shorter class ``j``."""
+        if self.shorter is None:
+            return [()]
+        a = (block & (1 << self.rs.bits) - 1,)
+        return [w + a for w in self.shorter.class_words(block >> self.rs.bits, {})]
+
+    def class_words(self, j: int, memo: dict[tuple[int, int], list[Letters]]) -> list[Letters]:
+        """The words of class ``j``, its blocks' in turn, listed once per ``memo``, keyed on (length, class)."""
+        key = (self.length, j)
+        words = memo.get(key)
+        if words is None:
+            shorter = self.shorter
+            if shorter is None:
+                words = [()]
+            else:
+                bits = self.rs.bits
+                letter = (1 << bits) - 1
+                words = []
+                for b in self.classes[j]:
+                    a = (b & letter,)
+                    words += [w + a for w in shorter.class_words(b >> bits, memo)]
+            memo[key] = words
+        return words
 
     def size(self, block: int) -> int:
         """The number of words of a block, without listing them."""
@@ -442,16 +328,23 @@ class BlockClasses:
 
 
 def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letters]]:
-    """Partition of all words of one multidegree into congruence classes: ``code_classes``, decoded.
+    """Partition of all words of one multidegree into congruence classes, read off the chain ``rs.levels``.
 
-    Classes appear in order of their lexicographically smallest member, the
-    order of ``_coded_words``.
+    The chain grows to ``delta.total()`` letters, and each class of the
+    degree is listed down the levels (``BlockClasses.class_words``), each
+    shorter class once per call.  Classes appear in order of their lexicographically
+    smallest word of ``delta``.  Under rules read both ways, as every
+    ``RelationSet`` built from ``RewriteRule``s has them, these are the
+    congruence classes.  A rule planted in ``by_span`` one way only makes
+    the classes sets of words reached; from length 3 on a word may then lie
+    in two of them and is listed with its block, the one through the first.
     """
     if delta.n != rs.n:
         raise ValueError("multidegree rank does not match relation set rank")
-    words = _coded_words(delta, rs.bits)
-    classes = code_classes(words, delta.total(), rs)
-    try:
-        return [set(map(words.__getitem__, cls)) for cls in classes]
-    except KeyError:  # a code outside the degree comes only from a rule that changes the multidegree
-        return [{words.get(c) or _decode(c, rs.bits) for c in cls} for cls in classes]
+    levels = rs.levels
+    if not levels:
+        levels.append(BlockClasses(rs))
+    while len(levels) <= delta.total():
+        levels.append(BlockClasses(rs, levels[-1]))
+    level, memo = levels[delta.total()], {}
+    return [set(level.class_words(j, memo)) for j in level.of(delta)]

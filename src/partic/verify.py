@@ -17,7 +17,7 @@ The passes work on raw values: words are the oracle's integer codes,
 basis monomials their numbers, and labels and (output, input) pairs are
 count tuples.  A ``Word``, ``Configuration`` or ``IoLabel`` is built only
 to confirm and report a failure, and a message names words as letter
-tuples, decoded then.
+tuples, listed from their blocks then.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .center import center_basis_in_degree, theorem_mismatch
 from .core import MultiDegree, NormalMonomial, Word, _check_bound, _nm_letters, multidegrees_up_to, nm_to_word
 from .normal_form import _left_mul, _right_mul, _step, enumerate_basis, normalize, normalize_right_to_left
 from .particles import Configuration, _letters_label, _prepend_letters, act_word, faithfulness_problem, word_label
-from .rewriting import PARTIC, BlockClasses, _decode, _encode, partic_rules
+from .rewriting import PARTIC, BlockClasses, _encode, partic_rules
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def _forms_problem(run: _Run, level: BlockClasses, cls: dict) -> str:
         return f"class of {least} has {len({(m.d, m.k) for m in cls.values()})} normal forms"
     # while normal-form passes, every shorter word has its class's form, so the right fold of
     # a word of the block takes the step that left the index last
-    w = min(_decode(c, level.rs.bits) for c in level.words(off[0]))
+    w = min(level.words(off[0]))
     d, k = [0] * (run.n - 2), [0] * (run.n - 1)
     _right_mul(d, k, w)
     fold = f"the right fold of {w} is d={tuple(d)} k={tuple(k)}"
@@ -202,8 +202,8 @@ def _forms_problem(run: _Run, level: BlockClasses, cls: dict) -> str:
 
 
 def _least(level: BlockClasses, blocks) -> tuple[int, ...]:
-    """The lexicographically smallest word of a class given by its blocks, decoded for a message."""
-    return min(_decode(c, level.rs.bits) for b in blocks for c in level.words(b))
+    """The lexicographically smallest word of a class given by its blocks, listed for a message."""
+    return min(w for b in blocks for w in level.words(b))
 
 
 def _off_index(run: _Run, steps) -> str | None:

@@ -1,7 +1,9 @@
-"""Rule-by-rule reference for the rewrite steps of ``partic.rewriting``, kept with the tests that compare against it.
+"""Rule-by-rule references for ``partic.rewriting``, kept with the tests that compare against it.
 
-Also the word-level views the tests take of the coded oracle: a word's
-multidegree, its class and its one-step rewrites.
+Also the word-level views the tests take of the oracle: a word's
+multidegree, its class and its one-step rewrites, read from the coded rules
+``RelationSet.by_span`` by a plain scan, so an entry planted there alone is
+seen too.
 """
 from collections import deque
 from itertools import product
@@ -11,10 +13,7 @@ from partic.rewriting import (
     PARTIC,
     Letters,
     RelationSet,
-    _decode,
     _encode,
-    _reader,
-    _steps,
     congruence_partition,
     partic_rules,
     words_with_degree,
@@ -41,11 +40,59 @@ def class_of(w: Word, rs: RelationSet) -> set[Letters]:
     return next(cls for cls in congruence_partition(multidegree(w), rs) if w.letters in cls)
 
 
+def decode(code: int, bits: int) -> Letters:
+    """The letters of a code, ``bits`` bits each, first letter lowest; letters are nonzero, so it ends at the last."""
+    mask, out = (1 << bits) - 1, []
+    while code:
+        out.append(code & mask)
+        code >>= bits
+    return tuple(out)
+
+
+def scan_codes(code: int, length: int, rs: RelationSet) -> list[int]:
+    """The codes one rule application from a word's: every entry of ``rs.by_span`` tried at every start, in order of start."""
+    bits, out = rs.bits, []
+    for start in range(length):
+        for span, rules in rs.by_span.items():
+            if start + span <= length:
+                window = code >> start * bits & (1 << span * bits) - 1
+                out += [code + (diff << start * bits) for diff in rules.get(window, ())]
+    return out
+
+
 def coded_steps(letters: Letters, rs: RelationSet) -> set[Letters]:
-    """The oracle's own one-step rewrites (``rewriting._steps`` on the coded word, nothing visited), decoded."""
-    out: list[int] = []
-    _steps([_encode(letters, rs.bits)], out, _reader(rs, len(letters)), rs, set())
-    return {_decode(code, rs.bits) for code in out}
+    """The one-step rewrites of a word under the coded rules, decoded."""
+    return {decode(code, rs.bits) for code in scan_codes(_encode(letters, rs.bits), len(letters), rs)}
+
+
+def scan_classes(delta: MultiDegree, rs: RelationSet) -> list[list[int]]:
+    """The classes of one multidegree by breadth-first search over words, as codes.
+
+    Seeds come in lexicographic order and share one visited set; each class
+    lists its seed first and then its codes in the order the search meets
+    them.  A one-way rule makes a class the set of codes its seed reaches
+    that no earlier class holds.
+    """
+    seen: set[int] = set()
+    classes = []
+    for letters in words_with_degree(delta):
+        code = _encode(letters, rs.bits)
+        if code in seen:
+            continue
+        seen.add(code)
+        cls = [code]
+        for cur in cls:  # reads what it appends
+            for nxt in scan_codes(cur, len(letters), rs):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    cls.append(nxt)
+        classes.append(cls)
+    return classes
+
+
+def scan_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letters]]:
+    """``scan_classes`` as sets of letter tuples."""
+    return [{decode(code, rs.bits) for code in cls} for cls in scan_classes(delta, rs)]
 
 
 def oriented(rs: RelationSet) -> Pairs:
@@ -91,8 +138,8 @@ def partition_reference(delta: MultiDegree, rs: RelationSet) -> list[set[Letters
 def grading_sweep(rs: RelationSet, max_len: int):
     """The rewrite sweep that ``verify`` grading replaced: every one-step rewrite of every word.
 
-    The steps come from the coded tables the program's BFS reads, not from
-    ``rs.rules``, so an entry planted in those tables alone is seen too.
+    The steps come from the coded rules ``rs.by_span``, not from
+    ``rs.rules``, so an entry planted there alone is seen too.
     """
     for length in range(max_len + 1):
         for letters in product(range(1, rs.n), repeat=length):

@@ -177,12 +177,11 @@ def test_shared_passes_agree_with_the_old_sweeps(n, relations):
 
 def _with_degree_change(n):
     # (1, 2) <-> (2, 2) keeps the length but not the multidegree; RewriteRule refuses it,
-    # so it goes straight into the coded rules, and the window tables are cleared
+    # so it goes straight into the coded rules of a rule set that has built no level yet
     rs = rewriting.partic_rules(n)
     for lhs, rhs in (((1, 2), (2, 2)), ((2, 2), (1, 2))):
         code = rewriting._encode(lhs, rs.bits)
         rs.by_span.setdefault(2, {}).setdefault(code, []).append(rewriting._encode(rhs, rs.bits) - code)
-    rs.tables.clear()
     return rs
 
 
@@ -203,7 +202,6 @@ def _one_way(n):
     for lhs in ((1, 2), (2, 1)):
         code = rewriting._encode(lhs, rs.bits)
         rs.by_span.setdefault(2, {}).setdefault(code, []).append(target - code)
-    rs.tables.clear()
     return rs
 
 
@@ -224,7 +222,7 @@ class WordBlocks:
         self.rs = rs
 
     def words(self, code):
-        return [code]
+        return [rewriting_reference.decode(code, self.rs.bits)]
 
     def size(self, code):
         return 1
@@ -234,7 +232,7 @@ class WordBlocks:
 
 
 def bfs_degrees(cfg):
-    """``verify._degrees`` by the BFS route: ``code_classes`` on each degree, one normal form per word."""
+    """``verify._degrees`` by the BFS route: a search over words on each degree, one normal form per word."""
     n = cfg.n
     rs = verify.partic_rules(n)
     level, bits = WordBlocks(rs), rs.bits
@@ -244,7 +242,7 @@ def bfs_degrees(cfg):
         length = delta.total()
         shift = max(length - 1, 0) * bits
         forms = []
-        for cls in rewriting.code_classes(rewriting._coded_words(delta, bits), length, rs):
+        for cls in rewriting_reference.scan_classes(delta, rs):
             cls_forms = {}
             for code in cls:
                 if code:
@@ -290,15 +288,14 @@ def test_the_block_route_gives_the_bfs_verdicts(monkeypatch, rules, n, max_len):
 
 
 def mutant_classes(rules, n, max_len):
-    """Each degree of total <= max_len with its ``BlockClasses`` classes and its ``code_classes``, as word sets."""
+    """Each degree of total <= max_len with its ``BlockClasses`` classes and its ``scan_partition``, as word sets."""
     rs = rules(n)
-    level, bits = rewriting.BlockClasses(rs), rs.bits
+    level = rewriting.BlockClasses(rs)
     for delta in multidegrees_up_to(n, max_len):
         if delta.total() != level.length:
             level = rewriting.BlockClasses(rs, level)
-        blocks = [{rewriting._decode(c, bits) for b in level.classes[j] for c in level.words(b)} for j in level.of(delta)]
-        codes = rewriting.code_classes(rewriting._coded_words(delta, bits), delta.total(), rs)
-        yield delta, blocks, [{rewriting._decode(c, bits) for c in cls} for cls in codes]
+        blocks = [{w for b in level.classes[j] for w in level.words(b)} for j in level.of(delta)]
+        yield delta, blocks, rewriting_reference.scan_partition(delta, rs)
 
 
 def length_two(rules):
@@ -308,7 +305,7 @@ def length_two(rules):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_block_classes_follow_a_rule_in_the_direction_it_rewrites(n):
-    # the block route joins walk(X, l) -> walk(X, r), one way, as the word BFS rewrites x l to
+    # the block route joins walk(X, l) -> walk(X, r), one way, as a search over words rewrites x l to
     # x r.  The rule that changes the multidegree is read both ways, so its classes are unions
     # of blocks, and both routes give the same words, pulled in across degrees alike: (2, 2)
     # rewrites back to (1, 2), so the class of (0, 2) holds it
@@ -338,18 +335,18 @@ def test_a_passing_run_lists_no_word(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_verify_never_reads_the_window_tables(monkeypatch, n):
-    # the degree pass closes classes from blocks, straight from by_span: the word BFS's
-    # window tables in the run's RelationSet stay empty
+def test_a_verify_run_leaves_its_levels_empty(monkeypatch, n):
+    # the degree pass keeps its own chain of levels, which ends with the run; the chain that
+    # congruence_partition keeps on the run's RelationSet stays empty
     built = []
     monkeypatch.setattr(verify, "partic_rules", lambda n: built.append(rewriting.partic_rules(n)) or built[-1])
     assert verify.run_verify(VerifyConfig(n)).passed
     assert len(built) == 1
-    assert built[0].tables == {} and built[0].interned == {}
+    assert built[0].levels == []
 
 
 def test_grading_reference_reads_the_coded_tables():
-    # the mutant lives in the coded tables only, not in rs.rules, so a reference built
+    # the mutant lives in the coded rules only, not in rs.rules, so a reference built
     # from the rule list would miss it
     rs = _with_degree_change(3)
     assert not any((1, 2) in (r.lhs, r.rhs) for r in rs.rules)
@@ -513,7 +510,7 @@ def test_equal_forms_held_as_distinct_objects_are_one_form():
         # a form that truly differs still counts as a second one
         if len(rebuilt[-1]) > 1:  # so of total 2 or more, whose forms are not a1's
             rebuilt[-1][max(rebuilt[-1])] = gen_monomial(4, 1)
-            least = min(rewriting._decode(c, 3) for b in rebuilt[-1] for c in level.words(b))
+            least = min(w for b in rebuilt[-1] for w in level.words(b))
             assert verify._normal_form(run, delta, rebuilt, level) == f"class of {least} has 2 normal forms"
     assert distinct > 50  # classes that held two objects for one form
 
@@ -620,8 +617,8 @@ def test_memoized_forms_are_the_normal_forms(n):
     for _, forms, level in verify._degrees(verify._Run(VerifyConfig(n, max_len=7))):
         for cls in forms:
             for block, nf in cls.items():
-                for code in level.words(block):
-                    assert nf == normal_form.normalize(Word(n, rewriting._decode(code, n.bit_length())))
+                for letters in level.words(block):
+                    assert nf == normal_form.normalize(Word(n, letters))
                     seen += 1
     assert seen == sum((n - 1) ** length for length in range(8))
 
