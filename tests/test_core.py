@@ -106,18 +106,7 @@ def test_value_types_compare_as_their_field_tuples(cls, args, other):
     assert not hasattr(a, "extra")
 
 
-FROZEN_VALUES = [
-    Word(5, (4, 3)),
-    MultiDegree((1, 2, 0)),
-    NormalMonomial(4, (1, 0), (1, 0, 2)),
-    Configuration(4, (1, 0, 2, 1)),
-    IoLabel(Configuration(3, (0, 1, 1)), Configuration(3, (2, 0, 0))),
-    AffineWord(4, (0, 3, 1)),
-    AffineConfiguration(4, (1, 0, 2, 1), 3),
-]
-
-
-@pytest.mark.parametrize("value", FROZEN_VALUES, ids=lambda value: type(value).__name__)
+@pytest.mark.parametrize("value", [cls(*args) for cls, args, _ in VALUE_TYPES], ids=lambda value: type(value).__name__)
 def test_core_value_types_refuse_every_assignment_as_frozen(value):
     # the core value types and those of particles and affine: a field, a name that is no field
     # and the properties MultiDegree.n and Configuration.deposit.  Each assignment and each
