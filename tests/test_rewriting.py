@@ -1,6 +1,9 @@
 import ast
+import random
 from collections import Counter
-from itertools import permutations, product
+from functools import cache
+from itertools import chain, permutations, product
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -21,8 +24,10 @@ from rewriting_reference import (
     class_of,
     closure_reference,
     coded_steps,
+    decode,
     oriented,
     partition_reference,
+    scan_classes,
     scan_partition,
     steps_reference,
     without_exchange_rule,
@@ -142,6 +147,88 @@ def test_words_with_degree_matches_distinct_permutations(n):
         assert list(words_with_degree(delta)) == sorted(set(permutations(letters))), delta
 
 
+def direct_coded_words(delta, bits):
+    return [(_encode(w, bits), w) for w in words_with_degree(delta)]
+
+
+def listed_coded_words(delta, rs):
+    """The words of ``delta``'s classes, listed down the chain ``rs.levels``, with their codes, by word.
+
+    Each code's block, read by walking the owners letter by letter, must lie
+    in the class that lists the word.
+    """
+    classes = congruence_partition(delta, rs)
+    level, out = rs.levels[delta.total()], []
+    for j, cls in zip(level.of(delta), classes, strict=True):
+        for w in cls:
+            code = _encode(w, rs.bits)
+            assert level.block(code) in level.classes[j], (rs.name, w)
+            out.append((code, w))
+    return sorted(out, key=lambda item: item[1])
+
+
+@pytest.mark.parametrize("n, max_total", [(3, 9), (4, 9), (5, 8), (6, 7)])
+def test_coded_words_match_the_direct_walk(n, max_total):
+    # the chain lists every word of a degree once, in one of the degree's classes, and its
+    # code walks the owners to that class; by word, they are the direct walk with its codes
+    for rs in (plactic_rules(n), partic_rules(n)):
+        for delta in multidegrees_up_to(n, max_total):
+            assert listed_coded_words(delta, rs) == direct_coded_words(delta, rs.bits), (rs.name, delta)
+
+
+def spread(n, letters):
+    """The multidegree at rank n with the given letter counts {letter: count}."""
+    return MultiDegree(tuple(letters.get(a, 0) for a in range(1, n)))
+
+
+@cache
+def edge_rules(n):
+    """The partic rules at rank n, one rule set per rank, so the edge degrees of a rank share its chain."""
+    return partic_rules(n)
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [
+        MultiDegree((0, 0)),
+        MultiDegree((0, 0, 0, 0)),
+        # one letter: the chain's first level below the empty word
+        MultiDegree((1, 0)),
+        MultiDegree((0, 0, 1)),
+        MultiDegree((10, 0, 0)),
+        MultiDegree((0, 9, 0, 0)),
+        MultiDegree((0, 0, 8)),
+        # 4 bits per letter, the top letter 8 = 0b1000 fills them
+        spread(9, {1: 2, 4: 1, 7: 2, 8: 3}),
+        spread(9, {2: 3, 5: 3, 8: 3}),
+        # 5 bits per letter, the top letter 16 = 0b10000
+        spread(17, {3: 2, 9: 2, 15: 2, 16: 2}),
+        spread(17, {1: 1, 8: 2, 15: 3, 16: 3}),
+    ],
+    ids=str,
+)
+def test_coded_words_at_edge_degrees(delta):
+    # the direct walk lists each arrangement of the degree's letters once, in lexicographic
+    # order, and each code reads back to its word and has exactly its length's bits, the last
+    # letter nonzero, so a code fixes its word's length
+    bits = delta.n.bit_length()
+    direct = direct_coded_words(delta, bits)
+    letters = sorted(a for a, c in enumerate(delta.counts, 1) for _ in range(c))
+    words = [w for _, w in direct]
+    assert all(u < v for u, v in zip(words, words[1:]))
+    assert all(sorted(w) == letters for w in words)
+    assert len(words) == factorial(len(letters)) // prod(factorial(c) for c in delta.counts)
+    for code, w in direct:
+        assert decode(code, bits) == w
+        assert code >> bits * len(w) == 0 and (not w or code >> bits * (len(w) - 1))
+    # up to rank 9 the chain lists the same words with the same codes, in the classes of a
+    # search over words; at rank 17 its level of length 7 alone holds 594,508 classes
+    if delta.n <= 9:
+        rs = edge_rules(delta.n)
+        assert listed_coded_words(delta, rs) == direct
+        assert congruence_partition(delta, rs) == scan_partition(delta, rs)
+
+
 def test_partition_covers_degree():
     d = MultiDegree((1, 1, 1))
     classes = congruence_partition(d, partic_rules(4))
@@ -195,6 +282,50 @@ def test_count_matches_basis_up_to_six():
         rs = partic_rules(n)
         for delta in multidegrees_up_to(n, 6):
             assert len(congruence_partition(delta, rs)) == len(enumerate_basis(delta))
+
+
+def ending_words(n, seed, heads=2):
+    """For each length 9..12, ``heads`` random beginnings, each followed by every four-letter ending over 1..n-1.
+
+    Every rule is then met at each start it can take near the end of a word.
+    """
+    rng = random.Random(seed)
+    for length in range(9, 13):
+        for _ in range(heads):
+            head = tuple(rng.randrange(1, n) for _ in range(length - 4))
+            yield from (head + end for end in product(range(1, n), repeat=4))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_table_steps_match_rule_scan(n):
+    # the coded rule table by_span, each entry tried at every start, gives the same neighbours
+    # as trying every rule at every position; the partic rules are the plactic ones plus the
+    # exchange rules.  Every word of length <= 8 (N = 3..5; <= 6 at N = 6, as the scan would
+    # take 5^8 words), then words of length 9..12 with every ending
+    plactic, partic = plactic_rules(n), partic_rules(n)
+    base = oriented(plactic)
+    extra = [pair for pair in oriented(partic) if pair not in base]
+    exhaustive = (product(range(1, n), repeat=length) for length in range(9 if n <= 5 else 7))
+    for letters in chain(*exhaustive, ending_words(n, n)):
+        want = steps_reference(letters, base)
+        assert coded_steps(letters, plactic) == want, letters
+        assert coded_steps(letters, partic) == want | steps_reference(letters, extra), letters
+
+
+@pytest.mark.parametrize("span", [None, 2, 3, 4], ids=["none", "span-2", "span-3", "span-4"])
+def test_table_steps_match_rule_scan_for_partial_rule_sets(span):
+    # no rules at all, or the partic rules of one span only (the commutations, the plactic
+    # rules, the exchange rules), so that by_span holds one span or none
+    rules = tuple(r for r in partic_rules(4).rules if len(r.lhs) == span)
+    assert bool(rules) == (span is not None)
+    rs = RelationSet(f"span-{span}", 4, rules)
+    assert list(rs.by_span) == ([span] if rules else [])
+    pairs = oriented(rs)
+    exhaustive = (product(range(1, 4), repeat=length) for length in range(9))
+    for letters in chain(*exhaustive, ending_words(4, 4)):
+        assert coded_steps(letters, rs) == steps_reference(letters, pairs), letters
+    if span is None:
+        assert congruence_partition(MultiDegree((1, 1, 1)), rs) == [{p} for p in permutations((1, 2, 3))]
 
 
 @pytest.mark.parametrize("n, max_len", [(9, 4), (17, 3)])
@@ -281,6 +412,21 @@ def test_partition_matches_rule_scan_on_joined_words(rs, counts):
     # an even and an odd length, both at least 8 letters, listed down as many levels
     delta = MultiDegree(counts)
     assert congruence_partition(delta, rs) == partition_reference(delta, rs)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_code_classes_decode_to_the_partition(n):
+    # the search over words gives its classes as codes; decoded one code at a time they must
+    # be congruence_partition's classes, class by class and in order, and the blocks of a
+    # class's codes must be the blocks of the chain's class
+    for rs in (plactic_rules(n), partic_rules(n)):
+        for delta in multidegrees_up_to(n, 7):
+            codes = scan_classes(delta, rs)
+            decoded = [{decode(c, rs.bits) for c in cls} for cls in codes]
+            assert decoded == congruence_partition(delta, rs), (rs.name, delta)
+            level = rs.levels[delta.total()]
+            blocks = [{level.block(c) for c in cls} for cls in codes]
+            assert blocks == [set(level.classes[j]) for j in level.of(delta)], (rs.name, delta)
 
 
 def block_partitions(rs, max_len):
