@@ -17,7 +17,7 @@ from partic.cli import main as run
 RUNS: tuple[tuple[str, ...], ...] = (
     *(("verify", "--N", str(n), "--max-len", str(length), "--max-degree", str(d), "--timings")
       for n, length, d in ((3, 16, 12), (4, 12, 12), (5, 12, 16), (6, 10, 10))),
-    ("center", "--N", "6", "--max-degree", "12", "--expect-theorem"),
+    ("center", "--N", "6", "--max-degree", "14", "--expect-theorem"),
     *(("affine-verify", "--N", str(n), "--particles", "6", "--m-max", "3", "--k-max", "2") for n in range(3, 9)),
 )
 

@@ -16,6 +16,7 @@ from .affine import (
     find_relation_counterexample,
 )
 from .center import (
+    center_bases,
     center_basis_in_degree,
     central_candidate,
     expected_center_dimension,

@@ -5,18 +5,19 @@ generator; per graded component an exact commutator nullspace certifies that
 nothing else does.  The commutator rows of a component are built in its box
 of d-vectors, where the guard of each multiplication rule reads one
 coordinate (:class:`_Box`), and a peel reads them once, in order
-(:class:`_Peel`).  All arithmetic is exact rational, no tolerances.
+(:class:`_Peel`).  A sweep over many degrees (:func:`center_bases`) peels
+each guard signature once.  All arithmetic is exact rational, no tolerances.
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product
 from operator import sub
 
-from .core import AlgebraElement, MultiDegree, NormalMonomial, Scalar, _check_bound, _exact, check_rank
+from .core import AlgebraElement, MultiDegree, NormalMonomial, Scalar, _check_bound, _exact, check_rank, multidegrees_up_to
 
 
 def _subtract(target: dict[int, Fraction], f: Fraction, source: dict[int, Fraction]) -> None:
@@ -79,8 +80,8 @@ def nullspace(rows: Iterable[Mapping[int, Scalar]], ncols: int) -> list[list[Fra
     order, each scaled so its first nonzero coordinate is 1.  Each row is
     reduced against the rows kept so far and, unless it vanishes, kept with
     its smallest column as pivot; the kept rows stay in reduced row echelon
-    form, which is unique.  No peel runs here; :func:`center_basis_in_degree`
-    calls this only when its peel stalls.
+    form, which is unique.  No peel runs here; :func:`_kernel` calls this
+    only when its peel stalls.
     """
     rows = [{c: _exact(x) for c, x in row.items()} for row in rows]
     for row in rows:
@@ -170,6 +171,16 @@ class _Box:
     base.  So distinct products have distinct keys, and the strides, points
     and keys depend on the ranges alone: every degree with the same ranges
     shares one :func:`_shape`, and only the guards' bounds read δ itself.
+
+    Each guard compares one coordinate with one count: d_i with δ_{i-1}, or
+    d_{i+1} with δ_{i+1}.  A coordinate d_j is at most its range r_j, so
+    clipping the count it is compared with at r_j + 1 changes no comparison;
+    δ_j meets d_j and d_{j+1}, so it may be clipped at max(r_j, r_{j+1}) + 1,
+    with r_1 = r_N = 0 (:func:`_signature`).  The clipped counts still give
+    the ranges as the minima of neighbours, since a count is clipped only
+    above the ranges it bounds.  So two degrees with equal signatures have
+    the same shape, the same guard outcomes and the same rows, in the same
+    order; only :meth:`monomial` reads δ unclipped.
     """
 
     def __init__(self, delta: MultiDegree) -> None:
@@ -204,6 +215,44 @@ class _Box:
         return NormalMonomial(self.n, d, (counts[1], *map(sub, counts[2:-1], d)))
 
 
+def _signature(counts: tuple[int, ...]) -> tuple[int, ...]:
+    """The guard signature of a degree: each δ_j clipped at max(r_j, r_{j+1}) + 1 (:class:`_Box`).
+
+    As max(min(δ_{j-1}, δ_j), min(δ_j, δ_{j+1})) = min(δ_j, max(δ_{j-1}, δ_{j+1})),
+    that is δ_j clipped at one above its larger neighbour, with δ_0 = δ_N = 0.
+    """
+    p = (0, *counts, 0)
+    return tuple([min(x, max(a, b) + 1) for x, a, b in zip(counts, p, p[2:])])
+
+
+def _kernel(box: _Box) -> list[dict[int, Scalar]]:
+    """The kernel of the box's commutator rows, as sparse vectors over its columns.
+
+    The rows come one generator at a time, a_1 first, in the box's order,
+    and one peel reads them.  A killed column is forced to 0 by the rows
+    already read, so a batch is built from the live columns only, which
+    keeps the kernel of the full system; once none is live the kernel is 0.
+    A settled peel gives one unit vector per live column.  Only if a waiting
+    row keeps a live column does :func:`nullspace` run, on the full system
+    over every column.
+    """
+    ncols = len(box.keys)
+    peel = _Peel(ncols)
+    for i in range(1, box.n):
+        if not peel.add(box.rows(i, list(compress(range(ncols), peel.live)))):
+            return []
+    kernel = peel.kernel()
+    if kernel is not None:
+        return [{c: 1} for c in kernel]
+    vectors = nullspace((row for i in range(1, box.n) for row in box.rows(i, range(ncols))), ncols)
+    return [{c: x for c, x in enumerate(vec) if x} for vec in vectors]
+
+
+def _basis(box: _Box, kernel: list[dict[int, Scalar]]) -> list[AlgebraElement]:
+    """The kernel vectors as elements, each column a validated monomial of the box's degree."""
+    return [AlgebraElement(box.n, {box.monomial(c): x for c, x in vec.items()}) for vec in kernel]
+
+
 def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     """Exact basis of the central elements homogeneous of one multidegree.
 
@@ -216,29 +265,39 @@ def center_basis_in_degree(n: int, delta: MultiDegree) -> list[AlgebraElement]:
     exponent tuple or product monomial is built, and a column becomes a
     validated monomial only where a kernel vector is nonzero.
 
-    The rows come one generator at a time, a_1 first, in the box's order,
-    and one peel reads them.  A killed column is forced to 0 by the rows
-    already read, so a batch is built from the live columns only, which
-    keeps the kernel of the full system; once none is live the center is 0.
-    Every entry is ±1, so each kill is a ±1 entry alone in its row: a degree
-    the peel settles has the same center over Z and over every field.  Only
-    if a waiting row keeps a live column does :func:`nullspace` run, on the
-    full system over every column, and its basis holds over Q.
+    One peel reads the rows (:func:`_kernel`).  Every entry is ±1, so each
+    kill is a ±1 entry alone in its row: a degree the peel settles has the
+    same center over Z and over every field.  Where the peel stalls,
+    :func:`nullspace` decides, and its basis holds over Q.  This is the
+    reference for one degree; :func:`center_bases` gives the same bases for
+    every degree up to a bound and shares one peel per guard signature.
     """
     check_rank(n)
     if delta.n != n:
         raise ValueError("multidegree rank does not match")
     box = _Box(delta)
-    ncols = len(box.keys)
-    peel = _Peel(ncols)
-    for i in range(1, n):
-        if not peel.add(box.rows(i, list(compress(range(ncols), peel.live)))):
-            return []
-    kernel = peel.kernel()
-    if kernel is not None:
-        return [AlgebraElement.from_monomial(box.monomial(c)) for c in kernel]
-    vectors = nullspace((row for i in range(1, n) for row in box.rows(i, range(ncols))), ncols)
-    return [AlgebraElement(n, {box.monomial(c): x for c, x in enumerate(vec) if x}) for vec in vectors]
+    return _basis(box, _kernel(box))
+
+
+def center_bases(n: int, max_degree: int) -> Iterator[tuple[MultiDegree, list[AlgebraElement]]]:
+    """Each multidegree of rank n and total at most max_degree with its center basis, in ``multidegrees_up_to`` order.
+
+    The bases are :func:`center_basis_in_degree`'s.  Degrees with the same
+    guard signature (:func:`_signature`) have the same commutator rows
+    (:class:`_Box`), hence the same kernel over the same columns, so the
+    sweep peels each signature once, at its first degree, and keeps the
+    kernel vectors in a dict that lives as long as the sweep.  A later
+    degree of that signature builds only its own basis monomials, and none
+    at all where the kernel is empty.  At N=5, D <= 10 the 1,001 degrees
+    hold 227 signatures; at N=6, D <= 14 the 11,628 degrees hold 1,660.
+    """
+    kernels: dict[tuple[int, ...], list[dict[int, Scalar]]] = {}
+    for delta in multidegrees_up_to(n, max_degree):
+        signature = _signature(delta.counts)
+        if signature not in kernels:
+            kernels[signature] = _kernel(_Box(delta))
+        kernel = kernels[signature]
+        yield delta, _basis(_Box(delta), kernel) if kernel else []
 
 
 def expected_center_dimension(delta: MultiDegree) -> int:

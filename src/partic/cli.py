@@ -12,14 +12,13 @@ import json
 import sys
 
 from .affine import _first_failure, _relation_stream
-from .center import center_basis_in_degree, theorem_mismatch
+from .center import center_bases, theorem_mismatch
 from .core import (
     MultiDegree,
     NormalMonomial,
     Word,
     check_rank,
     compositions,
-    multidegrees_up_to,
     parse_ints,
 )
 from .normal_form import enumerate_basis, nm_product, normalize
@@ -127,8 +126,7 @@ def cmd_center(args) -> int:
     lines = []
     degrees = []
     mismatch = None
-    for delta in multidegrees_up_to(args.N, args.max_degree):
-        basis = center_basis_in_degree(args.N, delta)
+    for delta, basis in center_bases(args.N, args.max_degree):
         if mismatch is None and theorem_mismatch(delta, basis) is not None:
             mismatch = str(delta)
         if args.json:
@@ -234,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=int,
         required=True,
-        help="total-degree bound (at N=5: 10 takes about 0.16 s, 14 about 0.2-0.25 s, 16 about 0.25 s; "
-        "at N=6: 10 about 0.19 s, 12 about 0.29 s)",
+        help="total-degree bound (at N=5: 10 takes about 0.1 s, 14 about 0.12-0.17 s, 16 about 0.13-0.2 s; "
+        "at N=6: 10 about 0.11-0.16 s, 12 about 0.18-0.22 s, 14 about 0.2-0.3 s)",
     )
     p.add_argument(
         "--expect-theorem",
@@ -251,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=int,
         help="also certify graded center dimensions to this degree (the check alone, at N=5: 10 takes "
-        "about 0.02 s, 14 about 0.05 s, 16 about 0.11 s; at N=6: 10 about 0.05 s, 12 about 0.11 s)",
+        "about 0.01 s, 14 about 0.02-0.04 s, 16 about 0.04-0.06 s; at N=6: 10 about 0.02-0.04 s, "
+        "12 about 0.08-0.09 s, 14 about 0.1-0.17 s)",
     )
     p.add_argument("--timings", action="store_true", help="include wall times (non-reproducible)")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from math import factorial, prod
 from typing import Callable, Iterator
 
-from .center import center_basis_in_degree, theorem_mismatch
+from .center import center_bases, theorem_mismatch
 from .core import MultiDegree, NormalMonomial, Word, _check_bound, _nm_letters, multidegrees_up_to, nm_to_word
 from .normal_form import _left_mul, _right_mul, _step, enumerate_basis, normalize, normalize_right_to_left
 from .particles import Configuration, _letters_label, _prepend_letters, act_word, faithfulness_problem, word_label
@@ -311,8 +311,8 @@ def _faithfulness(run: _Run, delta: MultiDegree, ids: range) -> str | None:
 
 
 def _center(run: _Run) -> str | None:
-    for delta in multidegrees_up_to(run.n, run.max_degree):
-        problem = theorem_mismatch(delta, center_basis_in_degree(run.n, delta))
+    for delta, basis in center_bases(run.n, run.max_degree):
+        problem = theorem_mismatch(delta, basis)
         if problem is not None:
             return f"degree ({delta}): {problem}"
 

@@ -20,6 +20,7 @@ from partic.rewriting import (
 )
 
 Pairs = list[tuple[Letters, Letters]]
+LeftSides = dict[int, dict[Letters, list[Letters]]]  # span -> left side -> its right sides
 
 
 def multidegree(w: Word) -> MultiDegree:
@@ -100,22 +101,29 @@ def oriented(rs: RelationSet) -> Pairs:
     return [pair for r in rs.rules for pair in ((r.lhs, r.rhs), (r.rhs, r.lhs))]
 
 
-def steps_reference(letters: Letters, pairs: Pairs) -> set[Letters]:
-    """Every word one rule application away: try each pair at every position."""
-    out = set()
+def left_sides(pairs: Pairs) -> LeftSides:
+    """The (lhs, rhs) pairs as one dict per span, from each left side to its right sides."""
+    table: LeftSides = {}
     for lhs, rhs in pairs:
-        span = len(lhs)
+        table.setdefault(len(lhs), {}).setdefault(lhs, []).append(rhs)
+    return table
+
+
+def steps_reference(letters: Letters, table: LeftSides) -> set[Letters]:
+    """Every word one rule application away: each window of each span looked up among that span's left sides."""
+    out = set()
+    for span, rules in table.items():
         for p in range(len(letters) - span + 1):
-            if letters[p : p + span] == lhs:
+            for rhs in rules.get(letters[p : p + span], ()):
                 out.add(letters[:p] + rhs + letters[p + span :])
     return out
 
 
-def closure_reference(start: Letters, pairs: Pairs) -> set[Letters]:
+def closure_reference(start: Letters, table: LeftSides) -> set[Letters]:
     seen = {start}
     queue = deque((start,))
     while queue:
-        for nxt in steps_reference(queue.popleft(), pairs):
+        for nxt in steps_reference(queue.popleft(), table):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -124,12 +132,12 @@ def closure_reference(start: Letters, pairs: Pairs) -> set[Letters]:
 
 def partition_reference(delta: MultiDegree, rs: RelationSet) -> list[set[Letters]]:
     """Classes of one multidegree, in order of their smallest member."""
-    pairs = oriented(rs)
+    table = left_sides(oriented(rs))
     seen: set[Letters] = set()
     classes = []
     for letters in words_with_degree(delta):
         if letters not in seen:
-            cls = closure_reference(letters, pairs)
+            cls = closure_reference(letters, table)
             seen |= cls
             classes.append(cls)
     return classes

@@ -7,19 +7,21 @@ from fractions import Fraction
 from math import comb
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from partic import center
 from partic.center import (
     _Peel,
+    center_bases,
     center_basis_in_degree,
     central_candidate,
     expected_center_dimension,
     nullspace,
     theorem_mismatch,
 )
-from partic.cli import build_parser
+from partic.cli import build_parser, main
 from partic.core import AlgebraElement, MultiDegree, NormalMonomial, Word, multidegrees_up_to, nm_to_word
 from partic.normal_form import _basis_exponents, enumerate_basis, gen_element, nm_product, normalize
 from partic.particles import Configuration, act_word
@@ -321,8 +323,7 @@ CERTIFIED_DEGREES = certified_degrees()
 
 def row_multiset(rows):
     """The nonzero rows as a multiset of sets of nonzero (column, coefficient) entries."""
-    rows = (frozenset(filter(itemgetter(1), row.items())) for row in rows)
-    return Counter(filter(None, rows))
+    return Counter(filter(None, [frozenset(filter(itemgetter(1), row.items())) for row in rows]))
 
 
 def first_row_disagreement(module, degrees, monkeypatch):
@@ -347,11 +348,67 @@ def first_row_disagreement(module, degrees, monkeypatch):
     return None
 
 
-def test_box_rows_are_the_step_rows_at_every_certified_degree(monkeypatch):
-    degrees = [delta for n, top in CERTIFIED_DEGREES for delta in multidegrees_up_to(n, top)]
+def recorded_peels(monkeypatch):
+    """The list of every peel that center_basis_in_degree makes from now on, in order."""
+    peels = []
+
+    class RecordingPeel(center._Peel):
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            peels.append(self)
+
+    monkeypatch.setattr(center, "_Peel", RecordingPeel)
+    return peels
+
+
+class Walked(NamedTuple):
+    """What the walk over the certified degrees found at one degree."""
+
+    delta: MultiDegree
+    basis: list[AlgebraElement]  # center_basis_in_degree's
+    row_mismatch: int | None  # the first i whose box rows differ from the _step rows
+    columns_match: bool  # the box's columns are enumerate_basis, in order
+    signature_rows_match: bool  # the box's rows are those of the first degree with its guard signature
+    waiting: int  # the rows that waited in the degree's peel
+    eliminated: bool  # whether the degree reached the exact elimination
+
+
+@pytest.fixture(scope="module")
+def certified():
+    """Every degree scripts/certify_all.py certifies the center at, walked once, in certification order.
+
+    Each degree's box, ``_basis_exponents`` and ``enumerate_basis`` are built
+    here, once, and the tests below read what they check from the records.
+    """
+    walked = []
+    first_rows = {}  # guard signature -> the box rows of its first degree
+    with pytest.MonkeyPatch.context() as mp:
+        peels = recorded_peels(mp)
+        real_nullspace = center.nullspace
+        eliminated = []
+        mp.setattr(center, "nullspace", lambda rows, ncols: eliminated.append(ncols) or real_nullspace(rows, ncols))
+        for n, top in CERTIFIED_DEGREES:
+            for delta in multidegrees_up_to(n, top):
+                box = center._Box(delta)
+                exponents = list(_basis_exponents(delta))
+                cols = range(len(exponents))
+                rows = [list(box.rows(i, cols)) for i in range(1, n)]
+                mismatch = next((i for i, batch in enumerate(rows, 1)
+                                 if row_multiset(batch) != row_multiset(step_rows(exponents, i, cols))), None)
+                same = first_rows.setdefault(center._signature(delta.counts), rows) == rows
+                columns = [box.monomial(c) for c in cols] == enumerate_basis(delta)
+                before = len(eliminated)
+                basis = center_basis_in_degree(n, delta)
+                [peel] = peels
+                peels.clear()
+                walked.append(Walked(delta, basis, mismatch, columns, same, len(peel._waiting), len(eliminated) > before))
+    return walked
+
+
+def test_box_rows_are_the_step_rows_at_every_certified_degree(certified):
     # C(top + N - 1, N - 1) degrees of total at most top at each rank
-    assert len(degrees) == sum(comb(top + n - 1, n - 1) for n, top in CERTIFIED_DEGREES)
-    assert first_row_disagreement(center, degrees, monkeypatch) is None
+    assert len(certified) == sum(comb(top + n - 1, n - 1) for n, top in CERTIFIED_DEGREES)
+    assert [(w.delta, w.row_mismatch) for w in certified if w.row_mismatch is not None] == []
 
 
 def test_degrees_with_the_same_ranges_share_one_shape():
@@ -367,11 +424,8 @@ def test_degrees_with_the_same_ranges_share_one_shape():
     assert info.hits == len(degrees) - 64
 
 
-def test_box_columns_are_the_basis_at_every_certified_degree():
-    for n, top in CERTIFIED_DEGREES:
-        for delta in multidegrees_up_to(n, top):
-            box = center._Box(delta)
-            assert [box.monomial(c) for c in range(len(box.keys))] == enumerate_basis(delta), f"degree {delta}"
+def test_box_columns_are_the_basis_at_every_certified_degree(certified):
+    assert [w.delta for w in certified if not w.columns_match] == []
 
 
 def mutant_center(old, new):
@@ -404,38 +458,56 @@ def test_guard_mutants_fail_the_row_comparison(monkeypatch, old, new, first_chan
     assert first_row_disagreement(mutant, degrees, monkeypatch) is not None
 
 
-def test_the_peel_settles_every_certified_degree(monkeypatch):
-    # scripts/certify_all.py's center bounds never reach the exact elimination
-    def refusing_nullspace(rows, ncols):
-        raise AssertionError("the peel stalled")
-
-    monkeypatch.setattr(center, "nullspace", refusing_nullspace)
-    for n, top in CERTIFIED_DEGREES:
-        for delta in multidegrees_up_to(n, top):
-            assert theorem_mismatch(delta, center_basis_in_degree(n, delta)) is None, f"degree {delta}"
+def test_the_peel_settles_every_certified_degree(certified):
+    # scripts/certify_all.py's center bounds never reach the exact elimination, and agree with the theorem
+    assert [w.delta for w in certified if w.eliminated] == []
+    assert [w.delta for w in certified if theorem_mismatch(w.delta, w.basis) is not None] == []
 
 
-def recorded_peels(monkeypatch):
-    """The list of every peel that center_basis_in_degree makes from now on, in order."""
-    peels = []
-
-    class RecordingPeel(center._Peel):
-        def __init__(self, ncols):
-            super().__init__(ncols)
-            peels.append(self)
-
-    monkeypatch.setattr(center, "_Peel", RecordingPeel)
-    return peels
-
-
-def test_no_row_waits_at_a_certified_degree(monkeypatch):
+def test_no_row_waits_at_a_certified_degree(certified):
     # read in the box's order, every commutator row of scripts/certify_all.py's center
     # bounds has at most one live column when read, so no row of any of them waits
+    assert [w.delta for w in certified if w.waiting] == []
+
+
+def test_the_sweep_gives_the_per_degree_bases(certified):
+    swept = [pair for n, top in CERTIFIED_DEGREES for pair in center_bases(n, top)]
+    assert swept == [(w.delta, w.basis) for w in certified]
+
+
+def test_degrees_with_one_signature_have_the_same_rows(certified):
+    # a degree's rows, for every i and over all its columns, are those of the first
+    # degree with its guard signature, in the same order
+    assert [w.delta for w in certified if not w.signature_rows_match] == []
+    # so the sweep peels 2,461 signatures for the 17,019 certified degrees
+    signatures = {(w.delta.n, center._signature(w.delta.counts)) for w in certified}
+    assert Counter(n for n, _ in signatures) == {3: 19, 4: 97, 5: 685, 6: 1_660}
+
+
+def test_clipping_at_the_range_changes_the_sweep(certified):
+    # signatures clipped at max(r_j, r_{j+1}) rather than one above: degrees whose guards
+    # differ share a peel, and the sweep gives a wrong basis
+    mutant = mutant_center("max(a, b) + 1", "max(a, b)")
+    swept = (pair for n, top in CERTIFIED_DEGREES for pair in mutant.center_bases(n, top))
+    # (0, 1) takes the peel of (0, 0), whose one column is the unit
+    first = next((delta, basis) for (delta, basis), w in zip(swept, certified) if basis != w.basis)
+    assert (first[0].counts, theorem_mismatch(*first)) == ((0, 1), "dimension 1, expected 0")
+    # partic center --N 5 --max-degree 10 would print 255 of its 1,001 degrees wrong
+    changed = [delta for (delta, basis), (_, want) in zip(mutant.center_bases(5, 10), center_bases(5, 10)) if basis != want]
+    assert len(changed) == 255
+
+
+def test_no_state_outlives_a_sweep(monkeypatch, capsys):
+    # the 1,001 degrees of N=5, D <= 10 hold 227 guard signatures: each sweep peels each once,
+    # whether called on its own, by partic center or by the center check of partic verify
     peels = recorded_peels(monkeypatch)
-    for n, top in CERTIFIED_DEGREES:
-        for delta in multidegrees_up_to(n, top):
-            center_basis_in_degree(n, delta)
-            assert peels.pop()._waiting == [], f"degree {delta}"
+    for sweep in (lambda: list(center_bases(5, 10)), lambda: list(center_bases(5, 10)),
+                  lambda: main(["center", "--N", "5", "--max-degree", "10", "--json"]),
+                  lambda: main(["verify", "--N", "5", "--max-len", "2", "--max-degree", "10"])):
+        sweep()
+        assert len(peels) == 227
+        peels.clear()
+    capsys.readouterr()
 
 
 def test_rows_read_high_to_low_wait_and_still_settle(monkeypatch):

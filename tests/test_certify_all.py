@@ -31,8 +31,8 @@ def test_runs_cover_the_certification_bounds(certify_all):
     # every check with words to length 16 at N=3, 12 at N=4, 12 at N=5 and 10 at N=6, the
     # center to degree 12 at N=3, 4, 16 at N=5 and 10 at N=6
     assert verify == [(3, 16, 12), (4, 12, 12), (5, 12, 16), (6, 10, 10)]
-    # the center theorem at N=6 to degree 12
-    assert center == [(6, 12, True)]
+    # the center theorem at N=6 to degree 14
+    assert center == [(6, 14, True)]
     assert affine == [(n, 6, 3, 2) for n in range(3, 9)]
     assert len(runs) == len(verify) + len(center) + len(affine)
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from normal_condition_reference import normal_condition_scan
 from partic import cli
 from partic.cli import main
+from partic.core import multidegrees_up_to
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -112,7 +113,7 @@ def test_center_quiet_prints_nothing(capsys):
 @pytest.mark.parametrize("mode", ["text", "json", "quiet"])
 def test_center_mismatch_fails_in_every_mode(capsys, monkeypatch, mode):
     # the theorem is checked at every degree whatever output is built; the last degree is made to fail
-    degrees = [d.counts for d in cli.multidegrees_up_to(3, 3)]
+    degrees = [d.counts for d in multidegrees_up_to(3, 3)]
     checked = []
 
     def last_degree_mismatch(delta, basis):
