@@ -497,7 +497,7 @@ def test_clipping_at_the_range_changes_the_sweep(certified):
     assert len(changed) == 255
 
 
-def test_no_state_outlives_a_sweep(monkeypatch, capsys):
+def test_no_state_outlives_a_sweep(monkeypatch):
     # the 1,001 degrees of N=5, D <= 10 hold 227 guard signatures: each sweep peels each once,
     # whether called on its own, by partic center or by the center check of partic verify
     peels = recorded_peels(monkeypatch)
@@ -507,7 +507,6 @@ def test_no_state_outlives_a_sweep(monkeypatch, capsys):
         sweep()
         assert len(peels) == 227
         peels.clear()
-    capsys.readouterr()
 
 
 def test_rows_read_high_to_low_wait_and_still_settle(monkeypatch):
