@@ -287,8 +287,8 @@ def center_bases(n: int, max_degree: int) -> Iterator[tuple[MultiDegree, list[Al
     (:class:`_Box`), hence the same kernel over the same columns, so the
     sweep peels each signature once, at its first degree, and keeps the
     kernel vectors in a dict that lives as long as the sweep.  A later
-    degree of that signature builds only its own basis monomials, and none
-    at all where the kernel is empty.  At N=5, D <= 10 the 1,001 degrees
+    degree of that signature builds only its own basis monomials, and no
+    box at all where the kernel is empty.  At N=5, D <= 10 the 1,001 degrees
     hold 227 signatures; at N=6, D <= 14 the 11,628 degrees hold 1,660.
     """
     kernels: dict[tuple[int, ...], list[dict[int, Scalar]]] = {}
