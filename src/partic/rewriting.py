@@ -6,8 +6,8 @@ closed off by breadth-first search.  The search runs over blocks, the
 classes one letter shorter times a last letter, joined by the rule
 applications that end at the last letter, each rule applied once per class
 of the prefix it extends rather than once per word (``BlockClasses``).
-``congruence_partition`` reads a chain of these levels kept on its
-``RelationSet``.  No term orders, no completion.
+``congruence_partition`` and ``verify`` read a chain of these levels kept
+on the ``RelationSet`` (``RelationSet.level``).  No term orders, no completion.
 
 This module is deliberately independent of the normal-form code in
 ``partic.normal_form``; the two certify each other.
@@ -50,11 +50,11 @@ class RelationSet:
     the first letter lowest (``_encode``).  ``by_span`` holds the rules, read
     in both directions, as ``{span: {lhs code: [rhs code - lhs code]}}``, so
     each rewrite is ``code + diff``; ``BlockClasses`` reads only this.
-    ``levels`` is the chain ``congruence_partition`` reads: ``levels[L]`` is
-    the ``BlockClasses`` of the words of length L, each built from the one
-    before when a call first needs it.  A level reads ``by_span`` once, when
-    it is built, so a change to ``by_span`` is seen once ``levels`` is
-    cleared.  Rule letters must lie in 1..n-1: letters are then nonzero, so
+    ``levels`` is the chain that ``congruence_partition`` and ``verify`` read
+    through ``level``: ``levels[L]`` is the ``BlockClasses`` of length L, built
+    from the one before when a call first needs it.  A level reads ``by_span``
+    once, when it is built, so a change to ``by_span`` is seen once ``levels``
+    is cleared.  Rule letters must lie in 1..n-1: letters are then nonzero, so
     a code fixes its word's length, and each fits in its ``bits`` bits.
     """
 
@@ -79,6 +79,13 @@ class RelationSet:
             rules.setdefault(rhs, []).append(lhs - rhs)
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "by_span", by_span)
+
+    def level(self, length: int) -> BlockClasses:
+        """``levels[length]``, the chain grown to it first."""
+        levels = self.levels
+        while len(levels) <= length:
+            levels.append(BlockClasses(self, levels[-1] if levels else None))
+        return levels[length]
 
 
 def _encode(letters: Letters, bits: int) -> int:
@@ -330,21 +337,17 @@ class BlockClasses:
 def congruence_partition(delta: MultiDegree, rs: RelationSet) -> list[set[Letters]]:
     """Partition of all words of one multidegree into congruence classes, read off the chain ``rs.levels``.
 
-    The chain grows to ``delta.total()`` letters, and each class of the
-    degree is listed down the levels (``BlockClasses.class_words``), each
-    shorter class once per call.  Classes appear in order of their lexicographically
-    smallest word of ``delta``.  Under rules read both ways, as every
-    ``RelationSet`` built from ``RewriteRule``s has them, these are the
-    congruence classes.  A rule planted in ``by_span`` one way only makes
-    the classes sets of words reached; from length 3 on a word may then lie
-    in two of them and is listed with its block, the one through the first.
+    The chain grows to ``delta.total()`` letters through ``rs.level``, which
+    ``verify`` reads it through too, and each class of the degree is listed
+    down the levels (``BlockClasses.class_words``), each shorter class once
+    per call.  Classes appear in order of their lexicographically smallest
+    word of ``delta``.  Under rules read both ways, as every ``RelationSet``
+    built from ``RewriteRule``s has them, these are the congruence classes.
+    A rule planted in ``by_span`` one way only makes the classes sets of
+    words reached; from length 3 on a word may then lie in two of them and
+    is listed with its block, the one through the first.
     """
     if delta.n != rs.n:
         raise ValueError("multidegree rank does not match relation set rank")
-    levels = rs.levels
-    if not levels:
-        levels.append(BlockClasses(rs))
-    while len(levels) <= delta.total():
-        levels.append(BlockClasses(rs, levels[-1]))
-    level, memo = levels[delta.total()], {}
+    level, memo = rs.level(delta.total()), {}
     return [set(level.class_words(j, memo)) for j in level.of(delta)]

@@ -7,9 +7,10 @@ passes read this index.  One goes over multidegrees with their congruence
 classes, each built from the classes one letter shorter as blocks (a
 shorter class times a last letter, ``rewriting.BlockClasses``, which
 applies each rule once per class of a prefix, so a passing run lists no
-word), and gives each block the form R_a of its shorter class's form, read
-from the index; one goes over the numbers of the basis monomials of each
-multidegree; one runs once.  Each check returns the problem it finds on
+word; the run's own rule set grows the chain, ``RelationSet.level``), and
+gives each block the number of its form, R_a of its shorter class's form,
+read from the index; one goes over the numbers of the basis monomials of
+each multidegree; one runs once.  Each check returns the problem it finds on
 one item, or None.  The report lists checks by name, so output is
 reproducible in any execution order.
 
@@ -75,24 +76,23 @@ class _Run:
     ``max(max_len, 1)`` as action-factoring checks the words of length 1 at
     max_len 0.  Numbers follow ``enumerate_basis`` over ``multidegrees``,
     the run's one list of ``multidegrees_up_to``, so they run by total, and
-    ``degrees`` maps a degree's counts to the range of its numbers; ``ids``
-    maps (d, k) to the number.  ``right[m][a]`` and ``left[m][a]`` are the
-    numbers of R_a(m) and L_a(m), each one ``_step`` of ``_right_mul`` or
-    ``_left_mul`` (this module's names, read when the run starts), for a =
-    1..N-1; slot 0 is unused.  A product that is no basis monomial of the
-    index is ``OUT``, and so is every product of a monomial of length
-    ``bound``, which is never taken.  The last row, the row of ``OUT``, is
-    all ``OUT``, so a product of a product is ``OUT`` once either is.
-    ``letters[m]`` is the expansion of m, ``labels[m]`` its fold label,
-    ``word_label``'s; ``monomials`` and ``labels`` hold None at ``OUT``.
-    Nothing outlives the run.
+    ``degrees`` maps a degree's counts to the range of its numbers.
+    ``right[m][a]`` and ``left[m][a]`` are the numbers of R_a(m) and
+    L_a(m), each one ``_step`` of ``_right_mul`` or ``_left_mul`` (this
+    module's names, read when the run starts), for a = 1..N-1; slot 0 is
+    unused.  A product that is no basis monomial of the index is ``OUT``,
+    and so is every product of a monomial of length ``bound``, which is
+    never taken.  The last row, the row of ``OUT``, is all ``OUT``, so a
+    product of a product is ``OUT`` once either is.  ``letters[m]`` is the
+    expansion of m, ``labels[m]`` its fold label, ``word_label``'s;
+    ``labels`` alone holds None at ``OUT``.  Nothing outlives the run.
     """
 
     def __init__(self, cfg: VerifyConfig) -> None:
         n = self.n = cfg.n
         self.max_len, self.max_degree, self.bound = cfg.max_len, cfg.max_degree, max(cfg.max_len, 1)
         self.degrees: dict[tuple[int, ...], range] = {}
-        monomials: list = []
+        self.monomials = monomials = []
         short = 0  # the monomials shorter than bound, whose products are taken
         self.multidegrees = multidegrees_up_to(n, self.bound)
         for delta in self.multidegrees:
@@ -101,14 +101,13 @@ class _Run:
             monomials += basis
             if delta.total() < self.bound:
                 short = len(monomials)
-        self.ids = ids = {(m.d, m.k): i for i, m in enumerate(monomials)}
+        ids = {(m.d, m.k): i for i, m in enumerate(monomials)}
         shorter = [(m.d, m.k) for m in monomials[:short]]
         out = [(OUT,) * n] * (len(monomials) - short + 1)
         self.right = [(OUT, *[ids.get(_step(_right_mul, dk, a), OUT) for a in range(1, n)]) for dk in shorter] + out
         self.left = [(OUT, *[ids.get(_step(_left_mul, dk, a), OUT) for a in range(1, n)]) for dk in shorter] + out
         self.letters = [_nm_letters(m.d, m.k) for m in monomials]
         self.labels = [_letters_label(n, w) for w in self.letters] + [None]
-        self.monomials = monomials + [None]
 
 
 def _walked(run: _Run) -> Iterator[MultiDegree]:
@@ -123,22 +122,21 @@ def _degrees(run: _Run) -> Iterator[tuple[MultiDegree, list[dict], BlockClasses]
     # one degree at a time, by total, so a first failing word is shortest and the classes one
     # letter shorter are all there.  Only the partic rules: the plactic ones are a subset, so
     # their classes refine these and certify no more
-    n = run.n
-    rs = partic_rules(n)
-    bits, letter = rs.bits, (1 << rs.bits) - 1
+    rs = partic_rules(run.n)
+    right, bits, letter = run.right, rs.bits, (1 << rs.bits) - 1
     # normalize applies _right_mul to the letters in turn, so the form of u a is R_a of the form
     # of u; while normal-form passes, every word of a class has the class's form, so a block
     # (C, a) has the one form R_a(form of C), the index's entry.  A form is the index's
-    # monomial, None where the step left the index, and a class's is its seed block's
-    right, monomials = run.right, run.monomials
-    level, prefix, forms = BlockClasses(rs), [0], [{0: monomials[0]}]  # number 0 is the unit
+    # number, OUT where the step left the index, and a class's is its seed block's
+    level, prefix, forms = rs.level(0), [0], [{0: 0}]  # number 0 is the unit
     for delta in _walked(run):
         if delta.total() != level.length:
-            level = BlockClasses(rs, level)
+            level = rs.level(delta.total())
             steps = [[right[prefix[b >> bits]][b & letter] for b in cls] for cls in level.classes]
             prefix = [ids[0] for ids in steps]
-            forms = [dict(zip(cls, map(monomials.__getitem__, ids))) for cls, ids in zip(level.classes, steps)]
+            forms = [dict(zip(cls, ids)) for cls, ids in zip(level.classes, steps)]
         yield delta, [forms[j] for j in level.of(delta)], level
+    rs.levels.clear()  # each level refers back to rs: free the chain when the pass ends, not at a cycle collection
 
 
 def _monomials(run: _Run) -> Iterator[tuple[MultiDegree, range]]:
@@ -169,29 +167,26 @@ def _basis_count(run: _Run, delta: MultiDegree, classes: list[dict], level: Bloc
 
 
 def _normal_form(run: _Run, delta: MultiDegree, classes: list[dict], level: BlockClasses) -> str | None:
-    # forms are compared by their exponents, as the dataclass __hash__ and __eq__ are Python-level
-    # calls; within a run a class's forms are nearly always one object, so identity comes first.
-    # A form's expansion is the index's, looked up by its number
+    # a form is the index's number of a basis monomial, whose expansion the index holds
     seen = {}  # {number: the class with that form}
     for cls in classes:
         forms = iter(cls.values())
-        nf = next(forms)
-        if nf is None or any(m is not nf and (m is None or (m.d, m.k) != (nf.d, nf.k)) for m in forms):
+        i = next(forms)
+        if i == OUT or any(f != i for f in forms):
             return _forms_problem(run, level, cls)
-        i = run.ids[nf.d, nf.k]
         if i in seen:
             return f"classes of {_least(level, cls)} and {_least(level, seen[i])} share a normal form"
         seen[i] = cls
         if level.block(_encode(run.letters[i], level.rs.bits)) not in cls:
-            return f"expansion of {nf} leaves the class of {_least(level, cls)}"
+            return f"expansion of {run.monomials[i]} leaves the class of {_least(level, cls)}"
 
 
 def _forms_problem(run: _Run, level: BlockClasses, cls: dict) -> str:
     """Why a class has no one form: a block whose step left the index, else its distinct forms."""
     least = _least(level, cls)
-    off = [b for b, m in cls.items() if m is None]
+    off = [b for b, i in cls.items() if i == OUT]
     if not off:
-        return f"class of {least} has {len({(m.d, m.k) for m in cls.values()})} normal forms"
+        return f"class of {least} has {len(set(cls.values()))} normal forms"
     # while normal-form passes, every shorter word has its class's form, so the right fold of
     # a word of the block takes the step that left the index last
     w = min(level.words(off[0]))

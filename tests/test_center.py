@@ -23,7 +23,7 @@ from partic.center import (
 )
 from partic.cli import build_parser, main
 from partic.core import AlgebraElement, MultiDegree, NormalMonomial, Word, multidegrees_up_to, nm_to_word
-from partic.normal_form import _basis_exponents, enumerate_basis, gen_element, nm_product, normalize
+from partic.normal_form import _basis_exponents, gen_element, nm_product, normalize
 from partic.particles import Configuration, act_word
 
 from center_reference import ReferencePeel, commutes_with_generators, step_rows
@@ -367,7 +367,7 @@ class Walked(NamedTuple):
     delta: MultiDegree
     basis: list[AlgebraElement]  # center_basis_in_degree's
     row_mismatch: int | None  # the first i whose box rows differ from the _step rows
-    columns_match: bool  # the box's columns are enumerate_basis, in order
+    columns_match: bool  # the box's validated columns are _basis_exponents, in order
     signature_rows_match: bool  # the box's rows are those of the first degree with its guard signature
     waiting: int  # the rows that waited in the degree's peel
     eliminated: bool  # whether the degree reached the exact elimination
@@ -377,8 +377,10 @@ class Walked(NamedTuple):
 def certified():
     """Every degree scripts/certify_all.py certifies the center at, walked once, in certification order.
 
-    Each degree's box, ``_basis_exponents`` and ``enumerate_basis`` are built
-    here, once, and the tests below read what they check from the records.
+    Each degree's box and ``_basis_exponents`` are built here, once, and the
+    tests below read what they check from the records.  The columns are
+    validated once, by ``_Box.monomial``, and compared with the exponents,
+    which ``enumerate_basis`` wraps one for one.
     """
     walked = []
     first_rows = {}  # guard signature -> the box rows of its first degree
@@ -396,7 +398,7 @@ def certified():
                 mismatch = next((i for i, batch in enumerate(rows, 1)
                                  if row_multiset(batch) != row_multiset(step_rows(exponents, i, cols))), None)
                 same = first_rows.setdefault(center._signature(delta.counts), rows) == rows
-                columns = [box.monomial(c) for c in cols] == enumerate_basis(delta)
+                columns = [(m.d, m.k) for m in map(box.monomial, cols)] == exponents
                 before = len(eliminated)
                 basis = center_basis_in_degree(n, delta)
                 [peel] = peels

@@ -433,10 +433,8 @@ def test_code_classes_decode_to_the_partition(n):
 
 def block_partitions(rs, max_len):
     """Each degree of total <= max_len, in verify's order, with its ``BlockClasses`` classes as word sets."""
-    level = BlockClasses(rs)
     for delta in multidegrees_up_to(rs.n, max_len):
-        if delta.total() != level.length:
-            level = BlockClasses(rs, level)
+        level = rs.level(delta.total())
         yield delta, [{w for b in level.classes[j] for w in level.words(b)} for j in level.of(delta)]
 
 
@@ -454,11 +452,10 @@ def test_block_classes_are_the_bfs_classes(rules, n, max_len):
 def test_blocks_partition_the_words_of_each_length():
     # a block is a shorter class times a letter: the blocks of a length partition its words,
     # and each class holds whole blocks; at N = 5, L <= 6, 1,161 blocks make 595 classes
-    rs, levels = partic_rules(5), []
+    rs = partic_rules(5)
     for delta in multidegrees_up_to(5, 6):
-        if not levels or delta.total() != levels[-1].length:
-            levels.append(BlockClasses(rs, levels[-1] if levels else None))
-        levels[-1].of(delta)
+        rs.level(delta.total()).of(delta)
+    levels = rs.levels
     assert sum(len(cls) for level in levels for cls in level.classes) == 1161
     assert sum(len(level.classes) for level in levels) == 595
     for length, level in enumerate(levels):

@@ -1,6 +1,7 @@
 """The ``verify`` checks against their brute-force references and the sweeps they replaced."""
 import re
 import time
+import weakref
 from itertools import product
 from types import SimpleNamespace
 
@@ -231,14 +232,18 @@ class WordBlocks:
         return code
 
 
-def bfs_degrees(cfg):
-    """``verify._degrees`` by the BFS route: a search over words on each degree, one normal form per word."""
-    n = cfg.n
+def bfs_degrees(run):
+    """``verify._degrees`` by the BFS route: a search over words on each degree, one normal form per word.
+
+    It takes its own steps and reads only the run's numbering, to hand each form over as its number.
+    """
+    n = run.n
     rs = verify.partic_rules(n)
     level, bits = WordBlocks(rs), rs.bits
+    numbers = {(m.d, m.k): i for i, m in enumerate(run.monomials)}
     prefix_forms, steps = {}, {}
-    unit = normal_form._monomial(n, (0,) * (n - 2), (0,) * (n - 1))
-    for delta in multidegrees_up_to(n, cfg.max_len):
+    unit = (0,) * (n - 2), (0,) * (n - 1)
+    for delta in multidegrees_up_to(n, run.max_len):
         length = delta.total()
         shift = max(length - 1, 0) * bits
         forms = []
@@ -247,15 +252,14 @@ def bfs_degrees(cfg):
             for code in cls:
                 if code:
                     p, a = prefix_forms[code & (1 << shift) - 1], code >> shift
-                    key = p.d, p.k, a
-                    if key not in steps:
-                        steps[key] = normal_form._monomial(n, *normal_form._step(verify._right_mul, (p.d, p.k), a))
-                    cls_forms[code] = steps[key]
+                    if (p, a) not in steps:
+                        steps[p, a] = normal_form._step(verify._right_mul, p, a)
+                    cls_forms[code] = steps[p, a]
                 else:
                     cls_forms[code] = unit
-            if length < cfg.max_len:
+            if length < run.max_len:
                 prefix_forms.update(cls_forms)
-            forms.append(cls_forms)
+            forms.append({code: numbers.get(dk, verify.OUT) for code, dk in cls_forms.items()})
         yield delta, forms, level
 
 
@@ -290,10 +294,8 @@ def test_the_block_route_gives_the_bfs_verdicts(monkeypatch, rules, n, max_len):
 def mutant_classes(rules, n, max_len):
     """Each degree of total <= max_len with its ``BlockClasses`` classes and its ``scan_partition``, as word sets."""
     rs = rules(n)
-    level = rewriting.BlockClasses(rs)
     for delta in multidegrees_up_to(n, max_len):
-        if delta.total() != level.length:
-            level = rewriting.BlockClasses(rs, level)
+        level = rs.level(delta.total())
         blocks = [{w for b in level.classes[j] for w in level.words(b)} for j in level.of(delta)]
         yield delta, blocks, rewriting_reference.scan_partition(delta, rs)
 
@@ -335,14 +337,23 @@ def test_a_passing_run_lists_no_word(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_a_verify_run_leaves_its_levels_empty(monkeypatch, n):
-    # the degree pass keeps its own chain of levels, which ends with the run; the chain that
-    # congruence_partition keeps on the run's RelationSet stays empty
-    built = []
-    monkeypatch.setattr(verify, "partic_rules", lambda n: built.append(rewriting.partic_rules(n)) or built[-1])
-    assert verify.run_verify(VerifyConfig(n)).passed
-    assert len(built) == 1
-    assert built[0].levels == []
+def test_no_chain_outlives_a_verify_run(monkeypatch, n):
+    # the degree pass grows its chain of levels on the run's own rule set, so the chain dies
+    # with the run, and a second run builds a rule set, and a chain, of its own.  The levels
+    # refer back to the rule set, so the pass drops the chain when it ends: the rule set is
+    # freed when the run returns, not at the cycle collector's next pass
+    built, real = [], verify.partic_rules
+
+    def watched(n):
+        rs = real(n)
+        built.append(weakref.ref(rs))
+        return rs
+
+    monkeypatch.setattr(verify, "partic_rules", watched)
+    for runs in (1, 2):
+        assert verify.run_verify(VerifyConfig(n)).passed
+        assert len(built) == runs
+        assert built[-1]() is None
 
 
 def test_grading_reference_reads_the_coded_tables():
@@ -486,35 +497,6 @@ def test_both_passes_validate_each_form_once(monkeypatch):
     assert len(validated) == len(set(validated)) == len(DISTINCT_4_5)
 
 
-def test_each_normal_form_is_expanded_once(monkeypatch):
-    # by the index, whose expansions normal-form reads in the degree pass and whose labels
-    # action-factoring and faithfulness read in the monomial pass
-    calls = []
-    monkeypatch.setattr(verify, "_nm_letters", lambda d, k: calls.append((d, k)) or _nm_letters(d, k))
-    assert verify.run_verify(VerifyConfig(4, max_len=5)).passed
-    distinct = {normal_form.normalize(Word(4, t)) for length in range(6) for t in product(range(1, 4), repeat=length)}
-    assert len(calls) == len(set(calls)) == len(distinct)
-
-
-def test_equal_forms_held_as_distinct_objects_are_one_form():
-    # normal-form compares forms by their exponents, not by object: with the _monomial table
-    # cleared mid-class, every other block of a class holds a new but equal NormalMonomial
-    run, distinct = verify._Run(VerifyConfig(4, max_len=5)), 0
-    for delta, classes, level in verify._degrees(run):
-        rebuilt = []
-        for cls in classes:
-            normal_form._monomial.cache_clear()
-            rebuilt.append({b: normal_form._monomial(m.n, m.d, m.k) if j % 2 else m for j, (b, m) in enumerate(cls.items())})
-            distinct += len({id(m) for m in rebuilt[-1].values()}) - 1
-        assert verify._normal_form(run, delta, rebuilt, level) is None
-        # a form that truly differs still counts as a second one
-        if len(rebuilt[-1]) > 1:  # so of total 2 or more, whose forms are not a1's
-            rebuilt[-1][max(rebuilt[-1])] = gen_monomial(4, 1)
-            least = min(w for b in rebuilt[-1] for w in level.words(b))
-            assert verify._normal_form(run, delta, rebuilt, level) == f"class of {least} has 2 normal forms"
-    assert distinct > 50  # classes that held two objects for one form
-
-
 def _at_rank_3(d, k):
     return NormalMonomial(3, d, k)
 
@@ -611,14 +593,14 @@ def test_a_product_outside_the_basis_is_named_with_its_exponents(monkeypatch, ru
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_memoized_forms_are_the_normal_forms(n):
-    # the pass computes one form per block, R_a of its shorter class's form: it must be the
-    # normal form of every word of the block
-    seen = 0
-    for _, forms, level in verify._degrees(verify._Run(VerifyConfig(n, max_len=7))):
+    # the pass computes one form per block, R_a of its shorter class's form, as the index's
+    # number: the monomial of that number must be the normal form of every word of the block
+    run, seen = verify._Run(VerifyConfig(n, max_len=7)), 0
+    for _, forms, level in verify._degrees(run):
         for cls in forms:
-            for block, nf in cls.items():
+            for block, i in cls.items():
                 for letters in level.words(block):
-                    assert nf == normal_form.normalize(Word(n, letters))
+                    assert run.monomials[i] == normal_form.normalize(Word(n, letters))
                     seen += 1
     assert seen == sum((n - 1) ** length for length in range(8))
 
