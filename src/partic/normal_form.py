@@ -1,9 +1,12 @@
 """Normalization of words to basis monomials, and exact products.
 
 The whole engine is the pair of single-generator multiplication rules below;
-normalization and monomial products are folds of them.  Soundness and
-completeness against the rewriting oracle are certified by the test suite
-and the ``verify`` CLI subcommand.
+normalization and monomial products are folds of them.  ``normalize`` walks
+the right fold through a bounded table of the steps R_a between the normal
+forms it has met (``_Steps``), each step filled once by the rule, so the
+words of a degree, which share few forms, cost one list lookup per letter.
+Soundness and completeness against the rewriting oracle are certified by the
+test suite and the ``verify`` CLI subcommand.
 """
 from __future__ import annotations
 
@@ -46,8 +49,11 @@ def _right_mul(d: list[int], k: list[int], letters: tuple[int, ...]) -> None:
 
 Exponents = tuple[tuple[int, ...], tuple[int, ...]]
 
+# the most monomials _monomial keeps, and the most states the step table of normalize holds
+_TABLE_SIZE = 1 << 12
 
-@lru_cache(maxsize=1 << 12)
+
+@lru_cache(maxsize=_TABLE_SIZE)
 def _monomial(n: int, d: tuple[int, ...], k: tuple[int, ...]) -> NormalMonomial:
     """``NormalMonomial(n, d, k)``, validated once per distinct (n, d, k) while it stays in the table.
 
@@ -91,15 +97,102 @@ def right_mul_gen(m: NormalMonomial, i: int) -> NormalMonomial:
     return _monomial(m.n, *_step(_right_mul, (m.d, m.k), i))
 
 
+def _right_fold(m: NormalMonomial, letters: tuple[int, ...]) -> NormalMonomial:
+    """m times the letters in turn, by one ``_right_mul`` on m's exponent lists, from the table of :func:`_monomial`."""
+    d, k = list(m.d), list(m.k)
+    _right_mul(d, k, letters)
+    return _monomial(m.n, tuple(d), tuple(k))
+
+
+class _Steps:
+    """The right steps between the normal forms that :func:`normalize` has met, under one rule.
+
+    A state is a normal form, taken once from :func:`_monomial`, so
+    validated there, and held once: ``ids`` finds a form's state by its
+    (n, d, k).  The state is the offset of its row in ``step``, N slots for
+    a form of rank N: ``step[s]`` is the form itself, as no letter is 0, and
+    ``step[s + a]`` the state of R_a(form of s), None until a walk first
+    needs it.  All ranks share the table, each walk starting from its rank's
+    unit (``units``), so alternating ranks rebuild nothing.  It holds at most
+    ``_TABLE_SIZE`` states and forgets none, so its memory stays bounded: a
+    row takes N slots, half of what its form's exponents take.  ``rule`` is
+    the ``_right_mul`` it was filled with.
+    """
+
+    __slots__ = ("rule", "units", "ids", "step")
+
+    def __init__(self, rule: Callable[[list[int], list[int], tuple[int, ...]], None]) -> None:
+        self.rule = rule
+        self.units: dict[int, int] = {}  # {rank: the state of its unit}
+        self.ids: dict[NormalMonomial, int] = {}  # {form: its state}
+        self.step: list = []
+
+    def state(self, m: NormalMonomial) -> int | None:
+        """The state of the form m, a new one if it is not held yet; None if there is no room for that."""
+        s = self.ids.get(m)
+        if s is None and len(self.ids) < _TABLE_SIZE:
+            s = self.ids[m] = len(self.step)
+            self.step += [m] + [None] * (m.n - 1)
+        return s
+
+    def resume(self, s: int, a: int, rest: Iterator[int]) -> NormalMonomial:
+        """The form that a and then the letters of ``rest`` take the state s to, the step (s, a) being unknown.
+
+        Each unknown step is filled with one step of the rule, and the walk
+        goes on from the state it reaches; once the table is full, one fold
+        of the rule takes the form it has reached over the letters left.
+        """
+        step = self.step
+        while len(self.ids) < _TABLE_SIZE:
+            t = step[s + a] = self.state(_right_fold(step[s], (a,)))
+            s = t
+            for a in rest:
+                t = step[s + a]
+                if t is None:
+                    break
+                s = t
+            else:
+                return step[s]
+        return _right_fold(step[s], (a, *rest))
+
+
+_steps = _Steps(_right_mul)
+
+
 def normalize(w: Word) -> NormalMonomial:
     """Normal form of a word: fold right multiplications left to right.
 
-    The fold runs on exponent lists (a word's letters are already in range)
-    and takes one monomial from the table of :func:`_monomial` at the end.
+    The fold walks the table of steps (``_Steps``) from the unit of the
+    word's rank, one list lookup per letter.  At a step the table lacks it
+    goes on from the state reached, not from the first letter
+    (``_Steps.resume``): it fills each missing step with one step of
+    ``_right_mul`` while the table has room, and once it is full it folds
+    ``_right_mul`` over the letters left and takes their form from the table
+    of :func:`_monomial`, as a word with no room for its rank's unit does
+    from the first letter.  The table is checked against ``_right_mul`` by
+    identity on each call and built afresh if the rule was replaced, so it
+    never answers for another rule; a form that fails validation is never
+    stored, so a broken rule raises on every call.
     """
-    d, k = [0] * (w.n - 2), [0] * (w.n - 1)
-    _right_mul(d, k, w.letters)
-    return _monomial(w.n, tuple(d), tuple(k))
+    global _steps
+    n, steps = w.n, _steps
+    if steps.rule is not _right_mul:
+        steps = _steps = _Steps(_right_mul)
+    s = steps.units.get(n)
+    if s is None:
+        unit = NormalMonomial.unit(n)
+        s = steps.state(unit)
+        if s is None:
+            return _right_fold(unit, w.letters)
+        steps.units[n] = s
+    step = steps.step
+    rest = iter(w.letters)
+    for a in rest:
+        t = step[s + a]
+        if t is None:
+            return steps.resume(s, a, rest)
+        s = t
+    return step[s]
 
 
 def normalize_right_to_left(w: Word) -> NormalMonomial:
@@ -128,9 +221,7 @@ def nm_product(m1: NormalMonomial, m2: NormalMonomial) -> NormalMonomial:
     """Product of two basis monomials (always again a basis monomial)."""
     if m1.n != m2.n:
         raise ValueError("rank mismatch")
-    d, k = list(m1.d), list(m1.k)
-    _right_mul(d, k, nm_to_word(m2).letters)
-    return _monomial(m1.n, tuple(d), tuple(k))
+    return _right_fold(m1, nm_to_word(m2).letters)
 
 
 def element_product(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:

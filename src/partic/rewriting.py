@@ -152,7 +152,7 @@ def _walk(levels: list[BlockClasses], span: int, side: int, walked: dict[int, li
     prefix of a side by its code, which fixes its length as letters are
     nonzero, so the sides of one span share the walks of their prefixes.
     """
-    bits = levels[0].rs.bits
+    bits = levels[0].bits
     xs: Iterable[int] = range(len(levels[span].classes))
     for i in range(1, span + 1):
         prefix = side & (1 << i * bits) - 1
@@ -209,8 +209,10 @@ class BlockClasses:
     shorter classes; ``classes`` lists each class's blocks, its seed first.
     The length 0 has the one block 0, the empty word under the letter 0.  A
     level keeps ``shorter``, the level one letter shorter, the owner of each
-    of its blocks, and the number of words of each class, so ``size`` reads
-    a count, ``block`` walks the owners letter by letter, and ``words`` and
+    of its blocks, the number of words of each class, and the ``n`` and
+    ``bits`` of its rule set, not the rule set, which keeps the chain in
+    ``RelationSet.levels``: the two make no reference cycle.  So ``size``
+    reads a count, ``block`` walks the owners letter by letter, and ``words`` and
     ``class_words`` list a block's or a class's words down the levels, as
     letter tuples; only ``congruence_partition``, failure messages and the
     tests list words.
@@ -218,7 +220,7 @@ class BlockClasses:
     """
 
     def __init__(self, rs: RelationSet, shorter: BlockClasses | None = None) -> None:
-        self.rs = rs
+        self.n, self.bits = rs.n, rs.bits  # not rs, which keeps the chain: the two would be a cycle
         self.shorter = shorter
         self.length = 0 if shorter is None else shorter.length + 1
         self.shift = max(self.length - 1, 0) * rs.bits  # a word's last letter is code >> shift
@@ -231,20 +233,20 @@ class BlockClasses:
             self._degrees[(0,) * (rs.n - 1)] = [(0, 0)]
             self._owner, self._sizes = [0], [1]
         else:
-            self._close(shorter)
+            self._close(rs, shorter)
 
     def of(self, delta: MultiDegree) -> list[int]:
         """The classes of the words of ``delta``, as indices into ``classes``, by least word of ``delta``."""
-        if delta.n != self.rs.n or delta.total() != self.length:
-            raise ValueError(f"multidegree {delta} is not of rank {self.rs.n} and total {self.length}")
+        if delta.n != self.n or delta.total() != self.length:
+            raise ValueError(f"multidegree {delta} is not of rank {self.n} and total {self.length}")
         return [j for _, j in self._degrees[delta.counts]]
 
     def words(self, block: int) -> list[Letters]:
         """The words of the block ``j << bits | a``: ``w + (a,)`` for each word ``w`` of the shorter class ``j``."""
         if self.shorter is None:
             return [()]
-        a = (block & (1 << self.rs.bits) - 1,)
-        return [w + a for w in self.shorter.class_words(block >> self.rs.bits, {})]
+        a = (block & (1 << self.bits) - 1,)
+        return [w + a for w in self.shorter.class_words(block >> self.bits, {})]
 
     def class_words(self, j: int, memo: dict[tuple[int, int], list[Letters]]) -> list[Letters]:
         """The words of class ``j``, its blocks' in turn, listed once per ``memo``, keyed on (length, class)."""
@@ -255,7 +257,7 @@ class BlockClasses:
             if shorter is None:
                 words = [()]
             else:
-                bits = self.rs.bits
+                bits = self.bits
                 letter = (1 << bits) - 1
                 words = []
                 for b in self.classes[j]:
@@ -266,7 +268,7 @@ class BlockClasses:
 
     def size(self, block: int) -> int:
         """The number of words of a block, without listing them."""
-        return 1 if self.shorter is None else self.shorter._sizes[block >> self.rs.bits]
+        return 1 if self.shorter is None else self.shorter._sizes[block >> self.bits]
 
     def block(self, code: int) -> int | None:
         """The block of the word with this code, or None if no word of this length has it.
@@ -277,10 +279,10 @@ class BlockClasses:
         if shorter is None:
             return 0 if code == 0 else None
         prefix, a = shorter.block(code & self.mask), code >> self.shift
-        return shorter._owner[prefix] << self.rs.bits | a if prefix is not None and 0 < a < self.rs.n else None
+        return shorter._owner[prefix] << self.bits | a if prefix is not None and 0 < a < self.n else None
 
-    def _close(self, shorter: BlockClasses) -> None:
-        rs, length, bits = self.rs, self.length, self.rs.bits
+    def _close(self, rs: RelationSet, shorter: BlockClasses) -> None:
+        length, bits = self.length, self.bits
         levels = [self, shorter]  # levels[s]: the level s letters shorter
         while levels[-1].shorter is not None:
             levels.append(levels[-1].shorter)

@@ -136,7 +136,6 @@ def _degrees(run: _Run) -> Iterator[tuple[MultiDegree, list[dict], BlockClasses]
             prefix = [ids[0] for ids in steps]
             forms = [dict(zip(cls, ids)) for cls, ids in zip(level.classes, steps)]
         yield delta, [forms[j] for j in level.of(delta)], level
-    rs.levels.clear()  # each level refers back to rs: free the chain when the pass ends, not at a cycle collection
 
 
 def _monomials(run: _Run) -> Iterator[tuple[MultiDegree, range]]:
@@ -177,7 +176,7 @@ def _normal_form(run: _Run, delta: MultiDegree, classes: list[dict], level: Bloc
         if i in seen:
             return f"classes of {_least(level, cls)} and {_least(level, seen[i])} share a normal form"
         seen[i] = cls
-        if level.block(_encode(run.letters[i], level.rs.bits)) not in cls:
+        if level.block(_encode(run.letters[i], level.bits)) not in cls:
             return f"expansion of {run.monomials[i]} leaves the class of {_least(level, cls)}"
 
 

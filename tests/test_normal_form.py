@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -26,6 +27,7 @@ from partic.normal_form import (
 from partic.rewriting import congruence_partition, partic_rules
 
 from rewriting_reference import multidegree
+from test_verify import _absorbs_from_2
 
 
 def nm(n, d, k):
@@ -171,13 +173,97 @@ def test_a_rule_that_breaks_the_condition_raises_on_every_call(monkeypatch):
     assert _monomial.cache_info().currsize == 0
 
 
-def test_the_table_stays_bounded():
+def test_the_table_stays_bounded(monkeypatch):
     _monomial.cache_clear()
     maxsize = _monomial.cache_info().maxsize
+    assert maxsize == normal_form._TABLE_SIZE
     basis = enumerate_basis(MultiDegree((16, 16, 16, 16)))
     assert len(basis) == 17**3 > maxsize
     assert _monomial.cache_info().currsize <= maxsize
     assert all(m == NormalMonomial(5, m.d, m.k) for m in basis)
+    # random words reach more forms than the steps of normalize hold: once the table is full
+    # the letters left of a word are folded by the rule, and the result is the same
+    steps = fresh_steps(monkeypatch)
+    rng = random.Random(45)
+    for _ in range(3000):
+        n = rng.randint(3, 7)
+        letters = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 300)))
+        assert exponents(normalize(Word(n, letters))) == plain_fold(n, letters), letters
+    letters = tuple(rng.randint(1, 5) for _ in range(10**5))
+    assert exponents(normalize(Word(6, letters))) == plain_fold(6, letters)
+    assert len(steps.ids) == maxsize
+    assert len(steps.step) == sum(m.n for m in steps.ids)
+
+
+def fresh_steps(monkeypatch):
+    """An empty table of steps for normalize, in place of the module's until the test ends."""
+    steps = normal_form._Steps(normal_form._right_mul)
+    monkeypatch.setattr(normal_form, "_steps", steps)
+    return steps
+
+
+def plain_fold(n, letters, rule=_right_mul):
+    # one call of the rule on all the letters, as normalize was before it walked a table
+    d, k = [0] * (n - 2), [0] * (n - 1)
+    rule(d, k, letters)
+    return n, tuple(d), tuple(k)
+
+
+def exponents(m):
+    return m.n, m.d, m.k
+
+
+@pytest.mark.parametrize("n, max_len", [(3, 7), (4, 7), (5, 7), (6, 6)])
+def test_normalize_is_the_plain_fold(monkeypatch, n, max_len):
+    steps = fresh_steps(monkeypatch)
+    for walk in ("cold", "warm"):
+        for letters in all_words(n, max_len):
+            assert exponents(normalize(Word(n, letters))) == plain_fold(n, letters), (walk, letters)
+        assert normal_form._steps is steps
+    # each form of the words is one state, and no other form is held
+    forms = {plain_fold(n, letters) for letters in all_words(n, max_len)}
+    assert sorted(map(exponents, steps.ids)) == sorted(forms)
+    assert len(steps.ids) < normal_form._TABLE_SIZE
+
+
+def test_letters_that_only_equal_ints_act_as_before_and_leave_the_table(monkeypatch):
+    # Word lets True and 2.0 pass as 1 and 2; True indexes the steps as 1, a float indexes nothing
+    steps = fresh_steps(monkeypatch)
+    for letters in all_words(4, 3):
+        normalize(Word(4, letters))
+    held = dict(steps.ids), list(steps.step)
+    assert normalize(Word(4, (True, 2))) == nm(4, (0, 0), (1, 1, 0))
+    for letters in [(2.0, 1), (1, 3.0)]:
+        with pytest.raises(TypeError):
+            normalize(Word(4, letters))
+    assert (dict(steps.ids), list(steps.step)) == held
+
+
+def test_a_replaced_rule_gets_a_table_of_its_own(monkeypatch):
+    # the steps belong to the rule that filled them: warm under the real rule, normalize
+    # gives the mutant's forms once the mutant replaces it, and the real ones once it is back
+    words = list(all_words(4, 5))
+    for letters in words:
+        normalize(Word(4, letters))
+    warm = normal_form._steps
+    with monkeypatch.context() as patch:
+        patch.setattr(normal_form, "_right_mul", _absorbs_from_2)
+        mutant = [exponents(normalize(Word(4, letters))) for letters in words]
+        assert normal_form._steps is not warm
+    assert mutant == [plain_fold(4, letters, _absorbs_from_2) for letters in words]
+    real = [exponents(normalize(Word(4, letters))) for letters in words]
+    assert real == [plain_fold(4, letters) for letters in words] != mutant
+
+
+def test_alternating_ranks_share_one_table(monkeypatch):
+    steps = fresh_steps(monkeypatch)
+    words = {n: list(all_words(n, 4)) for n in (3, 4, 5)}
+    for i in range(len(words[5])):
+        for n in (3, 4, 5):
+            letters = words[n][i % len(words[n])]
+            assert exponents(normalize(Word(n, letters))) == plain_fold(n, letters), letters
+    assert normal_form._steps is steps
+    assert sorted(steps.units) == [3, 4, 5]
 
 
 def test_nm_product_unit_laws():

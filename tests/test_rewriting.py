@@ -1,5 +1,7 @@
 import ast
+import gc
 import random
+import weakref
 from collections import Counter
 from functools import cache
 from itertools import chain, permutations, product
@@ -363,6 +365,21 @@ def test_clear_leaves_no_stale_table(n):
     rs.levels.clear()
     after = [congruence_partition(delta, rs) for delta in degrees]
     assert after == [scan_partition(delta, rs) for delta in degrees] != before
+
+
+def test_a_dropped_rule_set_dies_with_its_chain():
+    # no level refers back to its rule set, so a rule set and the chain it keeps are no
+    # cycle: dropping the last reference frees both at once, with the cycle collector idle
+    rs = partic_rules(4)
+    congruence_partition(MultiDegree((2, 2, 2)), rs)
+    assert len(rs.levels) == 7
+    dead, chain = weakref.ref(rs), weakref.ref(rs.levels[-1])
+    gc.disable()
+    try:
+        del rs
+        assert dead() is None and chain() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("rules", [plactic_rules, partic_rules])

@@ -220,10 +220,10 @@ class WordBlocks:
     """The BFS route's classes in the shape the checks read: every word its own block."""
 
     def __init__(self, rs):
-        self.rs = rs
+        self.bits = rs.bits
 
     def words(self, code):
-        return [rewriting_reference.decode(code, self.rs.bits)]
+        return [rewriting_reference.decode(code, self.bits)]
 
     def size(self, code):
         return 1
@@ -339,9 +339,9 @@ def test_a_passing_run_lists_no_word(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_no_chain_outlives_a_verify_run(monkeypatch, n):
     # the degree pass grows its chain of levels on the run's own rule set, so the chain dies
-    # with the run, and a second run builds a rule set, and a chain, of its own.  The levels
-    # refer back to the rule set, so the pass drops the chain when it ends: the rule set is
-    # freed when the run returns, not at the cycle collector's next pass
+    # with the run, and a second run builds a rule set, and a chain, of its own.  No level
+    # refers back to the rule set, so the rule set and its chain are freed when the run
+    # returns, not at the cycle collector's next pass
     built, real = [], verify.partic_rules
 
     def watched(n):
