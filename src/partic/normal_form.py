@@ -10,9 +10,9 @@ test suite and the ``verify`` CLI subcommand.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from operator import sub
 
 from .core import AlgebraElement, MultiDegree, NormalMonomial, Word, _check_gen, nm_to_word
@@ -97,7 +97,7 @@ def right_mul_gen(m: NormalMonomial, i: int) -> NormalMonomial:
     return _monomial(m.n, *_step(_right_mul, (m.d, m.k), i))
 
 
-def _right_fold(m: NormalMonomial, letters: tuple[int, ...]) -> NormalMonomial:
+def _right_fold(m: NormalMonomial, letters: Iterable[int]) -> NormalMonomial:
     """m times the letters in turn, by one ``_right_mul`` on m's exponent lists, from the table of :func:`_monomial`."""
     d, k = list(m.d), list(m.k)
     _right_mul(d, k, letters)
@@ -153,7 +153,7 @@ class _Steps:
                 s = t
             else:
                 return step[s]
-        return _right_fold(step[s], (a, *rest))
+        return _right_fold(step[s], chain((a,), rest))
 
 
 _steps = _Steps(_right_mul)
