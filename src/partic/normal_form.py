@@ -113,7 +113,9 @@ class _Steps:
     a form of rank N: ``step[s]`` is the form itself, as no letter is 0, and
     ``step[s + a]`` the state of R_a(form of s), None until a walk first
     needs it.  All ranks share the table, each walk starting from its rank's
-    unit (``units``), so alternating ranks rebuild nothing.  It holds at most
+    unit (``units``), so alternating ranks rebuild nothing; a unit is built
+    directly, so a walk that takes no step leaves :func:`_monomial`'s table
+    as it was.  It holds at most
     ``_TABLE_SIZE`` states and forgets none, so its memory stays bounded: a
     row takes N slots, half of what its form's exponents take.  ``rule`` is
     the ``_right_mul`` it was filled with.
