@@ -203,7 +203,7 @@ def fresh_steps(monkeypatch):
 
 
 def plain_fold(n, letters, rule=_right_mul):
-    # one call of the rule on all the letters, as normalize was before it walked a table
+    # one call of the rule on all the letters, with no table: the reference the walk must equal
     d, k = [0] * (n - 2), [0] * (n - 1)
     rule(d, k, letters)
     return n, tuple(d), tuple(k)
